@@ -31,6 +31,7 @@ from .sampler import (
     dag_to_text,
     evaluate,
     evaluate_recurrent,
+    fitness,
     log_probability,
     most_likely_dag,
     sample,
@@ -61,7 +62,6 @@ from .trainer import (
     TrainConfig,
     TrainRun,
     adam_step,
-    fitness,
     loss_gradient,
     rank_reweight,
     select_top,

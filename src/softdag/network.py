@@ -155,6 +155,21 @@ class Network:
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
         self.levels = config.depth + 1
+        # every source index decoded once into its global code: inputs,
+        # then constants, then the images of each level in turn, so image
+        # (q, i) is code u + q * N + i whatever the wiring
+        skip = config.skip_connections
+        self.arg_codes = tuple(
+            np.arange(self.arg_source_count(p))
+            if skip or p == 0
+            else self.u + (p - 1) * self.N + np.arange(self.N)
+            for p in range(self.levels)
+        )
+        self.output_codes = (
+            np.arange(self.output_source_count())
+            if skip
+            else self.u + (self.levels - 1) * self.N + np.arange(self.N)
+        )
         self.weights = [
             np.ones((self.M, self.arg_source_count(p)), dtype=np.float64)
             for p in range(self.levels)
@@ -278,7 +293,11 @@ def load_network(
     head = lines[0].split()
     if len(head) != 2 or head[0] != _WEIGHTS_MAGIC:
         raise WeightsFormatError(f"{path}: bad magic {lines[0]!r}")
-    if int(head[1]) != _WEIGHTS_VERSION:
+    try:
+        version = int(head[1])
+    except ValueError as exc:
+        raise WeightsFormatError(f"{path}: bad version {head[1]!r}") from exc
+    if version != _WEIGHTS_VERSION:
         raise WeightsFormatError(f"{path}: unsupported version {head[1]}")
     if len(lines) < 2:
         raise WeightsFormatError(f"{path}: missing config header")
@@ -303,5 +322,8 @@ def load_network(
                     f"{path}: row {cursor} has {len(values)} entries,"
                     f" expected {block.shape[1]}"
                 )
-            block[r] = [float(x) for x in values]
+            try:
+                block[r] = [float(x) for x in values]
+            except ValueError as exc:
+                raise WeightsFormatError(f"{path}: row {cursor}: {exc}") from exc
     return network

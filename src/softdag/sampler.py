@@ -5,10 +5,17 @@ every output row.  All rows are sampled, including ones no output can
 reach; probabilities and gradients only ever account for the rows
 reachable backward from the outputs, so unreachable choices marginalize
 out and the induced distribution over reachable configurations sums to 1.
+
+Graphs run on data through a :class:`PopulationPlan`, which hash-conses
+the nodes of a whole population: each distinct ``(basis, child ids)`` node
+is computed once per batch, and :func:`population_fitness` scores each
+distinct ``(node, output)`` column once.  ``evaluate`` and
+``evaluate_recurrent`` are the one-graph case of the same plan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +29,9 @@ __all__ = [
     "log_probability",
     "evaluate",
     "evaluate_recurrent",
+    "fitness",
+    "PopulationPlan",
+    "population_fitness",
     "most_likely_dag",
     "dag_to_text",
     "dag_from_text",
@@ -135,6 +145,219 @@ def log_probability(network: Network, dag: SampledDAG, output_subset=None) -> fl
     return total
 
 
+def fitness(predictions, targets, variance: float):
+    """Summed Gaussian-kernel similarity; non-finite predictions add zero.
+
+    ``predictions`` is one column of shape ``(n,)``, scored to a float, or
+    a block ``(rows, n)`` of columns, scored to one sum per row.
+    ``targets`` has the same shape or is a scalar.
+    """
+    if variance <= 0:
+        raise ValueError("variance must be positive")
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if t.ndim and p.shape != t.shape:
+        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
+    with np.errstate(all="ignore"):
+        k = np.atleast_1d(p - t)
+        np.square(k, out=k)
+        # -(x / c) as x / -c: IEEE division is sign-symmetric, so this is
+        # bit-identical and saves a pass
+        np.divide(k, -2.0 * variance, out=k)
+        np.exp(k, out=k)
+        np.divide(k, math.sqrt(2.0 * math.pi * variance), out=k)
+    k[np.isnan(k)] = 0.0
+    # summing along the contiguous axis keeps each row's sum bit-identical
+    # to the sum of that row on its own
+    sums = k.sum(axis=-1)
+    return sums if p.ndim > 1 else float(sums)
+
+
+class PopulationPlan:
+    """Hash-consed evaluation plan of several graphs and recurrent depths.
+
+    Ids ``0..u-1`` are the leaves: the input columns, then the constants.
+    Every later id is one distinct ``(basis, child ids)`` node of some
+    graph, numbered after its children, so id order is a topological
+    order.  ``outputs`` holds one candidate per graph and depth, sample-major
+    then depth: the id of each of its outputs.  Depth ``d + 1`` takes depth
+    ``d``'s output ids as its input leaves.
+    """
+
+    def __init__(self, network: Network, dags, depth: int = 1):
+        cfg = network.config
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if depth > 1 and cfg.output_count != cfg.input_count:
+            raise ValueError("recurrent evaluation needs output_count == input_count")
+        self.network = network
+        self.fns: list = []  # per node id - u: the basis function
+        self.kids: list[tuple[int, ...]] = []  # per node id - u: child ids
+        self.outputs: list[tuple[int, ...]] = []
+        if not dags:
+            return
+        u, N, levels = network.u, network.N, network.levels
+        slot = network.slot_offset
+        # one key per basis name, so repeated occurrences share nodes
+        first: dict[str, int] = {}
+        names = [first.setdefault(b.name, i) for i, b in enumerate(network.bases)]
+        fns = [b.fn for b in network.bases]
+        codes = [
+            network.arg_codes[q][np.array([d.choices[q] for d in dags])]
+            for q in range(levels)
+        ]
+        out_codes = network.output_codes[np.array([d.output_choices for d in dags])]
+        # reachability of every graph at once, top level down: an image is
+        # live when an output or a live image of a higher level reads it
+        live = np.zeros((len(dags), u + levels * N), dtype=bool)
+        live[np.arange(len(dags))[:, None], out_codes] = True
+        for q in reversed(range(levels)):
+            for i in range(N):
+                on = np.flatnonzero(live[:, u + q * N + i])
+                live[on[:, None], codes[q][on, slot[i]:slot[i + 1]]] = True
+        # per graph, its live images in ascending code order: images read
+        # only lower levels, so children come first
+        dag_of, image_of = np.nonzero(live[:, u:])
+        bounds = np.searchsorted(dag_of, np.arange(len(dags) + 1)).tolist()
+        image_of = image_of.tolist()
+        codes = [c.tolist() for c in codes]
+        constants = list(range(cfg.input_count, u))
+        ids: dict[tuple, int] = {}
+        for r, outs in enumerate(out_codes.tolist()):
+            nodes = []
+            for f in image_of[bounds[r]:bounds[r + 1]]:
+                q, i = divmod(f, N)
+                nodes.append((u + f, names[i], fns[i], codes[q][r][slot[i]:slot[i + 1]]))
+            id_of = list(range(u)) + [0] * (levels * N)
+            for d in range(depth):
+                if d:
+                    id_of[:u] = [*self.outputs[-1], *constants]
+                for code, name, fn, kid_codes in nodes:
+                    key = (name, *map(id_of.__getitem__, kid_codes))
+                    k = ids.get(key)
+                    if k is None:
+                        k = ids[key] = u + len(self.kids)
+                        self.fns.append(fn)
+                        self.kids.append(key[1:])
+                    id_of[code] = k
+                self.outputs.append(tuple(map(id_of.__getitem__, outs)))
+
+    def run(self, X: np.ndarray, sink) -> None:
+        """Evaluate every node once, in id order, on the float64 batch ``X``
+        of shape ``(n, input_count)``.
+
+        ``sink(id, values)`` receives each candidate output id's values as
+        soon as they exist; every other value is dropped after its last
+        consumer, so memory holds only the live frontier of the population.
+        """
+        cfg = self.network.config
+        n = X.shape[0]
+        u = self.network.u
+        values: list = [X[:, k] for k in range(cfg.input_count)]
+        values += [np.full(n, c) for c in cfg.constants]
+        values += [None] * len(self.kids)
+        last = [-1] * len(values)
+        for k, kids in enumerate(self.kids, start=u):
+            for c in kids:
+                last[c] = k
+        wanted = {k for outs in self.outputs for k in outs}
+        for k in range(u):
+            if k in wanted:
+                sink(k, values[k])
+        with np.errstate(all="ignore"):
+            for k, (fn, kids) in enumerate(zip(self.fns, self.kids), start=u):
+                value = np.asarray(fn(*[values[c] for c in kids]), dtype=np.float64)
+                for c in kids:
+                    if last[c] == k:
+                        values[c] = None
+                if last[k] > k:
+                    values[k] = value
+                if k in wanted:
+                    sink(k, value)
+
+
+# Columns scored per ``fitness`` call: 32 rows of a 1000-row batch are 256 KB,
+# so memory stays bounded whatever the population size.
+SCORE_BLOCK_ROWS = 32
+
+
+class _BlockScorer:
+    """Fitness of each distinct ``(node, output)`` column, in row blocks.
+
+    Each column's residual ``value - Y[:, j]`` is written into the next row
+    of a fixed block as soon as the node is computed; a full block is
+    scored by one ``fitness`` call.
+    """
+
+    def __init__(self, outputs, Y: np.ndarray, variance: float):
+        self.targets = np.ascontiguousarray(Y.T)
+        self.variance = variance
+        columns: dict[tuple[int, int], int] = {}
+        self.index = np.array(
+            [[columns.setdefault((k, j), len(columns)) for j, k in enumerate(outs)]
+             for outs in outputs],
+            dtype=np.intp,
+        ).reshape(len(outputs), self.targets.shape[0])
+        self.by_node: dict[int, list[tuple[int, int]]] = {}
+        for (k, j), col in columns.items():
+            self.by_node.setdefault(k, []).append((j, col))
+        self.scores = np.empty(len(columns))
+        rows = min(SCORE_BLOCK_ROWS, len(columns))
+        self.block = np.empty((rows, self.targets.shape[1]))
+        self.pending: list[int] = []
+
+    def __call__(self, k: int, value: np.ndarray) -> None:
+        for j, col in self.by_node[k]:
+            np.subtract(value, self.targets[j], out=self.block[len(self.pending)])
+            self.pending.append(col)
+            if len(self.pending) == len(self.block):
+                self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            rows = len(self.pending)
+            self.scores[self.pending] = fitness(self.block[:rows], 0.0, self.variance)
+            self.pending.clear()
+
+
+def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
+    """Fitness matrix of a population: one row per candidate, one column
+    per output.
+
+    Candidate ``r * depth + d - 1`` is graph ``r`` self-composed ``d``
+    times.  Each distinct node is evaluated once and each distinct
+    ``(node, output)`` column is scored once; every entry equals
+    ``fitness`` of that candidate's ``evaluate``/``evaluate_recurrent``
+    column bit for bit.
+    """
+    X = _check_batch(network, X)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != (X.shape[0], network.config.output_count):
+        raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
+    plan = PopulationPlan(network, dags, depth)
+    scorer = _BlockScorer(plan.outputs, Y, variance)
+    plan.run(X, scorer)
+    scorer.flush()
+    return scorer.scores[scorer.index]
+
+
+def _check_batch(network: Network, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != network.config.input_count:
+        raise ValueError(
+            f"expected batch of shape (n, {network.config.input_count}), got {X.shape}"
+        )
+    return X
+
+
+def _evaluate_depths(network: Network, dag: SampledDAG, X, depth: int) -> list[np.ndarray]:
+    plan = PopulationPlan(network, [dag], depth)
+    X = _check_batch(network, X)
+    got: dict[int, np.ndarray] = {}
+    plan.run(X, got.__setitem__)
+    return [np.column_stack([got[k] for k in outs]) for outs in plan.outputs]
+
+
 def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:
     """Run the sampled function on a batch.
 
@@ -142,33 +365,7 @@ def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:
     appended internally.  Only the output-reachable subgraph is computed.
     Non-finite intermediates propagate to the affected output entries only.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != network.config.input_count:
-        raise ValueError(
-            f"expected batch of shape (n, {network.config.input_count}), got {X.shape}"
-        )
-    n = X.shape[0]
-    cfg = network.config
-    values: dict[tuple[int, int], np.ndarray] = {}
-
-    def source_value(res):
-        if res[0] == "input":
-            return X[:, res[1]]
-        if res[0] == "const":
-            return np.full(n, cfg.constants[res[1]])
-        return values[(res[1], res[2])]
-
-    for q, i in sorted(_reachable_images(network, dag, range(cfg.output_count))):
-        args = [
-            source_value(network.arg_source(q, int(dag.choices[q][row])))
-            for row in network.image_rows(i)
-        ]
-        with np.errstate(all="ignore"):
-            values[(q, i)] = np.asarray(network.bases[i].fn(*args), dtype=np.float64)
-    out = np.empty((n, cfg.output_count), dtype=np.float64)
-    for j in range(cfg.output_count):
-        out[:, j] = source_value(network.output_source(int(dag.output_choices[j])))
-    return out
+    return _evaluate_depths(network, dag, X, 1)[0]
 
 
 def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list[np.ndarray]:
@@ -179,16 +376,7 @@ def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list
     fed back in; a sentinel at depth ``d`` stays a sentinel at all deeper
     depths for that sample.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if network.config.output_count != network.config.input_count:
-        raise ValueError("recurrent evaluation needs output_count == input_count")
-    outs = []
-    cur = np.asarray(X, dtype=np.float64)
-    for _ in range(depth):
-        cur = evaluate(network, dag, cur)
-        outs.append(cur)
-    return outs
+    return _evaluate_depths(network, dag, X, depth)
 
 
 # ---------------------------------------------------------------------------

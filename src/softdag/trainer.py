@@ -24,9 +24,8 @@ from .rng import EPOCH_STREAM, derive_rng
 from .sampler import (
     SampledDAG,
     _reachable_images,
-    evaluate,
-    evaluate_recurrent,
     most_likely_dag,
+    population_fitness,
     sample_many,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "TrainRun",
     "EpochStats",
     "AdamState",
-    "fitness",
     "loss_gradient",
     "accumulate_loss_gradient",
     "select_top",
@@ -48,6 +46,9 @@ __all__ = [
 
 VERDICT_CONVERGED = "converged"
 VERDICT_EXHAUSTED = "max-epochs-exhausted"
+# the stop criterion held while an output's best candidate scored 0.0: the
+# population is stuck on graphs that fit nothing, not collapsed on a fit
+VERDICT_ZERO_FITNESS = "zero-fitness"
 
 # relative tolerance for the cross-epoch fitness-multiset check used with
 # stationary batches
@@ -133,21 +134,6 @@ class TrainRun:
     epoch: int = 0
     verdict: str = VERDICT_EXHAUSTED
     converged_epoch: int | None = None
-
-
-def fitness(predictions, targets, variance: float) -> float:
-    """Summed Gaussian-kernel similarity; non-finite predictions add zero."""
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    with np.errstate(all="ignore"):
-        k = np.exp(-((p - t) ** 2) / (2.0 * variance)) / math.sqrt(
-            2.0 * math.pi * variance
-        )
-    return float(np.nansum(k))
 
 
 def accumulate_loss_gradient(
@@ -249,31 +235,14 @@ def adam_step(
         w -= learning_rate * (m / c1) / (np.sqrt(v / c2) + epsilon)
 
 
-def _epoch_candidates(network: Network, dags, X, depth: int):
-    """(dag_index, depth, outputs) triples, ordered sample-major then depth."""
-    cands = []
-    for r, dag in enumerate(dags):
-        if depth == 1:
-            outs = [evaluate(network, dag, X)]
-        else:
-            outs = evaluate_recurrent(network, dag, X, depth)
-        for d, out in enumerate(outs, start=1):
-            cands.append((r, d, out))
-    return cands
-
-
 def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     """One population step: sample, score, select, accumulate, Adam."""
     net = run.network
     X, Y = batch
-    v = net.config.output_count
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
-    cands = _epoch_candidates(net, dags, X, config.recurrence_depth)
-    K = np.zeros((len(cands), v), dtype=np.float64)
-    for idx, (_, _, out) in enumerate(cands):
-        for j in range(v):
-            K[idx, j] = fitness(out[:, j], Y[:, j], config.variance)
+    depth = config.recurrence_depth
+    K = population_fitness(net, dags, X, Y, depth, config.variance)
     picks = select_top(K, config.select_count)
     grads = [np.zeros_like(b) for b in net.blocks()]
     selected_raw = []
@@ -285,8 +254,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
             vals = rank_reweight(vals, config.rank_reweight_increasing)
         # fixed accumulation order: by candidate index
         for ci, kv in sorted(zip((c for c, _ in sel), vals)):
-            r, d, _ = cands[ci]
-            dscale = d if config.depth_scales_logprob else 1
+            r, d = divmod(ci, depth)
+            dscale = d + 1 if config.depth_scales_logprob else 1
             accumulate_loss_gradient(net, dags[r], float(kv), j, grads, depth=dscale)
     adam_step(
         net.blocks(),
@@ -333,12 +302,15 @@ def train(
     ``(temperature, last_layer_temperature)`` pair applied before sampling;
     the default keeps both constant.
 
-    A run converges once, for ``patience`` consecutive epochs, every
+    A run stops once, for ``patience`` consecutive epochs, every
     output's selected candidates share exactly equal fitness within the
     epoch and the selected fitness multiset repeats from epoch to epoch
     (within 1e-12 relative).  Mini-batches are redrawn every epoch, so the
     cross-epoch condition holds exactly when the surviving candidates fit
     the data exactly and their fitness no longer depends on the batch.
+    The run has converged if every output's selected fitness is positive;
+    if some output's is 0.0, nothing fits that output and the verdict is
+    ``zero-fitness``.
     Identical (config, seed, data) always reproduce the same trajectory
     bit for bit.
     """
@@ -370,8 +342,11 @@ def train(
             streak = 0
         previous = stats.selected
         if streak >= config.patience:
-            run.verdict = VERDICT_CONVERGED
-            run.converged_epoch = run.epoch
+            if any(sel[0] == 0.0 for sel in stats.selected):
+                run.verdict = VERDICT_ZERO_FITNESS
+            else:
+                run.verdict = VERDICT_CONVERGED
+                run.converged_epoch = run.epoch
             break
     return run
 

@@ -187,3 +187,80 @@ def random_tiny_network(rng, max_classes=200_000, skip=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator: walks the sampled graph one node at a time through the
+# tuple-returning source resolution, with no sharing between nodes or graphs
+
+
+def _reference_reachable(network, dag):
+    images = set()
+    stack = []
+    for j in range(network.config.output_count):
+        src = network.output_source(int(dag.output_choices[j]))
+        if src[0] == "image":
+            stack.append((src[1], src[2]))
+    while stack:
+        q, i = stack.pop()
+        if (q, i) in images:
+            continue
+        images.add((q, i))
+        for row in network.image_rows(i):
+            src = network.arg_source(q, int(dag.choices[q][row]))
+            if src[0] == "image":
+                stack.append((src[1], src[2]))
+    return images
+
+
+def reference_evaluate(network, dag, X):
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    cfg = network.config
+    values = {}
+
+    def source_value(res):
+        if res[0] == "input":
+            return X[:, res[1]]
+        if res[0] == "const":
+            return np.full(n, cfg.constants[res[1]])
+        return values[(res[1], res[2])]
+
+    for q, i in sorted(_reference_reachable(network, dag)):
+        args = [
+            source_value(network.arg_source(q, int(dag.choices[q][row])))
+            for row in network.image_rows(i)
+        ]
+        with np.errstate(all="ignore"):
+            values[(q, i)] = np.asarray(network.bases[i].fn(*args), dtype=np.float64)
+    out = np.empty((n, cfg.output_count), dtype=np.float64)
+    for j in range(cfg.output_count):
+        out[:, j] = source_value(network.output_source(int(dag.output_choices[j])))
+    return out
+
+
+def reference_evaluate_recurrent(network, dag, X, depth):
+    outs = []
+    cur = np.asarray(X, dtype=np.float64)
+    for _ in range(depth):
+        cur = reference_evaluate(network, dag, cur)
+        outs.append(cur)
+    return outs
+
+
+def reference_fitness(predictions, targets, variance):
+    """The Gaussian kernel of one column, summed with ``np.nansum``."""
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        k = np.exp(-((p - t) ** 2) / (2.0 * variance)) / math.sqrt(
+            2.0 * math.pi * variance
+        )
+    return float(np.nansum(k))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns, NaN payloads included."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -155,6 +155,22 @@ def test_extract_fresh_network_is_first_source(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "y0 = x0"
 
 
+def test_extract_malformed_weights_exit_code(tmp_path, capsys):
+    from softdag import NetworkConfig, build_network, save_network
+
+    path = tmp_path / "fresh.txt"
+    save_network(build_network(NetworkConfig(bases=("SIN",), input_count=2, depth=1)), path)
+    lines = path.read_text().splitlines()
+    bad_version = tmp_path / "bad_version.txt"
+    bad_version.write_text("\n".join(["softdag-weights x"] + lines[1:]) + "\n")
+    bad_row = tmp_path / "bad_row.txt"
+    bad_row.write_text("\n".join(lines[:2] + ["1.0 oops"] + lines[3:]) + "\n")
+    for broken in (bad_version, bad_row):
+        assert main(["extract", str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_CONFIG.replace("SIN, ADD", "SIN, NOPE"))

@@ -25,9 +25,10 @@ from softdag import (
 )
 from softdag.data import ResamplingSource, TargetSpec
 from softdag.expression import Interval, evaluate_tree_batch
+from softdag.cli import summarize
 from softdag.rng import EPOCH_STREAM, derive_rng
-from softdag.trainer import TrainRun, VERDICT_CONVERGED, _epoch_candidates
-from softdag.sampler import evaluate, sample_many
+from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
+from softdag.sampler import evaluate, evaluate_recurrent, population_fitness, sample_many
 
 from conftest import make_dag, make_network, random_tiny_network
 
@@ -269,15 +270,42 @@ def test_train_converges_on_degenerate_data():
     assert run.converged_epoch <= 30
 
 
+def test_zero_fitness_everywhere_is_not_converged():
+    # no ADD/MUL graph over x0 comes near 1e6, so every candidate scores 0.0
+    # and the stop criterion's equal-fitness streak fills with zeros
+    net = build_network(NetworkConfig(bases=("ADD", "MUL"), input_count=1, depth=1))
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.uniform(-1.0, 1.0, (64, 1)), np.full((64, 1), 1e6))
+    config = TrainConfig(sample_count=20, select_count=2, variance=0.1,
+                         learning_rate=0.05, max_epochs=200, patience=10,
+                         batch_size=64, seed=0)
+    run = train(net, data, config)
+    assert run.verdict == VERDICT_ZERO_FITNESS
+    assert run.converged_epoch is None and run.epoch == 10
+    assert all(k == 0.0 for sel in run.history for s in sel for k in s)
+    row = {"verdict": run.verdict, "epochs": run.epoch, "equivalent": False,
+           "accuracy": ""}
+    summary = summarize("zero", [row], 1)
+    assert summary["eta"] == 0.0 and summary["median_convergence_epochs"] is None
+
+
 def test_recurrent_candidates_and_depth_scaling():
     net = build_network(
         NetworkConfig(bases=("ADD",), input_count=1, constants=(1.0,), depth=1)
     )
-    dag = make_dag(net, [[0, 1]], [2])
+    dag = make_dag(net, [[0, 1]], [2])  # x0 + 1
+    double = make_dag(net, [[0, 0]], [2])  # x0 + x0
     X = np.zeros((4, 1))
-    cands = _epoch_candidates(net, [dag], X, 3)
-    assert [(r, d) for r, d, _ in cands] == [(0, 1), (0, 2), (0, 3)]
-    assert cands[2][2][0, 0] == 3.0
+    Y = np.full((4, 1), 3.0)
+    assert evaluate_recurrent(net, dag, X, 3)[2][0, 0] == 3.0
+    # candidates run sample-major, then depth: only (0, 3) hits 3.0 exactly
+    K = population_fitness(net, [dag, double], X, Y, 3, 0.1)
+    assert K.shape == (6, 1)
+    assert int(np.argmax(K[:, 0])) == 2
+    for r, graph in enumerate((dag, double)):
+        outs = evaluate_recurrent(net, graph, X, 3)
+        for d in range(3):
+            assert K[3 * r + d, 0] == fitness(outs[d][:, 0], Y[:, 0], 0.1)
     shallow = loss_gradient(net, dag, 1.0, 0, depth=1)
     deep = loss_gradient(net, dag, 1.0, 0, depth=3)
     for a, b in zip(shallow, deep):
