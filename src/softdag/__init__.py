@@ -23,10 +23,11 @@ from .network import (
     load_network,
     parameter_count,
     save_network,
-    softmax_row,
+    softmax_rows,
 )
 from .sampler import (
     SampledDAG,
+    SampledPopulation,
     dag_from_text,
     dag_to_text,
     evaluate,

@@ -33,7 +33,6 @@ __all__ = [
     "Network",
     "build_network",
     "parameter_count",
-    "softmax_row",
     "softmax_rows",
     "save_network",
     "load_network",
@@ -111,16 +110,9 @@ class NetworkConfig:
         )
 
 
-def softmax_row(weights, temperature: float) -> np.ndarray:
-    """Temperature softmax of one weight row; stable under max subtraction."""
-    z = np.asarray(weights, dtype=np.float64) / float(temperature)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_rows(matrix: np.ndarray, temperature: float) -> np.ndarray:
-    """Row-wise temperature softmax of a weight matrix."""
+    """Row-wise temperature softmax of a weight matrix; stable under max
+    subtraction."""
     z = np.asarray(matrix, dtype=np.float64) / float(temperature)
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -151,6 +143,8 @@ class Network:
         for b in self.bases:
             offsets.append(offsets[-1] + b.arity)
         self.slot_offset = tuple(offsets)
+        # the image each argument row feeds
+        self.row_image = np.repeat(np.arange(len(self.bases)), [b.arity for b in self.bases])
         self.M = offsets[-1]
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
@@ -221,12 +215,6 @@ class Network:
 
     def output_probs(self) -> np.ndarray:
         return softmax_rows(self.output_weights, self.last_layer_temperature)
-
-    def arg_row_probs(self, level: int, row: int) -> np.ndarray:
-        return softmax_row(self.weights[level][row], self.temperature)
-
-    def output_row_probs(self, j: int) -> np.ndarray:
-        return softmax_row(self.output_weights[j], self.last_layer_temperature)
 
     # -- parameters ----------------------------------------------------------
 

@@ -5,6 +5,8 @@ every output row.  All rows are sampled, including ones no output can
 reach; probabilities and gradients only ever account for the rows
 reachable backward from the outputs, so unreachable choices marginalize
 out and the induced distribution over reachable configurations sums to 1.
+``sample_many`` draws a whole :class:`SampledPopulation` at once: one
+choice matrix per level, with one row per graph.
 
 Graphs run on data through a :class:`PopulationPlan`, which hash-conses
 the nodes of a whole population: each distinct ``(basis, child ids)`` node
@@ -16,6 +18,7 @@ distinct ``(node, output)`` column once.  ``evaluate`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +27,10 @@ from .network import Network
 
 __all__ = [
     "SampledDAG",
+    "SampledPopulation",
     "sample",
     "sample_many",
+    "reachable_images",
     "log_probability",
     "evaluate",
     "evaluate_recurrent",
@@ -53,37 +58,77 @@ class SampledDAG:
         ) and np.array_equal(self.output_choices, other.output_choices)
 
 
-def sample_many(network: Network, rng: np.random.Generator, count: int) -> list[SampledDAG]:
+@dataclass(frozen=True, eq=False)
+class SampledPopulation:
+    """Graphs drawn together, one row each in shared choice matrices.
+
+    ``choices[q]`` is the ``(count, M)`` matrix of level-``q`` choices and
+    ``output_choices`` the ``(count, output_count)`` output choices.
+    Indexing or iterating yields each graph as a :class:`SampledDAG` of row
+    views; the matrices are read-only, so writing into one graph's row
+    cannot change another graph.
+    """
+
+    choices: tuple[np.ndarray, ...]
+    output_choices: np.ndarray
+
+    def __post_init__(self) -> None:
+        for matrix in (*self.choices, self.output_choices):
+            matrix.flags.writeable = False
+
+    @classmethod
+    def of(cls, dags) -> "SampledPopulation":
+        """The population itself, or a non-empty sequence of graphs stacked."""
+        if isinstance(dags, SampledPopulation):
+            return dags
+        return cls(
+            choices=tuple(np.array(c) for c in zip(*(d.choices for d in dags))),
+            output_choices=np.array([d.output_choices for d in dags]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.output_choices)
+
+    def __getitem__(self, index: int) -> SampledDAG:
+        # a slice would give one SampledDAG of 2-D matrices, not a population
+        index = operator.index(index)
+        return SampledDAG(tuple(c[index] for c in self.choices), self.output_choices[index])
+
+    def __iter__(self):
+        for *choices, out in zip(*self.choices, self.output_choices):
+            yield SampledDAG(tuple(choices), out)
+
+    def arg_codes(self, network: Network, graphs=slice(None)) -> list[np.ndarray]:
+        """Per level, the given graphs' argument choices as global source
+        codes, shape ``(graphs, M)``."""
+        return [network.arg_codes[q][c[graphs]] for q, c in enumerate(self.choices)]
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws from every row of ``probs``, shape ``(count, rows)``.
+
+    Each row is one binary search for all ``count`` uniforms, so a draw
+    costs O(log sources) per choice however wide the rows are.
+    """
+    cum = np.cumsum(probs, axis=1)
+    r = rng.random((count, probs.shape[0]))
+    idx = np.empty(r.shape, dtype=np.int64)
+    for m in range(probs.shape[0]):
+        idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+    return np.minimum(idx, probs.shape[1] - 1, out=idx)
+
+
+def sample_many(network: Network, rng: np.random.Generator, count: int) -> SampledPopulation:
     """Draw ``count`` graphs from the network's current distribution.
 
     Every row's index is drawn from its own categorical; draw order is
-    fixed (levels bottom-up, rows in order), so a given generator state
-    always produces the same graphs.
+    fixed (levels bottom-up, then the outputs; graph-major within each), so
+    a given generator state always produces the same graphs.
     """
-    level_choices = []
-    for level in range(network.levels):
-        probs = network.level_probs(level)
-        cum = np.cumsum(probs, axis=1)
-        r = rng.random((count, network.M))
-        idx = np.empty((count, network.M), dtype=np.int64)
-        for m in range(network.M):
-            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
-        np.clip(idx, 0, probs.shape[1] - 1, out=idx)
-        level_choices.append(idx)
-    out_probs = network.output_probs()
-    cum = np.cumsum(out_probs, axis=1)
-    r = rng.random((count, out_probs.shape[0]))
-    out_idx = np.empty((count, out_probs.shape[0]), dtype=np.int64)
-    for j in range(out_probs.shape[0]):
-        out_idx[:, j] = np.searchsorted(cum[j], r[:, j], side="right")
-    np.clip(out_idx, 0, out_probs.shape[1] - 1, out=out_idx)
-    return [
-        SampledDAG(
-            choices=tuple(lc[i].copy() for lc in level_choices),
-            output_choices=out_idx[i].copy(),
-        )
-        for i in range(count)
-    ]
+    return SampledPopulation(
+        choices=tuple(_draw(network.level_probs(q), rng, count) for q in range(network.levels)),
+        output_choices=_draw(network.output_probs(), rng, count),
+    )
 
 
 def sample(network: Network, rng: np.random.Generator) -> SampledDAG:
@@ -100,24 +145,22 @@ def most_likely_dag(network: Network) -> SampledDAG:
     return SampledDAG(choices=choices, output_choices=out)
 
 
-def _reachable_images(network: Network, dag: SampledDAG, output_indices) -> set:
-    """Image nodes reachable backward from the given outputs."""
-    images: set[tuple[int, int]] = set()
-    stack = []
-    for j in output_indices:
-        src = network.output_source(int(dag.output_choices[j]))
-        if src[0] == "image":
-            stack.append((src[1], src[2]))
-    while stack:
-        q, i = stack.pop()
-        if (q, i) in images:
-            continue
-        images.add((q, i))
-        for row in network.image_rows(i):
-            src = network.arg_source(q, int(dag.choices[q][row]))
-            if src[0] == "image":
-                stack.append((src[1], src[2]))
-    return images
+def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
+    """Which images each graph reaches backward from its roots.
+
+    ``arg_codes[q]`` holds each graph's level-``q`` choices as global source
+    codes, shape ``(graphs, M)``; ``roots`` the codes each graph starts
+    from, shape ``(graphs, k)``.  Returns a ``(graphs, levels * N)`` bool
+    matrix whose column ``q * N + i`` is image ``(q, i)``.  Images read only
+    lower levels, so one pass from the top level down is complete.
+    """
+    u, N = network.u, network.N
+    live = np.zeros((len(roots), u + network.levels * N), dtype=bool)
+    live[np.arange(len(roots))[:, None], roots] = True
+    for q in reversed(range(network.levels)):
+        graph, row = np.nonzero(live[:, u + q * N + network.row_image])
+        live[graph, arg_codes[q][graph, row]] = True
+    return live[:, u:]
 
 
 def log_probability(network: Network, dag: SampledDAG, output_subset=None) -> float:
@@ -133,16 +176,22 @@ def log_probability(network: Network, dag: SampledDAG, output_subset=None) -> fl
         outs = sorted(set(int(j) for j in output_subset))
         if any(j < 0 or j >= v for j in outs):
             raise ValueError("output index out of range")
-    total = 0.0
+    live = reachable_images(
+        network,
+        SampledPopulation.of([dag]).arg_codes(network),
+        network.output_codes[dag.output_choices[outs]][None],
+    )[0]
+    N = network.N
+    terms = [network.output_probs()[outs, dag.output_choices[outs]]]
+    for q in range(network.levels):
+        rows = np.flatnonzero(live[q * N + network.row_image])
+        terms.append(network.level_probs(q)[rows, dag.choices[q][rows]])
     with np.errstate(divide="ignore"):
-        for j in outs:
-            p = network.output_row_probs(j)
-            total += float(np.log(p[int(dag.output_choices[j])]))
-        for q, i in sorted(_reachable_images(network, dag, outs)):
-            for row in network.image_rows(i):
-                p = network.arg_row_probs(q, row)
-                total += float(np.log(p[int(dag.choices[q][row])]))
-    return total
+        return float(np.log(np.concatenate(terms)).sum())
+
+
+# exp underflows to exactly 0.0 below about -745.13
+_EXP_ZERO = -746.0
 
 
 def fitness(predictions, targets, variance: float):
@@ -164,9 +213,12 @@ def fitness(predictions, targets, variance: float):
         # -(x / c) as x / -c: IEEE division is sign-symmetric, so this is
         # bit-identical and saves a pass
         np.divide(k, -2.0 * variance, out=k)
+        # exp is exactly 0.0 there but takes a slow path; NaN takes the
+        # fast one and becomes 0.0 below all the same
+        np.copyto(k, np.nan, where=k < _EXP_ZERO)
         np.exp(k, out=k)
         np.divide(k, math.sqrt(2.0 * math.pi * variance), out=k)
-    k[np.isnan(k)] = 0.0
+    np.fmax(k, 0.0, out=k)
     # summing along the contiguous axis keeps each row's sum bit-identical
     # to the sum of that row on its own
     sums = k.sum(axis=-1)
@@ -194,7 +246,7 @@ class PopulationPlan:
         self.fns: list = []  # per node id - u: the basis function
         self.kids: list[tuple[int, ...]] = []  # per node id - u: child ids
         self.outputs: list[tuple[int, ...]] = []
-        if not dags:
+        if not len(dags):
             return
         u, N, levels = network.u, network.N, network.levels
         slot = network.slot_offset
@@ -202,22 +254,13 @@ class PopulationPlan:
         first: dict[str, int] = {}
         names = [first.setdefault(b.name, i) for i, b in enumerate(network.bases)]
         fns = [b.fn for b in network.bases]
-        codes = [
-            network.arg_codes[q][np.array([d.choices[q] for d in dags])]
-            for q in range(levels)
-        ]
-        out_codes = network.output_codes[np.array([d.output_choices for d in dags])]
-        # reachability of every graph at once, top level down: an image is
-        # live when an output or a live image of a higher level reads it
-        live = np.zeros((len(dags), u + levels * N), dtype=bool)
-        live[np.arange(len(dags))[:, None], out_codes] = True
-        for q in reversed(range(levels)):
-            for i in range(N):
-                on = np.flatnonzero(live[:, u + q * N + i])
-                live[on[:, None], codes[q][on, slot[i]:slot[i + 1]]] = True
+        population = SampledPopulation.of(dags)
+        codes = population.arg_codes(network)
+        out_codes = network.output_codes[population.output_choices]
+        live = reachable_images(network, codes, out_codes)
         # per graph, its live images in ascending code order: images read
         # only lower levels, so children come first
-        dag_of, image_of = np.nonzero(live[:, u:])
+        dag_of, image_of = np.nonzero(live)
         bounds = np.searchsorted(dag_of, np.arange(len(dags) + 1)).tolist()
         image_of = image_of.tolist()
         codes = [c.tolist() for c in codes]

@@ -23,9 +23,10 @@ from .network import ConfigError, Network
 from .rng import EPOCH_STREAM, derive_rng
 from .sampler import (
     SampledDAG,
-    _reachable_images,
+    SampledPopulation,
     most_likely_dag,
     population_fitness,
+    reachable_images,
     sample_many,
 )
 
@@ -35,7 +36,7 @@ __all__ = [
     "EpochStats",
     "AdamState",
     "loss_gradient",
-    "accumulate_loss_gradient",
+    "population_gradient",
     "select_top",
     "rank_reweight",
     "adam_step",
@@ -136,36 +137,46 @@ class TrainRun:
     converged_epoch: int | None = None
 
 
-def accumulate_loss_gradient(
-    network: Network,
-    dag: SampledDAG,
-    fitness_value: float,
-    output_index: int,
-    grads: list[np.ndarray],
-    depth: int = 1,
-) -> None:
-    """Add the gradient of ``-K * depth * log q_output(dag)`` into ``grads``.
+def population_gradient(network: Network, population, pairs) -> list[np.ndarray]:
+    """Gradient of ``-sum(scale * log q_output(graph))`` over ``pairs``, per block.
 
-    For a row with chosen index ``c`` and softmax probabilities ``p`` the
-    contribution is ``K * depth * (p - e_c) / T``; rows not reachable from
-    the requested output are untouched.
+    ``pairs`` lists ``(graph, output, scale)``: a graph of ``population``
+    (a :class:`SampledPopulation` or a sequence of graphs), one of its
+    outputs and the weight of its log-probability, fitness times the depth
+    scale.  For a row with chosen index ``c`` and softmax probabilities
+    ``p`` a pair contributes ``scale * (p - e_c) / T`` on each row reachable
+    from its output, and nothing elsewhere.  Each weight receives the pairs'
+    contributions in the order given.
     """
-    if fitness_value == 0.0:
-        return
-    scale = float(fitness_value) * float(depth)
-    j = int(output_index)
-    c = int(dag.output_choices[j])
-    p = network.output_row_probs(j)
-    row_grad = p.copy()
-    row_grad[c] -= 1.0
-    grads[-1][j] += (scale / network.last_layer_temperature) * row_grad
-    for q, i in sorted(_reachable_images(network, dag, (j,))):
-        for row in network.image_rows(i):
-            cc = int(dag.choices[q][row])
-            pr = network.arg_row_probs(q, row)
-            rg = pr.copy()
-            rg[cc] -= 1.0
-            grads[q][row] += (scale / network.temperature) * rg
+    grads = [np.zeros_like(b) for b in network.blocks()]
+    pairs = [p for p in pairs if p[2] != 0.0]
+    if not pairs:
+        return grads
+    graph, out, scale = (np.array(column) for column in zip(*pairs))
+    population = SampledPopulation.of(population)
+    chosen = population.output_choices[graph, out]
+    live = reachable_images(
+        network, population.arg_codes(network, graph), network.output_codes[chosen][:, None]
+    )
+    coef = scale / network.last_layer_temperature
+    _scatter(grads[-1], network.output_probs(), out, chosen, coef)
+    coef = scale / network.temperature
+    for q in range(network.levels):
+        # pair-major, so each row receives its pairs in order
+        pair, row = np.nonzero(live[:, q * network.N + network.row_image])
+        chosen = population.choices[q][graph[pair], row]
+        _scatter(grads[q], network.level_probs(q), row, chosen, coef[pair])
+    return grads
+
+
+def _scatter(grad: np.ndarray, probs: np.ndarray, rows, chosen, coef) -> None:
+    """Add ``coef[k] * (probs[rows[k]] - e_chosen[k])`` to ``grad[rows[k]]``
+    for each ``k`` in turn; ``np.add.at`` adds repeated rows one after
+    another."""
+    d = probs[rows]
+    d[np.arange(len(rows)), chosen] -= 1.0
+    d *= coef[:, None]
+    np.add.at(grad, rows, d)
 
 
 def loss_gradient(
@@ -175,10 +186,13 @@ def loss_gradient(
     output_index: int,
     depth: int = 1,
 ) -> list[np.ndarray]:
-    """Gradient of the fitness-weighted negative log-likelihood, per block."""
-    grads = [np.zeros_like(b) for b in network.blocks()]
-    accumulate_loss_gradient(network, dag, fitness_value, output_index, grads, depth)
-    return grads
+    """Gradient of the fitness-weighted negative log-likelihood, per block.
+
+    The contribution of one graph: ``population_gradient`` of the single
+    pair ``(dag, output_index, fitness_value * depth)``.
+    """
+    scale = float(fitness_value) * float(depth)
+    return population_gradient(network, [dag], [(0, int(output_index), scale)])
 
 
 def select_top(fitness_matrix: np.ndarray, count: int):
@@ -244,7 +258,7 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     depth = config.recurrence_depth
     K = population_fitness(net, dags, X, Y, depth, config.variance)
     picks = select_top(K, config.select_count)
-    grads = [np.zeros_like(b) for b in net.blocks()]
+    pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):
         raw = tuple(k for _, k in sel)
@@ -252,11 +266,12 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
         vals = np.asarray(raw)
         if config.rank_reweight:
             vals = rank_reweight(vals, config.rank_reweight_increasing)
-        # fixed accumulation order: by candidate index
+        # fixed accumulation order: output-major, then by candidate index
         for ci, kv in sorted(zip((c for c, _ in sel), vals)):
             r, d = divmod(ci, depth)
             dscale = d + 1 if config.depth_scales_logprob else 1
-            accumulate_loss_gradient(net, dags[r], float(kv), j, grads, depth=dscale)
+            pairs.append((r, j, float(kv) * float(dscale)))
+    grads = population_gradient(net, dags, pairs)
     adam_step(
         net.blocks(),
         grads,

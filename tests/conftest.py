@@ -194,10 +194,14 @@ def rng():
 # tuple-returning source resolution, with no sharing between nodes or graphs
 
 
-def _reference_reachable(network, dag):
+def reference_reachable_images(network, dag, output_indices=None):
+    """Images ``(level, index)`` reachable backward from the given outputs
+    (all outputs by default)."""
+    if output_indices is None:
+        output_indices = range(network.config.output_count)
     images = set()
     stack = []
-    for j in range(network.config.output_count):
+    for j in output_indices:
         src = network.output_source(int(dag.output_choices[j]))
         if src[0] == "image":
             stack.append((src[1], src[2]))
@@ -226,7 +230,7 @@ def reference_evaluate(network, dag, X):
             return np.full(n, cfg.constants[res[1]])
         return values[(res[1], res[2])]
 
-    for q, i in sorted(_reference_reachable(network, dag)):
+    for q, i in sorted(reference_reachable_images(network, dag)):
         args = [
             source_value(network.arg_source(q, int(dag.choices[q][row])))
             for row in network.image_rows(i)
@@ -264,3 +268,84 @@ def same_bits(a, b) -> bool:
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# reference sampler, log-probability and gradient: one graph and one
+# selection row at a time, with a softmax per row
+
+
+def reference_sample_many(network, rng, count):
+    """Draw graphs with one ``searchsorted`` per selection row."""
+
+    def draw(probs):
+        cum = np.cumsum(probs, axis=1)
+        r = rng.random((count, probs.shape[0]))
+        idx = np.empty(r.shape, dtype=np.int64)
+        for m in range(probs.shape[0]):
+            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+        return np.clip(idx, 0, probs.shape[1] - 1)
+
+    levels = [draw(network.level_probs(q)) for q in range(network.levels)]
+    out = draw(network.output_probs())
+    return [
+        SampledDAG(choices=tuple(c[i].copy() for c in levels), output_choices=out[i].copy())
+        for i in range(count)
+    ]
+
+
+def reference_log_probability(network, dag, output_subset=None):
+    outs = range(network.config.output_count) if output_subset is None else sorted(set(output_subset))
+    total = 0.0
+    with np.errstate(divide="ignore"):
+        for j in outs:
+            p = _softmax(network.output_weights[j], network.last_layer_temperature)
+            total += float(np.log(p[int(dag.output_choices[j])]))
+        for q, i in sorted(reference_reachable_images(network, dag, outs)):
+            for row in network.image_rows(i):
+                p = _softmax(network.weights[q][row], network.temperature)
+                total += float(np.log(p[int(dag.choices[q][row])]))
+    return total
+
+
+def reference_accumulate_loss_gradient(network, dag, fitness_value, output_index, grads, depth=1):
+    """Add the gradient of ``-K * depth * log q_output(dag)`` into ``grads``,
+    row by row."""
+    if fitness_value == 0.0:
+        return
+    scale = float(fitness_value) * float(depth)
+    j = int(output_index)
+    row_grad = _softmax(network.output_weights[j], network.last_layer_temperature)
+    row_grad[int(dag.output_choices[j])] -= 1.0
+    grads[-1][j] += (scale / network.last_layer_temperature) * row_grad
+    for q, i in sorted(reference_reachable_images(network, dag, (j,))):
+        for row in network.image_rows(i):
+            rg = _softmax(network.weights[q][row], network.temperature)
+            rg[int(dag.choices[q][row])] -= 1.0
+            grads[q][row] += (scale / network.temperature) * rg
+
+
+def reference_train_epoch(run, batch, config):
+    """One epoch drawn, scored and reinforced one graph and one row at a time."""
+    from softdag.rng import EPOCH_STREAM, derive_rng
+    from softdag.sampler import population_fitness
+    from softdag.trainer import adam_step, rank_reweight, select_top
+
+    net = run.network
+    X, Y = batch
+    dags = reference_sample_many(net, derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1),
+                                 config.sample_count)
+    depth = config.recurrence_depth
+    K = population_fitness(net, dags, X, Y, depth, config.variance)
+    grads = [np.zeros_like(b) for b in net.blocks()]
+    for j, sel in enumerate(select_top(K, config.select_count)):
+        vals = np.asarray([k for _, k in sel])
+        if config.rank_reweight:
+            vals = rank_reweight(vals, config.rank_reweight_increasing)
+        for ci, kv in sorted(zip((c for c, _ in sel), vals)):
+            r, d = divmod(ci, depth)
+            dscale = d + 1 if config.depth_scales_logprob else 1
+            reference_accumulate_loss_gradient(net, dags[r], float(kv), j, grads, depth=dscale)
+    adam_step(net.blocks(), grads, run.adam, config.learning_rate,
+              config.beta1, config.beta2, config.epsilon)
+    run.epoch += 1

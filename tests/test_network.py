@@ -9,7 +9,7 @@ from softdag import (
     load_network,
     parameter_count,
     save_network,
-    softmax_row,
+    softmax_rows,
 )
 
 from conftest import fig1_network, random_tiny_network
@@ -92,12 +92,16 @@ def test_source_resolution_no_skip():
     assert parameter_count(cfg) == net.weight_count()
 
 
+def _softmax_row(w, t):
+    return softmax_rows(np.array([w], dtype=np.float64), t)[0]
+
+
 def test_softmax_values():
-    assert np.allclose(softmax_row([1, 1, 1, 1], 1.0), 0.25, atol=1e-15)
-    p = softmax_row([2.0, 0.0], 1.0)
+    assert np.allclose(_softmax_row([1, 1, 1, 1], 1.0), 0.25, atol=1e-15)
+    p = _softmax_row([2.0, 0.0], 1.0)
     assert p[0] == pytest.approx(0.8807970779778823, abs=1e-12)
     assert p[1] == pytest.approx(0.11920292202211756, abs=1e-12)
-    sharp = softmax_row([2.0, 0.0], 0.01)
+    sharp = _softmax_row([2.0, 0.0], 0.01)
     assert sharp[0] == pytest.approx(1.0, abs=1e-12)
     assert sharp[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -106,12 +110,12 @@ def test_softmax_properties(rng):
     for _ in range(100):
         w = rng.normal(0, 5, size=int(rng.integers(2, 9)))
         t = float(rng.uniform(0.1, 5))
-        p = softmax_row(w, t)
+        p = _softmax_row(w, t)
         assert np.all(p > 0)
         assert abs(p.sum() - 1.0) < 1e-12
-        shifted = softmax_row(w + rng.normal(0, 10), t)
+        shifted = _softmax_row(w + rng.normal(0, 10), t)
         assert np.allclose(p, shifted, atol=1e-12)
-    extreme = softmax_row([1e8, -1e8, 0.0], 1.0)
+    extreme = _softmax_row([1e8, -1e8, 0.0], 1.0)
     assert np.isfinite(extreme).all()
 
 

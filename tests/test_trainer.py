@@ -30,7 +30,7 @@ from softdag.rng import EPOCH_STREAM, derive_rng
 from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
 from softdag.sampler import evaluate, evaluate_recurrent, population_fitness, sample_many
 
-from conftest import make_dag, make_network, random_tiny_network
+from conftest import make_dag, make_network, random_tiny_network, reference_reachable_images
 
 
 def test_fitness_values():
@@ -66,9 +66,7 @@ def test_loss_gradient_unreachable_rows_zero(rng):
     net = random_tiny_network(rng, max_classes=10**9)
     dag = sample(net, rng)
     grads = loss_gradient(net, dag, 2.0, 0)
-    from softdag.sampler import _reachable_images
-
-    reachable = _reachable_images(net, dag, (0,))
+    reachable = reference_reachable_images(net, dag, (0,))
     for level in range(net.levels):
         for i in range(net.N):
             rows = net.image_rows(i)
