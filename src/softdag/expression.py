@@ -262,28 +262,29 @@ def evaluate_tree(expr: Expr, x) -> float:
 
 def evaluate_tree_batch(expr: Expr, X) -> np.ndarray:
     """Vectorized tree evaluation over a batch of input rows."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    cache: dict[int, np.ndarray] = {}
+    return _evaluate_node(expr, np.asarray(X, dtype=np.float64), {})
 
-    def rec(node: Expr) -> np.ndarray:
-        key = id(node)
-        found = cache.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, Input):
-            out = X[:, node.index]
-        elif isinstance(node, Const):
-            out = np.full(n, node.value)
-        else:
-            with np.errstate(all="ignore"):
-                out = np.asarray(
-                    node.basis.fn(*(rec(c) for c in node.children)), dtype=np.float64
-                )
-        cache[key] = out
-        return out
 
-    return rec(expr)
+def _evaluate_node(node: Expr, X: np.ndarray, cache: dict[int, np.ndarray]) -> np.ndarray:
+    # a module-level recursion, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep ``cache`` alive until the
+    # garbage collector runs
+    key = id(node)
+    found = cache.get(key)
+    if found is not None:
+        return found
+    if isinstance(node, Input):
+        out = X[:, node.index]
+    elif isinstance(node, Const):
+        out = np.full(X.shape[0], node.value)
+    else:
+        with np.errstate(all="ignore"):
+            out = np.asarray(
+                node.basis.fn(*(_evaluate_node(c, X, cache) for c in node.children)),
+                dtype=np.float64,
+            )
+    cache[key] = out
+    return out
 
 
 def input_indices(expr: Expr) -> set[int]:

@@ -146,6 +146,17 @@ class Network:
         # the image each argument row feeds
         self.row_image = np.repeat(np.arange(len(self.bases)), [b.arity for b in self.bases])
         self.M = offsets[-1]
+        # the argument rows of each image, padded with M to the largest arity
+        width = max(b.arity for b in self.bases)
+        self.image_slots = np.array([
+            [*self.image_rows(i), *[self.M] * (width - b.arity)]
+            for i, b in enumerate(self.bases)
+        ])
+        # for each basis occurrence, the first occurrence of its name
+        first: dict[str, int] = {}
+        self.basis_first = np.array(
+            [first.setdefault(b.name, i) for i, b in enumerate(self.bases)]
+        )
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
         self.levels = config.depth + 1
@@ -215,6 +226,10 @@ class Network:
 
     def output_probs(self) -> np.ndarray:
         return softmax_rows(self.output_weights, self.last_layer_temperature)
+
+    def block_probs(self) -> list[np.ndarray]:
+        """The softmax rows of every block, in ``blocks()`` order."""
+        return [*map(self.level_probs, range(self.levels)), self.output_probs()]
 
     # -- parameters ----------------------------------------------------------
 

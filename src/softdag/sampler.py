@@ -10,8 +10,9 @@ choice matrix per level, with one row per graph.
 
 Graphs run on data through a :class:`PopulationPlan`, which hash-conses
 the nodes of a whole population: each distinct ``(basis, child ids)`` node
-is computed once per batch, and :func:`population_fitness` scores each
-distinct ``(node, output)`` column once.  ``evaluate`` and
+is computed once per batch, one ``(depth, level)`` round at a time and one
+basis call per chunk of stacked nodes, and :func:`population_fitness`
+scores each distinct ``(node, output)`` column once.  ``evaluate`` and
 ``evaluate_recurrent`` are the one-graph case of the same plan.
 """
 
@@ -66,14 +67,16 @@ class SampledPopulation:
     ``output_choices`` the ``(count, output_count)`` output choices.
     Indexing or iterating yields each graph as a :class:`SampledDAG` of row
     views; the matrices are read-only, so writing into one graph's row
-    cannot change another graph.
+    cannot change another graph.  ``probs`` holds the softmax rows
+    ``sample_many`` drew from (``Network.block_probs``), else ``None``.
     """
 
     choices: tuple[np.ndarray, ...]
     output_choices: np.ndarray
+    probs: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        for matrix in (*self.choices, self.output_choices):
+        for matrix in (*self.choices, self.output_choices, *(self.probs or ())):
             matrix.flags.writeable = False
 
     @classmethod
@@ -125,9 +128,11 @@ def sample_many(network: Network, rng: np.random.Generator, count: int) -> Sampl
     fixed (levels bottom-up, then the outputs; graph-major within each), so
     a given generator state always produces the same graphs.
     """
+    probs = network.block_probs()
     return SampledPopulation(
-        choices=tuple(_draw(network.level_probs(q), rng, count) for q in range(network.levels)),
-        output_choices=_draw(network.output_probs(), rng, count),
+        choices=tuple(_draw(p, rng, count) for p in probs[:-1]),
+        output_choices=_draw(probs[-1], rng, count),
+        probs=tuple(probs),
     )
 
 
@@ -201,28 +206,38 @@ def fitness(predictions, targets, variance: float):
     a block ``(rows, n)`` of columns, scored to one sum per row.
     ``targets`` has the same shape or is a scalar.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim and p.shape != t.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
     with np.errstate(all="ignore"):
-        k = np.atleast_1d(p - t)
+        sums = _kernel_sums(np.atleast_1d(p - t), variance)
+    return sums if p.ndim > 1 else float(sums)
+
+
+def _kernel_sums(k: np.ndarray, variance: float) -> np.ndarray:
+    """``fitness`` of the residuals ``k``, one sum per row; overwrites ``k``."""
+    if variance <= 0:
+        raise ValueError("variance must be positive")
+    with np.errstate(all="ignore"):
         np.square(k, out=k)
         # -(x / c) as x / -c: IEEE division is sign-symmetric, so this is
         # bit-identical and saves a pass
         np.divide(k, -2.0 * variance, out=k)
         # exp is exactly 0.0 there but takes a slow path; NaN takes the
         # fast one and becomes 0.0 below all the same
-        np.copyto(k, np.nan, where=k < _EXP_ZERO)
+        np.putmask(k, k < _EXP_ZERO, np.nan)
         np.exp(k, out=k)
         np.divide(k, math.sqrt(2.0 * math.pi * variance), out=k)
     np.fmax(k, 0.0, out=k)
     # summing along the contiguous axis keeps each row's sum bit-identical
     # to the sum of that row on its own
-    sums = k.sum(axis=-1)
-    return sums if p.ndim > 1 else float(sums)
+    return k.sum(axis=-1)
+
+
+# Nodes per basis call.  The gathered arguments of a chunk of 4-ary nodes
+# on a 1000-row batch are 8 x 4 x 8 KB = 256 KB, so they stay in cache.
+CHUNK_NODES = 8
 
 
 class PopulationPlan:
@@ -230,10 +245,21 @@ class PopulationPlan:
 
     Ids ``0..u-1`` are the leaves: the input columns, then the constants.
     Every later id is one distinct ``(basis, child ids)`` node of some
-    graph, numbered after its children, so id order is a topological
-    order.  ``outputs`` holds one candidate per graph and depth, sample-major
-    then depth: the id of each of its outputs.  Depth ``d + 1`` takes depth
-    ``d``'s output ids as its input leaves.
+    graph.  Nodes are interned and run in rounds: round 0 is the leaves,
+    and round ``1 + d * levels + q`` is level ``q`` of recurrent depth
+    ``d``.  Ids ``bounds[r]..bounds[r + 1] - 1`` are the nodes first met in
+    round ``r``; a level reads only lower levels and the depth before it,
+    so id order is a topological order.
+
+    ``basis[k - u]`` indexes ``network.bases`` and ``kids[k - u]`` holds
+    node ``k``'s child ids, padded with -1 to the largest arity.
+    ``outputs`` has one row per graph and depth, sample-major then depth:
+    the id of each of its outputs.  Depth ``d + 1`` takes depth ``d``'s
+    output ids as its input leaves.
+
+    Values live in the rows of one ``(buffer_rows, n)`` buffer, id ``k`` in
+    row ``rows[k]``.  A row is reused once no later round reads it, so the
+    buffer holds only the live frontier of the population.
     """
 
     def __init__(self, network: Network, dags, depth: int = 1):
@@ -243,124 +269,135 @@ class PopulationPlan:
         if depth > 1 and cfg.output_count != cfg.input_count:
             raise ValueError("recurrent evaluation needs output_count == input_count")
         self.network = network
-        self.fns: list = []  # per node id - u: the basis function
-        self.kids: list[tuple[int, ...]] = []  # per node id - u: child ids
-        self.outputs: list[tuple[int, ...]] = []
-        if not len(dags):
-            return
-        u, N, levels = network.u, network.N, network.levels
-        slot = network.slot_offset
-        # one key per basis name, so repeated occurrences share nodes
-        first: dict[str, int] = {}
-        names = [first.setdefault(b.name, i) for i, b in enumerate(network.bases)]
-        fns = [b.fn for b in network.bases]
-        population = SampledPopulation.of(dags)
-        codes = population.arg_codes(network)
+        u, N, M, levels = network.u, network.N, network.M, network.levels
+        population = _population_of(network, dags)
+        graphs = len(population)
+        # per graph, the id of every source code, then a cell holding -1
+        # for padding and one cell per basis holding its name's first
+        # occurrence; a node's key is a row of these cells
+        width = u + levels * N + 1 + N
+        pad = width - N - 1
+        id_of = np.empty((graphs, width), dtype=np.int64)
+        id_of[:, :u] = np.arange(u)
+        id_of[:, pad] = -1
+        id_of[:, pad + 1:] = network.basis_first
+        codes = np.full((levels, graphs, M + 1), pad)
+        for q, choices in enumerate(population.choices):
+            codes[q, :, :M] = network.arg_codes[q][choices]
         out_codes = network.output_codes[population.output_choices]
-        live = reachable_images(network, codes, out_codes)
-        # per graph, its live images in ascending code order: images read
-        # only lower levels, so children come first
-        dag_of, image_of = np.nonzero(live)
-        bounds = np.searchsorted(dag_of, np.arange(len(dags) + 1)).tolist()
-        image_of = image_of.tolist()
-        codes = [c.tolist() for c in codes]
-        constants = list(range(cfg.input_count, u))
-        ids: dict[tuple, int] = {}
-        for r, outs in enumerate(out_codes.tolist()):
-            nodes = []
-            for f in image_of[bounds[r]:bounds[r + 1]]:
-                q, i = divmod(f, N)
-                nodes.append((u + f, names[i], fns[i], codes[q][r][slot[i]:slot[i + 1]]))
-            id_of = list(range(u)) + [0] * (levels * N)
-            for d in range(depth):
-                if d:
-                    id_of[:u] = [*self.outputs[-1], *constants]
-                for code, name, fn, kid_codes in nodes:
-                    key = (name, *map(id_of.__getitem__, kid_codes))
-                    k = ids.get(key)
-                    if k is None:
-                        k = ids[key] = u + len(self.kids)
-                        self.fns.append(fn)
-                        self.kids.append(key[1:])
-                    id_of[code] = k
-                self.outputs.append(tuple(map(id_of.__getitem__, outs)))
+        live = reachable_images(network, codes[:, :, :M], out_codes)
+        # every live image, level-major: its key cells and its id cell
+        level, graph, image = np.nonzero(live.reshape(graphs, levels, N).transpose(1, 0, 2))
+        base = graph * width
+        keys = np.empty((len(graph), 1 + network.image_slots.shape[1]), dtype=np.int64)
+        keys[:, 0] = base + pad + 1 + image
+        keys[:, 1:] = codes[level[:, None], graph[:, None], network.image_slots[image]]
+        keys[:, 1:] += base[:, None]
+        cells = base + u + level * N + image
+        ends = [0, *np.searchsorted(level, np.arange(1, levels + 1)).tolist()]
+        spans = list(zip(ends[:-1], ends[1:]))
+        out_cells = np.arange(graphs)[:, None] * width + out_codes
+        row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+        ids: dict[bytes, int] = {}
+        fresh_keys = []
+        bounds = [0, u]
+        outputs = []
+        for d in range(depth):
+            if d:
+                id_of[:, :cfg.input_count] = outputs[-1]
+            for a, b in spans:
+                # one round: each live image's key as bytes, the keys not
+                # met before numbered in order of first occurrence
+                found = id_of.take(keys[a:b]).view(row_bytes).ravel().tolist()
+                fresh = [k for k in dict.fromkeys(found) if k not in ids]
+                ids.update(zip(fresh, range(bounds[-1], bounds[-1] + len(fresh))))
+                id_of.put(cells[a:b], list(map(ids.__getitem__, found)))
+                fresh_keys += fresh
+                bounds.append(bounds[-1] + len(fresh))
+            outputs.append(id_of.take(out_cells))
+        nodes = np.frombuffer(b"".join(fresh_keys), dtype=np.int64)
+        nodes = nodes.reshape(len(ids), keys.shape[1])
+        self.basis = nodes[:, 0]
+        self.kids = nodes[:, 1:]
+        self.bounds = np.array(bounds)
+        self.outputs = np.stack(outputs, axis=1).reshape(graphs * depth, cfg.output_count)
+        self._schedule([b - a for a, b in zip(bounds, bounds[1:])])
 
-    def run(self, X: np.ndarray, sink) -> None:
-        """Evaluate every node once, in id order, on the float64 batch ``X``
-        of shape ``(n, input_count)``.
+    def _schedule(self, counts: list[int]) -> None:
+        """Give each id a buffer row, reusing rows no later round reads, and
+        split each round's nodes into runs of one basis."""
+        u, N = self.network.u, self.network.N
+        # the round after which an id is dead: the last round that reads
+        # it, else its own; the extra cell takes the -1 padding
+        last = np.repeat(np.arange(len(counts) + 1), [*counts, 1])
+        born = last[:-1].copy()
+        np.maximum.at(last, self.kids, born[u:, None])
+        dying = np.argsort(last[:-1], kind="stable")
+        dead = np.searchsorted(last[dying], np.arange(len(counts)), side="right").tolist()
+        rows = np.empty(len(born), dtype=np.intp)
+        free: list[int] = []
+        top = lo = gone = 0
+        for count, dead_upto in zip(counts, dead):
+            reused = min(count, len(free))
+            rows[lo:lo + reused] = free[len(free) - reused:]
+            del free[len(free) - reused:]
+            rows[lo + reused:lo + count] = range(top, top + count - reused)
+            top += count - reused
+            lo += count
+            free += rows[dying[gone:dead_upto]].tolist()
+            gone = dead_upto
+        self.rows = rows
+        self.buffer_rows = top
+        # runs of equal (round, basis), in id order within each run
+        group = born[u:] * N + self.basis
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        starts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()] if len(group) else []
+        self._groups: list[list] = [[] for _ in counts]
+        bases = self.network.bases
+        for r_b, a, b in zip(group[starts].tolist(), starts, [*starts[1:], len(order)]):
+            r, i = divmod(r_b, N)
+            self._groups[r].append((bases[i].fn, bases[i].arity, a, b))
+        self._src = rows[self.kids[order]]
+        self._dst = rows[u + order]
 
-        ``sink(id, values)`` receives each candidate output id's values as
-        soon as they exist; every other value is dropped after its last
-        consumer, so memory holds only the live frontier of the population.
+    def run(self, X: np.ndarray, wanted, sink) -> None:
+        """Evaluate every node once, round by round, on the float64 batch
+        ``X`` of shape ``(n, input_count)``.
+
+        ``wanted`` lists ids in ascending order.  As soon as a round has
+        computed ids ``wanted[a:b]``, ``sink(a, b, buffer, rows)`` receives
+        their values as rows ``rows`` of ``buffer``, valid during the call.
+
+        A round runs each basis's nodes ``CHUNK_NODES`` at a time in one
+        call on stacked rows.  Bases are elementwise, so every value has the
+        bits of a call on its row alone, except the payload of a NaN that an
+        addition or multiplication makes from two NaNs: numpy takes it from
+        either operand, by the lane's place in its vector loop.
         """
         cfg = self.network.config
-        n = X.shape[0]
         u = self.network.u
-        values: list = [X[:, k] for k in range(cfg.input_count)]
-        values += [np.full(n, c) for c in cfg.constants]
-        values += [None] * len(self.kids)
-        last = [-1] * len(values)
-        for k, kids in enumerate(self.kids, start=u):
-            for c in kids:
-                last[c] = k
-        wanted = {k for outs in self.outputs for k in outs}
-        for k in range(u):
-            if k in wanted:
-                sink(k, values[k])
+        buf = np.empty((self.buffer_rows, X.shape[0]))
+        buf[self.rows[:cfg.input_count]] = X.T
+        buf[self.rows[cfg.input_count:u]] = np.array(cfg.constants)[:, None]
+        src, dst = self._src, self._dst
+        wanted_rows = self.rows[wanted]
+        ready = np.searchsorted(wanted, self.bounds[1:]).tolist()
+        done = 0
         with np.errstate(all="ignore"):
-            for k, (fn, kids) in enumerate(zip(self.fns, self.kids), start=u):
-                value = np.asarray(fn(*[values[c] for c in kids]), dtype=np.float64)
-                for c in kids:
-                    if last[c] == k:
-                        values[c] = None
-                if last[k] > k:
-                    values[k] = value
-                if k in wanted:
-                    sink(k, value)
+            for groups, upto in zip(self._groups, ready):
+                for fn, arity, lo, hi in groups:
+                    for a in range(lo, hi, CHUNK_NODES):
+                        b = min(a + CHUNK_NODES, hi)
+                        buf[dst[a:b]] = fn(*buf.take(src[a:b, :arity].T, 0, mode="clip"))
+                if upto > done:
+                    sink(done, upto, buf, wanted_rows[done:upto])
+                    done = upto
 
 
 # Columns scored per ``fitness`` call: 32 rows of a 1000-row batch are 256 KB,
 # so memory stays bounded whatever the population size.
 SCORE_BLOCK_ROWS = 32
-
-
-class _BlockScorer:
-    """Fitness of each distinct ``(node, output)`` column, in row blocks.
-
-    Each column's residual ``value - Y[:, j]`` is written into the next row
-    of a fixed block as soon as the node is computed; a full block is
-    scored by one ``fitness`` call.
-    """
-
-    def __init__(self, outputs, Y: np.ndarray, variance: float):
-        self.targets = np.ascontiguousarray(Y.T)
-        self.variance = variance
-        columns: dict[tuple[int, int], int] = {}
-        self.index = np.array(
-            [[columns.setdefault((k, j), len(columns)) for j, k in enumerate(outs)]
-             for outs in outputs],
-            dtype=np.intp,
-        ).reshape(len(outputs), self.targets.shape[0])
-        self.by_node: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), col in columns.items():
-            self.by_node.setdefault(k, []).append((j, col))
-        self.scores = np.empty(len(columns))
-        rows = min(SCORE_BLOCK_ROWS, len(columns))
-        self.block = np.empty((rows, self.targets.shape[1]))
-        self.pending: list[int] = []
-
-    def __call__(self, k: int, value: np.ndarray) -> None:
-        for j, col in self.by_node[k]:
-            np.subtract(value, self.targets[j], out=self.block[len(self.pending)])
-            self.pending.append(col)
-            if len(self.pending) == len(self.block):
-                self.flush()
-
-    def flush(self) -> None:
-        if self.pending:
-            rows = len(self.pending)
-            self.scores[self.pending] = fitness(self.block[:rows], 0.0, self.variance)
-            self.pending.clear()
 
 
 def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
@@ -369,19 +406,52 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
 
     Candidate ``r * depth + d - 1`` is graph ``r`` self-composed ``d``
     times.  Each distinct node is evaluated once and each distinct
-    ``(node, output)`` column is scored once; every entry equals
-    ``fitness`` of that candidate's ``evaluate``/``evaluate_recurrent``
-    column bit for bit.
+    ``(node, output)`` column is scored once: its residual
+    ``value - Y[:, j]`` goes into the next row of one block as soon as its
+    round has run, and each full block is one call of the ``fitness``
+    kernel.  Every entry equals ``fitness`` of that candidate's
+    ``evaluate``/``evaluate_recurrent`` column bit for bit.
     """
     X = _check_batch(network, X)
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (X.shape[0], network.config.output_count):
+    v = network.config.output_count
+    if Y.shape != (X.shape[0], v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
     plan = PopulationPlan(network, dags, depth)
-    scorer = _BlockScorer(plan.outputs, Y, variance)
-    plan.run(X, scorer)
-    scorer.flush()
-    return scorer.scores[scorer.index]
+    targets = np.ascontiguousarray(Y.T)
+    # distinct (node, output) columns, ordered by node id
+    columns, index = np.unique(plan.outputs * v + np.arange(v), return_inverse=True)
+    node, output = np.divmod(columns, v)
+    scores = np.empty(len(columns))
+    block = np.empty((min(SCORE_BLOCK_ROWS, len(columns)), X.shape[0]))
+    fill = scored = 0
+
+    def score(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal fill, scored
+        while a < b:
+            take = min(b - a, len(block) - fill)
+            part = block[fill:fill + take]
+            buf.take(rows[:take], 0, out=part, mode="clip")
+            # one output needs no gathered copy of its target
+            np.subtract(part, targets[0] if v == 1 else targets[output[a:a + take]], out=part)
+            a, rows, fill = a + take, rows[take:], fill + take
+            if fill == len(block):
+                scores[scored:scored + fill] = _kernel_sums(block, variance)
+                scored, fill = scored + fill, 0
+
+    plan.run(X, node, score)
+    if fill:
+        scores[scored:] = _kernel_sums(block[:fill], variance)
+    return scores[index].reshape(plan.outputs.shape)
+
+
+def _population_of(network: Network, dags) -> SampledPopulation:
+    if len(dags):
+        return SampledPopulation.of(dags)
+    return SampledPopulation(
+        choices=tuple(np.empty((0, network.M), dtype=np.int64) for _ in range(network.levels)),
+        output_choices=np.empty((0, network.config.output_count), dtype=np.int64),
+    )
 
 
 def _check_batch(network: Network, X) -> np.ndarray:
@@ -396,9 +466,14 @@ def _check_batch(network: Network, X) -> np.ndarray:
 def _evaluate_depths(network: Network, dag: SampledDAG, X, depth: int) -> list[np.ndarray]:
     plan = PopulationPlan(network, [dag], depth)
     X = _check_batch(network, X)
-    got: dict[int, np.ndarray] = {}
-    plan.run(X, got.__setitem__)
-    return [np.column_stack([got[k] for k in outs]) for outs in plan.outputs]
+    wanted, index = np.unique(plan.outputs, return_inverse=True)
+    values = np.empty((len(wanted), X.shape[0]))
+
+    def keep(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
+        values[a:b] = buf[rows]
+
+    plan.run(X, wanted, keep)
+    return [np.ascontiguousarray(values[i].T) for i in index.reshape(plan.outputs.shape)]
 
 
 def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:

@@ -148,6 +148,12 @@ def population_gradient(network: Network, population, pairs) -> list[np.ndarray]
     from its output, and nothing elsewhere.  Each weight receives the pairs'
     contributions in the order given.
     """
+    return _population_gradient(network, network.block_probs(), population, pairs)
+
+
+def _population_gradient(network: Network, probs, population, pairs) -> list[np.ndarray]:
+    """``population_gradient`` with the softmax rows ``probs`` of
+    ``Network.block_probs``."""
     grads = [np.zeros_like(b) for b in network.blocks()]
     pairs = [p for p in pairs if p[2] != 0.0]
     if not pairs:
@@ -159,13 +165,13 @@ def population_gradient(network: Network, population, pairs) -> list[np.ndarray]
         network, population.arg_codes(network, graph), network.output_codes[chosen][:, None]
     )
     coef = scale / network.last_layer_temperature
-    _scatter(grads[-1], network.output_probs(), out, chosen, coef)
+    _scatter(grads[-1], probs[-1], out, chosen, coef)
     coef = scale / network.temperature
     for q in range(network.levels):
         # pair-major, so each row receives its pairs in order
         pair, row = np.nonzero(live[:, q * network.N + network.row_image])
         chosen = population.choices[q][graph[pair], row]
-        _scatter(grads[q], network.level_probs(q), row, chosen, coef[pair])
+        _scatter(grads[q], probs[q], row, chosen, coef[pair])
     return grads
 
 
@@ -271,7 +277,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
             r, d = divmod(ci, depth)
             dscale = d + 1 if config.depth_scales_logprob else 1
             pairs.append((r, j, float(kv) * float(dscale)))
-    grads = population_gradient(net, dags, pairs)
+    # the weights are unchanged since the draw, so its softmax rows serve
+    grads = _population_gradient(net, dags.probs, dags, pairs)
     adam_step(
         net.blocks(),
         grads,

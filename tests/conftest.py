@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -261,6 +262,17 @@ def reference_fitness(predictions, targets, variance):
             2.0 * math.pi * variance
         )
     return float(np.nansum(k))
+
+
+def cyclic_garbage(call) -> int:
+    """Objects that only the cycle collector frees after ``call()``."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def same_bits(a, b) -> bool:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from softdag import ArityError, builtin_registry, eval_basis, parse, to_string
+from softdag import DIV_GUARD, ArityError, builtin_registry, eval_basis, parse, to_string
 from softdag.expression import Apply, Input
+
+from conftest import same_bits
 
 REG = builtin_registry()
 
@@ -100,3 +102,43 @@ def test_basis_equality_by_name_and_arity():
     assert REG["ADD"] == builtin_registry()["ADD"]
     assert REG["ADD"] != REG["SUB"]
     assert hash(REG["MUL"]) == hash(builtin_registry()["MUL"])
+
+
+_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+    np.uint64(0x7FF8_0000_0000_0123).view(np.float64),  # NaNs with payloads
+    np.uint64(0xFFF0_0000_0000_0001).view(np.float64),
+    DIV_GUARD, -DIV_GUARD, np.nextafter(DIV_GUARD, 0.0), -np.nextafter(DIV_GUARD, 0.0),
+    5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0, 2.0, 0.5, 710.0, -746.0, 40.0,
+])
+
+
+@pytest.mark.parametrize("rows, n", [(1, 1), (3, 7), (2, 35), (8, 1000), (5, 1003)])
+@pytest.mark.parametrize("edge_share", [0.3, 0.9])
+def test_bases_on_blocks_equal_row_calls(rows, n, edge_share):
+    """A block of stacked rows gives every row the bits of a call on that
+    row alone, whether the row is contiguous or a strided batch column.
+
+    The exception is the payload of a NaN result.  Where an addition or a
+    multiplication meets two NaNs (ADD, MUL and the sums built from them),
+    numpy's loops take the result's payload from either operand, depending
+    on where the lane falls in the vector loop.  The lane is NaN either
+    way, and fitness scores every NaN alike, so no score depends on it.
+    """
+    rng = np.random.default_rng(rows * 7919 + n)
+    for basis in REG.values():
+        args = []
+        for _ in range(basis.arity):
+            block = rng.normal(0.0, 3.0, size=(rows, n))
+            spots = rng.random(block.shape) < edge_share
+            block[spots] = rng.choice(_EDGES, size=int(spots.sum()))
+            args.append(block)
+        with np.errstate(all="ignore"):
+            got = basis.fn(*args)
+            for r in range(rows):
+                row = [a[r].copy() for a in args]
+                column = [np.asfortranarray(a)[r] for a in args]
+                for want in (basis.fn(*row), basis.fn(*column)):
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got[r]), nan), basis.name
+                    assert same_bits(got[r][~nan], want[~nan]), basis.name

@@ -22,7 +22,7 @@ from softdag import (
 )
 from softdag.expression import ParseError
 
-from conftest import fig1_network, fig1b_dag
+from conftest import cyclic_garbage, fig1_network, fig1b_dag
 
 REG = builtin_registry()
 
@@ -153,3 +153,9 @@ def test_input_indices():
     expr = parse("x0 + sin(x2) * 4")
     assert input_indices(expr) == {0, 2}
     assert input_indices(Const(1.0)) == set()
+
+
+def test_evaluate_tree_batch_leaves_no_cyclic_garbage():
+    expr = parse("if_leq(2, x0, x0 / 2, x0^2) + sin(x0) * x0")
+    X = np.linspace(-8.0, 8.0, 1000)[:, None]
+    assert cyclic_garbage(lambda: evaluate_tree_batch(expr, X)) == 0

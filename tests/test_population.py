@@ -28,6 +28,7 @@ from softdag.sampler import _EXP_ZERO, PopulationPlan, population_fitness
 from softdag.trainer import TrainRun, population_gradient
 
 from conftest import (
+    cyclic_garbage,
     make_network,
     reference_accumulate_loss_gradient,
     reference_evaluate,
@@ -123,12 +124,53 @@ def test_recurrent_population_fitness_matches_reference(case):
 def test_plan_shares_nodes(case):
     net, dags, _, _, _ = case
     plan = PopulationPlan(net, dags)
-    keys = [(fn, kids) for fn, kids in zip(plan.fns, plan.kids)]
+    keys = [(b, *kids) for b, kids in zip(plan.basis.tolist(), plan.kids.tolist())]
     assert len(set(keys)) == len(keys)
-    # children precede their parents
-    assert all(c < k for k, kids in enumerate(plan.kids, start=net.u) for c in kids)
+    # children precede their parents; -1 pads each argument list to the
+    # largest arity
+    ids = np.arange(net.u, net.u + len(plan.kids))[:, None]
+    assert np.all(plan.kids < ids)
+    arity = np.array([net.bases[b].arity for b in plan.basis.tolist()], dtype=int)
+    assert np.array_equal(plan.kids >= 0, np.arange(plan.kids.shape[1]) < arity[:, None])
     single = [PopulationPlan(net, [dag]) for dag in dags]
     assert len(plan.kids) <= sum(len(p.kids) for p in single)
+
+
+def _halfsquare_population():
+    """A sampled population on recurrent_halfsquare's network."""
+    net = make_network(
+        ("IF_LEQ", "IF_LEQ", "ADD", "MUL", "MUL", "DIV", "DIV"),
+        input_count=1, constants=(1.0, 2.0), depth=2, last_layer_temperature=2.0,
+    )
+    rng = np.random.default_rng(4)
+    for block in net.blocks():
+        block += rng.normal(0.0, 1.0, size=block.shape)
+    X = rng.uniform(-8.0, 8.0, size=(200, 1))
+    return net, sample_many(net, rng, 100), X, np.square(X)
+
+
+def test_value_buffer_reuses_rows():
+    net, dags, _, _ = _halfsquare_population()
+    plan = PopulationPlan(net, dags, 3)
+    ids = len(plan.rows)
+    assert plan.buffer_rows < len(plan.kids)
+    # ids sharing a row are never alive together: an id lives from its own
+    # round to the last round that reads it
+    born = np.searchsorted(plan.bounds, np.arange(ids), side="right") - 1
+    last = born.copy()
+    for k, kids in enumerate(plan.kids.tolist(), start=net.u):
+        for c in kids:
+            if c >= 0:
+                last[c] = max(last[c], born[k])
+    for row in range(plan.buffer_rows):
+        same = np.flatnonzero(plan.rows == row)
+        spans = sorted(zip(born[same].tolist(), last[same].tolist()))
+        assert all(end < start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def test_population_fitness_leaves_no_cyclic_garbage():
+    net, dags, X, Y = _halfsquare_population()
+    assert cyclic_garbage(lambda: population_fitness(net, dags, X, Y, 3, 0.01)) == 0
 
 
 _column_values = st.sampled_from((0.0, 1.0, -1.0, 0.3, 1e-9, 40.0, np.nan, np.inf, -np.inf))
@@ -317,6 +359,8 @@ def test_sampled_rows_are_read_only():
         dag.output_choices[0] = 1
     with pytest.raises(ValueError):
         population.choices[1][2, 0] = 1
+    with pytest.raises(ValueError):
+        population.probs[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         sample(net, np.random.default_rng(0)).choices[0][0] = 1
 
