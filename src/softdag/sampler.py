@@ -361,7 +361,7 @@ class PopulationPlan:
         self._src = rows[self.kids[order]]
         self._dst = rows[u + order]
 
-    def run(self, X: np.ndarray, wanted, sink) -> None:
+    def run(self, X: np.ndarray, wanted, sink, chunk: int = CHUNK_NODES) -> None:
         """Evaluate every node once, round by round, on the float64 batch
         ``X`` of shape ``(n, input_count)``.
 
@@ -369,11 +369,12 @@ class PopulationPlan:
         computed ids ``wanted[a:b]``, ``sink(a, b, buffer, rows)`` receives
         their values as rows ``rows`` of ``buffer``, valid during the call.
 
-        A round runs each basis's nodes ``CHUNK_NODES`` at a time in one
-        call on stacked rows.  Bases are elementwise, so every value has the
-        bits of a call on its row alone, except the payload of a NaN that an
+        A round runs each basis's nodes ``chunk`` at a time in one call on
+        stacked rows.  Bases are elementwise, so every value has the bits of
+        a call on its row alone, except the payload of a NaN that an
         addition or multiplication makes from two NaNs: numpy takes it from
-        either operand, by the lane's place in its vector loop.
+        either operand, by the lane's place in its vector loop.  With
+        ``chunk=1`` every node is its own call, payloads included.
         """
         cfg = self.network.config
         u = self.network.u
@@ -387,8 +388,8 @@ class PopulationPlan:
         with np.errstate(all="ignore"):
             for groups, upto in zip(self._groups, ready):
                 for fn, arity, lo, hi in groups:
-                    for a in range(lo, hi, CHUNK_NODES):
-                        b = min(a + CHUNK_NODES, hi)
+                    for a in range(lo, hi, chunk):
+                        b = min(a + chunk, hi)
                         buf[dst[a:b]] = fn(*buf.take(src[a:b, :arity].T, 0, mode="clip"))
                 if upto > done:
                     sink(done, upto, buf, wanted_rows[done:upto])
@@ -472,7 +473,9 @@ def _evaluate_depths(network: Network, dag: SampledDAG, X, depth: int) -> list[n
     def keep(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
         values[a:b] = buf[rows]
 
-    plan.run(X, wanted, keep)
+    # one node per call: callers get the values themselves, so NaN payloads
+    # stay those of evaluating the graph node by node
+    plan.run(X, wanted, keep, chunk=1)
     return [np.ascontiguousarray(values[i].T) for i in index.reshape(plan.outputs.shape)]
 
 
