@@ -64,7 +64,6 @@ from .trainer import (
     TrainRun,
     adam_step,
     loss_gradient,
-    rank_reweight,
     select_top,
     train,
     train_epoch,

@@ -45,15 +45,12 @@ class BasisFunction:
     ``fn`` is vectorized: it accepts ``arity`` numpy arrays (or scalars)
     and returns an array of the broadcast shape.  ``render`` maps a tuple
     of already-rendered child strings to this node's string form.
-    ``differentiable`` is informational only; training never
-    differentiates through a basis.
     """
 
     name: str
     arity: int
     fn: Callable[..., np.ndarray]
     render: Callable[[tuple[str, ...]], str]
-    differentiable: bool = True
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -190,8 +187,8 @@ def _pow2(s):
 _REGISTRY: dict[str, BasisFunction] = {}
 
 
-def _register(name, arity, fn, render, differentiable=True):
-    _REGISTRY[name] = BasisFunction(name, arity, fn, render, differentiable)
+def _register(name, arity, fn, render):
+    _REGISTRY[name] = BasisFunction(name, arity, fn, render)
 
 
 _register("ADD", 2, np.add, _infix("+"))
@@ -202,20 +199,20 @@ _register("SIN", 1, np.sin, _call("sin"))
 _register("SQUARE", 1, lambda a: np.multiply(a, a), _pow2)
 _register("NEG", 1, np.negative, _call("neg"))
 _register("ID", 1, lambda a: np.positive(a), _call("id"))
-_register("IF_LEQ", 4, _if_leq, _call("if_leq"), differentiable=False)
-_register("MIN", 2, np.minimum, _call("min"), differentiable=False)
-_register("MAX", 2, np.maximum, _call("max"), differentiable=False)
-_register("XOR", 2, _xor, _call("xor"), differentiable=False)
+_register("IF_LEQ", 4, _if_leq, _call("if_leq"))
+_register("MIN", 2, np.minimum, _call("min"))
+_register("MAX", 2, np.maximum, _call("max"))
+_register("XOR", 2, _xor, _call("xor"))
 _register("SIGMOID", 1, expit, _call("sigmoid"))
 _register("TANH", 1, np.tanh, _call("tanh"))
 _register("SIGMOID10", 1, lambda a: expit(np.multiply(10.0, a)), _call("sigmoid10"))
 _register("TANH10", 1, lambda a: np.tanh(np.multiply(10.0, a)), _call("tanh10"))
 _register("ADD4", 4, _add4, _call("add4"))
 _register("ADD9", 9, _add9, _call("add9"))
-_register("MIN4", 4, _min4, _call("min4"), differentiable=False)
-_register("MAX4", 4, _max4, _call("max4"), differentiable=False)
-_register("MIN9", 9, _min9, _call("min9"), differentiable=False)
-_register("MAX9", 9, _max9, _call("max9"), differentiable=False)
+_register("MIN4", 4, _min4, _call("min4"))
+_register("MAX4", 4, _max4, _call("max4"))
+_register("MIN9", 9, _min9, _call("min9"))
+_register("MAX9", 9, _max9, _call("max9"))
 
 
 def builtin_registry() -> dict[str, BasisFunction]:

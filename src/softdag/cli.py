@@ -129,6 +129,11 @@ def _parse_ranges(raw: str) -> tuple:
     return tuple(dims)
 
 
+# Options that once changed how training weighted the selected graphs;
+# ignoring one would silently train differently from what the file asks.
+_REMOVED_TRAINING_KEYS = ("rank_reweight", "rank_reweight_increasing", "depth_scales_logprob")
+
+
 def _get(cp, section, key, cast, default=None, required=False):
     if not cp.has_option(section, key):
         if required:
@@ -256,6 +261,9 @@ def parse_config(path) -> ExperimentConfig:
         skip_connections=_get(cp, "network", "skip_connections", bool, default=True),
     )
 
+    for key in _REMOVED_TRAINING_KEYS:
+        if cp.has_option("training", key):
+            raise ConfigError(f"{path}: [training] {key} is no longer supported")
     training = TrainConfig(
         sample_count=_get(cp, "training", "samples", int, required=True),
         select_count=_get(cp, "training", "select", int, required=True),
@@ -264,13 +272,6 @@ def parse_config(path) -> ExperimentConfig:
         max_epochs=_get(cp, "training", "max_epochs", int, default=1000),
         patience=_get(cp, "training", "patience", int, default=30),
         recurrence_depth=_get(cp, "training", "recurrence_depth", int, default=1),
-        rank_reweight=_get(cp, "training", "rank_reweight", bool, default=False),
-        rank_reweight_increasing=_get(
-            cp, "training", "rank_reweight_increasing", bool, default=False
-        ),
-        depth_scales_logprob=_get(
-            cp, "training", "depth_scales_logprob", bool, default=True
-        ),
         batch_size=_get(cp, "training", "batch_size", int, default=1000),
         seed=_get(cp, "training", "seed", int, default=0),
     )
@@ -625,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument(
-            "--threads", "--parallel-trials", type=int, default=None,
+            "--parallel-trials", type=int, default=None,
             dest="parallel_trials", help="run trials in parallel worker processes",
         )
 

@@ -11,7 +11,7 @@ import numpy as np
 from .expression import Choices, Interval
 from .network import ConfigError, Network
 from .rng import DATA_STREAM, derive_rng
-from .sampler import SampledDAG, evaluate, most_likely_dag
+from .sampler import SampledDAG, evaluate
 
 __all__ = [
     "Dataset",
@@ -219,15 +219,12 @@ def load_idx(images_path, labels_path, class_filter) -> Dataset:
     )
 
 
-def classification_accuracy(
-    network: Network, dag: SampledDAG | None, test: Dataset, threshold: float = 0.5
-) -> float:
-    """Fraction of rows whose thresholded outputs equal the one-hot label exactly."""
-    if dag is None:
-        dag = most_likely_dag(network)
+def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) -> float:
+    """Fraction of rows whose outputs, thresholded at 0.5, equal the one-hot
+    label exactly."""
     preds = evaluate(network, dag, test.inputs)
     finite = np.isfinite(preds).all(axis=1)
-    hot = preds > threshold
+    hot = preds > 0.5
     want = test.targets > 0.5
     correct = finite & (hot == want).all(axis=1)
     return float(correct.mean())

@@ -410,26 +410,28 @@ def numeric_equivalent(
 
 
 def dag_to_expression(network: Network, dag: SampledDAG, output_index: int) -> Expr:
-    """Backtrack one output into a tree; shared subgraphs are duplicated."""
+    """Backtrack one output into a tree; shared subgraphs are duplicated.
+
+    Sources are read as global codes (``Network.arg_codes``): a code below
+    ``input_count`` is an input, one below ``u`` a constant, and code
+    ``u + q * N + i`` is image ``i`` of level ``q``.
+    """
     cfg = network.config
-    cache: dict[tuple[int, int], Expr] = {}
+    inputs, u = cfg.input_count, network.u
+    codes = [network.arg_codes[q][c].tolist() for q, c in enumerate(dag.choices)]
+    cache: dict[int, Expr] = {}
 
-    def from_source(res) -> Expr:
-        if res[0] == "input":
-            return Input(res[1])
-        if res[0] == "const":
-            return Const(cfg.constants[res[1]])
-        return image(res[1], res[2])
-
-    def image(q: int, i: int) -> Expr:
-        found = cache.get((q, i))
+    def from_code(code: int) -> Expr:
+        if code < inputs:
+            return Input(code)
+        if code < u:
+            return Const(cfg.constants[code - inputs])
+        found = cache.get(code)
         if found is None:
-            kids = tuple(
-                from_source(network.arg_source(q, int(dag.choices[q][row])))
-                for row in network.image_rows(i)
-            )
+            q, i = divmod(code - u, network.N)
+            kids = tuple(from_code(codes[q][row]) for row in network.image_rows(i))
             found = Apply(network.bases[i], kids)
-            cache[(q, i)] = found
+            cache[code] = found
         return found
 
-    return from_source(network.output_source(int(dag.output_choices[output_index])))
+    return from_code(int(network.output_codes[dag.output_choices[output_index]]))

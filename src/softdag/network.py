@@ -124,8 +124,8 @@ class Network:
 
     Weights are stored row-major per selection row, so a sampled edge is
     addressed as ``(level, row, source_index)``.  ``weights[p]`` has shape
-    ``(M, arg_source_count(p))`` for levels ``p = 0..depth``;
-    ``output_weights`` has shape ``(output_count, output_source_count())``.
+    ``(M, len(arg_codes[p]))`` for levels ``p = 0..depth``;
+    ``output_weights`` has shape ``(output_count, len(output_codes))``.
     All weights initialize to 1.0, which makes every row exactly uniform.
     """
 
@@ -136,9 +136,6 @@ class Network:
     ):
         self.config = config
         self.bases = resolve_bases(config.bases, registry)
-        # live temperatures; a training-time schedule may adjust them
-        self.temperature = config.temperature
-        self.last_layer_temperature = config.last_layer_temperature
         offsets = [0]
         for b in self.bases:
             offsets.append(offsets[-1] + b.arity)
@@ -162,70 +159,36 @@ class Network:
         self.levels = config.depth + 1
         # every source index decoded once into its global code: inputs,
         # then constants, then the images of each level in turn, so image
-        # (q, i) is code u + q * N + i whatever the wiring
+        # (q, i) is code u + q * N + i whatever the wiring; with skip
+        # connections level p sees every code below u + p * N
         skip = config.skip_connections
         self.arg_codes = tuple(
-            np.arange(self.arg_source_count(p))
+            np.arange(self.u + p * self.N)
             if skip or p == 0
             else self.u + (p - 1) * self.N + np.arange(self.N)
             for p in range(self.levels)
         )
         self.output_codes = (
-            np.arange(self.output_source_count())
+            np.arange(self.u + self.levels * self.N)
             if skip
             else self.u + (self.levels - 1) * self.N + np.arange(self.N)
         )
-        self.weights = [
-            np.ones((self.M, self.arg_source_count(p)), dtype=np.float64)
-            for p in range(self.levels)
-        ]
-        self.output_weights = np.ones(
-            (config.output_count, self.output_source_count()), dtype=np.float64
-        )
+        self.weights = [np.ones((self.M, len(codes))) for codes in self.arg_codes]
+        self.output_weights = np.ones((config.output_count, len(self.output_codes)))
 
     # -- layout ------------------------------------------------------------
-
-    def arg_source_count(self, level: int) -> int:
-        """Number of sources visible to level ``level``'s argument rows."""
-        if self.config.skip_connections:
-            return self.u + level * self.N
-        return self.u if level == 0 else self.N
-
-    def output_source_count(self) -> int:
-        if self.config.skip_connections:
-            return self.u + self.levels * self.N
-        return self.N
 
     def image_rows(self, image_index: int) -> range:
         """Argument-row indices feeding image ``image_index`` (any level)."""
         return range(self.slot_offset[image_index], self.slot_offset[image_index + 1])
 
-    def _global_source(self, s: int):
-        if s < self.config.input_count:
-            return ("input", s)
-        if s < self.u:
-            return ("const", s - self.config.input_count)
-        q, i = divmod(s - self.u, self.N)
-        return ("image", q, i)
-
-    def arg_source(self, level: int, s: int):
-        """Resolve source index ``s`` of a level-``level`` argument row."""
-        if self.config.skip_connections or level == 0:
-            return self._global_source(s)
-        return ("image", level - 1, s)
-
-    def output_source(self, s: int):
-        if self.config.skip_connections:
-            return self._global_source(s)
-        return ("image", self.levels - 1, s)
-
     # -- probabilities -----------------------------------------------------
 
     def level_probs(self, level: int) -> np.ndarray:
-        return softmax_rows(self.weights[level], self.temperature)
+        return softmax_rows(self.weights[level], self.config.temperature)
 
     def output_probs(self) -> np.ndarray:
-        return softmax_rows(self.output_weights, self.last_layer_temperature)
+        return softmax_rows(self.output_weights, self.config.last_layer_temperature)
 
     def block_probs(self) -> list[np.ndarray]:
         """The softmax rows of every block, in ``blocks()`` order."""
@@ -242,8 +205,6 @@ class Network:
 
     def clone(self) -> "Network":
         other = Network(self.config)
-        other.temperature = self.temperature
-        other.last_layer_temperature = self.last_layer_temperature
         for dst, src in zip(other.blocks(), self.blocks()):
             dst[...] = src
         return other

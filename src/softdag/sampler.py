@@ -526,13 +526,13 @@ def dag_from_text(network: Network, text: str) -> SampledDAG:
         if level == network.levels:
             if not (0 <= row < network.config.output_count):
                 raise ValueError(f"bad output row {row}")
-            if not (0 <= idx < network.output_source_count()):
+            if not (0 <= idx < len(network.output_codes)):
                 raise ValueError(f"output choice {idx} out of range")
             out[row] = idx
         else:
             if not (0 <= level < network.levels and 0 <= row < network.M):
                 raise ValueError(f"bad row address ({level}, {row})")
-            if not (0 <= idx < network.arg_source_count(level)):
+            if not (0 <= idx < len(network.arg_codes[level])):
                 raise ValueError(f"choice {idx} out of range at level {level}")
             choices[level][row] = idx
     return SampledDAG(choices=tuple(choices), output_choices=out)

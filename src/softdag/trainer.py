@@ -38,7 +38,6 @@ __all__ = [
     "loss_gradient",
     "population_gradient",
     "select_top",
-    "rank_reweight",
     "adam_step",
     "train_epoch",
     "train",
@@ -68,9 +67,6 @@ class TrainConfig:
     max_epochs: int = 1000
     patience: int = 30
     recurrence_depth: int = 1
-    rank_reweight: bool = False
-    rank_reweight_increasing: bool = False
-    depth_scales_logprob: bool = True
     batch_size: int = 1000
     seed: int = 0
 
@@ -164,9 +160,9 @@ def _population_gradient(network: Network, probs, population, pairs) -> list[np.
     live = reachable_images(
         network, population.arg_codes(network, graph), network.output_codes[chosen][:, None]
     )
-    coef = scale / network.last_layer_temperature
+    coef = scale / network.config.last_layer_temperature
     _scatter(grads[-1], probs[-1], out, chosen, coef)
-    coef = scale / network.temperature
+    coef = scale / network.config.temperature
     for q in range(network.levels):
         # pair-major, so each row receives its pairs in order
         pair, row = np.nonzero(live[:, q * network.N + network.row_image])
@@ -221,18 +217,6 @@ def select_top(fitness_matrix: np.ndarray, count: int):
     return picks
 
 
-def rank_reweight(values, increasing: bool = False) -> np.ndarray:
-    """Divide each fitness by its rank (rank 1 = best under the default order)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty selection")
-    keys = v if increasing else -v
-    order = np.lexsort((np.arange(v.size), keys))
-    out = np.empty_like(v)
-    out[order] = v[order] / (np.arange(v.size) + 1.0)
-    return out
-
-
 def adam_step(
     blocks,
     gradients,
@@ -267,16 +251,12 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):
-        raw = tuple(k for _, k in sel)
-        selected_raw.append(raw)
-        vals = np.asarray(raw)
-        if config.rank_reweight:
-            vals = rank_reweight(vals, config.rank_reweight_increasing)
-        # fixed accumulation order: output-major, then by candidate index
-        for ci, kv in sorted(zip((c for c, _ in sel), vals)):
+        selected_raw.append(tuple(k for _, k in sel))
+        # fixed accumulation order: output-major, then by candidate index;
+        # a graph composed d + 1 times scales its log-probability by d + 1
+        for ci, kv in sorted(sel):
             r, d = divmod(ci, depth)
-            dscale = d + 1 if config.depth_scales_logprob else 1
-            pairs.append((r, j, float(kv) * float(dscale)))
+            pairs.append((r, j, float(kv) * float(d + 1)))
     # the weights are unchanged since the draw, so its softmax rows serve
     grads = _population_gradient(net, dags.probs, dags, pairs)
     adam_step(
@@ -316,13 +296,8 @@ def train(
     data,
     config: TrainConfig,
     logger=None,
-    temperature_schedule=None,
 ) -> TrainRun:
     """Run epochs until the stop criterion fires or the budget runs out.
-
-    ``temperature_schedule``, when given, maps the 1-based epoch to a
-    ``(temperature, last_layer_temperature)`` pair applied before sampling;
-    the default keeps both constant.
 
     A run stops once, for ``patience`` consecutive epochs, every
     output's selected candidates share exactly equal fitness within the
@@ -347,10 +322,6 @@ def train(
     streak = 0
     previous = None
     for epoch in range(1, config.max_epochs + 1):
-        if temperature_schedule is not None:
-            network.temperature, network.last_layer_temperature = (
-                temperature_schedule(epoch)
-            )
         batch = source.batch(epoch)
         stats = train_epoch(run, batch, config)
         if logger is not None:

@@ -77,6 +77,39 @@ def _softmax(w, t):
     return e / e.sum()
 
 
+# ---------------------------------------------------------------------------
+# source decoding, re-derived from the documented layout rather than read
+# from ``Network.arg_codes``, so the oracles do not check the code tables
+# against themselves.  Sources are the inputs, then the constants, then the
+# images of each level in turn; without skip connections level p > 0 sees
+# only the images of level p - 1 and the outputs only the last level's.
+
+
+def _global_source(network, s):
+    cfg = network.config
+    u = cfg.input_count + len(cfg.constants)
+    if s < cfg.input_count:
+        return ("input", s)
+    if s < u:
+        return ("const", s - cfg.input_count)
+    q, i = divmod(s - u, len(cfg.bases))
+    return ("image", q, i)
+
+
+def arg_source(network, level, s):
+    """Source ``s`` of a level-``level`` argument row as a tuple."""
+    if network.config.skip_connections or level == 0:
+        return _global_source(network, s)
+    return ("image", level - 1, s)
+
+
+def output_source(network, s):
+    """Source ``s`` of an output row as a tuple."""
+    if network.config.skip_connections:
+        return _global_source(network, s)
+    return ("image", network.config.depth, s)
+
+
 def class_count_bound(network) -> int:
     """Upper bound on distinct reachable-row assignments."""
     memo: dict[tuple[int, int], int] = {}
@@ -87,8 +120,8 @@ def class_count_bound(network) -> int:
         total = 1
         for _row in network.image_rows(i):
             per_source = 0
-            for s in range(network.arg_source_count(q)):
-                res = network.arg_source(q, s)
+            for s in range(network.weights[q].shape[1]):
+                res = arg_source(network, q, s)
                 per_source += image_classes(res[1], res[2]) if res[0] == "image" else 1
             total *= per_source
         memo[(q, i)] = total
@@ -97,8 +130,8 @@ def class_count_bound(network) -> int:
     bound = 1
     for _j in range(network.config.output_count):
         per_source = 0
-        for s in range(network.output_source_count()):
-            res = network.output_source(s)
+        for s in range(network.output_weights.shape[1]):
+            res = output_source(network, s)
             per_source += image_classes(res[1], res[2]) if res[0] == "image" else 1
         bound *= per_source
     return bound
@@ -127,11 +160,11 @@ def enumerate_classes(network):
         rest = pending[1:]
         if key[0] == "out":
             probs = out_probs[key[1]]
-            resolve = network.output_source
+            resolve = lambda s: output_source(network, s)  # noqa: E731
         else:
             _, level, row = key
             probs = _softmax(network.weights[level][row], cfg.temperature)
-            resolve = lambda s: network.arg_source(level, s)  # noqa: E731
+            resolve = lambda s: arg_source(network, level, s)  # noqa: E731
         for s, p in enumerate(probs):
             res = resolve(s)
             new_pending = rest
@@ -192,7 +225,7 @@ def rng():
 
 # ---------------------------------------------------------------------------
 # reference evaluator: walks the sampled graph one node at a time through the
-# tuple-returning source resolution, with no sharing between nodes or graphs
+# tuple-returning source decoder above, with no sharing between nodes or graphs
 
 
 def reference_reachable_images(network, dag, output_indices=None):
@@ -203,7 +236,7 @@ def reference_reachable_images(network, dag, output_indices=None):
     images = set()
     stack = []
     for j in output_indices:
-        src = network.output_source(int(dag.output_choices[j]))
+        src = output_source(network, int(dag.output_choices[j]))
         if src[0] == "image":
             stack.append((src[1], src[2]))
     while stack:
@@ -212,7 +245,7 @@ def reference_reachable_images(network, dag, output_indices=None):
             continue
         images.add((q, i))
         for row in network.image_rows(i):
-            src = network.arg_source(q, int(dag.choices[q][row]))
+            src = arg_source(network, q, int(dag.choices[q][row]))
             if src[0] == "image":
                 stack.append((src[1], src[2]))
     return images
@@ -226,21 +259,24 @@ def reference_evaluate(network, dag, X):
 
     def source_value(res):
         if res[0] == "input":
-            return X[:, res[1]]
+            # a contiguous copy, as the evaluator reads its inputs: numpy
+            # picks the payload of a NaN made from two NaNs by the lane's
+            # place in its vector loop, and a strided column loops otherwise
+            return np.ascontiguousarray(X[:, res[1]])
         if res[0] == "const":
             return np.full(n, cfg.constants[res[1]])
         return values[(res[1], res[2])]
 
     for q, i in sorted(reference_reachable_images(network, dag)):
         args = [
-            source_value(network.arg_source(q, int(dag.choices[q][row])))
+            source_value(arg_source(network, q, int(dag.choices[q][row])))
             for row in network.image_rows(i)
         ]
         with np.errstate(all="ignore"):
             values[(q, i)] = np.asarray(network.bases[i].fn(*args), dtype=np.float64)
     out = np.empty((n, cfg.output_count), dtype=np.float64)
     for j in range(cfg.output_count):
-        out[:, j] = source_value(network.output_source(int(dag.output_choices[j])))
+        out[:, j] = source_value(output_source(network, int(dag.output_choices[j])))
     return out
 
 
@@ -311,11 +347,11 @@ def reference_log_probability(network, dag, output_subset=None):
     total = 0.0
     with np.errstate(divide="ignore"):
         for j in outs:
-            p = _softmax(network.output_weights[j], network.last_layer_temperature)
+            p = _softmax(network.output_weights[j], network.config.last_layer_temperature)
             total += float(np.log(p[int(dag.output_choices[j])]))
         for q, i in sorted(reference_reachable_images(network, dag, outs)):
             for row in network.image_rows(i):
-                p = _softmax(network.weights[q][row], network.temperature)
+                p = _softmax(network.weights[q][row], network.config.temperature)
                 total += float(np.log(p[int(dag.choices[q][row])]))
     return total
 
@@ -327,21 +363,21 @@ def reference_accumulate_loss_gradient(network, dag, fitness_value, output_index
         return
     scale = float(fitness_value) * float(depth)
     j = int(output_index)
-    row_grad = _softmax(network.output_weights[j], network.last_layer_temperature)
+    row_grad = _softmax(network.output_weights[j], network.config.last_layer_temperature)
     row_grad[int(dag.output_choices[j])] -= 1.0
-    grads[-1][j] += (scale / network.last_layer_temperature) * row_grad
+    grads[-1][j] += (scale / network.config.last_layer_temperature) * row_grad
     for q, i in sorted(reference_reachable_images(network, dag, (j,))):
         for row in network.image_rows(i):
-            rg = _softmax(network.weights[q][row], network.temperature)
+            rg = _softmax(network.weights[q][row], network.config.temperature)
             rg[int(dag.choices[q][row])] -= 1.0
-            grads[q][row] += (scale / network.temperature) * rg
+            grads[q][row] += (scale / network.config.temperature) * rg
 
 
 def reference_train_epoch(run, batch, config):
     """One epoch drawn, scored and reinforced one graph and one row at a time."""
     from softdag.rng import EPOCH_STREAM, derive_rng
     from softdag.sampler import population_fitness
-    from softdag.trainer import adam_step, rank_reweight, select_top
+    from softdag.trainer import adam_step, select_top
 
     net = run.network
     X, Y = batch
@@ -351,13 +387,9 @@ def reference_train_epoch(run, batch, config):
     K = population_fitness(net, dags, X, Y, depth, config.variance)
     grads = [np.zeros_like(b) for b in net.blocks()]
     for j, sel in enumerate(select_top(K, config.select_count)):
-        vals = np.asarray([k for _, k in sel])
-        if config.rank_reweight:
-            vals = rank_reweight(vals, config.rank_reweight_increasing)
-        for ci, kv in sorted(zip((c for c, _ in sel), vals)):
+        for ci, kv in sorted(sel):
             r, d = divmod(ci, depth)
-            dscale = d + 1 if config.depth_scales_logprob else 1
-            reference_accumulate_loss_gradient(net, dags[r], float(kv), j, grads, depth=dscale)
+            reference_accumulate_loss_gradient(net, dags[r], kv, j, grads, depth=d + 1)
     adam_step(net.blocks(), grads, run.adam, config.learning_rate,
               config.beta1, config.beta2, config.epsilon)
     run.epoch += 1

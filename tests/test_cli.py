@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softdag.cli import main, parse_config, run_experiment
+from softdag.cli import build_parser, main, parse_config, run_experiment
 from softdag.network import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -176,6 +176,30 @@ def test_main_validation_exit_code(tmp_path, capsys):
     bad.write_text(FAST_CONFIG.replace("SIN, ADD", "SIN, NOPE"))
     assert main(["run", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key", ["rank_reweight", "rank_reweight_increasing", "depth_scales_logprob"]
+)
+def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
+    # a config written for the removed options must not train differently
+    # in silence
+    old = tmp_path / "old.ini"
+    old.write_text(FAST_CONFIG.replace("seed = 5", f"seed = 5\n{key} = false"))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(old)
+    assert main(["run", str(old), "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parallel_trials_option(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["run", "x.ini", "--parallel-trials", "2"]).parallel_trials == 2
+    assert parser.parse_args(["bench", "configs"]).parallel_trials is None
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "x.ini", "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_gen_data(fast_config, tmp_path, capsys):

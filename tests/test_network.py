@@ -74,8 +74,12 @@ def test_wiring_is_pure_function_of_config():
     a, b = fig1_network(), fig1_network()
     assert a.slot_offset == b.slot_offset
     assert [w.shape for w in a.weights] == [w.shape for w in b.weights]
-    for s in range(a.output_source_count()):
-        assert a.output_source(s) == b.output_source(s)
+    # with skip connections level p sees codes 0..u + p * N - 1 (u = 4, N = 4)
+    for net in (a, b):
+        assert [c.tolist() for c in net.arg_codes] == [
+            list(range(4)), list(range(8)), list(range(12))
+        ]
+        assert net.output_codes.tolist() == list(range(16))
 
 
 def test_source_resolution_no_skip():
@@ -85,10 +89,12 @@ def test_source_resolution_no_skip():
     net = build_network(cfg)
     assert [w.shape[1] for w in net.weights] == [2, 2, 2]
     assert net.output_weights.shape[1] == 2
-    assert net.arg_source(0, 1) == ("input", 1)
-    assert net.arg_source(1, 1) == ("image", 0, 1)
-    assert net.arg_source(2, 0) == ("image", 1, 0)
-    assert net.output_source(1) == ("image", 2, 1)
+    # codes: inputs 0-1, then image (q, i) at u + q * N + i with u = N = 2
+    u, N = 2, 2
+    assert net.arg_codes[0].tolist() == [0, 1]
+    assert net.arg_codes[1].tolist() == [u + 0, u + 1]
+    assert net.arg_codes[2].tolist() == [u + N + 0, u + N + 1]
+    assert net.output_codes.tolist() == [u + 2 * N + 0, u + 2 * N + 1]
     assert parameter_count(cfg) == net.weight_count()
 
 

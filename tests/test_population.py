@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from softdag import (
     AdamState,
     TrainConfig,
+    dag_to_expression,
     evaluate,
     evaluate_recurrent,
     fitness,
@@ -24,11 +25,13 @@ from softdag import (
     sample_many,
     train_epoch,
 )
+from softdag.expression import evaluate_tree_batch
 from softdag.sampler import _EXP_ZERO, PopulationPlan, population_fitness
 from softdag.trainer import TrainRun, population_gradient
 
 from conftest import (
     cyclic_garbage,
+    make_dag,
     make_network,
     reference_accumulate_loss_gradient,
     reference_evaluate,
@@ -90,6 +93,18 @@ def test_evaluate_recurrent_matches_reference(case):
         want = reference_evaluate_recurrent(net, dag, X, 3)
         assert len(got) == 3
         assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_evaluate_recurrent_nan_payloads_match_reference():
+    # x0 * x0 * (x0 * x1) is inf * 0 at x0 = 1e200, x1 = 0; the graph's
+    # outputs are that NaN negated and as is, so depth 2 multiplies two NaNs
+    # of opposite sign, whose result's payload depends on the vector lane
+    net = make_network(("MUL", "MUL", "NEG"), input_count=2, output_count=2, depth=2)
+    dag = make_dag(net, [[0, 0, 0, 1], [2, 3], [0, 0, 0, 0, 5]], [10, 5])
+    X = np.tile([1e200, 0.0], (35, 1))
+    got = evaluate_recurrent(net, dag, X, 3)
+    want = reference_evaluate_recurrent(net, dag, X, 3)
+    assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 def _reference_matrix(net, dags, X, Y, depth, variance):
@@ -320,22 +335,15 @@ def test_log_probability_matches_reference(case, subset):
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    skewed_networks(recurrent=True),
-    st.integers(1, 3),
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from((0.0, 1.0, 1e6)),
-)
-def test_train_epoch_matches_reference(case, depth, reweight, increasing, target):
-    # the recurrent depth scale d + 1, rank reweighting and, with the far
-    # target, zero-fitness candidates
+@given(skewed_networks(recurrent=True), st.integers(1, 3), st.sampled_from((0.0, 1.0, 1e6)))
+def test_train_epoch_matches_reference(case, depth, target):
+    # the recurrent depth scale d + 1 and, with the far target,
+    # zero-fitness candidates
     net, rng = case
     if net.config.output_count > 1:
         depth = 1
     config = TrainConfig(
-        sample_count=12, select_count=4, variance=0.5, recurrence_depth=depth,
-        rank_reweight=reweight, rank_reweight_increasing=increasing, seed=5,
+        sample_count=12, select_count=4, variance=0.5, recurrence_depth=depth, seed=5,
     )
     X = rng.normal(0.0, 1.0, size=(16, net.config.input_count))
     Y = target + rng.normal(0.0, 1.0, size=(16, net.config.output_count))
@@ -347,6 +355,21 @@ def test_train_epoch_matches_reference(case, depth, reweight, increasing, target
             epoch(run, (X, Y), config)
         runs.append(copy)
     assert all(same_bits(a, b) for a, b in zip(runs[0].blocks(), runs[1].blocks()))
+
+
+@_settings
+@given(skewed_networks(), st.integers(1, 30))
+def test_dag_to_expression_matches_reference(case, n):
+    # the tree is read from the code tables, as ``evaluate`` is; the
+    # reference walks the conftest decoder, so a wrong code table shows here
+    net, rng = case
+    X = rng.choice([0.0, 1.0, -1.0, 2.5, 1e200, -3.0], size=(n, net.config.input_count))
+    X += rng.normal(0.0, 1.0, size=X.shape) * rng.integers(0, 2, size=X.shape)
+    for dag in sample_many(net, rng, 5):
+        want = reference_evaluate(net, dag, X)
+        for j in range(net.config.output_count):
+            got = evaluate_tree_batch(dag_to_expression(net, dag, j), X)
+            assert np.array_equal(got, want[:, j], equal_nan=True)
 
 
 def test_sampled_rows_are_read_only():

@@ -19,12 +19,14 @@ from softdag import (
 )
 
 from conftest import (
+    arg_source,
     dag_from_assignment,
     enumerate_classes,
     fig1_network,
     fig1b_dag,
     make_dag,
     make_network,
+    output_source,
     random_tiny_network,
 )
 
@@ -112,7 +114,7 @@ def _reachable_signature(net, dag):
     parts = [(-1, 0, int(dag.output_choices[0]))]
     seen = set()
     stack = []
-    res = net.output_source(int(dag.output_choices[0]))
+    res = output_source(net, int(dag.output_choices[0]))
     if res[0] == "image":
         stack.append((res[1], res[2]))
     while stack:
@@ -123,7 +125,7 @@ def _reachable_signature(net, dag):
         for row in net.image_rows(i):
             s = int(dag.choices[q][row])
             parts.append((q, row, s))
-            deeper = net.arg_source(q, s)
+            deeper = arg_source(net, q, s)
             if deeper[0] == "image":
                 stack.append((deeper[1], deeper[2]))
     return tuple(sorted(parts))

@@ -16,7 +16,6 @@ from softdag import (
     most_likely_dag,
     numeric_equivalent,
     parse,
-    rank_reweight,
     sample,
     select_top,
     simplify,
@@ -139,16 +138,6 @@ def test_select_top_scale_invariance(rng):
     scaled = select_top(K * 37.5, 5)
     for j in range(2):
         assert [c for c, _ in base[j]] == [c for c, _ in scaled[j]]
-
-
-def test_rank_reweight():
-    assert np.allclose(rank_reweight([5.0, 3.0, 1.0]), [5.0, 1.5, 1.0 / 3.0])
-    assert np.allclose(rank_reweight([4.0]), [4.0])
-    assert np.allclose(rank_reweight([2.0, 2.0, 2.0]), [2.0, 1.0, 2.0 / 3.0])
-    # increasing order divides the best route the most
-    assert np.allclose(
-        rank_reweight([5.0, 3.0, 1.0], increasing=True), [5.0 / 3.0, 1.5, 1.0]
-    )
 
 
 def test_adam_zero_gradient_fresh_state():
@@ -323,24 +312,3 @@ def test_config_validation():
     )
     with pytest.raises(ConfigError):
         TrainConfig(recurrence_depth=2).validate_for(square)
-
-
-def test_temperature_schedule_hook():
-    spec = _sin_target_spec()
-    config = TrainConfig(sample_count=10, select_count=2, variance=0.1,
-                         learning_rate=0.05, max_epochs=5, batch_size=64, seed=9)
-    net = build_network(NetworkConfig(bases=("SIN", "ADD"), input_count=1, depth=1))
-    seen = []
-
-    def schedule(epoch):
-        seen.append(epoch)
-        return 1.0 + 0.1 * epoch, 2.0
-
-    train(net, spec, config, temperature_schedule=schedule)
-    assert seen == [1, 2, 3, 4, 5]
-    assert net.temperature == pytest.approx(1.5)
-    assert net.last_layer_temperature == 2.0
-    # default leaves temperatures at their configured constants
-    fresh = build_network(NetworkConfig(bases=("SIN", "ADD"), input_count=1, depth=1))
-    train(fresh, spec, config)
-    assert fresh.temperature == 1.0 and fresh.last_layer_temperature == 1.0
