@@ -28,8 +28,6 @@ from .network import (
 from .sampler import (
     SampledDAG,
     SampledPopulation,
-    dag_from_text,
-    dag_to_text,
     evaluate,
     evaluate_recurrent,
     fitness,

@@ -421,9 +421,17 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
 
 
 def _trial_job(args):
-    config_path, trial, overrides = args
+    config_path, trial, overrides, out_dir, write_logs = args
     exp = _apply_overrides(parse_config(config_path), overrides)
-    return run_trial(exp, trial)
+    return run_trial(exp, trial, out_dir=out_dir, write_logs=write_logs)
+
+
+def _trial_line(row: dict) -> str:
+    return (
+        f"  trial {row['trial']}: {row['verdict']} after {row['epochs']} epochs"
+        + (f", equivalent={row['equivalent']}" if row["equivalent"] != "" else "")
+        + (f", accuracy={row['accuracy']:.4f}" if row["accuracy"] != "" else "")
+    )
 
 
 def _apply_overrides(exp: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -475,9 +483,11 @@ def run_experiment(
 
     rows = []
     if workers > 1 and exp.target.kind != "classification":
-        jobs = [(str(config_path), t, overrides or {}) for t in range(exp.trials)]
+        jobs = [(str(config_path), t, overrides or {}, out, write_logs) for t in range(exp.trials)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_job, jobs))
+            for row in pool.map(_trial_job, jobs):
+                rows.append(row)
+                echo(_trial_line(row))
     else:
         class_split = None
         if exp.target.kind == "classification":
@@ -486,11 +496,7 @@ def run_experiment(
             row = run_trial(exp, t, out_dir=out, write_logs=write_logs,
                             class_split=class_split)
             rows.append(row)
-            echo(
-                f"  trial {t}: {row['verdict']} after {row['epochs']} epochs"
-                + (f", equivalent={row['equivalent']}" if row["equivalent"] != "" else "")
-                + (f", accuracy={row['accuracy']:.4f}" if row["accuracy"] != "" else "")
-            )
+            echo(_trial_line(row))
 
     summary = summarize(exp.name, rows, exp.trials)
     report = dict(summary)

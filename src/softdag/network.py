@@ -203,12 +203,6 @@ class Network:
     def weight_count(self) -> int:
         return int(sum(b.size for b in self.blocks()))
 
-    def clone(self) -> "Network":
-        other = Network(self.config)
-        for dst, src in zip(other.blocks(), self.blocks()):
-            dst[...] = src
-        return other
-
 
 def build_network(
     config: NetworkConfig, registry: Mapping[str, BasisFunction] | None = None

@@ -12,7 +12,8 @@ Graphs run on data through a :class:`PopulationPlan`, which hash-conses
 the nodes of a whole population: each distinct ``(basis, child ids)`` node
 is computed once per batch, one ``(depth, level)`` round at a time and one
 basis call per chunk of stacked nodes, and :func:`population_fitness`
-scores each distinct ``(node, output)`` column once.  ``evaluate`` and
+scores each distinct ``(node, output)`` column once, on the distinct rows
+of a batch that repeats its rows.  ``evaluate`` and
 ``evaluate_recurrent`` are the one-graph case of the same plan.
 """
 
@@ -39,8 +40,6 @@ __all__ = [
     "PopulationPlan",
     "population_fitness",
     "most_likely_dag",
-    "dag_to_text",
-    "dag_from_text",
 ]
 
 
@@ -215,8 +214,14 @@ def fitness(predictions, targets, variance: float):
     return sums if p.ndim > 1 else float(sums)
 
 
-def _kernel_sums(k: np.ndarray, variance: float) -> np.ndarray:
-    """``fitness`` of the residuals ``k``, one sum per row; overwrites ``k``."""
+# Columns scored per ``fitness`` call on a full batch: 32 rows of a 1000-row
+# batch are 256 KB, so memory stays bounded whatever the population size.
+# A block of distinct rows holds as many values, and so does a gathered one.
+SCORE_BLOCK_ROWS = 32
+
+
+def _kernel_terms(k: np.ndarray, variance: float) -> np.ndarray:
+    """Each lane's ``fitness`` term of the residuals ``k``, in place."""
     if variance <= 0:
         raise ValueError("variance must be positive")
     with np.errstate(all="ignore"):
@@ -229,10 +234,29 @@ def _kernel_sums(k: np.ndarray, variance: float) -> np.ndarray:
         np.putmask(k, k < _EXP_ZERO, np.nan)
         np.exp(k, out=k)
         np.divide(k, math.sqrt(2.0 * math.pi * variance), out=k)
-    np.fmax(k, 0.0, out=k)
+    return np.fmax(k, 0.0, out=k)
+
+
+def _kernel_sums(k: np.ndarray, variance: float, lanes=None) -> np.ndarray:
+    """``fitness`` of the residuals ``k``, one sum per row; overwrites ``k``.
+
+    With ``lanes``, the columns of ``k`` are the distinct rows of a batch
+    and ``lanes[i]`` is the column of batch row ``i``: each row's sum runs
+    over ``k[r, lanes]``, gathered ``SCORE_BLOCK_ROWS`` rows at a time.
+    """
+    terms = _kernel_terms(k, variance)
     # summing along the contiguous axis keeps each row's sum bit-identical
-    # to the sum of that row on its own
-    return k.sum(axis=-1)
+    # to the sum of that row on its own, gathered or not
+    if lanes is None:
+        return terms.sum(axis=-1)
+    sums = np.empty(len(terms))
+    gathered = np.empty((min(SCORE_BLOCK_ROWS, len(terms)), len(lanes)))
+    for a in range(0, len(terms), SCORE_BLOCK_ROWS):
+        rows = terms[a:a + SCORE_BLOCK_ROWS]
+        part = gathered[:len(rows)]
+        rows.take(lanes, 1, out=part, mode="clip")
+        sums[a:a + len(rows)] = part.sum(axis=-1)
+    return sums
 
 
 # Nodes per basis call.  The gathered arguments of a chunk of 4-ary nodes
@@ -396,9 +420,24 @@ class PopulationPlan:
                     done = upto
 
 
-# Columns scored per ``fitness`` call: 32 rows of a 1000-row batch are 256 KB,
-# so memory stays bounded whatever the population size.
-SCORE_BLOCK_ROWS = 32
+def _distinct_rows(X: np.ndarray, Y: np.ndarray):
+    """``(first, lanes)`` when at most half of the batch's ``(x, y)`` rows
+    are distinct, else ``None``: ``X[first]``, ``Y[first]`` are the distinct
+    rows and row ``i`` of the batch is distinct row ``lanes[i]``.
+
+    Rows are told apart by their bytes, so ``-0.0`` and ``0.0`` differ and
+    so do NaNs with different payloads.  The rows' sums decide most
+    batches: equal rows have equal sums, so if more than half of the sums
+    differ, so do the rows.  One input column would not do for images,
+    whose corner pixel is the same in every row.
+    """
+    n = len(X)
+    if not n or len(np.unique(X.sum(axis=1))) > n // 2:
+        return None
+    rows = np.hstack([X, Y])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
+    return (first, lanes) if len(first) <= n // 2 else None
 
 
 def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
@@ -410,8 +449,10 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
     ``(node, output)`` column is scored once: its residual
     ``value - Y[:, j]`` goes into the next row of one block as soon as its
     round has run, and each full block is one call of the ``fitness``
-    kernel.  Every entry equals ``fitness`` of that candidate's
-    ``evaluate``/``evaluate_recurrent`` column bit for bit.
+    kernel.  A batch that repeats its rows (``_distinct_rows``) is
+    evaluated and scored on its distinct rows, and only the kernel's sum
+    runs over every row.  Every entry equals ``fitness`` of that
+    candidate's ``evaluate``/``evaluate_recurrent`` column bit for bit.
     """
     X = _check_batch(network, X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -419,12 +460,18 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
     if Y.shape != (X.shape[0], v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
     plan = PopulationPlan(network, dags, depth)
+    block_rows, lanes = SCORE_BLOCK_ROWS, None
+    distinct = _distinct_rows(X, Y)
+    if distinct is not None:
+        first, lanes = distinct
+        block_rows = SCORE_BLOCK_ROWS * len(X) // len(first)
+        X, Y = X[first], Y[first]
     targets = np.ascontiguousarray(Y.T)
     # distinct (node, output) columns, ordered by node id
     columns, index = np.unique(plan.outputs * v + np.arange(v), return_inverse=True)
     node, output = np.divmod(columns, v)
     scores = np.empty(len(columns))
-    block = np.empty((min(SCORE_BLOCK_ROWS, len(columns)), X.shape[0]))
+    block = np.empty((min(block_rows, len(columns)), X.shape[0]))
     fill = scored = 0
 
     def score(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
@@ -437,12 +484,12 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
             np.subtract(part, targets[0] if v == 1 else targets[output[a:a + take]], out=part)
             a, rows, fill = a + take, rows[take:], fill + take
             if fill == len(block):
-                scores[scored:scored + fill] = _kernel_sums(block, variance)
+                scores[scored:scored + fill] = _kernel_sums(block, variance, lanes)
                 scored, fill = scored + fill, 0
 
     plan.run(X, node, score)
     if fill:
-        scores[scored:] = _kernel_sums(block[:fill], variance)
+        scores[scored:] = _kernel_sums(block[:fill], variance, lanes)
     return scores[index].reshape(plan.outputs.shape)
 
 
@@ -499,40 +546,3 @@ def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list
     """
     return _evaluate_depths(network, dag, X, depth)
 
-
-# ---------------------------------------------------------------------------
-# text form: one "(level, row, index)" triple per line, outputs last
-
-
-def dag_to_text(network: Network, dag: SampledDAG) -> str:
-    lines = []
-    for level, idx in enumerate(dag.choices):
-        for row, choice in enumerate(idx):
-            lines.append(f"{level} {row} {int(choice)}")
-    out_level = network.levels
-    for j, choice in enumerate(dag.output_choices):
-        lines.append(f"{out_level} {j} {int(choice)}")
-    return "\n".join(lines) + "\n"
-
-
-def dag_from_text(network: Network, text: str) -> SampledDAG:
-    choices = [np.zeros(network.M, dtype=np.int64) for _ in range(network.levels)]
-    out = np.zeros(network.config.output_count, dtype=np.int64)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        level, row, idx = (int(tok) for tok in line.split())
-        if level == network.levels:
-            if not (0 <= row < network.config.output_count):
-                raise ValueError(f"bad output row {row}")
-            if not (0 <= idx < len(network.output_codes)):
-                raise ValueError(f"output choice {idx} out of range")
-            out[row] = idx
-        else:
-            if not (0 <= level < network.levels and 0 <= row < network.M):
-                raise ValueError(f"bad row address ({level}, {row})")
-            if not (0 <= idx < len(network.arg_codes[level])):
-                raise ValueError(f"choice {idx} out of range at level {level}")
-            choices[level][row] = idx
-    return SampledDAG(choices=tuple(choices), output_choices=out)

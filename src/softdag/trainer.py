@@ -356,18 +356,24 @@ class CsvTrainLogger:
             + [f"best_fitness_{j}" for j in range(v)]
             + ["mean_selected_fitness", "expression"]
         )
+        self._choices = self._expressions = None
 
     def __call__(self, run: TrainRun, stats: EpochStats) -> None:
         net = run.network
         dag = most_likely_dag(net)
-        exprs = " | ".join(
-            to_string(simplify(dag_to_expression(net, dag, j)))
-            for j in range(net.config.output_count)
-        )
+        # the expressions follow from the argmax choices alone, and those
+        # change on a minority of epochs
+        choices = b"".join(c.tobytes() for c in (*dag.choices, dag.output_choices))
+        if choices != self._choices:
+            self._choices = choices
+            self._expressions = " | ".join(
+                to_string(simplify(dag_to_expression(net, dag, j)))
+                for j in range(net.config.output_count)
+            )
         self._writer.writerow(
             [stats.epoch]
             + [repr(float(b)) for b in stats.best]
-            + [repr(stats.mean_selected), exprs]
+            + [repr(stats.mean_selected), self._expressions]
         )
 
     def close(self) -> None:

@@ -235,12 +235,23 @@ def test_bench_directory(fast_config, tmp_path, capsys):
 
 
 def test_parallel_trials_match_serial(fast_config, tmp_path):
-    serial = run_experiment(fast_config)
-    parallel = run_experiment(fast_config, workers=2)
-    assert serial["eta"] == parallel["eta"]
-    assert [r["expression"] for r in serial["trial_rows"]] == [
-        r["expression"] for r in parallel["trial_rows"]
-    ]
+    runs = []
+    for workers in (1, 2):
+        out, lines = tmp_path / f"workers_{workers}", []
+        report = run_experiment(
+            fast_config, out_dir=out, workers=workers, write_logs=True, echo=lines.append
+        )
+        runs.append((report, lines, out))
+    (serial, serial_lines, a), (parallel, parallel_lines, b) = runs
+    assert serial["trial_rows"] == parallel["trial_rows"]
+    assert len(serial_lines) == 2 and serial_lines == parallel_lines
+    files = sorted(p.name for p in a.iterdir())
+    assert files == sorted(p.name for p in b.iterdir())
+    for trial in (0, 1):
+        assert {f"trial_{trial}_weights.txt", f"trial_{trial}_log.csv"} <= set(files)
+    for name in files:
+        if name != "summary.json":  # it carries the time it was written
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 CLASSIFY_CONFIG = """

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from softdag import (
     AdamState,
     TrainConfig,
+    build_network,
     dag_to_expression,
     evaluate,
     evaluate_recurrent,
@@ -26,7 +27,7 @@ from softdag import (
     train_epoch,
 )
 from softdag.expression import evaluate_tree_batch
-from softdag.sampler import _EXP_ZERO, PopulationPlan, population_fitness
+from softdag.sampler import _EXP_ZERO, PopulationPlan, _distinct_rows, population_fitness
 from softdag.trainer import TrainRun, population_gradient
 
 from conftest import (
@@ -49,9 +50,9 @@ _POOL = ("ADD", "SUB", "MUL", "DIV", "SQUARE", "SIN", "NEG", "IF_LEQ", "MAX", "X
 _settings = settings(max_examples=60, deadline=None)
 
 
-@st.composite
-def populations(draw, recurrent=False):
-    """A random network, a sampled population and a batch with targets."""
+def _draw_population(draw, recurrent):
+    """A random network, a population sampled from it, the generator that
+    drew it and a kernel variance."""
     bases = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=4))
     inputs = draw(st.integers(1, 3))
     outputs = inputs if recurrent else draw(st.integers(1, 3))
@@ -68,12 +69,47 @@ def populations(draw, recurrent=False):
     for block in net.blocks():
         block += rng.normal(0.0, 1.5, size=block.shape)
     dags = sample_many(net, rng, draw(st.integers(1, 40)))
-    n = draw(st.integers(1, 40))
-    X = rng.choice([0.0, 1.0, -1.0, 2.5, 1e-13, 1e200, -3.0], size=(n, inputs))
-    X += rng.normal(0.0, 1.0, size=X.shape) * rng.integers(0, 2, size=X.shape)
-    Y = rng.normal(0.0, 2.0, size=(n, outputs))
     variance = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    return net, dags, rng, variance
+
+
+@st.composite
+def populations(draw, recurrent=False):
+    """A random network, a sampled population and a batch with targets."""
+    net, dags, rng, variance = _draw_population(draw, recurrent)
+    n = draw(st.integers(1, 40))
+    X = rng.choice([0.0, 1.0, -1.0, 2.5, 1e-13, 1e200, -3.0], size=(n, net.config.input_count))
+    X += rng.normal(0.0, 1.0, size=X.shape) * rng.integers(0, 2, size=X.shape)
+    Y = rng.normal(0.0, 2.0, size=(n, net.config.output_count))
     return net, dags, X, Y, variance
+
+
+# a NaN whose payload differs from np.nan's
+_OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+# 1e200 overflows MUL and SQUARE to inf, and inf - inf or DIV by 0 give NaN
+_ROW_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-13, 1e200, -1e200, np.inf, np.nan, _OTHER_NAN)
+
+
+@st.composite
+def repeated_rows(draw, recurrent=False):
+    """A random network, a sampled population and a batch made of a few
+    base rows, each used at least once, with targets.
+
+    The batch has about twice as many rows as there are base rows, so the
+    distinct rows fall just below, at or just above half of it, or far
+    below.  Base rows may share their inputs with different targets.
+    """
+    net, dags, rng, variance = _draw_population(draw, recurrent)
+    base = draw(st.integers(1, 12))
+    X = rng.choice(_ROW_VALUES, size=(base, net.config.input_count))
+    Y = rng.choice([0.0, -0.0, 1.0, 2.5, 1e200, np.nan], size=(base, net.config.output_count))
+    Y += rng.normal(0.0, 1.0, size=Y.shape) * rng.integers(0, 2, size=Y.shape)
+    for row in draw(st.lists(st.integers(1, base), max_size=3)):
+        # the same input with other targets
+        X[row % base] = X[0]
+    n = max(base, 2 * base + draw(st.sampled_from((-1, 0, 1, 2 * base))))
+    lanes = rng.permutation(np.concatenate([np.arange(base), rng.integers(0, base, n - base)]))
+    return net, dags, X[lanes], Y[lanes], variance
 
 
 @_settings
@@ -132,6 +168,42 @@ def test_recurrent_population_fitness_matches_reference(case):
     net, dags, X, Y, variance = case
     got = population_fitness(net, dags, X, Y, 3, variance)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
+
+
+@_settings
+@given(repeated_rows())
+def test_population_fitness_on_repeated_rows_matches_reference(case):
+    net, dags, X, Y, variance = case
+    got = population_fitness(net, dags, X, Y, 1, variance)
+    assert same_bits(got, _reference_matrix(net, dags, X, Y, 1, variance))
+
+
+@_settings
+@given(repeated_rows(recurrent=True))
+def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
+    net, dags, X, Y, variance = case
+    got = population_fitness(net, dags, X, Y, 3, variance)
+    assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
+
+
+def test_distinct_rows_gate():
+    base = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [_OTHER_NAN, 1.0], [1.0, 2.0]])
+    X, Y = base[:, :1], base[:, 1:]
+    # -0.0 and 0.0, and two NaN payloads, are distinct rows
+    at_half = np.concatenate([np.arange(5), [4, 0, 1, 2, 3]])
+    first, lanes = _distinct_rows(X[at_half], Y[at_half])
+    assert len(first) == 5
+    assert same_bits(X[at_half][first][lanes], X[at_half])
+    assert same_bits(Y[at_half][first][lanes], Y[at_half])
+    # one more distinct row than half the batch
+    assert _distinct_rows(X[at_half[:-1]], Y[at_half[:-1]]) is None
+    # the same input with two targets is two rows
+    Y2 = np.where(np.arange(10)[:, None] < 5, 0.0, 3.0)
+    first, lanes = _distinct_rows(np.zeros((10, 1)), Y2)
+    assert len(first) == 2 and same_bits(Y2[first][lanes], Y2)
+    # mostly distinct row sums send the batch down the full path
+    assert _distinct_rows(np.arange(20.0)[:, None], np.zeros((20, 1))) is None
+    assert _distinct_rows(np.empty((0, 1)), np.empty((0, 1))) is None
 
 
 @_settings
@@ -349,7 +421,9 @@ def test_train_epoch_matches_reference(case, depth, target):
     Y = target + rng.normal(0.0, 1.0, size=(16, net.config.output_count))
     runs = []
     for epoch in (train_epoch, reference_train_epoch):
-        copy = net.clone()
+        copy = build_network(net.config)
+        for dst, src in zip(copy.blocks(), net.blocks()):
+            dst[...] = src
         run = TrainRun(copy, config, AdamState.from_blocks(copy.blocks()), collections.deque())
         for _ in range(3):
             epoch(run, (X, Y), config)

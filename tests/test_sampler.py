@@ -6,8 +6,6 @@ import pytest
 from scipy import stats
 
 from softdag import (
-    dag_from_text,
-    dag_to_text,
     dag_to_expression,
     evaluate,
     evaluate_recurrent,
@@ -256,11 +254,3 @@ def test_most_likely_dag():
     net.weights[1][2] = [0, 5, 0, 0, 0, 0, 0, 0]
     assert most_likely_dag(net).choices[1][2] == 1
 
-
-def test_dag_text_round_trip(rng):
-    net = fig1_network()
-    dag = sample(net, rng)
-    text = dag_to_text(net, dag)
-    assert dag_from_text(net, text) == dag
-    with pytest.raises(ValueError):
-        dag_from_text(net, "0 0 999")

@@ -1,9 +1,14 @@
+import csv
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from softdag import (
     AdamState,
     ConfigError,
+    CsvTrainLogger,
     Dataset,
     NetworkConfig,
     TrainConfig,
@@ -19,12 +24,13 @@ from softdag import (
     sample,
     select_top,
     simplify,
+    to_string,
     train,
     train_epoch,
 )
 from softdag.data import ResamplingSource, TargetSpec
 from softdag.expression import Interval, evaluate_tree_batch
-from softdag.cli import summarize
+from softdag.cli import parse_config, summarize
 from softdag.rng import EPOCH_STREAM, derive_rng
 from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
 from softdag.sampler import evaluate, evaluate_recurrent, population_fitness, sample_many
@@ -191,7 +197,9 @@ def test_train_epoch_reduces_to_single_sample_update():
         max_epochs=10, batch_size=64, seed=11,
     )
     net = build_network(NetworkConfig(bases=("SIN", "ADD"), input_count=1, depth=1))
-    reference = net.clone()
+    reference = build_network(net.config)
+    for dst, src in zip(reference.blocks(), net.blocks()):
+        dst[...] = src
 
     run = TrainRun(
         network=net, config=config,
@@ -312,3 +320,30 @@ def test_config_validation():
     )
     with pytest.raises(ConfigError):
         TrainConfig(recurrence_depth=2).validate_for(square)
+
+
+def test_csv_logger_matches_extracting_every_epoch(tmp_path):
+    exp = parse_config(Path(__file__).resolve().parent.parent / "configs" / "poly_2x2_3x.ini")
+    training = replace(exp.training, max_epochs=80, patience=81)
+    net = build_network(exp.network)
+    with CsvTrainLogger(tmp_path / "cached.csv", net) as logger:
+        train(net, exp.target, training, logger=logger)
+
+    # the same run, logged by extracting the argmax expressions every epoch
+    with open(tmp_path / "every.csv", "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["epoch", "best_fitness_0", "mean_selected_fitness", "expression"])
+
+        def every_epoch(run, stats):
+            dag = most_likely_dag(run.network)
+            expr = to_string(simplify(dag_to_expression(run.network, dag, 0)))
+            writer.writerow([stats.epoch, repr(float(stats.best[0])), repr(stats.mean_selected), expr])
+
+        train(build_network(exp.network), exp.target, training, logger=every_epoch)
+    cached = (tmp_path / "cached.csv").read_bytes()
+    assert cached == (tmp_path / "every.csv").read_bytes()
+    # the expression both changes and repeats, so both branches ran
+    with open(tmp_path / "cached.csv", newline="") as f:
+        exprs = [row[-1] for row in list(csv.reader(f))[1:]]
+    changes = sum(a != b for a, b in zip(exprs, exprs[1:]))
+    assert len(exprs) == 80 and 0 < changes < len(exprs) - 1
