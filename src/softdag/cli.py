@@ -9,7 +9,8 @@ under ``configs/``.  Verbs:
     softdag extract <weights>   print the most likely expression per output
     softdag gen-data <config>   write a generated dataset as CSV
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure
+or a trial that raised (its report row reads ``error``).
 A low convergence rate is reported, never asserted.
 """
 
@@ -24,6 +25,7 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +36,7 @@ from .bases import resolve_bases
 from .data import (
     BUILTIN_TARGETS,
     DatasetSource,
+    IdxFormatError,
     TargetSpec,
     classification_accuracy,
     generate,
@@ -67,6 +70,9 @@ from .sampler import evaluate_recurrent, most_likely_dag
 from .trainer import CsvTrainLogger, TrainConfig, VERDICT_CONVERGED, train
 
 EQ_POINTS = 512  # samples for numeric equivalence checks
+VERDICT_ERROR = "error"  # the trial raised; the row's ``error`` column says why
+REPORT_COLUMNS = ("trial", "seed", "verdict", "epochs", "equivalent", "depth",
+                  "accuracy", "trapped", "expression", "error")
 
 
 @dataclass(frozen=True)
@@ -100,13 +106,8 @@ _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 def _parse_constants(raw: str) -> tuple[float, ...]:
-    out = []
-    for tok in _split_list(raw):
-        if tok.lower() in _NAMED_CONSTANTS:
-            out.append(_NAMED_CONSTANTS[tok.lower()])
-        else:
-            out.append(float(tok))
-    return tuple(out)
+    return tuple(_NAMED_CONSTANTS[tok.lower()] if tok.lower() in _NAMED_CONSTANTS else float(tok)
+                 for tok in _split_list(raw))
 
 
 def _parse_ranges(raw: str) -> tuple:
@@ -310,13 +311,12 @@ def _check_explicit(exp: ExperimentConfig, network, exprs) -> bool:
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
     want = exp.target.fn(pts)
     exact = exp.equivalence == "exact"
-    tol = 0.0 if exact else exp.tolerance
     for j, expr in enumerate(exprs):
         got = evaluate_tree_batch(expr, pts)
         if exact:
             if not (np.isfinite(got).all() and np.array_equal(got, want[:, j])):
                 return False
-        elif not values_equivalent(got, want[:, j], tol):
+        elif not values_equivalent(got, want[:, j], exp.tolerance):
             return False
     return True
 
@@ -366,13 +366,14 @@ def _load_classification(exp: ExperimentConfig):
 
 def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
               write_logs: bool = False, class_split=None) -> dict:
-    """One seeded training run; returns the report row."""
+    """One seeded training run (on ``class_split``, a classification target's
+    ``(train, test)`` pair); returns the report row."""
     trial_seed = derive_seed(exp.training.seed, TRIAL_STREAM, trial)
     training = replace(exp.training, seed=trial_seed)
     network = build_network(exp.network)
 
     if exp.target.kind == "classification":
-        train_set, test_set = class_split if class_split else _load_classification(exp)
+        train_set, test_set = class_split
         data = DatasetSource(train_set, training.batch_size, trial_seed)
     else:
         data = exp.target
@@ -391,17 +392,10 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
         simplify(dag_to_expression(network, dag, j))
         for j in range(exp.network.output_count)
     ]
-    row = {
-        "trial": trial,
-        "seed": trial_seed,
-        "verdict": run.verdict,
-        "epochs": run.converged_epoch if run.converged_epoch else run.epoch,
-        "equivalent": "",
-        "depth": "",
-        "accuracy": "",
-        "trapped": "",
-        "expression": " | ".join(to_string(e) for e in exprs),
-    }
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    row.update(trial=trial, seed=trial_seed, verdict=run.verdict,
+               epochs=run.converged_epoch if run.converged_epoch else run.epoch,
+               expression=" | ".join(to_string(e) for e in exprs))
     kind = exp.target.kind
     if kind == "classification":
         row["accuracy"] = classification_accuracy(network, dag, test_set)
@@ -420,13 +414,35 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     return row
 
 
-def _trial_job(args):
-    config_path, trial, overrides, out_dir, write_logs = args
+_class_split = None  # the running experiment's classification split, if any
+
+
+def _set_class_split(class_split) -> None:
+    """A pool runs this in each worker, so the split is sent once per worker."""
+    global _class_split
+    _class_split = class_split
+
+
+def _trial_row(job) -> dict:
+    """Run one trial job of :func:`run_experiment`; a trial that raises
+    becomes an ``error`` row.  The config is parsed here, not passed in,
+    because its target closures cannot be sent to a worker process."""
+    config_path, overrides, trial, out_dir, write_logs = job
     exp = _apply_overrides(parse_config(config_path), overrides)
-    return run_trial(exp, trial, out_dir=out_dir, write_logs=write_logs)
+    try:
+        return run_trial(exp, trial, out_dir=out_dir, write_logs=write_logs,
+                         class_split=_class_split)
+    except Exception as exc:  # noqa: BLE001 - one failing trial must not lose the others
+        traceback.print_exc()
+        row = dict.fromkeys(REPORT_COLUMNS, "")
+        row.update(trial=trial, seed=derive_seed(exp.training.seed, TRIAL_STREAM, trial),
+                   verdict=VERDICT_ERROR, error=f"{type(exc).__name__}: {exc}")
+        return row
 
 
 def _trial_line(row: dict) -> str:
+    if row["verdict"] == VERDICT_ERROR:
+        return f"  trial {row['trial']}: error: {row['error']}"
     return (
         f"  trial {row['trial']}: {row['verdict']} after {row['epochs']} epochs"
         + (f", equivalent={row['equivalent']}" if row["equivalent"] != "" else "")
@@ -475,48 +491,44 @@ def run_experiment(
     write_logs: bool = False,
     echo=lambda *_: None,
 ) -> dict:
-    """Run every trial of one benchmark and return the report dict."""
-    exp = _apply_overrides(parse_config(config_path), overrides or {})
+    """Run every trial of one benchmark through :func:`_trial_row`, in this
+    process or in a pool of ``workers``, and return the report dict.  Rows
+    arrive in trial order, and the reports are rewritten after each one."""
+    exp = _apply_overrides(parse_config(config_path), overrides)
     out = Path(out_dir) if out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    # loaded before any trial runs, so that a bad file fails the run at once
+    class_split = _load_classification(exp) if exp.target.kind == "classification" else None
+    jobs = [(str(config_path), overrides, t, out, write_logs) for t in range(exp.trials)]
 
     rows = []
-    if workers > 1 and exp.target.kind != "classification":
-        jobs = [(str(config_path), t, overrides or {}, out, write_logs) for t in range(exp.trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_trial_job, jobs):
+    _write_report(out, exp, rows)
+    _set_class_split(class_split)  # for the in-process map; a pool sets each worker's
+    try:
+        with (ProcessPoolExecutor(workers, initializer=_set_class_split, initargs=(class_split,))
+              if workers > 1 else nullcontext()) as pool:
+            for row in (pool.map if pool else map)(_trial_row, jobs):
                 rows.append(row)
                 echo(_trial_line(row))
-    else:
-        class_split = None
-        if exp.target.kind == "classification":
-            class_split = _load_classification(exp)
-        for t in range(exp.trials):
-            row = run_trial(exp, t, out_dir=out, write_logs=write_logs,
-                            class_split=class_split)
-            rows.append(row)
-            echo(_trial_line(row))
+                _write_report(out, exp, rows)
+    finally:
+        _set_class_split(None)
 
-    summary = summarize(exp.name, rows, exp.trials)
-    report = dict(summary)
+    report = summarize(exp.name, rows, exp.trials)
     report["trial_rows"] = rows
-    if out is not None:
-        _write_report(out, exp.name, rows, summary)
     return report
 
 
-def _write_report(out: Path, name: str, rows: list[dict], summary: dict) -> None:
-    columns = [
-        "trial", "seed", "verdict", "epochs", "equivalent", "depth",
-        "accuracy", "trapped", "expression",
-    ]
+def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> None:
+    if out is None:
+        return
     with open(out / "report.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
+        writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row[k] for k in columns})
-    payload = dict(summary)
+            writer.writerow({k: row[k] for k in REPORT_COLUMNS})
+    payload = summarize(exp.name, rows, exp.trials)
     payload["trials_detail"] = rows
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     with open(out / "summary.json", "w", encoding="utf-8") as f:
@@ -528,17 +540,21 @@ def _write_report(out: Path, name: str, rows: list[dict], summary: dict) -> None
 # verbs
 
 
+def _overrides(args) -> dict:
+    return {"seed": args.seed, "trials": args.trials, "max_epochs": args.max_epochs}
+
+
+def _exit_code(reports: list[dict]) -> int:
+    """2 when a trial of any report raised, else 0."""
+    return 2 if any(r["verdict"] == VERDICT_ERROR for rep in reports for r in rep["trial_rows"]) else 0
+
+
 def cmd_run(args) -> int:
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "max_epochs": args.max_epochs,
-    }
     print(f"running {args.config}")
     report = run_experiment(
         args.config,
         out_dir=args.out,
-        overrides=overrides,
+        overrides=_overrides(args),
         workers=args.parallel_trials or 1,
         write_logs=not args.no_logs,
         echo=print,
@@ -548,7 +564,7 @@ def cmd_run(args) -> int:
     print(f"name={report['name']} eta={eta:.2f} median_Tc={tc}")
     if "median_accuracy" in report:
         print(f"median_accuracy={report['median_accuracy']:.4f}")
-    return 0
+    return _exit_code([report])
 
 
 def cmd_bench(args) -> int:
@@ -556,18 +572,16 @@ def cmd_bench(args) -> int:
     paths = sorted(config_dir.glob("*.ini"))
     if not paths:
         raise ConfigError(f"no .ini configs under {config_dir}")
+    exps = [parse_config(path) for path in paths]  # all checked before any trial runs
     summaries = []
-    for path in paths:
-        exp = parse_config(path)
+    for path, exp in zip(paths, exps):
         if exp.extended and not args.extended:
             print(f"skipping {exp.name} (extended; rerun with --extended)")
             continue
         print(f"running {exp.name} ({exp.trials} trials)")
         out = Path(args.out) / exp.name if args.out else None
-        overrides = {"seed": args.seed, "trials": args.trials,
-                     "max_epochs": args.max_epochs}
         report = run_experiment(
-            path, out_dir=out, overrides=overrides,
+            path, out_dir=out, overrides=_overrides(args),
             workers=args.parallel_trials or 1, echo=print,
         )
         summaries.append(report)
@@ -587,7 +601,7 @@ def cmd_bench(args) -> int:
                     s["name"], s["trials"], s["eta"],
                     s["median_convergence_epochs"], s.get("median_accuracy", ""),
                 ])
-    return 0
+    return _exit_code(summaries)
 
 
 def cmd_extract(args) -> int:
@@ -668,7 +682,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WeightsFormatError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, WeightsFormatError, IdxFormatError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - report and signal runtime failure

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,6 @@ class Dataset:
 
     inputs: np.ndarray  # (n, input_count)
     targets: np.ndarray  # (n, output_count)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.inputs) != len(self.targets):
@@ -138,7 +137,7 @@ def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
         Y[bad] = Y2
     else:
         raise ConfigError(f"target {spec.name!r} keeps producing non-finite rows")
-    return Dataset(X, Y, metadata={"target": spec.name, "n": n})
+    return Dataset(X, Y)
 
 
 def split(dataset: Dataset, test_fraction: float, rng: np.random.Generator):
@@ -149,9 +148,8 @@ def split(dataset: Dataset, test_fraction: float, rng: np.random.Generator):
     n_test = int(n * test_fraction)
     perm = rng.permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    meta = dict(dataset.metadata)
-    train = Dataset(dataset.inputs[train_idx], dataset.targets[train_idx], meta | {"split": "train"})
-    test = Dataset(dataset.inputs[test_idx], dataset.targets[test_idx], meta | {"split": "test"})
+    train = Dataset(dataset.inputs[train_idx], dataset.targets[train_idx])
+    test = Dataset(dataset.inputs[test_idx], dataset.targets[test_idx])
     return train, test
 
 
@@ -212,11 +210,7 @@ def load_idx(images_path, labels_path, class_filter) -> Dataset:
     onehot = np.zeros((len(kept), len(classes)), dtype=np.float64)
     for col, cls in enumerate(classes):
         onehot[kept == cls, col] = 1.0
-    return Dataset(
-        images[mask],
-        onehot,
-        metadata={"classes": classes, "images": str(images_path)},
-    )
+    return Dataset(images[mask], onehot)
 
 
 def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) -> float:

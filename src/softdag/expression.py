@@ -416,22 +416,23 @@ def dag_to_expression(network: Network, dag: SampledDAG, output_index: int) -> E
     ``input_count`` is an input, one below ``u`` a constant, and code
     ``u + q * N + i`` is image ``i`` of level ``q``.
     """
-    cfg = network.config
-    inputs, u = cfg.input_count, network.u
     codes = [network.arg_codes[q][c].tolist() for q, c in enumerate(dag.choices)]
-    cache: dict[int, Expr] = {}
+    code = int(network.output_codes[dag.output_choices[output_index]])
+    return _tree_of_code(network, codes, code, {})
 
-    def from_code(code: int) -> Expr:
-        if code < inputs:
-            return Input(code)
-        if code < u:
-            return Const(cfg.constants[code - inputs])
-        found = cache.get(code)
-        if found is None:
-            q, i = divmod(code - u, network.N)
-            kids = tuple(from_code(codes[q][row]) for row in network.image_rows(i))
-            found = Apply(network.bases[i], kids)
-            cache[code] = found
-        return found
 
-    return from_code(int(network.output_codes[dag.output_choices[output_index]]))
+def _tree_of_code(network: Network, codes: list, code: int, cache: dict[int, Expr]) -> Expr:
+    # module-level, as ``_evaluate_node`` is: a closure that calls itself is a reference cycle
+    inputs = network.config.input_count
+    if code < inputs:
+        return Input(code)
+    if code < network.u:
+        return Const(network.config.constants[code - inputs])
+    found = cache.get(code)
+    if found is None:
+        q, i = divmod(code - network.u, network.N)
+        kids = tuple(_tree_of_code(network, codes, codes[q][row], cache)
+                     for row in network.image_rows(i))
+        found = Apply(network.bases[i], kids)
+        cache[code] = found
+    return found

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +124,7 @@ class EpochStats:
 @dataclass
 class TrainRun:
     network: Network
-    config: TrainConfig
     adam: AdamState
-    history: deque  # trailing per-epoch `selected` tuples
     epoch: int = 0
     verdict: str = VERDICT_EXHAUSTED
     converged_epoch: int | None = None
@@ -271,7 +268,6 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     run.epoch += 1
     selected = tuple(selected_raw)
     equal = all(s[0] == s[-1] for s in selected)
-    run.history.append(selected)
     return EpochStats(
         epoch=run.epoch,
         best=K.max(axis=0),
@@ -313,12 +309,7 @@ def train(
     """
     config.validate_for(network)
     source = as_batch_source(data, config.batch_size, config.seed)
-    run = TrainRun(
-        network=network,
-        config=config,
-        adam=AdamState.from_blocks(network.blocks()),
-        history=deque(maxlen=config.patience),
-    )
+    run = TrainRun(network=network, adam=AdamState.from_blocks(network.blocks()))
     streak = 0
     previous = None
     for epoch in range(1, config.max_epochs + 1):

@@ -229,7 +229,12 @@ def test_criterion_07_recurrence_composition(rng):
 
 
 def _run_benchmark(config_name: str) -> dict:
-    return run_experiment(CONFIG_DIR / f"{config_name}.ini")
+    # trials are independent and seeded per trial, so two workers give
+    # the rows that one gives
+    report = run_experiment(CONFIG_DIR / f"{config_name}.ini", workers=2)
+    errors = [r["error"] for r in report["trial_rows"] if r["verdict"] == "error"]
+    assert not errors, f"{config_name}: trials raised: {errors}"
+    return report
 
 
 def test_criterion_08_quadratic():

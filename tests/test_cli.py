@@ -1,10 +1,12 @@
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from softdag import cli
 from softdag.cli import build_parser, main, parse_config, run_experiment
 from softdag.network import ConfigError
 
@@ -84,9 +86,15 @@ def test_parse_config_errors(tmp_path):
         parse_config(no_expr)
 
 
+def _assert_no_errors(report):
+    errors = [r["error"] for r in report["trial_rows"] if r["verdict"] == "error"]
+    assert not errors, f"trials raised: {errors}"
+
+
 def test_run_experiment_report(fast_config, tmp_path):
     out = tmp_path / "out"
     report = run_experiment(fast_config, out_dir=out)
+    _assert_no_errors(report)
     assert report["trials"] == 2
     assert report["eta"] == 1.0
     assert report["median_convergence_epochs"] is not None
@@ -105,10 +113,16 @@ def test_run_experiment_report(fast_config, tmp_path):
         if key not in ("generated_at", "trials_detail", "name"):
             assert np.isfinite(value)
 
+    # a run of no trials still writes both reports
+    empty = tmp_path / "empty"
+    run_experiment(fast_config, out_dir=empty, overrides={"trials": 0})
+    assert (empty / "report.csv").read_text().splitlines() == [",".join(cli.REPORT_COLUMNS)]
+    assert json.loads((empty / "summary.json").read_text())["trials_detail"] == []
+
 
 def test_reports_reproduce_byte_identically(fast_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_experiment(fast_config, out_dir=out_a)
+    _assert_no_errors(run_experiment(fast_config, out_dir=out_a))
     run_experiment(fast_config, out_dir=out_b)
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
     sa = json.loads((out_a / "summary.json").read_text())
@@ -119,6 +133,7 @@ def test_reports_reproduce_byte_identically(fast_config, tmp_path):
 
 def test_forced_non_convergence(fast_config):
     report = run_experiment(fast_config, overrides={"max_epochs": 1, "trials": 2})
+    _assert_no_errors(report)
     assert report["eta"] == 0.0
     assert all(r["verdict"] == "max-epochs-exhausted" for r in report["trial_rows"])
 
@@ -233,13 +248,23 @@ def test_bench_directory(fast_config, tmp_path, capsys):
     assert rows[0][0] == "name"
     assert [r[0] for r in rows[1:]] == ["fast_sine"]
 
+    # a bad config sorted last fails the bench before any trial runs
+    (cfg_dir / "zz_bad.ini").write_text(FAST_CONFIG.replace("SIN, ADD", "SIN, NOPE"))
+    again = tmp_path / "bench_again"
+    assert main(["bench", str(cfg_dir), "--trials", "1", "--out", str(again)]) == 1
+    assert "NOPE" in capsys.readouterr().err
+    assert not again.exists()
 
-def test_parallel_trials_match_serial(fast_config, tmp_path):
+
+def _serial_and_parallel(config, out_root):
+    """Run ``config`` with 1 and 2 workers; the rows, echoed lines and
+    every output file must match byte for byte.  Returns the serial
+    report and the names of its output files."""
     runs = []
     for workers in (1, 2):
-        out, lines = tmp_path / f"workers_{workers}", []
+        out, lines = out_root / f"workers_{workers}", []
         report = run_experiment(
-            fast_config, out_dir=out, workers=workers, write_logs=True, echo=lines.append
+            config, out_dir=out, workers=workers, write_logs=True, echo=lines.append
         )
         runs.append((report, lines, out))
     (serial, serial_lines, a), (parallel, parallel_lines, b) = runs
@@ -247,11 +272,60 @@ def test_parallel_trials_match_serial(fast_config, tmp_path):
     assert len(serial_lines) == 2 and serial_lines == parallel_lines
     files = sorted(p.name for p in a.iterdir())
     assert files == sorted(p.name for p in b.iterdir())
-    for trial in (0, 1):
-        assert {f"trial_{trial}_weights.txt", f"trial_{trial}_log.csv"} <= set(files)
     for name in files:
         if name != "summary.json":  # it carries the time it was written
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return serial, set(files)
+
+
+def test_parallel_trials_match_serial(fast_config, tmp_path):
+    report, files = _serial_and_parallel(fast_config, tmp_path / "sine")
+    _assert_no_errors(report)
+    for trial in (0, 1):
+        assert {f"trial_{trial}_weights.txt", f"trial_{trial}_log.csv"} <= files
+
+    # every worker gets the classification split the parent loaded
+    report, _ = _serial_and_parallel(_classify_config(tmp_path), tmp_path / "classify")
+    _assert_no_errors(report)
+    assert all(r["accuracy"] != "" for r in report["trial_rows"])
+
+
+# The pool's workers see the patched ``cli.run_trial`` only when they are
+# forked from this process; other start methods import a fresh module.
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="pool workers are not forked")
+def test_raising_trial_is_an_error_row(fast_config, tmp_path, monkeypatch, capsys):
+    run_trial = cli.run_trial
+
+    def failing(exp, trial, **kwargs):
+        if trial == 1:
+            raise RuntimeError("injected failure")
+        return run_trial(exp, trial, **kwargs)
+
+    monkeypatch.setattr(cli, "run_trial", failing)
+    report, files = _serial_and_parallel(fast_config, tmp_path / "raising")
+    ok, bad = report["trial_rows"]
+    assert ok["verdict"] == "converged" and ok["error"] == ""
+    assert bad["verdict"] == "error" and bad["error"] == "RuntimeError: injected failure"
+    assert bad["epochs"] == bad["expression"] == ""
+    assert report["eta"] == 0.5 and report["median_convergence_epochs"] == ok["epochs"]
+    assert {"trial_0_weights.txt", "trial_0_log.csv"} <= files
+    assert not any(name.startswith("trial_1") for name in files)
+    for workers in ("1", "2"):
+        out = tmp_path / f"main_{workers}"
+        assert main(["run", str(fast_config), "--out", str(out), "--parallel-trials", workers]) == 2
+        with open(out / "report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["verdict"] for r in rows] == ["converged", "error"]
+        assert rows[1]["error"] == "RuntimeError: injected failure"
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["verdict"] for r in summary["trials_detail"]] == ["converged", "error"]
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "fast_sine.ini").write_text(FAST_CONFIG)
+    assert main(["bench", str(cfg_dir), "--out", str(tmp_path / "bench")]) == 2
+    assert (tmp_path / "bench" / "benchmarks.csv").exists()
+    assert "trial 1: error: RuntimeError: injected failure" in capsys.readouterr().out
 
 
 CLASSIFY_CONFIG = """
@@ -286,7 +360,9 @@ trials = 2
 """
 
 
-def test_classification_experiment_end_to_end(tmp_path):
+def _classify_config(tmp_path, label_count=120):
+    """The tiny classification config over a generated IDX pair of 120
+    images; ``label_count`` below that makes the labels file short."""
     import struct
 
     rng = np.random.default_rng(0)
@@ -303,12 +379,26 @@ def test_classification_experiment_end_to_end(tmp_path):
         f.write(images.tobytes())
     lab_path = tmp_path / "labels-idx1-ubyte"
     with open(lab_path, "wb") as f:
-        f.write(struct.pack(">ii", 2049, n))
-        f.write(labels.tobytes())
+        f.write(struct.pack(">ii", 2049, label_count))
+        f.write(labels[:label_count].tobytes())
 
     cfg = tmp_path / "classify.ini"
     cfg.write_text(CLASSIFY_CONFIG.format(images=img_path, labels=lab_path))
-    report = run_experiment(cfg)
+    return cfg
+
+
+def test_classification_experiment_end_to_end(tmp_path):
+    report = run_experiment(_classify_config(tmp_path))
+    _assert_no_errors(report)
     assert "median_accuracy" in report
     assert report["median_accuracy"] >= 0.9
     assert all(r["accuracy"] != "" for r in report["trial_rows"])
+
+
+def test_main_mismatched_idx_pair_exit_code(tmp_path, capsys):
+    cfg = _classify_config(tmp_path, label_count=119)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "120 images vs 119 labels" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()

@@ -159,3 +159,11 @@ def test_evaluate_tree_batch_leaves_no_cyclic_garbage():
     expr = parse("if_leq(2, x0, x0 / 2, x0^2) + sin(x0) * x0")
     X = np.linspace(-8.0, 8.0, 1000)[:, None]
     assert cyclic_garbage(lambda: evaluate_tree_batch(expr, X)) == 0
+
+
+def test_dag_to_expression_leaves_no_cyclic_garbage():
+    from softdag import NetworkConfig, build_network, sample_many
+
+    net = build_network(NetworkConfig(bases=("ADD", "SIN", "MUL"), input_count=1, depth=2))
+    dag = sample_many(net, np.random.default_rng(0), 1)[0]
+    assert cyclic_garbage(lambda: dag_to_expression(net, dag, 0)) == 0

@@ -6,7 +6,6 @@ fast paths must equal the one-graph, one-row references in ``conftest``
 bit for bit.
 """
 
-import collections
 import math
 
 import numpy as np
@@ -424,7 +423,7 @@ def test_train_epoch_matches_reference(case, depth, target):
         copy = build_network(net.config)
         for dst, src in zip(copy.blocks(), net.blocks()):
             dst[...] = src
-        run = TrainRun(copy, config, AdamState.from_blocks(copy.blocks()), collections.deque())
+        run = TrainRun(copy, AdamState.from_blocks(copy.blocks()))
         for _ in range(3):
             epoch(run, (X, Y), config)
         runs.append(copy)

@@ -201,11 +201,7 @@ def test_train_epoch_reduces_to_single_sample_update():
     for dst, src in zip(reference.blocks(), net.blocks()):
         dst[...] = src
 
-    run = TrainRun(
-        network=net, config=config,
-        adam=AdamState.from_blocks(net.blocks()),
-        history=__import__("collections").deque(maxlen=30),
-    )
+    run = TrainRun(network=net, adam=AdamState.from_blocks(net.blocks()))
     X, Y = ResamplingSource(spec, config.batch_size, config.seed).batch(1)
     train_epoch(run, (X, Y), config)
 
@@ -235,18 +231,20 @@ def test_train_discovers_sine_and_is_deterministic():
     spec = _sin_target_spec()
     config = TrainConfig(sample_count=10, select_count=2, variance=0.1,
                          learning_rate=0.05, max_epochs=400, batch_size=128, seed=5)
-    runs = []
+    runs, selected = [], []
     for _ in range(2):
         net = build_network(
             NetworkConfig(bases=("SIN", "ADD"), input_count=1, depth=1)
         )
-        runs.append(train(net, spec, config))
+        picks = []
+        runs.append(train(net, spec, config, logger=lambda _, s: picks.append(s.selected)))
+        selected.append(picks)
     a, b = runs
     assert a.verdict == VERDICT_CONVERGED
     assert a.verdict == b.verdict and a.converged_epoch == b.converged_epoch
     for x, y in zip(a.network.blocks(), b.network.blocks()):
         assert np.array_equal(x, y)
-    assert list(a.history) == list(b.history)
+    assert selected[0] == selected[1]
     expr = simplify(dag_to_expression(a.network, most_likely_dag(a.network), 0))
     assert numeric_equivalent(expr, parse("sin(x0)"), (Interval(-3, 3),), tol=1e-9)
 
@@ -274,10 +272,11 @@ def test_zero_fitness_everywhere_is_not_converged():
     config = TrainConfig(sample_count=20, select_count=2, variance=0.1,
                          learning_rate=0.05, max_epochs=200, patience=10,
                          batch_size=64, seed=0)
-    run = train(net, data, config)
+    picks = []
+    run = train(net, data, config, logger=lambda _, s: picks.append(s.selected))
     assert run.verdict == VERDICT_ZERO_FITNESS
     assert run.converged_epoch is None and run.epoch == 10
-    assert all(k == 0.0 for sel in run.history for s in sel for k in s)
+    assert all(k == 0.0 for sel in picks for s in sel for k in s)
     row = {"verdict": run.verdict, "epochs": run.epoch, "equivalent": False,
            "accuracy": ""}
     summary = summarize("zero", [row], 1)
