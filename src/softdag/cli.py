@@ -21,6 +21,8 @@ import configparser
 import csv
 import json
 import math
+import os
+import platform
 import statistics
 import sys
 import traceback
@@ -31,6 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .bases import resolve_bases
 from .data import (
@@ -531,9 +534,21 @@ def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> 
     payload = summarize(exp.name, rows, exp.trials)
     payload["trials_detail"] = rows
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    payload["environment"] = _environment()
     with open(out / "summary.json", "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _environment() -> dict:
+    """What a run's numbers depend on besides the config and the seed."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,22 @@ the nodes of a whole population: each distinct ``(basis, child ids)`` node
 is computed once per batch, one ``(depth, level)`` round at a time and one
 basis call per chunk of stacked nodes, and :func:`population_fitness`
 scores each distinct ``(node, output)`` column once, on the distinct rows
-of a batch that repeats its rows.  ``evaluate`` and
-``evaluate_recurrent`` are the one-graph case of the same plan.
+of a batch that repeats its rows.  :func:`population_select` returns each
+output's fittest candidates and scores exactly only the columns that an
+upper bound cannot rule out.  ``evaluate`` and ``evaluate_recurrent`` are
+the one-graph case of the same plan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network
+from .network import ConfigError, Network
 
 __all__ = [
     "SampledDAG",
@@ -39,6 +42,8 @@ __all__ = [
     "fitness",
     "PopulationPlan",
     "population_fitness",
+    "population_select",
+    "select_top",
     "most_likely_dag",
 ]
 
@@ -420,6 +425,17 @@ class PopulationPlan:
                     done = upto
 
 
+def _row_hash(columns: np.ndarray) -> np.ndarray:
+    """One ``uint64`` per row of a batch given as its ``(w, n)`` ``uint64``
+    columns: a polynomial in an odd multiplier, so rows that differ in one
+    column never collide."""
+    h = columns[0].copy()
+    for column in columns[1:]:
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h += column
+    return h
+
+
 def _distinct_rows(X: np.ndarray, Y: np.ndarray):
     """``(first, lanes)`` when at most half of the batch's ``(x, y)`` rows
     are distinct, else ``None``: ``X[first]``, ``Y[first]`` are the distinct
@@ -429,30 +445,68 @@ def _distinct_rows(X: np.ndarray, Y: np.ndarray):
     so do NaNs with different payloads.  The rows' sums decide most
     batches: equal rows have equal sums, so if more than half of the sums
     differ, so do the rows.  One input column would not do for images,
-    whose corner pixel is the same in every row.
+    whose corner pixel is the same in every row.  Rows are grouped by a
+    hash of their bits; if two rows of a group differ, the rows' bytes are
+    sorted instead.
     """
     n = len(X)
     if not n or len(np.unique(X.sum(axis=1))) > n // 2:
         return None
-    rows = np.hstack([X, Y])
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
+    columns = np.empty((X.shape[1] + Y.shape[1], n), dtype=np.uint64)
+    columns[:X.shape[1]] = X.T.view(np.uint64)
+    columns[X.shape[1]:] = Y.T.view(np.uint64)
+    _, first, lanes = np.unique(_row_hash(columns), return_index=True, return_inverse=True)
+    if not np.array_equal(columns[:, first[lanes]], columns):
+        rows = np.ascontiguousarray(columns.T)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
     return (first, lanes) if len(first) <= n // 2 else None
 
 
-def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
-    """Fitness matrix of a population: one row per candidate, one column
-    per output.
+# A column's upper bound adds, per residual, the kernel term of the
+# smallest magnitude that shares its sign, exponent and top two mantissa
+# bits (``bits >> 50``).  Squaring and dividing round monotonically, so
+# only exp and the sums can put a lane's term above its bucket's: exp by a
+# few ulps, or by a few subnormal steps where its result is subnormal, and
+# a sum over ``n`` lanes in another order by ``n`` ulps.  So every nonzero
+# entry gains ``_BOUND_ABS`` (divided by the kernel's scale when that is
+# below 1) and every bound ``_BOUND_REL`` of itself.  An entry of 0, as for
+# the NaN and inf buckets, stays 0: its residuals' terms are exactly 0.
+_BOUND_SHIFT = 50
+_BOUND_REL = 1e-9
+_BOUND_ABS = 2.0**-1070
 
-    Candidate ``r * depth + d - 1`` is graph ``r`` self-composed ``d``
-    times.  Each distinct node is evaluated once and each distinct
-    ``(node, output)`` column is scored once: its residual
-    ``value - Y[:, j]`` goes into the next row of one block as soon as its
-    round has run, and each full block is one call of the ``fitness``
-    kernel.  A batch that repeats its rows (``_distinct_rows``) is
-    evaluated and scored on its distinct rows, and only the kernel's sum
-    runs over every row.  Every entry equals ``fitness`` of that
-    candidate's ``evaluate``/``evaluate_recurrent`` column bit for bit.
+# Columns scored exactly per kernel call while selecting: each call can
+# raise the cut that the block's remaining bounds must reach.
+SELECT_ROWS = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _bound_table(variance: float) -> np.ndarray:
+    """Per bucket of ``bits >> 50``, an upper bound of the kernel term of
+    every residual in it."""
+    smallest = np.arange(1 << (64 - _BOUND_SHIFT), dtype=np.uint64) << np.uint64(_BOUND_SHIFT)
+    table = _kernel_terms(np.abs(smallest.view(np.float64)), variance)
+    scale = math.sqrt(2.0 * math.pi * variance)
+    table[table > 0.0] += _BOUND_ABS / min(scale, 1.0)
+    table.flags.writeable = False
+    return table
+
+
+def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, count=None):
+    """``(scores, index)``: the fitness of each distinct ``(node, output)``
+    column, and per candidate and output the column it reads.
+
+    Without ``count`` every column is scored.  With it, once the columns
+    fill more than two blocks, a column is scored only if it can be among
+    its output's ``count`` best candidates, and the others hold ``-inf``.
+    Each block of residuals gets an upper bound per
+    column (``_bound_table``), and its columns are scored in descending
+    bound order, ``SELECT_ROWS`` at a time, while their bound is at least
+    their output's cut: the ``count``-th best exact score so far, counting
+    a column once per candidate that reads it.  A column left out scores
+    below the final cut, and one that ties it is scored, so the ``count``
+    best candidates, ties to the lower index, are all scored.
     """
     X = _check_batch(network, X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -469,9 +523,45 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
     targets = np.ascontiguousarray(Y.T)
     # distinct (node, output) columns, ordered by node id
     columns, index = np.unique(plan.outputs * v + np.arange(v), return_inverse=True)
+    index = index.reshape(plan.outputs.shape)
     node, output = np.divmod(columns, v)
-    scores = np.empty(len(columns))
+    scores = np.full(len(columns), -np.inf)
     block = np.empty((min(block_rows, len(columns)), X.shape[0]))
+    # the first block mostly sets the cut, so bounds pay only from the third
+    # block on: on two blocks they cost training time (33 to 45 columns of
+    # poly_2x2_3x, scored by 50 graphs) and on one they cannot save a call
+    select = count is not None and count > 0 and len(columns) > 2 * len(block)
+    if select:
+        table = _bound_table(variance)
+        codes = np.empty(block.shape, dtype=np.int64)
+        terms = np.empty(block.shape)
+        # a distinct row's term counts once per batch row it stands for
+        weights = None if lanes is None else np.bincount(lanes, minlength=X.shape[0]).astype(float)
+        shares = np.minimum(np.bincount(index.ravel(), minlength=len(columns)), count)
+        best = [np.empty(0)] * v
+        cut = np.full(v, -np.inf)
+
+    def flush(part: np.ndarray, a: int) -> None:
+        """Score the residual rows ``part``, columns ``a, a + 1, ...``."""
+        if not select:
+            scores[a:a + len(part)] = _kernel_sums(part, variance, lanes)
+            return
+        np.right_shift(part.view(np.uint64), _BOUND_SHIFT, out=codes[:len(part)].view(np.uint64))
+        lane_bounds = table.take(codes[:len(part)], out=terms[:len(part)], mode="clip")
+        bound = lane_bounds.sum(axis=1) if weights is None else lane_bounds @ weights
+        bound *= 1.0 + _BOUND_REL
+        todo = np.argsort(-bound, kind="stable")
+        while len(todo := todo[bound[todo] >= cut[output[a + todo]]]):
+            rows, todo = todo[:SELECT_ROWS], todo[SELECT_ROWS:]
+            got = scores[a + rows] = _kernel_sums(part[rows], variance, lanes)
+            outs = output[a + rows]
+            for j in set(outs.tolist()):
+                mine = outs == j
+                kept = np.concatenate([best[j], np.repeat(got[mine], shares[a + rows[mine]])])
+                best[j] = np.sort(kept)[::-1][:count]
+                if len(best[j]) == count:
+                    cut[j] = best[j][-1]
+
     fill = scored = 0
 
     def score(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
@@ -484,13 +574,69 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
             np.subtract(part, targets[0] if v == 1 else targets[output[a:a + take]], out=part)
             a, rows, fill = a + take, rows[take:], fill + take
             if fill == len(block):
-                scores[scored:scored + fill] = _kernel_sums(block, variance, lanes)
+                flush(block, scored)
                 scored, fill = scored + fill, 0
 
     plan.run(X, node, score)
     if fill:
-        scores[scored:] = _kernel_sums(block[:fill], variance, lanes)
-    return scores[index].reshape(plan.outputs.shape)
+        flush(block[:fill], scored)
+    return scores, index
+
+
+def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
+    """Fitness matrix of a population: one row per candidate, one column
+    per output.
+
+    Candidate ``r * depth + d - 1`` is graph ``r`` self-composed ``d``
+    times.  Each distinct node is evaluated once and each distinct
+    ``(node, output)`` column is scored once: its residual
+    ``value - Y[:, j]`` goes into the next row of one block as soon as its
+    round has run, and each full block is one call of the ``fitness``
+    kernel.  A batch that repeats its rows (``_distinct_rows``) is
+    evaluated and scored on its distinct rows, and only the kernel's sum
+    runs over every row.  Every entry equals ``fitness`` of that
+    candidate's ``evaluate``/``evaluate_recurrent`` column bit for bit.
+    :func:`population_select` runs the same scorer (``_column_scores``)
+    and skips the columns it can rule out; here every column is scored.
+    """
+    scores, index = _column_scores(network, dags, X, Y, depth, variance)
+    return scores[index]
+
+
+def population_select(network: Network, dags, X, Y, depth: int, variance: float, count: int):
+    """Per output, the ``count`` fittest candidates of a population as
+    ``(candidate_index, fitness)`` pairs, fittest first, ties to the lower
+    index: ``select_top(population_fitness(...), count)`` bit for bit.
+
+    Candidates are numbered as in :func:`population_fitness`.  A column is
+    scored exactly only while its upper bound reaches its output's
+    ``count``-th best exact fitness so far (``_column_scores``); a column
+    it skips scores below the final cut and cannot be selected.  Raises
+    ``ConfigError`` when ``count`` exceeds the candidates, as
+    :func:`select_top` does.
+    """
+    scores, index = _column_scores(network, dags, X, Y, depth, variance, count)
+    return select_top(scores[index], count)
+
+
+def select_top(fitness_matrix: np.ndarray, count: int):
+    """Per output, the ``count`` highest-fitness candidates.
+
+    Returns one list of ``(candidate_index, fitness)`` pairs per output;
+    ties resolve toward the lower candidate index.
+    """
+    K = np.asarray(fitness_matrix, dtype=np.float64)
+    if K.ndim != 2:
+        raise ValueError("fitness matrix must be 2-D (candidates x outputs)")
+    n_cand = K.shape[0]
+    if count > n_cand:
+        raise ConfigError(f"cannot select {count} of {n_cand} candidates")
+    picks = []
+    order_tiebreak = np.arange(n_cand)
+    for j in range(K.shape[1]):
+        order = np.lexsort((order_tiebreak, -K[:, j]))[:count]
+        picks.append([(int(c), float(K[c, j])) for c in order])
+    return picks
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:

@@ -24,9 +24,10 @@ from .sampler import (
     SampledDAG,
     SampledPopulation,
     most_likely_dag,
-    population_fitness,
+    population_select,
     reachable_images,
     sample_many,
+    select_top,
 )
 
 __all__ = [
@@ -194,26 +195,6 @@ def loss_gradient(
     return population_gradient(network, [dag], [(0, int(output_index), scale)])
 
 
-def select_top(fitness_matrix: np.ndarray, count: int):
-    """Per output, the ``count`` highest-fitness candidates.
-
-    Returns one list of ``(candidate_index, fitness)`` pairs per output;
-    ties resolve toward the lower candidate index.
-    """
-    K = np.asarray(fitness_matrix, dtype=np.float64)
-    if K.ndim != 2:
-        raise ValueError("fitness matrix must be 2-D (candidates x outputs)")
-    n_cand = K.shape[0]
-    if count > n_cand:
-        raise ConfigError(f"cannot select {count} of {n_cand} candidates")
-    picks = []
-    order_tiebreak = np.arange(n_cand)
-    for j in range(K.shape[1]):
-        order = np.lexsort((order_tiebreak, -K[:, j]))[:count]
-        picks.append([(int(c), float(K[c, j])) for c in order])
-    return picks
-
-
 def adam_step(
     blocks,
     gradients,
@@ -243,8 +224,7 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
     depth = config.recurrence_depth
-    K = population_fitness(net, dags, X, Y, depth, config.variance)
-    picks = select_top(K, config.select_count)
+    picks = population_select(net, dags, X, Y, depth, config.variance, config.select_count)
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):
@@ -270,7 +250,7 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     equal = all(s[0] == s[-1] for s in selected)
     return EpochStats(
         epoch=run.epoch,
-        best=K.max(axis=0),
+        best=np.array([s[0] for s in selected]),
         mean_selected=float(np.mean([k for s in selected for k in s])),
         selected=selected,
         selected_equal=equal,

@@ -109,8 +109,13 @@ def test_run_experiment_report(fast_config, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["eta"] == 1.0
     assert "generated_at" in summary
+    env = summary["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "platform", "cpu_count"}
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert all(isinstance(env[k], str) and env[k] for k in ("python", "numpy", "scipy", "platform"))
+    assert env["cpu_count"] is None or env["cpu_count"] >= 1
     for key, value in summary.items():
-        if key not in ("generated_at", "trials_detail", "name"):
+        if key not in ("generated_at", "environment", "trials_detail", "name"):
             assert np.isfinite(value)
 
     # a run of no trials still writes both reports

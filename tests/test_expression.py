@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softdag import (
     Apply,
@@ -87,6 +88,31 @@ def test_round_trip_random_trees(rng):
     for _ in range(200):
         expr = _random_expr(rng, 3, int(rng.integers(1, 4)))
         assert parse(to_string(expr)) == expr
+
+
+def _apply_of(children):
+    """An ``Apply`` of any registry basis over trees drawn from ``children``."""
+    return st.sampled_from(sorted(REG)).flatmap(
+        lambda name: st.tuples(*[children] * REG[name].arity).map(lambda kids: Apply(REG[name], kids))
+    )
+
+
+# every finite double, negative, zero and subnormal ones included
+_leaves = st.one_of(
+    st.builds(Input, st.integers(0, 12)),
+    st.builds(Const, st.floats(allow_nan=False, allow_infinity=False)),
+)
+_trees = st.recursive(_leaves, _apply_of, max_leaves=12)
+
+
+@pytest.mark.parametrize("name", sorted(REG))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip_property(name, data):
+    # each basis at the root once per parameter, any basis below it
+    kids = tuple(data.draw(_trees) for _ in range(REG[name].arity))
+    expr = Apply(REG[name], kids)
+    assert parse(to_string(expr)) == expr
 
 
 def test_tree_eval_matches_batch_eval(rng):

@@ -7,6 +7,7 @@ bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,18 @@ from softdag import (
     train_epoch,
 )
 from softdag.expression import evaluate_tree_batch
-from softdag.sampler import _EXP_ZERO, PopulationPlan, _distinct_rows, population_fitness
+from softdag import sampler
+from softdag.sampler import (
+    _BOUND_SHIFT,
+    _EXP_ZERO,
+    PopulationPlan,
+    _bound_table,
+    _distinct_rows,
+    _kernel_terms,
+    population_fitness,
+    population_select,
+    select_top,
+)
 from softdag.trainer import TrainRun, population_gradient
 
 from conftest import (
@@ -183,6 +195,133 @@ def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
     net, dags, X, Y, variance = case
     got = population_fitness(net, dags, X, Y, 3, variance)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
+
+
+@st.composite
+def selections(draw):
+    """A population, a batch, a kernel variance, a depth and a selection
+    count.
+
+    Depth 1 or 3; a batch with distinct or repeated rows; targets as drawn,
+    rounded to small integers so that distinct columns tie, shifted out of
+    every candidate's reach so that all score 0.0, or an input plus an
+    offset so that fitness is subnormal; graphs repeated in the population
+    so that candidates share columns; any count up to the pool size, most
+    often a few.  Rounded targets come up twice as often as the others:
+    their residuals sit on the bound's bucket edges, where a bound without
+    its margins can round below the exact fitness it ties.
+    """
+    recurrent = draw(st.booleans())
+    rows = repeated_rows if draw(st.booleans()) else populations
+    net, dags, X, Y, variance = draw(rows(recurrent))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dags = [dags[i] for i in rng.integers(0, len(dags), 2 * len(dags))]
+    target = draw(st.sampled_from(("drawn", "ties", "ties", "unreachable", "subnormal")))
+    if target == "ties":
+        X, Y = np.round(np.clip(X, -3.0, 3.0)), np.round(np.clip(Y, -3.0, 3.0))
+    elif target == "unreachable":
+        Y = Y + 1e6
+    elif target == "subnormal":
+        # exp(-t) for t in [735, 746) is subnormal or 0
+        t = rng.uniform(735.0, 746.0, size=Y.shape[1])
+        inputs = np.arange(Y.shape[1]) % X.shape[1]
+        Y = X[:, inputs] + np.sqrt(2.0 * variance * t)
+    depth = 3 if recurrent else 1
+    pool = len(dags) * depth
+    count = draw(st.one_of(st.just(pool), st.integers(1, min(pool, 3)), st.integers(1, pool)))
+    return net, dags, X, Y, variance, depth, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections(), st.sampled_from((1, 2, 5, 32)), st.sampled_from((1, 3, 8)))
+def test_population_select_matches_select_top(case, block_rows, select_rows):
+    # small blocks give even small populations several blocks to bound
+    net, dags, X, Y, variance, depth, count = case
+    want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
+    with mock.patch.multiple(sampler, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
+        got = population_select(net, dags, X, Y, depth, variance, count)
+    assert [[c for c, _ in picks] for picks in got] == [[c for c, _ in picks] for picks in want]
+    assert all(
+        same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, want)
+    )
+
+
+def test_population_select_ties_on_repeated_rows():
+    # integer rows, repeated: every residual sits on a bucket edge of the
+    # bound, distinct columns tie, and the bound of distinct rows is a
+    # weighted sum in another order than the exact sum over the batch
+    net = make_network(("ADD", "SUB", "NEG", "MUL"), input_count=1, constants=(1.0, 2.0), depth=2)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        for block in net.blocks():
+            block[...] = rng.normal(0.0, 1.0, size=block.shape)
+        dags = sample_many(net, rng, 40)
+        base = rng.integers(-3, 4, size=(6, 2)).astype(float)
+        rows = base[rng.integers(0, 6, size=int(rng.integers(12, 200)))]
+        X, Y = rows[:, :1], rows[:, 1:]
+        variance = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
+        count = int(rng.integers(1, 4))
+        want = select_top(population_fitness(net, dags, X, Y, 1, variance), count)
+        with mock.patch.multiple(sampler, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
+            assert population_select(net, dags, X, Y, 1, variance, count) == want
+
+
+def test_population_select_counts_shared_columns():
+    # the identity fits exactly and is drawn ``count`` times: its column,
+    # scored first, sets the cut alone, and no other column can reach it
+    net = make_network(("NEG", "SQUARE", "ADD"), input_count=1)
+    count = 3
+    dags = [make_dag(net, [], [0])] * count + [make_dag(net, [], [j]) for j in (1, 2, 3)]
+    X = np.random.default_rng(0).uniform(3.0, 4.0, size=(50, 1))
+    with mock.patch.object(sampler, "SCORE_BLOCK_ROWS", 1):
+        scores, index = sampler._column_scores(net, dags, X, X, 1, 0.01, count)
+    assert np.isfinite(scores).tolist() == [True, False, False, False]
+    assert population_select(net, dags, X, X, 1, 0.01, count) == [
+        [(c, scores[0]) for c in range(count)]
+    ]
+
+
+@pytest.mark.parametrize("variance", [1e-6, 0.01, 0.1, 1.0, 1e3])
+def test_bound_table_bounds_every_lane(variance):
+    # every bucket's edges and midpoint, random bit patterns, and residuals
+    # whose exp lands at the subnormal and underflow edges
+    table = _bound_table(variance)
+    rng = np.random.default_rng(0)
+    edges = np.arange(1 << (64 - _BOUND_SHIFT), dtype=np.uint64) << np.uint64(_BOUND_SHIFT)
+    half = np.uint64(1 << (_BOUND_SHIFT - 1))
+    bits = np.concatenate([
+        edges, edges + np.uint64(1), edges + half, edges + (half * np.uint64(2) - np.uint64(1)),
+        rng.integers(0, 2**63, 100_000, dtype=np.uint64),
+    ])
+    near = np.sqrt(-2.0 * variance * rng.uniform(-750.0, -700.0, 100_000))
+    r = np.concatenate([bits.view(np.float64), near, -near, np.nextafter(near, 0.0)])
+    terms = _kernel_terms(r.copy(), variance)
+    bound = table[(r.view(np.uint64) >> np.uint64(_BOUND_SHIFT)).astype(np.intp)]
+    assert np.all(terms <= bound)
+    # an entry of 0 holds only residuals whose term is exactly 0
+    assert np.all(terms[bound == 0.0] == 0.0)
+    assert np.all(table[[0, 1 << (63 - _BOUND_SHIFT)]] > 0.0)  # +-0.0
+
+
+def test_distinct_rows_falls_back_on_hash_collisions():
+    rng = np.random.default_rng(3)
+    X = rng.choice([0.0, -0.0, 1.0, np.nan, _OTHER_NAN], size=(200, 2))
+    Y = rng.choice([0.0, 2.0], size=(200, 1))
+    rows = np.hstack([X, Y]).view(np.uint64)
+    first, lanes = _distinct_rows(X, Y)
+    assert np.array_equal(rows[first][lanes], rows)
+    every_row_collides = mock.patch.object(
+        sampler, "_row_hash", lambda columns: np.zeros(columns.shape[1], np.uint64)
+    )
+    # Fortran-ordered batches too: the byte keys need C-ordered rows
+    for x, y in ((X, Y), (np.asfortranarray(X), np.asfortranarray(Y))):
+        with every_row_collides:
+            forced = _distinct_rows(x, y)
+        for got in (forced, _distinct_rows(x, y)):
+            # the same partition of the batch, whatever the order of the groups
+            assert np.array_equal(got[1][:, None] == got[1][None, :], lanes[:, None] == lanes[None, :])
+            assert np.array_equal(rows[got[0]][got[1]], rows)
 
 
 def test_distinct_rows_gate():
