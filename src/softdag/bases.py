@@ -93,10 +93,14 @@ def _div(a, b):
 
 
 def _if_leq(a, b, c, d):
-    # strict sentinel semantics: any NaN argument poisons the result
-    bad = np.isnan(a) | np.isnan(b) | np.isnan(c) | np.isnan(d)
-    out = np.where(np.less_equal(a, b), c, d)
-    return np.where(bad, np.nan, np.asarray(out, dtype=np.float64))
+    out = np.asarray(np.where(np.less_equal(a, b), c, d), dtype=np.float64)
+    # strict sentinel semantics: any NaN argument poisons the result, and
+    # minimum carries a NaN through, so one isnan finds them all
+    low = np.minimum(a, b, out=np.empty_like(out))
+    np.minimum(low, c, out=low)
+    np.minimum(low, d, out=low)
+    np.putmask(out, np.isnan(low), np.nan)
+    return out
 
 
 def _xor(a, b):

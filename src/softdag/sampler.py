@@ -8,14 +8,15 @@ out and the induced distribution over reachable configurations sums to 1.
 ``sample_many`` draws a whole :class:`SampledPopulation` at once: one
 choice matrix per level, with one row per graph.
 
-Graphs run on data through a :class:`PopulationPlan`, which hash-conses
-the nodes of a whole population: each distinct ``(basis, child ids)`` node
-is computed once per batch, one ``(depth, level)`` round at a time and one
-basis call per chunk of stacked nodes, and :func:`population_fitness`
-scores each distinct ``(node, output)`` column once, on the distinct rows
-of a batch that repeats its rows.  :func:`population_select` returns each
-output's fittest candidates and scores exactly only the columns that an
-upper bound cannot rule out.  ``evaluate`` and ``evaluate_recurrent`` are
+Graphs run on data through a :class:`PopulationPlan`, which value-numbers
+the nodes of a whole population: one ``(depth, level)`` round at a time,
+each distinct ``(basis, child ids)`` node is computed once per batch, in
+basis calls on stacked nodes, and a node whose value repeats an earlier
+one bit for bit takes that value's id, so its parents merge too.
+:func:`population_fitness` scores each distinct ``(node, output)`` column
+once, on the distinct rows of a batch that repeats its rows.
+:func:`population_select` returns each output's fittest candidates and
+scores exactly only the columns that an upper bound cannot rule out.  ``evaluate`` and ``evaluate_recurrent`` are
 the one-graph case of the same plan.
 """
 
@@ -111,17 +112,27 @@ class SampledPopulation:
         return [network.arg_codes[q][c[graphs]] for q, c in enumerate(self.choices)]
 
 
+# Draws compared with every cumulative probability at once, at most; larger
+# blocks search each row.
+DRAW_COMPARE_CELLS = 1 << 16
+
+
 def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` draws from every row of ``probs``, shape ``(count, rows)``.
 
-    Each row is one binary search for all ``count`` uniforms, so a draw
-    costs O(log sources) per choice however wide the rows are.
+    A draw is the number of cumulative probabilities at or below its
+    uniform.  A small block counts them for all draws in one comparison;
+    a larger one, such as rows of 784 pixel inputs, runs one binary search
+    per row for all ``count`` uniforms, O(log sources) per choice.
     """
     cum = np.cumsum(probs, axis=1)
     r = rng.random((count, probs.shape[0]))
-    idx = np.empty(r.shape, dtype=np.int64)
-    for m in range(probs.shape[0]):
-        idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+    if count * cum.size <= DRAW_COMPARE_CELLS:
+        idx = np.count_nonzero(cum <= r[:, :, None], axis=2)
+    else:
+        idx = np.empty(r.shape, dtype=np.int64)
+        for m in range(probs.shape[0]):
+            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
@@ -164,11 +175,14 @@ def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
     lower levels, so one pass from the top level down is complete.
     """
     u, N = network.u, network.N
-    live = np.zeros((len(roots), u + network.levels * N), dtype=bool)
-    live[np.arange(len(roots))[:, None], roots] = True
+    width = u + network.levels * N
+    live = np.zeros((len(roots), width), dtype=bool)
+    # a code of graph g is cell g * width + code of the flat matrix
+    base = np.arange(len(roots))[:, None] * width
+    flat = live.reshape(-1)
+    flat[base + roots] = True
     for q in reversed(range(network.levels)):
-        graph, row = np.nonzero(live[:, u + q * N + network.row_image])
-        live[graph, arg_codes[q][graph, row]] = True
+        flat[(base + arg_codes[q])[live[:, u + q * N + network.row_image]]] = True
     return live[:, u:]
 
 
@@ -264,31 +278,57 @@ def _kernel_sums(k: np.ndarray, variance: float, lanes=None) -> np.ndarray:
     return sums
 
 
-# Nodes per basis call.  The gathered arguments of a chunk of 4-ary nodes
-# on a 1000-row batch are 8 x 4 x 8 KB = 256 KB, so they stay in cache.
-CHUNK_NODES = 8
+# Argument rows per basis call: 8 nodes of a 4-ary basis, 16 of a binary
+# one.  Their gathered values on a 1000-row batch are 32 x 8 KB = 256 KB,
+# so they stay in cache.
+CHUNK_ROWS = 32
+
+
+# Lanes of a value row that key its hash table: the first ones, whose bits
+# lie together.  Every hit is checked on all lanes, so the lanes decide only
+# how often a check fails.
+HASH_LANES = 32
+
+# the round after which a leaf's row may go
+_NEVER = np.iinfo(np.int64).max
 
 
 class PopulationPlan:
-    """Hash-consed evaluation plan of several graphs and recurrent depths.
+    """Value-numbered evaluation plan of several graphs and recurrent depths.
 
     Ids ``0..u-1`` are the leaves: the input columns, then the constants.
-    Every later id is one distinct ``(basis, child ids)`` node of some
-    graph.  Nodes are interned and run in rounds: round 0 is the leaves,
-    and round ``1 + d * levels + q`` is level ``q`` of recurrent depth
-    ``d``.  Ids ``bounds[r]..bounds[r + 1] - 1`` are the nodes first met in
-    round ``r``; a level reads only lower levels and the depth before it,
-    so id order is a topological order.
+    Every later id is one distinct key ``(basis, child ids)`` that
+    :meth:`run` met.  It interns and computes the population in rounds:
+    round 0 is the leaves, and round ``1 + d * levels + q`` is level ``q``
+    of recurrent depth ``d``.  A level reads only lower levels and the
+    depth before it, so children have lower ids than their parents.  Depth
+    ``d + 1`` takes depth ``d``'s outputs as its input leaves.
 
-    ``basis[k - u]`` indexes ``network.bases`` and ``kids[k - u]`` holds
-    node ``k``'s child ids, padded with -1 to the largest arity.
-    ``outputs`` has one row per graph and depth, sample-major then depth:
-    the id of each of its outputs.  Depth ``d + 1`` takes depth ``d``'s
-    output ids as its input leaves.
+    Keys are value-numbered.  Once a round has computed its new nodes, each
+    one whose value repeats a live value bit for bit becomes an alias of
+    that value's id, its canonical id.  The graphs' id tables hold
+    canonical ids, so the parents of equal values have equal keys, and the
+    next round merges them before it computes anything.
 
-    Values live in the rows of one ``(buffer_rows, n)`` buffer, id ``k`` in
-    row ``rows[k]``.  A row is reused once no later round reads it, so the
-    buffer holds only the live frontier of the population.
+    The constructor keeps only what does not depend on the batch: every
+    graph's live images, the cells their keys read and write, and the last
+    round that reads each cell.  After a run, ``basis[k - u]`` and
+    ``kids[k - u]`` hold node ``k``'s key, children padded with -1,
+    ``canon[k]`` its canonical id, and ``index`` the column of each
+    candidate and output, candidates sample-major then depth.
+    ``interned`` counts the output-reachable nodes of every graph and
+    depth, one key lookup each; ``evaluated`` the nodes computed by a basis
+    call; ``merged`` the computed nodes and leaves whose value repeats an
+    earlier one; ``columns`` the distinct ``(node, output)`` columns.
+
+    Values live in the rows of one buffer, id ``k``'s in row ``rows[k]``
+    (-1 for an alias or a value whose row is gone).  A canonical value keeps
+    its row at least through the last round that reads a cell holding it;
+    an alias gives its row up at once.  When a round needs more rows than
+    are free, the values that no later round reads give theirs up, and
+    only then does the buffer grow.  A later round that meets the key of
+    such a value computes the node again under its old id.
+    ``buffer_rows`` counts the rows used.
     """
 
     def __init__(self, network: Network, dags, depth: int = 1):
@@ -298,16 +338,17 @@ class PopulationPlan:
         if depth > 1 and cfg.output_count != cfg.input_count:
             raise ValueError("recurrent evaluation needs output_count == input_count")
         self.network = network
+        self.depth = depth
         u, N, M, levels = network.u, network.N, network.M, network.levels
         population = _population_of(network, dags)
         graphs = len(population)
+        self.candidates = graphs * depth
         # per graph, the id of every source code, then a cell holding -1
         # for padding and one cell per basis holding its name's first
         # occurrence; a node's key is a row of these cells
         width = u + levels * N + 1 + N
         pad = width - N - 1
         id_of = np.empty((graphs, width), dtype=np.int64)
-        id_of[:, :u] = np.arange(u)
         id_of[:, pad] = -1
         id_of[:, pad + 1:] = network.basis_first
         codes = np.full((levels, graphs, M + 1), pad)
@@ -317,6 +358,10 @@ class PopulationPlan:
         live = reachable_images(network, codes[:, :, :M], out_codes)
         # every live image, level-major: its key cells and its id cell
         level, graph, image = np.nonzero(live.reshape(graphs, levels, N).transpose(1, 0, 2))
+        # by basis within each level, so that a round's new keys come in
+        # runs of one basis
+        order = np.lexsort((network.basis_first[image], level))
+        level, graph, image = level[order], graph[order], image[order]
         base = graph * width
         keys = np.empty((len(graph), 1 + network.image_slots.shape[1]), dtype=np.int64)
         keys[:, 0] = base + pad + 1 + image
@@ -326,103 +371,281 @@ class PopulationPlan:
         ends = [0, *np.searchsorted(level, np.arange(1, levels + 1)).tolist()]
         spans = list(zip(ends[:-1], ends[1:]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
-        row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-        ids: dict[bytes, int] = {}
-        fresh_keys = []
-        bounds = [0, u]
-        outputs = []
-        for d in range(depth):
-            if d:
-                id_of[:, :cfg.input_count] = outputs[-1]
+        # the last level of its depth that reads each cell, else the cell's
+        # own level (-1 for a leaf); outputs are scored after their depth's
+        # last level, and at every depth but the last they are read once
+        # more, as inputs of the next depth's first round
+        hold = np.full(graphs * width, -1)
+        hold[cells] = level
+        np.maximum.at(hold, keys[:, 1:].ravel(), np.repeat(level, keys.shape[1] - 1))
+        final = hold.copy()
+        final[out_cells] = np.maximum(final[out_cells], levels - 1)
+        first = 1 + levels * np.arange(depth)
+        self._until = [first[-1] + final[cells]]
+        if depth > 1:
+            hold[out_cells] = np.maximum(hold[out_cells], levels)
+            in_cells = np.arange(graphs)[:, None] * width + np.arange(cfg.input_count)
+            # a cell that no input reaches has the same key at every depth,
+            # so it keeps its value until its last read at the last depth
+            varies = np.zeros(graphs * width, dtype=bool)
+            varies[in_cells] = True
             for a, b in spans:
-                # one round: each live image's key as bytes, the keys not
-                # met before numbered in order of first occurrence
-                found = id_of.take(keys[a:b]).view(row_bytes).ravel().tolist()
-                fresh = [k for k in dict.fromkeys(found) if k not in ids]
-                ids.update(zip(fresh, range(bounds[-1], bounds[-1] + len(fresh))))
-                id_of.put(cells[a:b], list(map(ids.__getitem__, found)))
-                fresh_keys += fresh
-                bounds.append(bounds[-1] + len(fresh))
-            outputs.append(id_of.take(out_cells))
-        nodes = np.frombuffer(b"".join(fresh_keys), dtype=np.int64)
-        nodes = nodes.reshape(len(ids), keys.shape[1])
-        self.basis = nodes[:, 0]
-        self.kids = nodes[:, 1:]
-        self.bounds = np.array(bounds)
-        self.outputs = np.stack(outputs, axis=1).reshape(graphs * depth, cfg.output_count)
-        self._schedule([b - a for a, b in zip(bounds, bounds[1:])])
+                varies[cells[a:b]] = varies[keys[a:b, 1:]].any(axis=1)
+            self._until[:0] = [
+                np.where(varies[cells], first[d] + hold[cells], self._until[-1])
+                for d in range(depth - 1)
+            ]
+            # the rounds that read depth d's inputs, from depth 1 on
+            self._until_inputs = [
+                None,
+                *(first[d] + hold[in_cells] for d in range(1, depth - 1)),
+                first[-1] + final[in_cells],
+            ]
+        self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
+        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+        self._constants = np.array(cfg.constants)[:, None]
+        self._out_cells = out_cells
+        self.interned = len(cells) * depth
 
-    def _schedule(self, counts: list[int]) -> None:
-        """Give each id a buffer row, reusing rows no later round reads, and
-        split each round's nodes into runs of one basis."""
-        u, N = self.network.u, self.network.N
-        # the round after which an id is dead: the last round that reads
-        # it, else its own; the extra cell takes the -1 padding
-        last = np.repeat(np.arange(len(counts) + 1), [*counts, 1])
-        born = last[:-1].copy()
-        np.maximum.at(last, self.kids, born[u:, None])
-        dying = np.argsort(last[:-1], kind="stable")
-        dead = np.searchsorted(last[dying], np.arange(len(counts)), side="right").tolist()
-        rows = np.empty(len(born), dtype=np.intp)
-        free: list[int] = []
-        top = lo = gone = 0
-        for count, dead_upto in zip(counts, dead):
-            reused = min(count, len(free))
-            rows[lo:lo + reused] = free[len(free) - reused:]
-            del free[len(free) - reused:]
-            rows[lo + reused:lo + count] = range(top, top + count - reused)
-            top += count - reused
-            lo += count
-            free += rows[dying[gone:dead_upto]].tolist()
-            gone = dead_upto
-        self.rows = rows
-        self.buffer_rows = top
-        # runs of equal (round, basis), in id order within each run
-        group = born[u:] * N + self.basis
-        order = np.argsort(group, kind="stable")
-        group = group[order]
-        starts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()] if len(group) else []
-        self._groups: list[list] = [[] for _ in counts]
-        bases = self.network.bases
-        for r_b, a, b in zip(group[starts].tolist(), starts, [*starts[1:], len(order)]):
-            r, i = divmod(r_b, N)
-            self._groups[r].append((bases[i].fn, bases[i].arity, a, b))
-        self._src = rows[self.kids[order]]
-        self._dst = rows[u + order]
+    def run(self, X: np.ndarray, sink, chunk: int = CHUNK_ROWS) -> None:
+        """Evaluate every graph and depth on the float64 batch ``X`` of
+        shape ``(n, input_count)``, one round at a time.
 
-    def run(self, X: np.ndarray, wanted, sink, chunk: int = CHUNK_NODES) -> None:
-        """Evaluate every node once, round by round, on the float64 batch
-        ``X`` of shape ``(n, input_count)``.
+        Once a depth has run, ``sink(buffer, rows, outputs, readers)``
+        receives its distinct ``(node, output)`` columns not met before,
+        numbered on from the columns before: their values as rows ``rows``
+        of ``buffer``, valid during the call, their output indices, and how
+        many of the depth's candidates read each.
 
-        ``wanted`` lists ids in ascending order.  As soon as a round has
-        computed ids ``wanted[a:b]``, ``sink(a, b, buffer, rows)`` receives
-        their values as rows ``rows`` of ``buffer``, valid during the call.
-
-        A round runs each basis's nodes ``chunk`` at a time in one call on
-        stacked rows.  Bases are elementwise, so every value has the bits of
-        a call on its row alone, except the payload of a NaN that an
-        addition or multiplication makes from two NaNs: numpy takes it from
-        either operand, by the lane's place in its vector loop.  With
-        ``chunk=1`` every node is its own call, payloads included.
+        A round runs each basis's new nodes in calls on stacked rows, as
+        many nodes per call as fit in ``chunk`` argument rows.  Bases are
+        elementwise, so every value has the bits of a call on its row alone,
+        except the payload of a NaN that an addition or multiplication makes
+        from two NaNs: numpy takes it from either operand, by the lane's
+        place in its vector loop.  With ``chunk=1`` every node is its own
+        call, payloads included.  Values merge only when all their bits
+        agree, payloads included.
         """
         cfg = self.network.config
-        u = self.network.u
-        buf = np.empty((self.buffer_rows, X.shape[0]))
-        buf[self.rows[:cfg.input_count]] = X.T
-        buf[self.rows[cfg.input_count:u]] = np.array(cfg.constants)[:, None]
-        src, dst = self._src, self._dst
-        wanted_rows = self.rows[wanted]
-        ready = np.searchsorted(wanted, self.bounds[1:]).tolist()
-        done = 0
+        u, levels, v = self.network.u, self.network.levels, cfg.output_count
+        most = u + self.interned
+        self.canon = np.arange(most)
+        self.rows = np.full(most, -1)
+        self.index = np.empty((self.candidates // self.depth, self.depth, v), dtype=np.int64)
+        self.evaluated = self.merged = self.columns = 0
+        self.buffer_rows = u
+        self._chunk = chunk
+        self._lanes = min(X.shape[0], HASH_LANES)
+        # room for the leaves and the largest round; it doubles when a round
+        # needs more rows than are free
+        self._view(np.empty((u + max((b - a for a, b in self._spans), default=0), X.shape[0])))
+        # the round after which a canonical value's row may go
+        self._last = np.zeros(most, dtype=np.int64)
+        self._free: list[int] = []
+        self._live: list[np.ndarray] = []
+        self._table: dict[bytes, int] = {}
+        self._spill: dict[bytes, list[int]] = {}
+        self._met = np.empty(0, dtype=np.int64)
+        self._released = False
+        self._column_of = np.full(most * v, -1)
+        # the keys of the ids from u on, one block per round
+        self._nodes: list[np.ndarray] = []
+        count = 0
+        ids: dict[bytes, int] = {}
+        canon = self.canon
+        id_of = self._id_of.copy()
         with np.errstate(all="ignore"):
-            for groups, upto in zip(self._groups, ready):
-                for fn, arity, lo, hi in groups:
-                    for a in range(lo, hi, chunk):
-                        b = min(a + chunk, hi)
-                        buf[dst[a:b]] = fn(*buf.take(src[a:b, :arity].T, 0, mode="clip"))
-                if upto > done:
-                    sink(done, upto, buf, wanted_rows[done:upto])
-                    done = upto
+            self.rows[:u] = leaves = np.arange(u)
+            self._buf[:cfg.input_count] = X.T
+            self._buf[cfg.input_count:u] = self._constants
+            self._merge(leaves, leaves, 0)
+            # leaves keep their rows
+            self._last[:u] = _NEVER
+            self._live = []
+            id_of[:, :u] = canon[:u]
+            for d in range(self.depth):
+                if d:
+                    outputs = id_of.take(self._out_cells)
+                    id_of[:, :cfg.input_count] = outputs
+                    np.maximum.at(self._last, outputs.ravel(), self._until_inputs[d].ravel())
+                for q, (a, b) in enumerate(self._spans):
+                    r = 1 + d * levels + q
+                    # one round: each live image's key as bytes, the keys not
+                    # met before numbered in order of first occurrence
+                    found = id_of.take(self._keys[a:b]).view(self._key_bytes).ravel().tolist()
+                    top = u + count
+                    fresh = [k for k in dict.fromkeys(found) if k not in ids]
+                    ids.update(zip(fresh, range(top, top + len(fresh))))
+                    node = self._met = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+                    if self._released:
+                        # keys met before whose value's row is gone run again
+                        again = node[self.rows[canon[node]] < 0]
+                        again = np.unique(again[again < top])
+                        if len(again):
+                            canon[again] = again
+                            self._last[again] = 0
+                            keys = np.concatenate(self._nodes)[again - u]
+                            order = np.argsort(keys[:, 0], kind="stable")
+                            again, keys = again[order], keys[order]
+                            self._merge(again, self._evaluate(keys, again, r), r)
+                    if fresh:
+                        keys = np.frombuffer(b"".join(fresh), dtype=np.int64)
+                        keys = keys.reshape(len(fresh), -1)
+                        self._nodes.append(keys)
+                        count += len(fresh)
+                        todo = np.arange(top, u + count)
+                        self._merge(todo, self._evaluate(keys, todo, r), r)
+                    node = canon[node]
+                    id_of.put(self._cells[a:b], node)
+                    np.maximum.at(self._last, node, self._until[d][a:b])
+                self._emit(id_of, d, sink)
+        nodes = np.concatenate([self._keys[:0], *self._nodes])
+        self.basis, self.kids = nodes[:, 0], nodes[:, 1:]
+        self.canon, self.rows = self.canon[:u + count], self.rows[:u + count]
+        self.index = self.index.reshape(self.candidates, v)
+        self._view(None)
+        self._table = self._spill = self._live = self._free = None
+
+    def _view(self, buf) -> None:
+        """Take ``buf`` as the value buffer, and view the first
+        ``HASH_LANES`` lanes of each row as one byte string: the keys of the
+        hash table, which Python hashes."""
+        self._buf = buf
+        self._samples = None
+        if buf is not None and self._lanes:
+            sample = np.dtype((np.void, buf.itemsize * self._lanes))
+            self._samples = np.ndarray((len(buf),), sample, buf, strides=buf.strides[:1])
+
+    def _rows(self, count: int, r: int) -> np.ndarray:
+        """``count`` buffer rows free in round ``r``, the most recently
+        freed first.  Values give their rows up only when the buffer is
+        full."""
+        free = self._free
+        if self.buffer_rows + count - len(free) > len(self._buf):
+            # the values that this round's keys met stay
+            np.maximum.at(self._last, self.canon[self._met], r)
+            self._release(r)
+        reused = min(count, len(free))
+        rows = free[len(free) - reused:]
+        del free[len(free) - reused:]
+        if reused < count:
+            top = self.buffer_rows
+            self.buffer_rows += count - reused
+            rows += range(top, self.buffer_rows)
+            if self.buffer_rows > len(self._buf):
+                grown = np.empty((max(self.buffer_rows, 2 * len(self._buf)), self._buf.shape[1]))
+                grown[:top] = self._buf[:top]
+                self._view(grown)
+        return np.array(rows, dtype=np.int64)
+
+    def _release(self, r: int) -> None:
+        """Free the rows of the values that no round from ``r`` on reads.
+
+        ``_live`` holds the ids computed since the last release, once for
+        each time they were, aliases too: those have no row left.
+        """
+        if not self._live:
+            return
+        live = np.unique(np.concatenate(self._live))
+        done = self._last[live] < r
+        self._live = [live[~done]]
+        gone = live[done]
+        gone = gone[self.rows[gone] >= 0]
+        self._free += self.rows[gone].tolist()
+        self.rows[gone] = -1
+        self._released = True
+
+    def _evaluate(self, keys: np.ndarray, todo: np.ndarray, r: int) -> np.ndarray:
+        """Compute the nodes ``todo`` of round ``r``, whose ``keys`` come in
+        runs of one basis, into free rows, and return the rows."""
+        rows = self._rows(len(todo), r)
+        buf, chunk, bases = self._buf, self._chunk, self.network.bases
+        self.rows[todo] = rows
+        # children are canonical ids, whose rows are live
+        src = self.rows[keys[:, 1:]]
+        basis = keys[:, 0].tolist()
+        starts = [i for i in range(len(basis)) if not i or basis[i] != basis[i - 1]]
+        for lo, hi in zip(starts, [*starts[1:], len(basis)]):
+            b = bases[basis[lo]]
+            step = max(1, chunk // b.arity)
+            for a in range(lo, hi, step):
+                z = min(a + step, hi)
+                buf[rows[a:z]] = b.fn(*buf.take(src[a:z, :b.arity].T, 0, mode="clip"))
+        self.evaluated += len(todo)
+        return rows
+
+    def _merge(self, todo: np.ndarray, rows: np.ndarray, r: int) -> None:
+        """Make each id of ``todo``, just computed into ``rows`` in round
+        ``r``, an alias of the live value that repeats its row bit for bit,
+        if any.
+
+        The first lanes of a row look up the first live value that shares
+        them, and a hit merges only if all of the row's bytes match; one that
+        does not is compared with the other live values that share them.
+        """
+        canon, table, buf, rows_of = self.canon, self._table, self._buf, self.rows
+        keys = self._samples[rows].tolist() if self._samples is not None else [b""] * len(rows)
+        ids = todo.tolist()
+        # the first live value of each sample, else the first row of the
+        # round that has it
+        cand = list(map(table.setdefault, keys, ids))
+        hits = [i for i, (c, k) in enumerate(zip(cand, ids)) if c != k]
+        if not hits:
+            self._live.append(todo)
+            return
+        # a sample of every lane is the whole row
+        whole = self._samples is not None and self._lanes == buf.shape[1]
+        rows = rows.tolist()
+        alias, target, freed = [], [], []
+        for i in hits:
+            k, key, c = ids[i], keys[i], cand[i]
+            if rows_of[c] < 0:
+                # that value's row is gone: the first row of the round with
+                # this sample stands for it
+                if rows_of[table[key]] < 0:
+                    table[key] = k
+                c = table[key]
+                if c == k:
+                    continue
+            if not whole:
+                mine = buf[rows[i]].tobytes()
+                if buf[rows_of[c]].tobytes() != mine:
+                    # a node met again may find itself among the others
+                    for c in self._spill.get(key, ()):
+                        if c != k and canon[c] == c and rows_of[c] >= 0:
+                            if buf[rows_of[c]].tobytes() == mine:
+                                break
+                    else:
+                        self._spill.setdefault(key, []).append(k)
+                        continue
+            alias.append(k)
+            target.append(c)
+            freed.append(rows[i])
+        canon[alias] = target
+        rows_of[alias] = -1
+        self._free += freed
+        self.merged += len(alias)
+        if self._spill:
+            # an alias of a value that became an alias in this round
+            canon[todo] = canon[canon[todo]]
+        self._live.append(todo)
+
+    def _emit(self, id_of: np.ndarray, d: int, sink) -> None:
+        """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
+        and index every candidate of depth ``d``."""
+        v = self.network.config.output_count
+        key = id_of.take(self._out_cells) * v + np.arange(v)
+        column = self._column_of[key]
+        new = key[column < 0]
+        if len(new):
+            fresh = np.unique(new)
+            self._column_of[fresh] = np.arange(self.columns, self.columns + len(fresh))
+            readers = np.bincount(self._column_of[new] - self.columns, minlength=len(fresh))
+            node, out = np.divmod(fresh, v)
+            sink(self._buf, self.rows[node], out, readers)
+            self.columns += len(fresh)
+            column = self._column_of[key]
+        self.index[:, d] = column
 
 
 def _row_hash(columns: np.ndarray) -> np.ndarray:
@@ -497,16 +720,17 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
     column, and per candidate and output the column it reads.
 
-    Without ``count`` every column is scored.  With it, once the columns
-    fill more than two blocks, a column is scored only if it can be among
-    its output's ``count`` best candidates, and the others hold ``-inf``.
-    Each block of residuals gets an upper bound per
-    column (``_bound_table``), and its columns are scored in descending
-    bound order, ``SELECT_ROWS`` at a time, while their bound is at least
-    their output's cut: the ``count``-th best exact score so far, counting
-    a column once per candidate that reads it.  A column left out scores
-    below the final cut, and one that ties it is scored, so the ``count``
-    best candidates, ties to the lower index, are all scored.
+    Without ``count`` every column is scored.  With it, once the
+    candidates' outputs could fill more than two blocks, a column is
+    scored only if it can be among its output's ``count`` best candidates,
+    and the others hold ``-inf``.  Each block of residuals gets an upper
+    bound per column (``_bound_table``), and its columns are scored in
+    descending bound order, ``SELECT_ROWS`` at a time, while their bound is
+    at least their output's cut: the ``count``-th best exact score so far,
+    counting a column once per candidate that read it in the round that
+    met it.  A column left out scores below the final cut, and one that
+    ties it is scored, so the ``count`` best candidates, ties to the lower
+    index, are all scored.
     """
     X = _check_batch(network, X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -521,23 +745,21 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
         block_rows = SCORE_BLOCK_ROWS * len(X) // len(first)
         X, Y = X[first], Y[first]
     targets = np.ascontiguousarray(Y.T)
-    # distinct (node, output) columns, ordered by node id
-    columns, index = np.unique(plan.outputs * v + np.arange(v), return_inverse=True)
-    index = index.reshape(plan.outputs.shape)
-    node, output = np.divmod(columns, v)
-    scores = np.full(len(columns), -np.inf)
-    block = np.empty((min(block_rows, len(columns)), X.shape[0]))
+    most = plan.candidates * v
+    scores = np.full(most, -np.inf)
+    output = np.empty(most, dtype=np.intp)
+    block = np.empty((min(block_rows, most), X.shape[0]))
     # the first block mostly sets the cut, so bounds pay only from the third
     # block on: on two blocks they cost training time (33 to 45 columns of
     # poly_2x2_3x, scored by 50 graphs) and on one they cannot save a call
-    select = count is not None and count > 0 and len(columns) > 2 * len(block)
+    select = count is not None and count > 0 and most > 2 * block_rows
     if select:
         table = _bound_table(variance)
         codes = np.empty(block.shape, dtype=np.int64)
         terms = np.empty(block.shape)
         # a distinct row's term counts once per batch row it stands for
         weights = None if lanes is None else np.bincount(lanes, minlength=X.shape[0]).astype(float)
-        shares = np.minimum(np.bincount(index.ravel(), minlength=len(columns)), count)
+        shares = np.empty(most, dtype=np.intp)
         best = [np.empty(0)] * v
         cut = np.full(v, -np.inf)
 
@@ -562,10 +784,15 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
                 if len(best[j]) == count:
                     cut[j] = best[j][-1]
 
-    fill = scored = 0
+    fill = met = scored = 0
 
-    def score(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
-        nonlocal fill, scored
+    def score(buf: np.ndarray, rows: np.ndarray, outs: np.ndarray, readers: np.ndarray) -> None:
+        nonlocal fill, met, scored
+        a, b = met, met + len(rows)
+        output[a:b] = outs
+        if select:
+            shares[a:b] = np.minimum(readers, count)
+        met = b
         while a < b:
             take = min(b - a, len(block) - fill)
             part = block[fill:fill + take]
@@ -577,10 +804,10 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
                 flush(block, scored)
                 scored, fill = scored + fill, 0
 
-    plan.run(X, node, score)
+    plan.run(X, score)
     if fill:
         flush(block[:fill], scored)
-    return scores, index
+    return scores[:met], plan.index
 
 
 def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
@@ -631,12 +858,12 @@ def select_top(fitness_matrix: np.ndarray, count: int):
     n_cand = K.shape[0]
     if count > n_cand:
         raise ConfigError(f"cannot select {count} of {n_cand} candidates")
-    picks = []
-    order_tiebreak = np.arange(n_cand)
-    for j in range(K.shape[1]):
-        order = np.lexsort((order_tiebreak, -K[:, j]))[:count]
-        picks.append([(int(c), float(K[c, j])) for c in order])
-    return picks
+    # a stable sort keeps equal fitness in candidate order
+    order = np.argsort(-K, axis=0, kind="stable")[:count]
+    return [
+        [(c, float(K[c, j])) for c in column]
+        for j, column in enumerate(order.T.tolist())
+    ]
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:
@@ -660,16 +887,15 @@ def _check_batch(network: Network, X) -> np.ndarray:
 def _evaluate_depths(network: Network, dag: SampledDAG, X, depth: int) -> list[np.ndarray]:
     plan = PopulationPlan(network, [dag], depth)
     X = _check_batch(network, X)
-    wanted, index = np.unique(plan.outputs, return_inverse=True)
-    values = np.empty((len(wanted), X.shape[0]))
+    values = []
 
-    def keep(a: int, b: int, buf: np.ndarray, rows: np.ndarray) -> None:
-        values[a:b] = buf[rows]
+    def keep(buf: np.ndarray, rows: np.ndarray, outs, readers) -> None:
+        values.extend(buf[rows])
 
     # one node per call: callers get the values themselves, so NaN payloads
     # stay those of evaluating the graph node by node
-    plan.run(X, wanted, keep, chunk=1)
-    return [np.ascontiguousarray(values[i].T) for i in index.reshape(plan.outputs.shape)]
+    plan.run(X, keep, chunk=1)
+    return [np.stack([values[c] for c in columns], axis=1) for columns in plan.index]
 
 
 def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:

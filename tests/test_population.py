@@ -344,11 +344,17 @@ def test_distinct_rows_gate():
     assert _distinct_rows(np.empty((0, 1)), np.empty((0, 1))) is None
 
 
+def _run(plan, X):
+    """Run ``plan`` on ``X`` one node per call, dropping its columns."""
+    plan.run(X, lambda *column: None, chunk=1)
+    return plan
+
+
 @_settings
 @given(populations())
 def test_plan_shares_nodes(case):
-    net, dags, _, _, _ = case
-    plan = PopulationPlan(net, dags)
+    net, dags, X, _, _ = case
+    plan = _run(PopulationPlan(net, dags), X)
     keys = [(b, *kids) for b, kids in zip(plan.basis.tolist(), plan.kids.tolist())]
     assert len(set(keys)) == len(keys)
     # children precede their parents; -1 pads each argument list to the
@@ -357,8 +363,9 @@ def test_plan_shares_nodes(case):
     assert np.all(plan.kids < ids)
     arity = np.array([net.bases[b].arity for b in plan.basis.tolist()], dtype=int)
     assert np.array_equal(plan.kids >= 0, np.arange(plan.kids.shape[1]) < arity[:, None])
-    single = [PopulationPlan(net, [dag]) for dag in dags]
+    single = [_run(PopulationPlan(net, [dag]), X) for dag in dags]
     assert len(plan.kids) <= sum(len(p.kids) for p in single)
+    assert plan.interned == sum(p.interned for p in single)
 
 
 def _halfsquare_population():
@@ -374,23 +381,99 @@ def _halfsquare_population():
     return net, sample_many(net, rng, 100), X, np.square(X)
 
 
+_real_rows, _real_view = PopulationPlan._rows, PopulationPlan._view
+
+
 def test_value_buffer_reuses_rows():
-    net, dags, _, _ = _halfsquare_population()
-    plan = PopulationPlan(net, dags, 3)
-    ids = len(plan.rows)
-    assert plan.buffer_rows < len(plan.kids)
-    # ids sharing a row are never alive together: an id lives from its own
-    # round to the last round that reads it
-    born = np.searchsorted(plan.bounds, np.arange(ids), side="right") - 1
-    last = born.copy()
-    for k, kids in enumerate(plan.kids.tolist(), start=net.u):
-        for c in kids:
-            if c >= 0:
-                last[c] = max(last[c], born[k])
-    for row in range(plan.buffer_rows):
-        same = np.flatnonzero(plan.rows == row)
-        spans = sorted(zip(born[same].tolist(), last[same].tolist()))
-        assert all(end < start for (_, end), (start, _) in zip(spans, spans[1:]))
+    net, dags, X, Y = _halfsquare_population()
+    plans = []
+
+    def poisoned(plan, count, r):
+        # a row handed out holds a NaN until its node is computed, so a
+        # value whose row went to another while a round still reads it
+        # would change the fitness
+        got = _real_rows(plan, count, r)
+        plan._buf[got] = _OTHER_NAN
+        plans.append(plan)
+        return got
+
+    with mock.patch.object(PopulationPlan, "_rows", poisoned):
+        got = population_fitness(net, dags, X, Y, 3, 0.01)
+    assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, 0.01))
+    plan = plans[-1]
+    assert plan.buffer_rows < plan.evaluated - plan.merged
+    # canonical values gave their rows up once no round read them
+    canonical = plan.canon == np.arange(len(plan.canon))
+    assert np.any(canonical & (plan.rows < 0))
+
+
+def _one_sample(plan, buf):
+    """``PopulationPlan._view`` that samples no lanes: every value row has
+    the same empty sample, so every hash lookup hits."""
+    _real_view(plan, buf)
+    plan._samples = None
+
+
+@settings(max_examples=200, deadline=None)
+@given(selections())
+def test_forced_hash_collisions_match_evaluate(case):
+    # every value row collides, so every merge rests on the full comparison;
+    # NaN, +-inf and +-0 rows must stay apart
+    net, dags, X, Y, variance, depth, count = case
+    columns = [evaluate_recurrent(net, dag, X, depth) for dag in dags]
+    want = np.array([
+        [fitness(out[:, j], Y[:, j], variance) for j in range(Y.shape[1])]
+        for outs in columns for out in outs
+    ])
+    every_row_collides = mock.patch.object(PopulationPlan, "_view", _one_sample)
+    with every_row_collides:
+        assert same_bits(population_fitness(net, dags, X, Y, depth, variance), want)
+        assert population_select(net, dags, X, Y, depth, variance, count) == select_top(want, count)
+        for dag, outs in list(zip(dags, columns))[:5]:
+            assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dag, X, depth), outs))
+
+
+def _node_ids(plan):
+    """Each node's id by its key ``(basis, children...)``, padding dropped."""
+    return {
+        (b, *(k for k in kids if k >= 0)): plan.network.u + i
+        for i, (b, kids) in enumerate(zip(plan.basis.tolist(), plan.kids.tolist()))
+    }
+
+
+def test_equal_values_merge_and_their_parents_share_a_node():
+    # codes: x = 0, constants 1.0 = 1 and 2.0 = 2, then MUL, DIV, IF_LEQ and
+    # NEG at level 0 (3-6) and level 1 (7-10); each graph outputs NEG at
+    # level 1 of x * 1, x / 1, x or if_leq(1, 1, x, 2)
+    net = make_network(("MUL", "DIV", "IF_LEQ", "NEG"), input_count=1, constants=(1.0, 2.0))
+    MUL, DIV, IF_LEQ, NEG = range(4)
+    dags = [
+        make_dag(net, [[0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 3]], [10]),
+        make_dag(net, [[0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 4]], [10]),
+        make_dag(net, [[], [0, 0, 0, 0, 0, 0, 0, 0, 0]], [10]),
+        make_dag(net, [[0, 0, 0, 0, 1, 1, 0, 2], [0, 0, 0, 0, 0, 0, 0, 0, 5]], [10]),
+        # x * 1 and x / 1 themselves, as outputs
+        make_dag(net, [[0, 1, 0, 1]], [3]),
+        make_dag(net, [[0, 1, 0, 1]], [4]),
+    ]
+    X = np.random.default_rng(0).normal(size=(40, 1))
+    plan = _run(PopulationPlan(net, dags), X)
+    ids = _node_ids(plan)
+    for key in ((MUL, 0, 1), (DIV, 0, 1), (IF_LEQ, 1, 1, 0, 2)):
+        assert plan.canon[ids[key]] == 0
+    # every parent reads x, so the four parents are one node
+    assert [key for key in ids if key[0] == NEG] == [(NEG, 0)]
+    assert plan.merged == 3 and plan.evaluated == 4
+    # one column for the four graphs' outputs, one for x * 1 and x / 1
+    assert plan.index[:, 0].tolist() == [1, 1, 1, 1, 0, 0] and plan.columns == 2
+    # a row of +0.0 and one of -0.0, and two NaN payloads, stay apart
+    for x in (0.0, _OTHER_NAN):
+        plan = _run(PopulationPlan(net, dags), np.full((40, 1), x))
+        ids = _node_ids(plan)
+        neg_x = plan.canon[ids[(NEG, plan.canon[ids[(MUL, 0, 1)]])]]
+        assert neg_x != 0 and plan.canon[neg_x] == neg_x
+    # if_leq of a NaN is np.nan, whose payload is not x's
+    assert plan.canon[ids[(IF_LEQ, 1, 1, 0, 2)]] != 0
 
 
 def test_population_fitness_leaves_no_cyclic_garbage():
@@ -484,8 +567,10 @@ class _TieGenerator:
 
 
 @_settings
-@given(skewed_networks(), st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
-def test_sample_many_matches_reference(case, count, seed, ties):
+@given(skewed_networks(), st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_sample_many_matches_reference(case, count, seed, ties, search):
+    # small blocks compare all draws at once; patched to 0 cells, every
+    # block searches row by row, as wide ones do
     net, _ = case
     if ties:
         probs = [net.level_probs(q) for q in range(net.levels)] + [net.output_probs()]
@@ -494,7 +579,8 @@ def test_sample_many_matches_reference(case, count, seed, ties):
         rng, ref_rng = _TieGenerator(pool, seed), _TieGenerator(pool, seed)
     else:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    population = sample_many(net, rng, count)
+    with mock.patch.object(sampler, "DRAW_COMPARE_CELLS", 0 if search else sampler.DRAW_COMPARE_CELLS):
+        population = sample_many(net, rng, count)
     reference = reference_sample_many(net, ref_rng, count)
     for q in range(net.levels):
         assert np.array_equal(population.choices[q], [d.choices[q] for d in reference])
