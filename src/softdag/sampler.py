@@ -16,8 +16,9 @@ one bit for bit takes that value's id, so its parents merge too.
 :func:`population_fitness` scores each distinct ``(node, output)`` column
 once, on the distinct rows of a batch that repeats its rows.
 :func:`population_select` returns each output's fittest candidates and
-scores exactly only the columns that an upper bound cannot rule out.  ``evaluate`` and ``evaluate_recurrent`` are
-the one-graph case of the same plan.
+scores exactly only the columns that an upper bound cannot rule out.
+``evaluate`` and ``evaluate_recurrent`` are the one-graph case of the same
+plan.
 """
 
 from __future__ import annotations
@@ -112,27 +113,17 @@ class SampledPopulation:
         return [network.arg_codes[q][c[graphs]] for q, c in enumerate(self.choices)]
 
 
-# Draws compared with every cumulative probability at once, at most; larger
-# blocks search each row.
-DRAW_COMPARE_CELLS = 1 << 16
-
-
 def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` draws from every row of ``probs``, shape ``(count, rows)``.
 
-    A draw is the number of cumulative probabilities at or below its
-    uniform.  A small block counts them for all draws in one comparison;
-    a larger one, such as rows of 784 pixel inputs, runs one binary search
-    per row for all ``count`` uniforms, O(log sources) per choice.
+    Each row is one binary search for all ``count`` uniforms, so a draw
+    costs O(log sources) per choice however wide the rows are.
     """
     cum = np.cumsum(probs, axis=1)
     r = rng.random((count, probs.shape[0]))
-    if count * cum.size <= DRAW_COMPARE_CELLS:
-        idx = np.count_nonzero(cum <= r[:, :, None], axis=2)
-    else:
-        idx = np.empty(r.shape, dtype=np.int64)
-        for m in range(probs.shape[0]):
-            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+    idx = np.empty(r.shape, dtype=np.int64)
+    for m in range(probs.shape[0]):
+        idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
@@ -175,14 +166,11 @@ def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
     lower levels, so one pass from the top level down is complete.
     """
     u, N = network.u, network.N
-    width = u + network.levels * N
-    live = np.zeros((len(roots), width), dtype=bool)
-    # a code of graph g is cell g * width + code of the flat matrix
-    base = np.arange(len(roots))[:, None] * width
-    flat = live.reshape(-1)
-    flat[base + roots] = True
+    live = np.zeros((len(roots), u + network.levels * N), dtype=bool)
+    live[np.arange(len(roots))[:, None], roots] = True
     for q in reversed(range(network.levels)):
-        flat[(base + arg_codes[q])[live[:, u + q * N + network.row_image]]] = True
+        graph, row = np.nonzero(live[:, u + q * N + network.row_image])
+        live[graph, arg_codes[q][graph, row]] = True
     return live[:, u:]
 
 
@@ -311,11 +299,11 @@ class PopulationPlan:
     next round merges them before it computes anything.
 
     The constructor keeps only what does not depend on the batch: every
-    graph's live images, the cells their keys read and write, and the last
-    round that reads each cell.  After a run, ``basis[k - u]`` and
-    ``kids[k - u]`` hold node ``k``'s key, children padded with -1,
-    ``canon[k]`` its canonical id, and ``index`` the column of each
-    candidate and output, candidates sample-major then depth.
+    graph's live images and the cells their keys read and write.  After a
+    run, ``basis[k - u]`` and ``kids[k - u]`` hold node ``k``'s key,
+    children padded with -1, ``canon[k]`` its canonical id, and ``index``
+    the column of each candidate and output, candidates sample-major then
+    depth.
     ``interned`` counts the output-reachable nodes of every graph and
     depth, one key lookup each; ``evaluated`` the nodes computed by a basis
     call; ``merged`` the computed nodes and leaves whose value repeats an
@@ -356,12 +344,14 @@ class PopulationPlan:
             codes[q, :, :M] = network.arg_codes[q][choices]
         out_codes = network.output_codes[population.output_choices]
         live = reachable_images(network, codes[:, :, :M], out_codes)
-        # every live image, level-major: its key cells and its id cell
-        level, graph, image = np.nonzero(live.reshape(graphs, levels, N).transpose(1, 0, 2))
-        # by basis within each level, so that a round's new keys come in
-        # runs of one basis
-        order = np.lexsort((network.basis_first[image], level))
-        level, graph, image = level[order], graph[order], image[order]
+        # every live image, level-major and then by basis, so that a
+        # round's new keys come in runs of one basis: its key cells and its
+        # id cell
+        by_basis = np.argsort(network.basis_first, kind="stable")
+        level, image, graph = np.nonzero(
+            live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
+        )
+        image = by_basis[image]
         base = graph * width
         keys = np.empty((len(graph), 1 + network.image_slots.shape[1]), dtype=np.int64)
         keys[:, 0] = base + pad + 1 + image
@@ -371,6 +361,32 @@ class PopulationPlan:
         ends = [0, *np.searchsorted(level, np.arange(1, levels + 1)).tolist()]
         spans = list(zip(ends[:-1], ends[1:]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
+        self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
+        self._level = level
+        self._until = None
+        # room for the leaves and the values of the widest round, or of a
+        # whole depth if that needs less: a level has at most one distinct
+        # key per live image, and at most one per choice of each basis's
+        # children among the ids before it
+        arities = [network.bases[i].arity for i in set(network.basis_first.tolist())]
+        ids = u
+        for a, b in spans:
+            ids += min(b - a, sum(ids**k for k in arities))
+        self._room = min(u + max((b - a for a, b in spans), default=0), ids)
+        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+        self._constants = np.array(cfg.constants)[:, None]
+        self._out_cells = out_cells
+        self.interned = len(cells) * depth
+
+    def _liveness(self) -> None:
+        """Per depth ``d``, the round after which each live image's value
+        may go (``_until[d]``) and, from depth 1 on, each of the depth's
+        input cells (``_until_inputs[d]``).  Only a run that runs out of
+        free rows needs them."""
+        cfg = self.network.config
+        levels, depth = self.network.levels, self.depth
+        keys, cells, level, out_cells = self._keys, self._cells, self._level, self._out_cells
+        graphs, width = self._id_of.shape
         # the last level of its depth that reads each cell, else the cell's
         # own level (-1 for a leaf); outputs are scored after their depth's
         # last level, and at every depth but the last they are read once
@@ -389,7 +405,7 @@ class PopulationPlan:
             # so it keeps its value until its last read at the last depth
             varies = np.zeros(graphs * width, dtype=bool)
             varies[in_cells] = True
-            for a, b in spans:
+            for a, b in self._spans:
                 varies[cells[a:b]] = varies[keys[a:b, 1:]].any(axis=1)
             self._until[:0] = [
                 np.where(varies[cells], first[d] + hold[cells], self._until[-1])
@@ -398,14 +414,9 @@ class PopulationPlan:
             # the rounds that read depth d's inputs, from depth 1 on
             self._until_inputs = [
                 None,
-                *(first[d] + hold[in_cells] for d in range(1, depth - 1)),
-                first[-1] + final[in_cells],
+                *(first[d] + hold[in_cells].ravel() for d in range(1, depth - 1)),
+                first[-1] + final[in_cells].ravel(),
             ]
-        self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
-        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-        self._constants = np.array(cfg.constants)[:, None]
-        self._out_cells = out_cells
-        self.interned = len(cells) * depth
 
     def run(self, X: np.ndarray, sink, chunk: int = CHUNK_ROWS) -> None:
         """Evaluate every graph and depth on the float64 batch ``X`` of
@@ -436,11 +447,12 @@ class PopulationPlan:
         self.buffer_rows = u
         self._chunk = chunk
         self._lanes = min(X.shape[0], HASH_LANES)
-        # room for the leaves and the largest round; it doubles when a round
-        # needs more rows than are free
-        self._view(np.empty((u + max((b - a for a, b in self._spans), default=0), X.shape[0])))
-        # the round after which a canonical value's row may go
-        self._last = np.zeros(most, dtype=np.int64)
+        # ``_room`` rows; it doubles when a round needs more rows than are free
+        self._view(np.empty((self._room, X.shape[0])))
+        # the round after which a canonical value's row may go, once the
+        # reads recorded since are folded in (``_fold``)
+        self._last = None
+        self._reads: list[tuple] = []
         self._free: list[int] = []
         self._live: list[np.ndarray] = []
         self._table: dict[bytes, int] = {}
@@ -460,14 +472,13 @@ class PopulationPlan:
             self._buf[cfg.input_count:u] = self._constants
             self._merge(leaves, leaves, 0)
             # leaves keep their rows
-            self._last[:u] = _NEVER
             self._live = []
             id_of[:, :u] = canon[:u]
             for d in range(self.depth):
                 if d:
                     outputs = id_of.take(self._out_cells)
                     id_of[:, :cfg.input_count] = outputs
-                    np.maximum.at(self._last, outputs.ravel(), self._until_inputs[d].ravel())
+                    self._reads.append((outputs.ravel(), d, None))
                 for q, (a, b) in enumerate(self._spans):
                     r = 1 + d * levels + q
                     # one round: each live image's key as bytes, the keys not
@@ -497,14 +508,14 @@ class PopulationPlan:
                         self._merge(todo, self._evaluate(keys, todo, r), r)
                     node = canon[node]
                     id_of.put(self._cells[a:b], node)
-                    np.maximum.at(self._last, node, self._until[d][a:b])
+                    self._reads.append((node, d, q))
                 self._emit(id_of, d, sink)
         nodes = np.concatenate([self._keys[:0], *self._nodes])
         self.basis, self.kids = nodes[:, 0], nodes[:, 1:]
         self.canon, self.rows = self.canon[:u + count], self.rows[:u + count]
         self.index = self.index.reshape(self.candidates, v)
         self._view(None)
-        self._table = self._spill = self._live = self._free = None
+        self._table = self._spill = self._live = self._free = self._reads = None
 
     def _view(self, buf) -> None:
         """Take ``buf`` as the value buffer, and view the first
@@ -522,6 +533,7 @@ class PopulationPlan:
         full."""
         free = self._free
         if self.buffer_rows + count - len(free) > len(self._buf):
+            self._fold()
             # the values that this round's keys met stay
             np.maximum.at(self._last, self.canon[self._met], r)
             self._release(r)
@@ -537,6 +549,24 @@ class PopulationPlan:
                 grown[:top] = self._buf[:top]
                 self._view(grown)
         return np.array(rows, dtype=np.int64)
+
+    def _fold(self) -> None:
+        """Raise ``_last`` of each value that the rounds since the last
+        fold read to the round after which that read's cell may go."""
+        if self._until is None:
+            self._liveness()
+        if self._last is None:
+            self._last = np.zeros(len(self.canon), dtype=np.int64)
+            # leaves keep their rows
+            self._last[:self.network.u] = _NEVER
+        if self._reads:
+            ids = np.concatenate([ids for ids, _, _ in self._reads])
+            until = np.concatenate([
+                self._until_inputs[d] if q is None else self._until[d][slice(*self._spans[q])]
+                for _, d, q in self._reads
+            ])
+            np.maximum.at(self._last, ids, until)
+            self._reads = []
 
     def _release(self, r: int) -> None:
         """Free the rows of the values that no round from ``r`` on reads.
@@ -589,10 +619,10 @@ class PopulationPlan:
         # the first live value of each sample, else the first row of the
         # round that has it
         cand = list(map(table.setdefault, keys, ids))
-        hits = [i for i, (c, k) in enumerate(zip(cand, ids)) if c != k]
-        if not hits:
-            self._live.append(todo)
+        self._live.append(todo)
+        if cand == ids:
             return
+        hits = [i for i, (c, k) in enumerate(zip(cand, ids)) if c != k]
         # a sample of every lane is the whole row
         whole = self._samples is not None and self._lanes == buf.shape[1]
         rows = rows.tolist()
@@ -628,7 +658,6 @@ class PopulationPlan:
         if self._spill:
             # an alias of a value that became an alias in this round
             canon[todo] = canon[canon[todo]]
-        self._live.append(todo)
 
     def _emit(self, id_of: np.ndarray, d: int, sink) -> None:
         """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
@@ -748,15 +777,14 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     most = plan.candidates * v
     scores = np.full(most, -np.inf)
     output = np.empty(most, dtype=np.intp)
-    block = np.empty((min(block_rows, most), X.shape[0]))
+    # allocated once the first columns come (``score``)
+    block = codes = terms = None
     # the first block mostly sets the cut, so bounds pay only from the third
     # block on: on two blocks they cost training time (33 to 45 columns of
     # poly_2x2_3x, scored by 50 graphs) and on one they cannot save a call
     select = count is not None and count > 0 and most > 2 * block_rows
     if select:
         table = _bound_table(variance)
-        codes = np.empty(block.shape, dtype=np.int64)
-        terms = np.empty(block.shape)
         # a distinct row's term counts once per batch row it stands for
         weights = None if lanes is None else np.bincount(lanes, minlength=X.shape[0]).astype(float)
         shares = np.empty(most, dtype=np.intp)
@@ -787,7 +815,15 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     fill = met = scored = 0
 
     def score(buf: np.ndarray, rows: np.ndarray, outs: np.ndarray, readers: np.ndarray) -> None:
-        nonlocal fill, met, scored
+        nonlocal fill, met, scored, block, codes, terms
+        if block is None:
+            # rows for the columns that can still come: these, and at most
+            # one per candidate and output of every later depth
+            later = (plan.candidates - plan.candidates // depth) * v
+            block = np.empty((min(block_rows, len(rows) + later), X.shape[0]))
+            if select:
+                codes = np.empty(block.shape, dtype=np.int64)
+                terms = np.empty(block.shape)
         a, b = met, met + len(rows)
         output[a:b] = outs
         if select:
@@ -858,12 +894,12 @@ def select_top(fitness_matrix: np.ndarray, count: int):
     n_cand = K.shape[0]
     if count > n_cand:
         raise ConfigError(f"cannot select {count} of {n_cand} candidates")
-    # a stable sort keeps equal fitness in candidate order
-    order = np.argsort(-K, axis=0, kind="stable")[:count]
-    return [
-        [(c, float(K[c, j])) for c in column]
-        for j, column in enumerate(order.T.tolist())
-    ]
+    picks = []
+    order_tiebreak = np.arange(n_cand)
+    for j in range(K.shape[1]):
+        order = np.lexsort((order_tiebreak, -K[:, j]))[:count]
+        picks.append([(int(c), float(K[c, j])) for c in order])
+    return picks
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:
