@@ -560,7 +560,7 @@ class PopulationPlan:
             # leaves keep their rows
             self._last[:self.network.u] = _NEVER
         if self._reads:
-            ids = np.concatenate([ids for ids, _, _ in self._reads])
+            ids = np.concatenate([read for read, _, _ in self._reads])
             until = np.concatenate([
                 self._until_inputs[d] if q is None else self._until[d][slice(*self._spans[q])]
                 for _, d, q in self._reads
