@@ -138,18 +138,20 @@ def _parse_ranges(raw: str) -> tuple:
 _REMOVED_TRAINING_KEYS = ("rank_reweight", "rank_reweight_increasing", "depth_scales_logprob")
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _get(cp, path, section, key, cast, default=None, required=False):
     if not cp.has_option(section, key):
         if required:
-            raise ConfigError(f"missing [{section}] {key}")
+            raise ConfigError(f"{path}: missing [{section}] {key}")
         return default
     raw = cp.get(section, key).strip()
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            # 1/yes/true/on or 0/no/false/off, any case; a typo must not
+            # read as false
+            return cp.getboolean(section, key)
         return cast(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad [{section}] {key} = {raw!r}: {exc}") from exc
+        raise ConfigError(f"{path}: bad [{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def _expression_fn(exprs: tuple[Expr, ...]):
@@ -169,9 +171,9 @@ def parse_config(path) -> ExperimentConfig:
         if not cp.has_section(section):
             raise ConfigError(f"{path}: missing [{section}] section")
 
-    kind = _get(cp, "target", "kind", str, default="explicit")
-    inputs = _get(cp, "target", "inputs", int, required=kind != "classification")
-    outputs = _get(cp, "target", "outputs", int, default=1)
+    kind = _get(cp, path, "target", "kind", str, default="explicit")
+    inputs = _get(cp, path, "target", "inputs", int, required=kind != "classification")
+    outputs = _get(cp, path, "target", "outputs", int, default=1)
     ranges = ()
     if cp.has_option("target", "ranges"):
         ranges = _parse_ranges(cp.get("target", "ranges"))
@@ -179,7 +181,7 @@ def parse_config(path) -> ExperimentConfig:
     target_exprs = None
     fn = None
     derived = None
-    builtin_name = _get(cp, "target", "builtin", str, default="")
+    builtin_name = _get(cp, path, "target", "builtin", str, default="")
     if builtin_name:
         if builtin_name not in BUILTIN_TARGETS:
             raise ConfigError(f"unknown builtin target {builtin_name!r}")
@@ -207,7 +209,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [target] needs an expression or builtin")
 
     if kind == "implicit":
-        derived_raw = _get(cp, "target", "derived", str, required=True)
+        derived_raw = _get(cp, path, "target", "derived", str, required=True)
         try:
             derived_expr = parse_expression(derived_raw)
         except ParseError as exc:
@@ -221,7 +223,7 @@ def parse_config(path) -> ExperimentConfig:
     elif kind != "classification" and len(ranges) != inputs:
         raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
 
-    name = _get(cp, "experiment", "name", str, default=path.stem)
+    name = _get(cp, path, "experiment", "name", str, default=path.stem)
     target = TargetSpec(
         kind=kind,
         input_count=inputs if kind != "classification" else 0,
@@ -229,8 +231,8 @@ def parse_config(path) -> ExperimentConfig:
         input_ranges=ranges,
         fn=fn,
         derived=derived,
-        constant_target=_get(cp, "target", "constant", float, default=1.0),
-        target_depth=_get(cp, "target", "target_depth", int, default=1),
+        constant_target=_get(cp, path, "target", "constant", float, default=1.0),
+        target_depth=_get(cp, path, "target", "target_depth", int, default=1),
         name=name,
     )
 
@@ -238,16 +240,17 @@ def parse_config(path) -> ExperimentConfig:
     idx_images = idx_labels = ""
     test_fraction = 0.1
     if kind == "classification":
-        idx_images = _get(cp, "target", "images", str, required=True)
-        idx_labels = _get(cp, "target", "labels", str, required=True)
-        classes = tuple(int(c) for c in _split_list(_get(cp, "target", "classes", str, required=True)))
-        test_fraction = _get(cp, "target", "test_fraction", float, default=0.1)
-        input_count = _get(cp, "target", "pixels", int, default=784)
+        idx_images = _get(cp, path, "target", "images", str, required=True)
+        idx_labels = _get(cp, path, "target", "labels", str, required=True)
+        raw_classes = _get(cp, path, "target", "classes", str, required=True)
+        classes = tuple(int(c) for c in _split_list(raw_classes))
+        test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
+        input_count = _get(cp, path, "target", "pixels", int, default=784)
         outputs = len(classes)
     else:
         input_count = inputs
 
-    basis_names = tuple(_split_list(_get(cp, "network", "bases", str, required=True)))
+    basis_names = tuple(_split_list(_get(cp, path, "network", "bases", str, required=True)))
     try:
         resolve_bases(basis_names)
     except ValueError as exc:
@@ -255,48 +258,57 @@ def parse_config(path) -> ExperimentConfig:
     network = NetworkConfig(
         bases=basis_names,
         input_count=input_count,
-        constants=_parse_constants(_get(cp, "network", "constants", str, default="")),
+        constants=_parse_constants(_get(cp, path, "network", "constants", str, default="")),
         output_count=outputs,
-        depth=_get(cp, "network", "depth", int, required=True),
-        temperature=_get(cp, "network", "temperature", float, default=1.0),
+        depth=_get(cp, path, "network", "depth", int, required=True),
+        temperature=_get(cp, path, "network", "temperature", float, default=1.0),
         last_layer_temperature=_get(
-            cp, "network", "last_layer_temperature", float, default=1.0
+            cp, path, "network", "last_layer_temperature", float, default=1.0
         ),
-        skip_connections=_get(cp, "network", "skip_connections", bool, default=True),
+        skip_connections=_get(cp, path, "network", "skip_connections", bool, default=True),
     )
 
     for key in _REMOVED_TRAINING_KEYS:
         if cp.has_option("training", key):
             raise ConfigError(f"{path}: [training] {key} is no longer supported")
     training = TrainConfig(
-        sample_count=_get(cp, "training", "samples", int, required=True),
-        select_count=_get(cp, "training", "select", int, required=True),
-        variance=_get(cp, "training", "variance", float, required=True),
-        learning_rate=_get(cp, "training", "learning_rate", float, required=True),
-        max_epochs=_get(cp, "training", "max_epochs", int, default=1000),
-        patience=_get(cp, "training", "patience", int, default=30),
-        recurrence_depth=_get(cp, "training", "recurrence_depth", int, default=1),
-        batch_size=_get(cp, "training", "batch_size", int, default=1000),
-        seed=_get(cp, "training", "seed", int, default=0),
+        sample_count=_get(cp, path, "training", "samples", int, required=True),
+        select_count=_get(cp, path, "training", "select", int, required=True),
+        variance=_get(cp, path, "training", "variance", float, required=True),
+        learning_rate=_get(cp, path, "training", "learning_rate", float, required=True),
+        max_epochs=_get(cp, path, "training", "max_epochs", int, default=1000),
+        patience=_get(cp, path, "training", "patience", int, default=30),
+        recurrence_depth=_get(cp, path, "training", "recurrence_depth", int, default=1),
+        batch_size=_get(cp, path, "training", "batch_size", int, default=1000),
+        seed=_get(cp, path, "training", "seed", int, default=0),
     )
 
     reference_expr = None
     reference_ranges = ()
     if cp.has_option("experiment", "reference"):
-        reference_expr = parse_expression(cp.get("experiment", "reference"))
+        try:
+            reference_expr = parse_expression(cp.get("experiment", "reference"))
+        except ParseError as exc:
+            raise ConfigError(f"{path}: bad reference expression: {exc}") from exc
     if cp.has_option("experiment", "reference_ranges"):
         reference_ranges = _parse_ranges(cp.get("experiment", "reference_ranges"))
 
+    equivalence = _get(cp, path, "experiment", "equivalence", str, default="numeric")
+    if equivalence not in ("numeric", "exact", "none"):
+        raise ConfigError(
+            f"{path}: [experiment] equivalence must be numeric, exact or none,"
+            f" not {equivalence!r}"
+        )
     return ExperimentConfig(
         name=name,
         network=network,
         training=training,
         target=target,
         target_expressions=target_exprs,
-        equivalence=_get(cp, "experiment", "equivalence", str, default="numeric"),
-        tolerance=_get(cp, "experiment", "tolerance", float, default=1e-6),
-        trials=_get(cp, "experiment", "trials", int, default=10),
-        extended=_get(cp, "experiment", "extended", bool, default=False),
+        equivalence=equivalence,
+        tolerance=_get(cp, path, "experiment", "tolerance", float, default=1e-6),
+        trials=_get(cp, path, "experiment", "trials", int, default=10),
+        extended=_get(cp, path, "experiment", "extended", bool, default=False),
         reference_expression=reference_expr,
         reference_ranges=reference_ranges,
         idx_images=idx_images,

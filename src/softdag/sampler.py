@@ -277,9 +277,6 @@ CHUNK_ROWS = 32
 # how often a check fails.
 HASH_LANES = 32
 
-# the round after which a leaf's row may go
-_NEVER = np.iinfo(np.int64).max
-
 
 class PopulationPlan:
     """Value-numbered evaluation plan of several graphs and recurrent depths.
@@ -299,7 +296,8 @@ class PopulationPlan:
     next round merges them before it computes anything.
 
     The constructor keeps only what does not depend on the batch: every
-    graph's live images and the cells their keys read and write.  After a
+    graph's live images, the cells their keys read and write, and the
+    cells that no input reaches.  After a
     run, ``basis[k - u]`` and ``kids[k - u]`` hold node ``k``'s key,
     children padded with -1, ``canon[k]`` its canonical id, and ``index``
     the column of each candidate and output, candidates sample-major then
@@ -310,13 +308,15 @@ class PopulationPlan:
     earlier one; ``columns`` the distinct ``(node, output)`` columns.
 
     Values live in the rows of one buffer, id ``k``'s in row ``rows[k]``
-    (-1 for an alias or a value whose row is gone).  A canonical value keeps
-    its row at least through the last round that reads a cell holding it;
-    an alias gives its row up at once.  When a round needs more rows than
-    are free, the values that no later round reads give theirs up, and
-    only then does the buffer grow.  A later round that meets the key of
-    such a value computes the node again under its old id.
-    ``buffer_rows`` counts the rows used.
+    (-1 for an alias or a value whose row is gone).  An alias gives its row
+    up at once; a canonical value keeps its row to the end of its depth.
+    Once a depth has emitted its columns, only the values that the next
+    depth can read keep their rows: the leaves, the depth's outputs and
+    the values of the cells that no input reaches, whose keys are the same
+    at every depth.  A later round that meets the key of a value whose row
+    is gone computes the node again under its old id.  When a round needs
+    more rows than are free, the buffer doubles.  ``buffer_rows`` counts
+    the rows used.
     """
 
     def __init__(self, network: Network, dags, depth: int = 1):
@@ -362,8 +362,16 @@ class PopulationPlan:
         spans = list(zip(ends[:-1], ends[1:]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
         self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
-        self._level = level
-        self._until = None
+        # the cells whose values the next depth can read: the outputs, and
+        # the cells that no input reaches, whose keys are the same at every
+        # depth
+        self._kept = out_cells.ravel()
+        if depth > 1:
+            varies = np.zeros(graphs * width, dtype=bool)
+            varies[np.arange(graphs)[:, None] * width + np.arange(cfg.input_count)] = True
+            for a, b in spans:
+                varies[cells[a:b]] = varies[keys[a:b, 1:]].any(axis=1)
+            self._kept = np.concatenate([self._kept, cells[~varies[cells]]])
         # room for the leaves and the values of the widest round, or of a
         # whole depth if that needs less: a level has at most one distinct
         # key per live image, and at most one per choice of each basis's
@@ -378,46 +386,6 @@ class PopulationPlan:
         self._out_cells = out_cells
         self.interned = len(cells) * depth
 
-    def _liveness(self) -> None:
-        """Per depth ``d``, the round after which each live image's value
-        may go (``_until[d]``) and, from depth 1 on, each of the depth's
-        input cells (``_until_inputs[d]``).  Only a run that runs out of
-        free rows needs them."""
-        cfg = self.network.config
-        levels, depth = self.network.levels, self.depth
-        keys, cells, level, out_cells = self._keys, self._cells, self._level, self._out_cells
-        graphs, width = self._id_of.shape
-        # the last level of its depth that reads each cell, else the cell's
-        # own level (-1 for a leaf); outputs are scored after their depth's
-        # last level, and at every depth but the last they are read once
-        # more, as inputs of the next depth's first round
-        hold = np.full(graphs * width, -1)
-        hold[cells] = level
-        np.maximum.at(hold, keys[:, 1:].ravel(), np.repeat(level, keys.shape[1] - 1))
-        final = hold.copy()
-        final[out_cells] = np.maximum(final[out_cells], levels - 1)
-        first = 1 + levels * np.arange(depth)
-        self._until = [first[-1] + final[cells]]
-        if depth > 1:
-            hold[out_cells] = np.maximum(hold[out_cells], levels)
-            in_cells = np.arange(graphs)[:, None] * width + np.arange(cfg.input_count)
-            # a cell that no input reaches has the same key at every depth,
-            # so it keeps its value until its last read at the last depth
-            varies = np.zeros(graphs * width, dtype=bool)
-            varies[in_cells] = True
-            for a, b in self._spans:
-                varies[cells[a:b]] = varies[keys[a:b, 1:]].any(axis=1)
-            self._until[:0] = [
-                np.where(varies[cells], first[d] + hold[cells], self._until[-1])
-                for d in range(depth - 1)
-            ]
-            # the rounds that read depth d's inputs, from depth 1 on
-            self._until_inputs = [
-                None,
-                *(first[d] + hold[in_cells].ravel() for d in range(1, depth - 1)),
-                first[-1] + final[in_cells].ravel(),
-            ]
-
     def run(self, X: np.ndarray, sink, chunk: int = CHUNK_ROWS) -> None:
         """Evaluate every graph and depth on the float64 batch ``X`` of
         shape ``(n, input_count)``, one round at a time.
@@ -426,7 +394,10 @@ class PopulationPlan:
         receives its distinct ``(node, output)`` columns not met before,
         numbered on from the columns before: their values as rows ``rows``
         of ``buffer``, valid during the call, their output indices, and how
-        many of the depth's candidates read each.
+        many of the depth's candidates read each.  Then, if another depth
+        follows, one sweep (``_sweep``) frees the rows of the values that it
+        cannot read, and a round of a later depth computes again each node
+        whose key it meets but whose value's row is gone.
 
         A round runs each basis's new nodes in calls on stacked rows, as
         many nodes per call as fit in ``chunk`` argument rows.  Bases are
@@ -438,7 +409,7 @@ class PopulationPlan:
         agree, payloads included.
         """
         cfg = self.network.config
-        u, levels, v = self.network.u, self.network.levels, cfg.output_count
+        u, v = self.network.u, cfg.output_count
         most = u + self.interned
         self.canon = np.arange(most)
         self.rows = np.full(most, -1)
@@ -449,16 +420,9 @@ class PopulationPlan:
         self._lanes = min(X.shape[0], HASH_LANES)
         # ``_room`` rows; it doubles when a round needs more rows than are free
         self._view(np.empty((self._room, X.shape[0])))
-        # the round after which a canonical value's row may go, once the
-        # reads recorded since are folded in (``_fold``)
-        self._last = None
-        self._reads: list[tuple] = []
         self._free: list[int] = []
-        self._live: list[np.ndarray] = []
         self._table: dict[bytes, int] = {}
         self._spill: dict[bytes, list[int]] = {}
-        self._met = np.empty(0, dtype=np.int64)
-        self._released = False
         self._column_of = np.full(most * v, -1)
         # the keys of the ids from u on, one block per round
         self._nodes: list[np.ndarray] = []
@@ -470,52 +434,46 @@ class PopulationPlan:
             self.rows[:u] = leaves = np.arange(u)
             self._buf[:cfg.input_count] = X.T
             self._buf[cfg.input_count:u] = self._constants
-            self._merge(leaves, leaves, 0)
-            # leaves keep their rows
-            self._live = []
+            self._merge(leaves, leaves)
             id_of[:, :u] = canon[:u]
             for d in range(self.depth):
                 if d:
-                    outputs = id_of.take(self._out_cells)
-                    id_of[:, :cfg.input_count] = outputs
-                    self._reads.append((outputs.ravel(), d, None))
-                for q, (a, b) in enumerate(self._spans):
-                    r = 1 + d * levels + q
+                    self._sweep(id_of)
+                    id_of[:, :cfg.input_count] = id_of.take(self._out_cells)
+                for a, b in self._spans:
                     # one round: each live image's key as bytes, the keys not
                     # met before numbered in order of first occurrence
                     found = id_of.take(self._keys[a:b]).view(self._key_bytes).ravel().tolist()
                     top = u + count
                     fresh = [k for k in dict.fromkeys(found) if k not in ids]
                     ids.update(zip(fresh, range(top, top + len(fresh))))
-                    node = self._met = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
-                    if self._released:
+                    node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+                    if d:
                         # keys met before whose value's row is gone run again
                         again = node[self.rows[canon[node]] < 0]
                         again = np.unique(again[again < top])
                         if len(again):
                             canon[again] = again
-                            self._last[again] = 0
                             keys = np.concatenate(self._nodes)[again - u]
                             order = np.argsort(keys[:, 0], kind="stable")
                             again, keys = again[order], keys[order]
-                            self._merge(again, self._evaluate(keys, again, r), r)
+                            self._merge(again, self._evaluate(keys, again))
                     if fresh:
                         keys = np.frombuffer(b"".join(fresh), dtype=np.int64)
                         keys = keys.reshape(len(fresh), -1)
                         self._nodes.append(keys)
                         count += len(fresh)
                         todo = np.arange(top, u + count)
-                        self._merge(todo, self._evaluate(keys, todo, r), r)
+                        self._merge(todo, self._evaluate(keys, todo))
                     node = canon[node]
                     id_of.put(self._cells[a:b], node)
-                    self._reads.append((node, d, q))
                 self._emit(id_of, d, sink)
         nodes = np.concatenate([self._keys[:0], *self._nodes])
         self.basis, self.kids = nodes[:, 0], nodes[:, 1:]
         self.canon, self.rows = self.canon[:u + count], self.rows[:u + count]
         self.index = self.index.reshape(self.candidates, v)
         self._view(None)
-        self._table = self._spill = self._live = self._free = self._reads = None
+        self._table = self._spill = self._free = None
 
     def _view(self, buf) -> None:
         """Take ``buf`` as the value buffer, and view the first
@@ -527,16 +485,10 @@ class PopulationPlan:
             sample = np.dtype((np.void, buf.itemsize * self._lanes))
             self._samples = np.ndarray((len(buf),), sample, buf, strides=buf.strides[:1])
 
-    def _rows(self, count: int, r: int) -> np.ndarray:
-        """``count`` buffer rows free in round ``r``, the most recently
-        freed first.  Values give their rows up only when the buffer is
-        full."""
+    def _rows(self, count: int) -> np.ndarray:
+        """``count`` free buffer rows, the most recently freed first; the
+        buffer doubles when too few are free."""
         free = self._free
-        if self.buffer_rows + count - len(free) > len(self._buf):
-            self._fold()
-            # the values that this round's keys met stay
-            np.maximum.at(self._last, self.canon[self._met], r)
-            self._release(r)
         reused = min(count, len(free))
         rows = free[len(free) - reused:]
         del free[len(free) - reused:]
@@ -550,45 +502,20 @@ class PopulationPlan:
                 self._view(grown)
         return np.array(rows, dtype=np.int64)
 
-    def _fold(self) -> None:
-        """Raise ``_last`` of each value that the rounds since the last
-        fold read to the round after which that read's cell may go."""
-        if self._until is None:
-            self._liveness()
-        if self._last is None:
-            self._last = np.zeros(len(self.canon), dtype=np.int64)
-            # leaves keep their rows
-            self._last[:self.network.u] = _NEVER
-        if self._reads:
-            ids = np.concatenate([read for read, _, _ in self._reads])
-            until = np.concatenate([
-                self._until_inputs[d] if q is None else self._until[d][slice(*self._spans[q])]
-                for _, d, q in self._reads
-            ])
-            np.maximum.at(self._last, ids, until)
-            self._reads = []
-
-    def _release(self, r: int) -> None:
-        """Free the rows of the values that no round from ``r`` on reads.
-
-        ``_live`` holds the ids computed since the last release, once for
-        each time they were, aliases too: those have no row left.
-        """
-        if not self._live:
-            return
-        live = np.unique(np.concatenate(self._live))
-        done = self._last[live] < r
-        self._live = [live[~done]]
-        gone = live[done]
-        gone = gone[self.rows[gone] >= 0]
+    def _sweep(self, id_of: np.ndarray) -> None:
+        """Free the row of every value that the next depth cannot read: all
+        but the leaves and the values of the cells in ``_kept``."""
+        keep = np.zeros(len(self.rows), dtype=bool)
+        keep[:self.network.u] = True
+        keep[id_of.take(self._kept)] = True
+        gone = np.flatnonzero((self.rows >= 0) & ~keep)
         self._free += self.rows[gone].tolist()
         self.rows[gone] = -1
-        self._released = True
 
-    def _evaluate(self, keys: np.ndarray, todo: np.ndarray, r: int) -> np.ndarray:
-        """Compute the nodes ``todo`` of round ``r``, whose ``keys`` come in
-        runs of one basis, into free rows, and return the rows."""
-        rows = self._rows(len(todo), r)
+    def _evaluate(self, keys: np.ndarray, todo: np.ndarray) -> np.ndarray:
+        """Compute the nodes ``todo``, whose ``keys`` come in runs of one
+        basis, into free rows, and return the rows."""
+        rows = self._rows(len(todo))
         buf, chunk, bases = self._buf, self._chunk, self.network.bases
         self.rows[todo] = rows
         # children are canonical ids, whose rows are live
@@ -604,10 +531,9 @@ class PopulationPlan:
         self.evaluated += len(todo)
         return rows
 
-    def _merge(self, todo: np.ndarray, rows: np.ndarray, r: int) -> None:
-        """Make each id of ``todo``, just computed into ``rows`` in round
-        ``r``, an alias of the live value that repeats its row bit for bit,
-        if any.
+    def _merge(self, todo: np.ndarray, rows: np.ndarray) -> None:
+        """Make each id of ``todo``, just computed into ``rows``, an alias of
+        the live value that repeats its row bit for bit, if any.
 
         The first lanes of a row look up the first live value that shares
         them, and a hit merges only if all of the row's bytes match; one that
@@ -619,7 +545,6 @@ class PopulationPlan:
         # the first live value of each sample, else the first row of the
         # round that has it
         cand = list(map(table.setdefault, keys, ids))
-        self._live.append(todo)
         if cand == ids:
             return
         hits = [i for i, (c, k) in enumerate(zip(cand, ids)) if c != k]

@@ -198,6 +198,28 @@ def test_main_validation_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_misspelt_boolean_is_rejected(tmp_path, capsys):
+    # a typo must not build a network without skip connections in silence
+    bad = tmp_path / "bad.ini"
+    bad.write_text(FAST_CONFIG.replace("depth = 1", "depth = 1\nskip_connections = ture"))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "[network] skip_connections" in err
+    for word in ("On", "FALSE", "0"):
+        good = tmp_path / "good.ini"
+        good.write_text(FAST_CONFIG.replace("depth = 1", f"depth = 1\nskip_connections = {word}"))
+        assert parse_config(good).network.skip_connections is (word == "On")
+
+
+@pytest.mark.parametrize("line", ["equivalence = exactt", "reference = x0 +"])
+def test_bad_experiment_settings_are_rejected(tmp_path, line):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(FAST_CONFIG.replace("equivalence = numeric", line))
+    with pytest.raises(ConfigError) as info:
+        parse_config(bad)
+    assert str(bad) in str(info.value)
+
+
 @pytest.mark.parametrize(
     "key", ["rank_reweight", "rank_reweight_increasing", "depth_scales_logprob"]
 )

@@ -388,11 +388,11 @@ def test_value_buffer_reuses_rows():
     net, dags, X, Y = _halfsquare_population()
     plans = []
 
-    def poisoned(plan, count, r):
+    def poisoned(plan, count):
         # a row handed out holds a NaN until its node is computed, so a
         # value whose row went to another while a round still reads it
         # would change the fitness
-        got = _real_rows(plan, count, r)
+        got = _real_rows(plan, count)
         plan._buf[got] = _OTHER_NAN
         plans.append(plan)
         return got
@@ -402,13 +402,12 @@ def test_value_buffer_reuses_rows():
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, 0.01))
     plan = plans[-1]
     assert plan.buffer_rows < plan.evaluated - plan.merged
-    # canonical values gave their rows up once no round read them
+    # canonical values gave their rows up at a depth boundary
     canonical = plan.canon == np.arange(len(plan.canon))
     assert np.any(canonical & (plan.rows < 0))
 
 
 def test_plan_runs_again_alike():
-    # the second run reuses the liveness that the first one worked out
     net, dags, X, _ = _halfsquare_population()
     plan = PopulationPlan(net, dags, 3)
     runs = []
@@ -416,9 +415,31 @@ def test_plan_runs_again_alike():
         values = []
         plan.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]))
         runs.append((np.array(values), plan.index.copy(), plan.buffer_rows, plan.merged))
-    assert plan._until is not None
     (first, *rest), (second, *again) = runs
     assert same_bits(first, second) and all(np.array_equal(a, b) for a, b in zip(rest, again))
+
+
+def test_swept_value_met_again_is_computed_again():
+    # codes: x0 = 0, x1 = 1, then NEG and MUL at level 0 (2, 3) and level 1
+    # (4, 5); the first graph outputs (-(-x0), -x0 * x1), so every depth
+    # feeds x0 back and meets the key of -x0 again, whose row the sweep
+    # after the depth before gave up since nothing there outputs it
+    net = make_network(("NEG", "MUL"), input_count=2, output_count=2, depth=2)
+    dags = [
+        make_dag(net, [[0], [2, 2, 1]], [4, 5]),
+        make_dag(net, [[0, 0, 1]], [3, 0]),
+    ]
+    rng = np.random.default_rng(5)
+    X, Y = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    want = _reference_matrix(net, dags, X, Y, 3, 1.0)
+    assert same_bits(population_fitness(net, dags, X, Y, 3, 1.0), want)
+    assert population_select(net, dags, X, Y, 3, 1.0, 2) == select_top(want, 2)
+    plan = _run(PopulationPlan(net, dags, 3), X)
+    ids = _node_ids(plan)
+    neg_x0 = ids[(0, 0)]
+    assert plan.canon[ids[(0, neg_x0)]] == 0
+    # -x0 is computed at every depth, each distinct key once otherwise
+    assert plan.evaluated == len(plan.kids) + 2
 
 
 def _one_sample(plan, buf):
