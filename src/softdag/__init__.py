@@ -28,14 +28,13 @@ from .network import (
 from .sampler import (
     SampledDAG,
     SampledPopulation,
-    evaluate,
-    evaluate_recurrent,
-    fitness,
     log_probability,
     most_likely_dag,
     sample,
     sample_many,
 )
+from .plan import evaluate, evaluate_recurrent
+from .scoring import fitness, select_top
 from .expression import (
     Apply,
     Choices,
@@ -62,7 +61,6 @@ from .trainer import (
     TrainRun,
     adam_step,
     loss_gradient,
-    select_top,
     train,
     train_epoch,
 )

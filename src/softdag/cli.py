@@ -38,7 +38,6 @@ import scipy
 from .bases import resolve_bases
 from .data import (
     BUILTIN_TARGETS,
-    DatasetSource,
     IdxFormatError,
     TargetSpec,
     classification_accuracy,
@@ -68,8 +67,9 @@ from .network import (
     load_network,
     save_network,
 )
+from .plan import evaluate_recurrent
 from .rng import DATA_STREAM, SPLIT_STREAM, TRIAL_STREAM, derive_rng, derive_seed
-from .sampler import evaluate_recurrent, most_likely_dag
+from .sampler import most_likely_dag
 from .trainer import CsvTrainLogger, TrainConfig, VERDICT_CONVERGED, train
 
 EQ_POINTS = 512  # samples for numeric equivalence checks
@@ -133,6 +133,16 @@ def _parse_ranges(raw: str) -> tuple:
     return tuple(dims)
 
 
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _split_list(raw))
+
+
+def _at_least_one(path, name: str, value) -> None:
+    """Reject a count below 1, naming the file it applies to."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{path}: {name} must be >= 1, not {value}")
+
+
 # Options that once changed how training weighted the selected graphs;
 # ignoring one would silently train differently from what the file asks.
 _REMOVED_TRAINING_KEYS = ("rank_reweight", "rank_reweight_increasing", "depth_scales_logprob")
@@ -174,9 +184,7 @@ def parse_config(path) -> ExperimentConfig:
     kind = _get(cp, path, "target", "kind", str, default="explicit")
     inputs = _get(cp, path, "target", "inputs", int, required=kind != "classification")
     outputs = _get(cp, path, "target", "outputs", int, default=1)
-    ranges = ()
-    if cp.has_option("target", "ranges"):
-        ranges = _parse_ranges(cp.get("target", "ranges"))
+    ranges = _get(cp, path, "target", "ranges", _parse_ranges, default=())
 
     target_exprs = None
     fn = None
@@ -184,7 +192,7 @@ def parse_config(path) -> ExperimentConfig:
     builtin_name = _get(cp, path, "target", "builtin", str, default="")
     if builtin_name:
         if builtin_name not in BUILTIN_TARGETS:
-            raise ConfigError(f"unknown builtin target {builtin_name!r}")
+            raise ConfigError(f"{path}: unknown builtin target {builtin_name!r}")
         builtin = BUILTIN_TARGETS[builtin_name]()
         fn = builtin.fn
         inputs = builtin.input_count
@@ -242,8 +250,7 @@ def parse_config(path) -> ExperimentConfig:
     if kind == "classification":
         idx_images = _get(cp, path, "target", "images", str, required=True)
         idx_labels = _get(cp, path, "target", "labels", str, required=True)
-        raw_classes = _get(cp, path, "target", "classes", str, required=True)
-        classes = tuple(int(c) for c in _split_list(raw_classes))
+        classes = _get(cp, path, "target", "classes", _parse_ints, required=True)
         test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
         input_count = _get(cp, path, "target", "pixels", int, default=784)
         outputs = len(classes)
@@ -258,7 +265,7 @@ def parse_config(path) -> ExperimentConfig:
     network = NetworkConfig(
         bases=basis_names,
         input_count=input_count,
-        constants=_parse_constants(_get(cp, path, "network", "constants", str, default="")),
+        constants=_get(cp, path, "network", "constants", _parse_constants, default=()),
         output_count=outputs,
         depth=_get(cp, path, "network", "depth", int, required=True),
         temperature=_get(cp, path, "network", "temperature", float, default=1.0),
@@ -284,15 +291,15 @@ def parse_config(path) -> ExperimentConfig:
     )
 
     reference_expr = None
-    reference_ranges = ()
     if cp.has_option("experiment", "reference"):
         try:
             reference_expr = parse_expression(cp.get("experiment", "reference"))
         except ParseError as exc:
             raise ConfigError(f"{path}: bad reference expression: {exc}") from exc
-    if cp.has_option("experiment", "reference_ranges"):
-        reference_ranges = _parse_ranges(cp.get("experiment", "reference_ranges"))
+    reference_ranges = _get(cp, path, "experiment", "reference_ranges", _parse_ranges, default=())
 
+    trials = _get(cp, path, "experiment", "trials", int, default=10)
+    _at_least_one(path, "[experiment] trials", trials)
     equivalence = _get(cp, path, "experiment", "equivalence", str, default="numeric")
     if equivalence not in ("numeric", "exact", "none"):
         raise ConfigError(
@@ -307,7 +314,7 @@ def parse_config(path) -> ExperimentConfig:
         target_expressions=target_exprs,
         equivalence=equivalence,
         tolerance=_get(cp, path, "experiment", "tolerance", float, default=1e-6),
-        trials=_get(cp, path, "experiment", "trials", int, default=10),
+        trials=trials,
         extended=_get(cp, path, "experiment", "extended", bool, default=False),
         reference_expression=reference_expr,
         reference_ranges=reference_ranges,
@@ -388,8 +395,7 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     network = build_network(exp.network)
 
     if exp.target.kind == "classification":
-        train_set, test_set = class_split
-        data = DatasetSource(train_set, training.batch_size, trial_seed)
+        data, test_set = class_split
     else:
         data = exp.target
 
@@ -567,7 +573,9 @@ def _environment() -> dict:
 # verbs
 
 
-def _overrides(args) -> dict:
+def _overrides(args, path) -> dict:
+    _at_least_one(path, "--trials", args.trials)
+    _at_least_one(path, "--parallel-trials", args.parallel_trials)
     return {"seed": args.seed, "trials": args.trials, "max_epochs": args.max_epochs}
 
 
@@ -581,7 +589,7 @@ def cmd_run(args) -> int:
     report = run_experiment(
         args.config,
         out_dir=args.out,
-        overrides=_overrides(args),
+        overrides=_overrides(args, args.config),
         workers=args.parallel_trials or 1,
         write_logs=not args.no_logs,
         echo=print,
@@ -600,6 +608,7 @@ def cmd_bench(args) -> int:
     if not paths:
         raise ConfigError(f"no .ini configs under {config_dir}")
     exps = [parse_config(path) for path in paths]  # all checked before any trial runs
+    overrides = _overrides(args, config_dir)
     summaries = []
     for path, exp in zip(paths, exps):
         if exp.extended and not args.extended:
@@ -608,7 +617,7 @@ def cmd_bench(args) -> int:
         print(f"running {exp.name} ({exp.trials} trials)")
         out = Path(args.out) / exp.name if args.out else None
         report = run_experiment(
-            path, out_dir=out, overrides=_overrides(args),
+            path, out_dir=out, overrides=overrides,
             workers=args.parallel_trials or 1, echo=print,
         )
         summaries.append(report)
@@ -641,6 +650,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    _at_least_one(args.config, "--count", args.count)
     exp = parse_config(args.config)
     if exp.target.kind == "classification":
         raise ConfigError("gen-data does not apply to classification targets")

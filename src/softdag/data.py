@@ -10,8 +10,9 @@ import numpy as np
 
 from .expression import Choices, Interval
 from .network import ConfigError, Network
+from .plan import evaluate
 from .rng import DATA_STREAM, derive_rng
-from .sampler import SampledDAG, evaluate
+from .sampler import SampledDAG
 
 __all__ = [
     "Dataset",

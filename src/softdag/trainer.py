@@ -20,15 +20,8 @@ from .data import as_batch_source
 from .expression import dag_to_expression, simplify, to_string
 from .network import ConfigError, Network
 from .rng import EPOCH_STREAM, derive_rng
-from .sampler import (
-    SampledDAG,
-    SampledPopulation,
-    most_likely_dag,
-    population_select,
-    reachable_images,
-    sample_many,
-    select_top,
-)
+from .sampler import SampledDAG, SampledPopulation, most_likely_dag, reached_rows, sample_many
+from .scoring import population_select
 
 __all__ = [
     "TrainConfig",
@@ -37,7 +30,6 @@ __all__ = [
     "AdamState",
     "loss_gradient",
     "population_gradient",
-    "select_top",
     "adam_step",
     "train_epoch",
     "train",
@@ -50,8 +42,7 @@ VERDICT_EXHAUSTED = "max-epochs-exhausted"
 # population is stuck on graphs that fit nothing, not collapsed on a fit
 VERDICT_ZERO_FITNESS = "zero-fitness"
 
-# relative tolerance for the cross-epoch fitness-multiset check used with
-# stationary batches
+# relative tolerance for the cross-epoch fitness-multiset check
 _HISTORY_RTOL = 1e-12
 
 
@@ -61,9 +52,6 @@ class TrainConfig:
     select_count: int = 5  # candidates reinforced per output
     variance: float = 0.01  # fitness kernel variance
     learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 1000
     patience: int = 30
     recurrence_depth: int = 1
@@ -79,10 +67,6 @@ class TrainConfig:
             raise ConfigError("variance must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
         if self.recurrence_depth < 1:
@@ -131,23 +115,18 @@ class TrainRun:
     converged_epoch: int | None = None
 
 
-def population_gradient(network: Network, population, pairs) -> list[np.ndarray]:
+def population_gradient(network: Network, probs, population, pairs) -> list[np.ndarray]:
     """Gradient of ``-sum(scale * log q_output(graph))`` over ``pairs``, per block.
 
-    ``pairs`` lists ``(graph, output, scale)``: a graph of ``population``
-    (a :class:`SampledPopulation` or a sequence of graphs), one of its
-    outputs and the weight of its log-probability, fitness times the depth
-    scale.  For a row with chosen index ``c`` and softmax probabilities
-    ``p`` a pair contributes ``scale * (p - e_c) / T`` on each row reachable
-    from its output, and nothing elsewhere.  Each weight receives the pairs'
-    contributions in the order given.
+    ``probs`` are the network's softmax rows, as ``Network.block_probs``
+    returns them.  ``pairs`` lists ``(graph, output, scale)``: a graph of
+    ``population`` (a :class:`SampledPopulation` or a sequence of graphs),
+    one of its outputs and the weight of its log-probability, fitness times
+    the depth scale.  For a row with chosen index ``c`` and softmax
+    probabilities ``p`` a pair contributes ``scale * (p - e_c) / T`` on each
+    row reachable from its output, and nothing elsewhere.  Each weight
+    receives the pairs' contributions in the order given.
     """
-    return _population_gradient(network, network.block_probs(), population, pairs)
-
-
-def _population_gradient(network: Network, probs, population, pairs) -> list[np.ndarray]:
-    """``population_gradient`` with the softmax rows ``probs`` of
-    ``Network.block_probs``."""
     grads = [np.zeros_like(b) for b in network.blocks()]
     pairs = [p for p in pairs if p[2] != 0.0]
     if not pairs:
@@ -155,16 +134,12 @@ def _population_gradient(network: Network, probs, population, pairs) -> list[np.
     graph, out, scale = (np.array(column) for column in zip(*pairs))
     population = SampledPopulation.of(population)
     chosen = population.output_choices[graph, out]
-    live = reachable_images(
-        network, population.arg_codes(network, graph), network.output_codes[chosen][:, None]
-    )
+    roots = network.output_codes[chosen][:, None]
     coef = scale / network.config.last_layer_temperature
     _scatter(grads[-1], probs[-1], out, chosen, coef)
     coef = scale / network.config.temperature
-    for q in range(network.levels):
-        # pair-major, so each row receives its pairs in order
-        pair, row = np.nonzero(live[:, q * network.N + network.row_image])
-        chosen = population.choices[q][graph[pair], row]
+    # pair-major, so each row receives its pairs in order
+    for q, (pair, row, chosen) in enumerate(reached_rows(network, population, graph, roots)):
         _scatter(grads[q], probs[q], row, chosen, coef[pair])
     return grads
 
@@ -191,8 +166,8 @@ def loss_gradient(
     The contribution of one graph: ``population_gradient`` of the single
     pair ``(dag, output_index, fitness_value * depth)``.
     """
-    scale = float(fitness_value) * float(depth)
-    return population_gradient(network, [dag], [(0, int(output_index), scale)])
+    pair = (0, int(output_index), float(fitness_value) * float(depth))
+    return population_gradient(network, network.block_probs(), [dag], [pair])
 
 
 def adam_step(
@@ -235,16 +210,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
             r, d = divmod(ci, depth)
             pairs.append((r, j, float(kv) * float(d + 1)))
     # the weights are unchanged since the draw, so its softmax rows serve
-    grads = _population_gradient(net, dags.probs, dags, pairs)
-    adam_step(
-        net.blocks(),
-        grads,
-        run.adam,
-        config.learning_rate,
-        config.beta1,
-        config.beta2,
-        config.epsilon,
-    )
+    grads = population_gradient(net, dags.probs, dags, pairs)
+    adam_step(net.blocks(), grads, run.adam, config.learning_rate)
     run.epoch += 1
     selected = tuple(selected_raw)
     equal = all(s[0] == s[-1] for s in selected)

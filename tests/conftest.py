@@ -376,8 +376,8 @@ def reference_accumulate_loss_gradient(network, dag, fitness_value, output_index
 def reference_train_epoch(run, batch, config):
     """One epoch drawn, scored and reinforced one graph and one row at a time."""
     from softdag.rng import EPOCH_STREAM, derive_rng
-    from softdag.sampler import population_fitness
-    from softdag.trainer import adam_step, select_top
+    from softdag.scoring import population_fitness, select_top
+    from softdag.trainer import adam_step
 
     net = run.network
     X, Y = batch
@@ -390,6 +390,5 @@ def reference_train_epoch(run, batch, config):
         for ci, kv in sorted(sel):
             r, d = divmod(ci, depth)
             reference_accumulate_loss_gradient(net, dags[r], kv, j, grads, depth=d + 1)
-    adam_step(net.blocks(), grads, run.adam, config.learning_rate,
-              config.beta1, config.beta2, config.epsilon)
+    adam_step(net.blocks(), grads, run.adam, config.learning_rate)
     run.epoch += 1

@@ -237,6 +237,7 @@ def _run_benchmark(config_name: str) -> dict:
     return report
 
 
+@pytest.mark.slow
 def test_criterion_08_quadratic():
     report = _run_benchmark("poly_2x2_3x")
     eta = report["eta"]
@@ -247,6 +248,7 @@ def test_criterion_08_quadratic():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_piecewise_square():
     report = _run_benchmark("piecewise_square_neg")
     eta = report["eta"]
@@ -257,6 +259,7 @@ def test_criterion_09_piecewise_square():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_lfsr():
     report = _run_benchmark("lfsr4")
     eta = report["eta"]
@@ -267,6 +270,7 @@ def test_criterion_10_lfsr():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_recurrent_step():
     report = _run_benchmark("recurrent_step")
     rows = report["trial_rows"]
@@ -282,6 +286,7 @@ def test_criterion_11_recurrent_step():
     )
 
 
+@pytest.mark.slow
 def test_criterion_12_sine():
     report = _run_benchmark("sin_3x_plus_2")
     eta = report["eta"]
@@ -292,6 +297,7 @@ def test_criterion_12_sine():
     )
 
 
+@pytest.mark.slow
 def test_criterion_13_hyperbola_trap():
     report = _run_benchmark("hyperbola_implicit")
     trapped = [r for r in report["trial_rows"] if r["trapped"] is True]

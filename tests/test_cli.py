@@ -220,6 +220,33 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     assert str(bad) in str(info.value)
 
 
+@pytest.mark.parametrize("config, old, new, argv", [
+    ("poly_2x2_3x", "constants =", "constants = 1, two", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -3..x", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = {0, x}", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = 5..1", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = {}", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -10", ["run"]),
+    ("poly_2x2_3x", "trials = 10", "trials = 0", ["run"]),
+    ("lfsr4", "builtin = lfsr4", "builtin = lfsr5", ["run"]),
+    ("hyperbola_implicit", "reference_ranges = 0.5..2", "reference_ranges = 0.5..y", ["run"]),
+    ("mnist_binary", "classes = 0, 7", "classes = 3, x", ["run"]),
+    ("poly_2x2_3x", "", "", ["run", "--trials", "-1", "--max-epochs", "1"]),
+    ("poly_2x2_3x", "", "", ["run", "--trials", "1", "--max-epochs", "1", "--parallel-trials", "0"]),
+    ("poly_2x2_3x", "", "", ["gen-data", "--count", "0"]),
+])
+def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
+    path = tmp_path / f"{config}.ini"
+    text = (CONFIG_DIR / f"{config}.ini").read_text()
+    assert text.count(old) == 1 or not old
+    path.write_text(text.replace(old, new) if old else text)
+    out = tmp_path / "out"
+    assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key", ["rank_reweight", "rank_reweight_increasing", "depth_scales_logprob"]
 )

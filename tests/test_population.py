@@ -27,11 +27,11 @@ from softdag import (
     train_epoch,
 )
 from softdag.expression import evaluate_tree_batch
-from softdag import sampler
-from softdag.sampler import (
+from softdag import scoring
+from softdag.plan import PopulationPlan
+from softdag.scoring import (
     _BOUND_SHIFT,
     _EXP_ZERO,
-    PopulationPlan,
     _bound_table,
     _distinct_rows,
     _kernel_terms,
@@ -239,7 +239,7 @@ def test_population_select_matches_select_top(case, block_rows, select_rows):
     # small blocks give even small populations several blocks to bound
     net, dags, X, Y, variance, depth, count = case
     want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
-    with mock.patch.multiple(sampler, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
+    with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
         got = population_select(net, dags, X, Y, depth, variance, count)
     assert [[c for c, _ in picks] for picks in got] == [[c for c, _ in picks] for picks in want]
     assert all(
@@ -263,7 +263,7 @@ def test_population_select_ties_on_repeated_rows():
         variance = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
         count = int(rng.integers(1, 4))
         want = select_top(population_fitness(net, dags, X, Y, 1, variance), count)
-        with mock.patch.multiple(sampler, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
+        with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
             assert population_select(net, dags, X, Y, 1, variance, count) == want
 
 
@@ -274,8 +274,8 @@ def test_population_select_counts_shared_columns():
     count = 3
     dags = [make_dag(net, [], [0])] * count + [make_dag(net, [], [j]) for j in (1, 2, 3)]
     X = np.random.default_rng(0).uniform(3.0, 4.0, size=(50, 1))
-    with mock.patch.object(sampler, "SCORE_BLOCK_ROWS", 1):
-        scores, index = sampler._column_scores(net, dags, X, X, 1, 0.01, count)
+    with mock.patch.object(scoring, "SCORE_BLOCK_ROWS", 1):
+        scores, index = scoring._column_scores(net, dags, X, X, 1, 0.01, count)
     assert np.isfinite(scores).tolist() == [True, False, False, False]
     assert population_select(net, dags, X, X, 1, 0.01, count) == [
         [(c, scores[0]) for c in range(count)]
@@ -312,7 +312,7 @@ def test_distinct_rows_falls_back_on_hash_collisions():
     first, lanes = _distinct_rows(X, Y)
     assert np.array_equal(rows[first][lanes], rows)
     every_row_collides = mock.patch.object(
-        sampler, "_row_hash", lambda columns: np.zeros(columns.shape[1], np.uint64)
+        scoring, "_row_hash", lambda columns: np.zeros(columns.shape[1], np.uint64)
     )
     # Fortran-ordered batches too: the byte keys need C-ordered rows
     for x, y in ((X, Y), (np.asfortranarray(X), np.asfortranarray(Y))):
@@ -643,10 +643,10 @@ def test_population_gradient_matches_reference(case, count, picks):
     want = [np.zeros_like(b) for b in net.blocks()]
     for r, j, k, d in picks:
         reference_accumulate_loss_gradient(net, population[r % count], k, j % v, want, depth=d)
-    got = population_gradient(net, population, pairs)
+    got = population_gradient(net, net.block_probs(), population, pairs)
     assert all(same_bits(g, w) for g, w in zip(got, want))
     # a list of graphs is stacked into the same population
-    listed = population_gradient(net, list(population), pairs)
+    listed = population_gradient(net, net.block_probs(), list(population), pairs)
     assert all(same_bits(g, w) for g, w in zip(listed, want))
 
 

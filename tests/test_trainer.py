@@ -33,7 +33,9 @@ from softdag.expression import Interval, evaluate_tree_batch
 from softdag.cli import parse_config, summarize
 from softdag.rng import EPOCH_STREAM, derive_rng
 from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
-from softdag.sampler import evaluate, evaluate_recurrent, population_fitness, sample_many
+from softdag.plan import evaluate, evaluate_recurrent
+from softdag.sampler import sample_many
+from softdag.scoring import population_fitness
 
 from conftest import make_dag, make_network, random_tiny_network, reference_reachable_images
 
