@@ -164,6 +164,14 @@ def _get(cp, path, section, key, cast, default=None, required=False):
         raise ConfigError(f"{path}: bad [{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _build(path, cls, **fields):
+    """``cls(**fields)``; a field the class rejects names the file."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _expression_fn(exprs: tuple[Expr, ...]):
     def fn(X: np.ndarray) -> np.ndarray:
         return np.stack([evaluate_tree_batch(e, X) for e in exprs], axis=1)
@@ -232,7 +240,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
 
     name = _get(cp, path, "experiment", "name", str, default=path.stem)
-    target = TargetSpec(
+    target = _build(
+        path,
+        TargetSpec,
         kind=kind,
         input_count=inputs if kind != "classification" else 0,
         output_count=outputs,
@@ -262,7 +272,9 @@ def parse_config(path) -> ExperimentConfig:
         resolve_bases(basis_names)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    network = NetworkConfig(
+    network = _build(
+        path,
+        NetworkConfig,
         bases=basis_names,
         input_count=input_count,
         constants=_get(cp, path, "network", "constants", _parse_constants, default=()),
@@ -278,7 +290,9 @@ def parse_config(path) -> ExperimentConfig:
     for key in _REMOVED_TRAINING_KEYS:
         if cp.has_option("training", key):
             raise ConfigError(f"{path}: [training] {key} is no longer supported")
-    training = TrainConfig(
+    training = _build(
+        path,
+        TrainConfig,
         sample_count=_get(cp, path, "training", "samples", int, required=True),
         select_count=_get(cp, path, "training", "select", int, required=True),
         variance=_get(cp, path, "training", "variance", float, required=True),

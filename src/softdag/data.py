@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -13,8 +14,10 @@ from .network import ConfigError, Network
 from .plan import evaluate
 from .rng import DATA_STREAM, derive_rng
 from .sampler import SampledDAG
+from .scoring import _repeats, _row_codes
 
 __all__ = [
+    "Batch",
     "Dataset",
     "TargetSpec",
     "IdxFormatError",
@@ -61,7 +64,10 @@ class TargetSpec:
     """What to generate data from.
 
     ``fn`` maps an input batch ``(n, input_count)`` to targets
-    ``(n, output_count)``.  For ``implicit`` targets, ``derived`` computes
+    ``(n, output_count)`` row by row: a row's targets depend on that row
+    alone, and equal rows get equal bits wherever they sit in the batch.
+    The redraw of non-finite rows and the distinct rows of a batch rely
+    on it.  For ``implicit`` targets, ``derived`` computes
     the last input coordinate from the free ones and the target column is
     the constant ``constant_target``.  For ``recurrent`` targets the data
     generator self-composes ``fn`` ``target_depth`` times.
@@ -86,16 +92,27 @@ class TargetSpec:
             raise ConfigError("implicit targets need a derived-coordinate rule")
 
 
-def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_inputs(ranges, n: int, rng: np.random.Generator):
+    """``(inputs, codes)``: ``n`` rows drawn from ``ranges``, and per row
+    the mixed-radix number of its ``Choices`` indices.  When every column
+    is a ``Choices`` with fewer than ``2**63`` combinations in all, rows
+    with equal codes are equal.
+    """
     out = np.empty((n, len(ranges)), dtype=np.float64)
+    codes = np.zeros(n, dtype=np.int64)
     for k, dim in enumerate(ranges):
         if isinstance(dim, Interval):
             out[:, k] = rng.uniform(dim.lo, dim.hi, size=n)
         elif isinstance(dim, Choices):
-            out[:, k] = rng.choice(np.asarray(dim.values), size=n)
+            values = np.asarray(dim.values)
+            # the numbers and generator state of rng.choice(values, n)
+            picks = rng.integers(0, len(values), n, dtype=np.int64)
+            out[:, k] = values[picks]
+            codes *= len(values)
+            codes += picks
         else:
             raise ConfigError(f"bad range spec {dim!r}")
-    return out
+    return out, codes
 
 
 def _compose(fn, X: np.ndarray, depth: int) -> np.ndarray:
@@ -107,38 +124,49 @@ def _compose(fn, X: np.ndarray, depth: int) -> np.ndarray:
 
 def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
     """Draw ``n`` rows for the target; rows with non-finite entries are redrawn."""
+    X, Y, _ = _generate(spec, n, rng)
+    return Dataset(X, Y)
+
+
+def _generate(spec: TargetSpec, n: int, rng: np.random.Generator):
+    """``generate``'s rows as ``(X, Y, codes)``, with the row codes of
+    ``_sample_inputs``: an implicit target's free columns decide its rows,
+    and a redrawn row carries its new code."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.kind == "classification":
         raise ConfigError("classification datasets are loaded, not generated")
 
-    def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(count: int):
         if spec.kind == "implicit":
-            free = _sample_inputs(spec.input_ranges, count, rng)
+            free, codes = _sample_inputs(spec.input_ranges, count, rng)
             with np.errstate(all="ignore"):
                 last = np.asarray(spec.derived(free), dtype=np.float64)
             X = np.column_stack([free, last])
             Y = np.full((count, spec.output_count), spec.constant_target)
-            return X, Y
-        X = _sample_inputs(spec.input_ranges, count, rng)
+            return X, Y, codes
+        X, codes = _sample_inputs(spec.input_ranges, count, rng)
         with np.errstate(all="ignore"):
             depth = spec.target_depth if spec.kind == "recurrent" else 1
             Y = np.asarray(_compose(spec.fn, X, depth), dtype=np.float64)
         if Y.ndim == 1:
             Y = Y[:, None]
-        return X, Y
+        return X, Y, codes
 
-    X, Y = draw(n)
+    X, Y, codes = draw(n)
     for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
-        if not bad.any():
+        # one pass over each array settles a batch with nothing to redraw;
+        # a per-row reduction along the short axis costs many times more
+        if np.isfinite(X).all() and np.isfinite(Y).all():
             break
-        X2, Y2 = draw(int(bad.sum()))
+        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
+        X2, Y2, codes2 = draw(int(bad.sum()))
         X[bad] = X2
         Y[bad] = Y2
+        codes[bad] = codes2
     else:
         raise ConfigError(f"target {spec.name!r} keeps producing non-finite rows")
-    return Dataset(X, Y)
+    return X, Y, codes
 
 
 def split(dataset: Dataset, test_fraction: float, rng: np.random.Generator):
@@ -229,20 +257,44 @@ def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) ->
 # batch sources for training
 
 
+@dataclass(frozen=True)
+class Batch:
+    """One epoch's rows, as a batch source serves them; unpacks as ``X, Y``.
+
+    ``rows`` is ``(first, lanes)`` when at most half of the rows are
+    distinct: ``inputs[first]``, ``targets[first]`` are the distinct rows,
+    in the order of their codes, and row ``i`` equals distinct row
+    ``lanes[i]``.  It is ``(None, None)`` when the rows are scored as they
+    are.  The source knows this from how it drew the rows, with no scan of
+    the batch's values.
+    """
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    rows: tuple
+
+    def __iter__(self):
+        return iter((self.inputs, self.targets))
+
+
 class ResamplingSource:
     """Fresh batch drawn from the target distribution every epoch."""
-
-    stationary = False
 
     def __init__(self, spec: TargetSpec, batch_size: int, seed: int):
         self.spec = spec
         self.batch_size = batch_size
         self.seed = seed
+        # The row codes tell rows apart when every free column is a choice.
+        # An interval's rows do not repeat, and with more combinations than
+        # 4 * batch_size, uniform draws leave over 0.88 of a batch's rows
+        # distinct on average, too many for distinct rows to pay.
+        per_row = [len(d.values) if isinstance(d, Choices) else math.inf for d in spec.input_ranges]
+        self._coded = math.prod(per_row) <= 4 * batch_size
 
-    def batch(self, epoch: int):
+    def batch(self, epoch: int) -> Batch:
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
-        ds = generate(self.spec, self.batch_size, rng)
-        return ds.inputs, ds.targets
+        X, Y, codes = _generate(self.spec, self.batch_size, rng)
+        return Batch(X, Y, _repeats(codes) if self._coded else (None, None))
 
 
 class DatasetSource:
@@ -250,7 +302,8 @@ class DatasetSource:
 
     When the batch size covers the whole dataset the same batch is served
     every epoch (a stationary source); otherwise a seeded random subset is
-    drawn per epoch.
+    drawn per epoch.  The dataset's rows are told apart by their bytes
+    once, and each batch's repeats follow from the rows it picks.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
@@ -258,13 +311,22 @@ class DatasetSource:
         self.batch_size = min(batch_size, len(dataset))
         self.seed = seed
         self.stationary = self.batch_size >= len(dataset)
-
-    def batch(self, epoch: int):
+        codes = _row_codes(dataset.inputs, dataset.targets)
+        # a dataset of distinct rows serves batches of distinct rows
+        self._codes = None if len(codes) and codes.max() + 1 == len(codes) else codes
         if self.stationary:
-            return self.dataset.inputs, self.dataset.targets
+            self._batch = self._pick(slice(None))
+
+    def _pick(self, idx) -> Batch:
+        data = self.dataset
+        rows = (None, None) if self._codes is None else _repeats(self._codes[idx])
+        return Batch(data.inputs[idx], data.targets[idx], rows)
+
+    def batch(self, epoch: int) -> Batch:
+        if self.stationary:
+            return self._batch
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
-        idx = rng.choice(len(self.dataset), size=self.batch_size, replace=False)
-        return self.dataset.inputs[idx], self.dataset.targets[idx]
+        return self._pick(rng.choice(len(self.dataset), size=self.batch_size, replace=False))
 
 
 def as_batch_source(data, batch_size: int, seed: int):
@@ -273,7 +335,7 @@ def as_batch_source(data, batch_size: int, seed: int):
         return DatasetSource(data, batch_size, seed)
     if isinstance(data, TargetSpec):
         return ResamplingSource(data, batch_size, seed)
-    if hasattr(data, "batch") and hasattr(data, "stationary"):
+    if hasattr(data, "batch"):
         return data
     raise TypeError(f"cannot build a batch source from {type(data).__name__}")
 

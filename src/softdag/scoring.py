@@ -97,31 +97,53 @@ def _row_hash(columns: np.ndarray) -> np.ndarray:
     return h
 
 
-def _distinct_rows(X: np.ndarray, Y: np.ndarray):
-    """``(first, lanes)`` when at most half of the batch's ``(x, y)`` rows
-    are distinct, else ``None``: ``X[first]``, ``Y[first]`` are the distinct
-    rows and row ``i`` of the batch is distinct row ``lanes[i]``.
+def _row_codes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per row of a batch, the rank of its ``(x, y)`` row among the
+    distinct ones, told apart by their bytes: ``-0.0`` and ``0.0`` differ
+    and so do NaNs with different payloads.  Rows are grouped by a hash of
+    their bits; if two rows of a group differ, the rows' bytes are sorted
+    instead."""
+    columns = np.empty((X.shape[1] + Y.shape[1], len(X)), dtype=np.uint64)
+    columns[:X.shape[1]] = X.T.view(np.uint64)
+    columns[X.shape[1]:] = Y.T.view(np.uint64)
+    _, first, codes = np.unique(_row_hash(columns), return_index=True, return_inverse=True)
+    if not np.array_equal(columns[:, first[codes]], columns):
+        rows = np.ascontiguousarray(columns.T)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, codes = np.unique(keys, return_inverse=True)
+    return codes
 
-    Rows are told apart by their bytes, so ``-0.0`` and ``0.0`` differ and
-    so do NaNs with different payloads.  The rows' sums decide most
-    batches: equal rows have equal sums, so if more than half of the sums
-    differ, so do the rows.  One input column would not do for images,
-    whose corner pixel is the same in every row.  Rows are grouped by a
-    hash of their bits; if two rows of a group differ, the rows' bytes are
-    sorted instead.
+
+def _repeats(codes: np.ndarray):
+    """``(first, lanes)`` of a batch whose row ``i`` has the code
+    ``codes[i]``, rows with equal codes being equal, when at most half of
+    the codes differ; else ``(None, None)``.  Row ``first[j]`` is the
+    first with the ``j``-th smallest code, and ``lanes[i]`` the rank of row
+    ``i``'s code.  Codes are small nonnegative integers: they index a table
+    of ``codes.max() + 1`` entries."""
+    n = len(codes)
+    if not n:
+        return None, None
+    present = np.bincount(codes) > 0
+    rank = np.cumsum(present) - 1
+    if rank[-1] >= n // 2:
+        return None, None
+    first = np.full(len(present), n)
+    np.minimum.at(first, codes, np.arange(n))
+    return first[present], rank[codes]
+
+
+def _distinct_rows(X: np.ndarray, Y: np.ndarray):
+    """``_repeats`` of a batch given as arrays, keyed by ``_row_codes``.
+
+    The rows' sums decide most batches: equal rows have equal sums, so if
+    more than half of the sums differ, so do the rows.  One input column
+    would not do for images, whose corner pixel is the same in every row.
     """
     n = len(X)
     if not n or len(np.unique(X.sum(axis=1))) > n // 2:
-        return None
-    columns = np.empty((X.shape[1] + Y.shape[1], n), dtype=np.uint64)
-    columns[:X.shape[1]] = X.T.view(np.uint64)
-    columns[X.shape[1]:] = Y.T.view(np.uint64)
-    _, first, lanes = np.unique(_row_hash(columns), return_index=True, return_inverse=True)
-    if not np.array_equal(columns[:, first[lanes]], columns):
-        rows = np.ascontiguousarray(columns.T)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
-    return (first, lanes) if len(first) <= n // 2 else None
+        return None, None
+    return _repeats(_row_codes(X, Y))
 
 
 # A column's upper bound adds, per residual, the kernel term of the
@@ -154,14 +176,16 @@ def _bound_table(variance: float) -> np.ndarray:
     return table
 
 
-def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, count=None):
+def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, count=None, rows=None):
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
     column, and per candidate and output the column it reads.
 
+    ``rows`` is the batch's ``(first, lanes)`` as ``data.Batch`` carries
+    it; without it ``_distinct_rows`` finds them from the rows' bytes.
     Without ``count`` every column is scored.  With it, once the
-    candidates' outputs could fill more than two blocks, a column is
-    scored only if it can be among its output's ``count`` best candidates,
-    and the others hold ``-inf``.  Each block of residuals gets an upper
+    candidates' outputs could fill more than two blocks of a full batch, a
+    column is scored only if it can be among its output's ``count`` best
+    candidates, and the others hold ``-inf``.  Each block of residuals gets an upper
     bound per column (``_bound_table``), and its columns are scored in
     descending bound order, ``SELECT_ROWS`` at a time, while their bound is
     at least their output's cut: the ``count``-th best exact score so far,
@@ -176,10 +200,9 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     if Y.shape != (X.shape[0], v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
     plan = PopulationPlan(network, dags, depth)
-    block_rows, lanes = SCORE_BLOCK_ROWS, None
-    distinct = _distinct_rows(X, Y)
-    if distinct is not None:
-        first, lanes = distinct
+    first, lanes = _distinct_rows(X, Y) if rows is None else rows
+    block_rows = SCORE_BLOCK_ROWS
+    if lanes is not None:
         block_rows = SCORE_BLOCK_ROWS * len(X) // len(first)
         X, Y = X[first], Y[first]
     targets = np.ascontiguousarray(Y.T)
@@ -188,10 +211,12 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     output = np.empty(most, dtype=np.intp)
     # allocated once the first columns come (``score``)
     block = codes = terms = None
-    # the first block mostly sets the cut, so bounds pay only from the third
-    # block on: on two blocks they cost training time (33 to 45 columns of
-    # poly_2x2_3x, scored by 50 graphs) and on one they cannot save a call
-    select = count is not None and count > 0 and most > 2 * block_rows
+    # on a full batch the first block mostly sets the cut, so bounds pay
+    # only from the third block on: on two blocks they cost training time
+    # (33 to 45 columns of poly_2x2_3x, scored by 50 graphs).  A block of
+    # distinct rows holds more columns (2000 of lfsr4's 16 rows), so one
+    # bound pass can cover a whole call before any column is scored.
+    select = count is not None and count > 0 and most > 2 * SCORE_BLOCK_ROWS
     if select:
         table = _bound_table(variance)
         # a distinct row's term counts once per batch row it stands for
@@ -275,19 +300,23 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
     return scores[index]
 
 
-def population_select(network: Network, dags, X, Y, depth: int, variance: float, count: int):
+def population_select(
+    network: Network, dags, X, Y, depth: int, variance: float, count: int, rows=None
+):
     """Per output, the ``count`` fittest candidates of a population as
     ``(candidate_index, fitness)`` pairs, fittest first, ties to the lower
     index: ``select_top(population_fitness(...), count)`` bit for bit.
 
-    Candidates are numbered as in :func:`population_fitness`.  A column is
+    Candidates are numbered as in :func:`population_fitness`.  ``rows``
+    is the batch's ``Batch.rows`` when a batch source served it; without
+    it the repeated rows are found from their bytes.  A column is
     scored exactly only while its upper bound reaches its output's
     ``count``-th best exact fitness so far (``_column_scores``); a column
     it skips scores below the final cut and cannot be selected.  Raises
     ``ConfigError`` when ``count`` exceeds the candidates, as
     :func:`select_top` does.
     """
-    scores, index = _column_scores(network, dags, X, Y, depth, variance, count)
+    scores, index = _column_scores(network, dags, X, Y, depth, variance, count, rows)
     return select_top(scores[index], count)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_batch_source
+from .data import Batch, as_batch_source
 from .expression import dag_to_expression, simplify, to_string
 from .network import ConfigError, Network
 from .rng import EPOCH_STREAM, derive_rng
@@ -193,13 +193,19 @@ def adam_step(
 
 
 def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
-    """One population step: sample, score, select, accumulate, Adam."""
+    """One population step: sample, score, select, accumulate, Adam.
+
+    ``batch`` is a :class:`~softdag.data.Batch`, whose distinct rows come
+    from its source, or an ``(X, Y)`` pair, whose rows are told apart by
+    their bytes.
+    """
     net = run.network
     X, Y = batch
+    rows = batch.rows if isinstance(batch, Batch) else None
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
     depth = config.recurrence_depth
-    picks = population_select(net, dags, X, Y, depth, config.variance, config.select_count)
+    picks = population_select(net, dags, X, Y, depth, config.variance, config.select_count, rows)
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):

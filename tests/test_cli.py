@@ -234,6 +234,10 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "", "", ["run", "--trials", "-1", "--max-epochs", "1"]),
     ("poly_2x2_3x", "", "", ["run", "--trials", "1", "--max-epochs", "1", "--parallel-trials", "0"]),
     ("poly_2x2_3x", "", "", ["gen-data", "--count", "0"]),
+    ("poly_2x2_3x", "samples = 50", "samples = 0", ["run"]),
+    ("poly_2x2_3x", "select = 5", "select = 60", ["run"]),
+    ("poly_2x2_3x", "depth = 2", "depth = 0", ["run"]),
+    ("poly_2x2_3x", "temperature = 1.0\nlast", "temperature = 0\nlast", ["run"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"

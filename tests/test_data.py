@@ -1,4 +1,6 @@
+import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +14,24 @@ from softdag import (
     parse,
     split,
 )
+from softdag.cli import parse_config
 from softdag.data import (
+    Batch,
     DatasetSource,
     ResamplingSource,
     TargetSpec,
+    _sample_inputs,
     as_batch_source,
     load_idx_images,
     target_lfsr4,
 )
-from softdag.expression import Interval, evaluate_tree_batch
+from softdag.expression import Choices, Interval, evaluate_tree_batch
 from softdag.network import ConfigError
+from softdag.scoring import _row_codes
 
-from conftest import make_dag, make_network
+from conftest import make_dag, make_network, same_bits
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _spec_from_expression(text, ranges, kind="explicit", **kw):
@@ -206,7 +214,6 @@ def test_classification_accuracy_rules():
 def test_batch_sources(rng):
     spec = _spec_from_expression("sin(x0)", (Interval(-1, 1),))
     src = ResamplingSource(spec, 32, seed=1)
-    assert not src.stationary
     xa, ya = src.batch(4)
     xb, yb = src.batch(4)
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
@@ -224,8 +231,100 @@ def test_batch_sources(rng):
     assert as_batch_source(ds, 32, 1).dataset is ds
     assert as_batch_source(spec, 32, 1).spec is spec
     assert as_batch_source(small, 32, 1) is small
+
+    class Fixed:
+        def batch(self, epoch):
+            return ds.inputs, ds.targets
+
+    fixed = Fixed()
+    assert as_batch_source(fixed, 32, 1) is fixed
     with pytest.raises(TypeError):
         as_batch_source(42, 32, 1)
+
+
+# SHA-256 of X and Y of ResamplingSource(spec, 1000, 5).batch(e), epochs
+# 1-20, recorded before the source kept its choice indices
+BATCH_DIGESTS = {
+    "lfsr4": "a6186103f8d7d6f3d69658b44e1d2d707715090f713c85567a01d2ecf9995ec1",
+    "sort3": "549d4702cdf3b610485c6c686d2320a383a02f1e5b8e1e4fdba5809f6887df8d",
+    "poly_2x2_3x": "38375104ff6b69190216bca102643a09efeeb151d79acb9dfa2a8ddc9d484a59",
+    "recurrent_halfsquare": "bed9185bfe587243b4b02004f7cc0ccda6f196df7158dfc6843f4f24ad4f6b13",
+    "hyperbola_implicit": "62c5c6df2f7529f9c30a2b9a376edb42a07d21b33173c87942d0841d79b03bbd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
+def test_resampled_batches_are_unchanged(name):
+    source = ResamplingSource(parse_config(CONFIG_DIR / f"{name}.ini").target, 1000, 5)
+    h = hashlib.sha256()
+    for epoch in range(1, 21):
+        X, Y = source.batch(epoch)
+        h.update(np.ascontiguousarray(X).tobytes())
+        h.update(np.ascontiguousarray(Y).tobytes())
+    assert h.hexdigest() == BATCH_DIGESTS[name]
+
+
+def test_choice_draw_matches_rng_choice():
+    values = (0.0, 1.0, -2.5)
+    for seed in range(50):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        X, codes = _sample_inputs((Choices(values), Choices(values[:2])), 1000, ours)
+        assert same_bits(X[:, 0], theirs.choice(np.asarray(values), size=1000))
+        assert same_bits(X[:, 1], theirs.choice(np.asarray(values[:2]), size=1000))
+        assert ours.random() == theirs.random()
+        # the mixed-radix number of the two indices
+        assert np.array_equal(codes, 2 * np.array([values.index(v) for v in X[:, 0]]) + X[:, 1])
+
+
+def _same_partition(got, X, Y):
+    """``got`` is ``(first, lanes)`` of the batch ``X, Y``: the rows it puts
+    together are the rows with equal bytes."""
+    first, lanes = got
+    assert same_bits(X[first][lanes], X) and same_bits(Y[first][lanes], Y)
+    want = _row_codes(X, Y)
+    assert np.array_equal(lanes[:, None] == lanes[None, :], want[:, None] == want[None, :])
+
+
+def test_batch_rows_follow_the_draw():
+    X, Y = batch = ResamplingSource(target_lfsr4(), 1000, 3).batch(7)
+    first, lanes = batch.rows
+    # distinct rows in code order, each the first of its code
+    codes = X @ [8.0, 4.0, 2.0, 1.0]
+    _, want_first, want_lanes = np.unique(codes, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first) and np.array_equal(lanes, want_lanes)
+    _same_partition(batch.rows, X, Y)
+
+    # 1 / 0 is the division guard's sentinel, so those rows are redrawn
+    # with new codes; an implicit target keys its free columns
+    inverse = _spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))))
+    implicit = TargetSpec(
+        kind="implicit", input_count=2, output_count=1, input_ranges=(Choices((0.0, 2.0, 4.0)),),
+        derived=lambda F: evaluate_tree_batch(parse("1 / x0"), F),
+    )
+    for spec in (inverse, implicit):
+        X, Y = batch = ResamplingSource(spec, 40, 1).batch(2)
+        assert np.isfinite(X).all() and np.isfinite(Y).all()
+        _same_partition(batch.rows, X, Y)
+
+    # an interval column, or more than 4 combinations per batch row, score
+    # every row
+    for ranges, n in (((Choices((0.0, 1.0)), Interval(0.0, 1.0)), 100),
+                      ((Choices((0.0, 1.0)),) * 64, 100), ((Choices((0.0, 1.0)),) * 3, 1)):
+        spec = _spec_from_expression("x0", ranges)
+        assert ResamplingSource(spec, n, 1).batch(1).rows == (None, None)
+
+
+def test_dataset_batches_rows_follow_the_dataset():
+    rng = np.random.default_rng(0)
+    base = rng.choice([0.0, -0.0, 1.0, np.nan], size=(5, 3))[rng.integers(0, 5, 60)]
+    ds = Dataset(base[:, :2], base[:, 2:])
+    small, full = DatasetSource(ds, 24, seed=1), DatasetSource(ds, 100, seed=1)
+    for epoch in (1, 2):
+        for batch in (small.batch(epoch), full.batch(epoch)):
+            assert isinstance(batch, Batch)
+            _same_partition(batch.rows, *batch)
+    distinct = Dataset(np.arange(10.0)[:, None], np.zeros((10, 1)))
+    assert DatasetSource(distinct, 4, seed=1).batch(1).rows == (None, None)
 
 
 def _mnist_dir():

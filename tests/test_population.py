@@ -7,6 +7,8 @@ bit for bit.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,8 +26,11 @@ from softdag import (
     log_probability,
     sample,
     sample_many,
+    train,
     train_epoch,
 )
+from softdag import trainer
+from softdag.cli import parse_config
 from softdag.expression import evaluate_tree_batch
 from softdag import scoring
 from softdag.plan import PopulationPlan
@@ -35,6 +40,7 @@ from softdag.scoring import (
     _bound_table,
     _distinct_rows,
     _kernel_terms,
+    _repeats,
     population_fitness,
     population_select,
     select_top,
@@ -59,6 +65,8 @@ from conftest import (
 _POOL = ("ADD", "SUB", "MUL", "DIV", "SQUARE", "SIN", "NEG", "IF_LEQ", "MAX", "XOR")
 
 _settings = settings(max_examples=60, deadline=None)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _draw_population(draw, recurrent):
@@ -334,14 +342,72 @@ def test_distinct_rows_gate():
     assert same_bits(X[at_half][first][lanes], X[at_half])
     assert same_bits(Y[at_half][first][lanes], Y[at_half])
     # one more distinct row than half the batch
-    assert _distinct_rows(X[at_half[:-1]], Y[at_half[:-1]]) is None
+    assert _distinct_rows(X[at_half[:-1]], Y[at_half[:-1]]) == (None, None)
     # the same input with two targets is two rows
     Y2 = np.where(np.arange(10)[:, None] < 5, 0.0, 3.0)
     first, lanes = _distinct_rows(np.zeros((10, 1)), Y2)
     assert len(first) == 2 and same_bits(Y2[first][lanes], Y2)
     # mostly distinct row sums send the batch down the full path
-    assert _distinct_rows(np.arange(20.0)[:, None], np.zeros((20, 1))) is None
-    assert _distinct_rows(np.empty((0, 1)), np.empty((0, 1))) is None
+    assert _distinct_rows(np.arange(20.0)[:, None], np.zeros((20, 1))) == (None, None)
+    assert _distinct_rows(np.empty((0, 1)), np.empty((0, 1))) == (None, None)
+
+
+@pytest.mark.parametrize("top", [1, 2, 16, 300, 2404])
+def test_repeats_of_codes(top):
+    # few and many codes, at and around the half-batch gate
+    rng = np.random.default_rng(top)
+    for n in (1, 2, 3, 40, 601):
+        for kinds in (1, n // 2, n // 2 + 1, n):
+            pool = rng.choice(top, size=max(1, min(kinds, top)), replace=False)
+            codes = pool[rng.integers(0, len(pool), n)]
+            _, want_first, want_lanes = np.unique(codes, return_index=True, return_inverse=True)
+            got = _repeats(codes)
+            if len(want_first) > n // 2:
+                assert got == (None, None)
+            else:
+                assert np.array_equal(got[0], want_first) and np.array_equal(got[1], want_lanes)
+    assert _repeats(np.empty(0, dtype=np.int64)) == (None, None)
+
+
+def _config_training(name, epochs):
+    exp = parse_config(CONFIG_DIR / f"{name}.ini")
+    training = replace(exp.training, max_epochs=epochs, patience=epochs + 1)
+    return exp, training
+
+
+def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
+    # lfsr4's 1000-row batches hold 16 distinct rows: the selection bounds
+    # rule out most columns, and the picks are still select_top's
+    exp, training = _config_training("lfsr4", 30)
+    rows_scored, columns = [], []
+    kernel_sums, column_scores = scoring._kernel_sums, scoring._column_scores
+
+    def counted_sums(k, *args):
+        rows_scored.append(len(k))
+        return kernel_sums(k, *args)
+
+    def checked_select(net, dags, X, Y, depth, variance, count, rows):
+        assert rows[1] is not None
+        with mock.patch.object(scoring, "_kernel_sums", counted_sums):
+            got = population_select(net, dags, X, Y, depth, variance, count, rows)
+        columns.append(len(column_scores(net, dags, X, Y, depth, variance, None, rows)[0]))
+        want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
+        assert got == want
+        return got
+
+    with mock.patch.object(trainer, "population_select", checked_select):
+        run = train(build_network(exp.network), exp.target, training)
+    assert run.epoch == 30 and len(columns) == 30
+    assert sum(rows_scored) < sum(columns) / 4
+
+
+@pytest.mark.parametrize("name", ["lfsr4", "poly_2x2_3x"])
+def test_training_from_a_source_keys_no_rows(name):
+    # the batch source says which rows repeat; no epoch reads their bytes
+    exp, training = _config_training(name, 20)
+    with mock.patch.object(scoring, "_distinct_rows", side_effect=AssertionError("keyed rows")):
+        run = train(build_network(exp.network), exp.target, training)
+    assert run.epoch == 20
 
 
 def _run(plan, X):
