@@ -26,7 +26,7 @@ import platform
 import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -84,7 +84,6 @@ class ExperimentConfig:
     network: NetworkConfig
     training: TrainConfig
     target: TargetSpec
-    target_expressions: tuple[Expr, ...] | None
     equivalence: str  # numeric | exact | none
     tolerance: float
     trials: int
@@ -194,7 +193,6 @@ def parse_config(path) -> ExperimentConfig:
     outputs = _get(cp, path, "target", "outputs", int, default=1)
     ranges = _get(cp, path, "target", "ranges", _parse_ranges, default=())
 
-    target_exprs = None
     fn = None
     derived = None
     builtin_name = _get(cp, path, "target", "builtin", str, default="")
@@ -325,7 +323,6 @@ def parse_config(path) -> ExperimentConfig:
         network=network,
         training=training,
         target=target,
-        target_expressions=target_exprs,
         equivalence=equivalence,
         tolerance=_get(cp, path, "experiment", "tolerance", float, default=1e-6),
         trials=trials,
@@ -343,7 +340,7 @@ def parse_config(path) -> ExperimentConfig:
 # correctness checks
 
 
-def _check_explicit(exp: ExperimentConfig, network, exprs) -> bool:
+def _check_explicit(exp: ExperimentConfig, exprs) -> bool:
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
     want = exp.target.fn(pts)
     exact = exp.equivalence == "exact"
@@ -357,7 +354,7 @@ def _check_explicit(exp: ExperimentConfig, network, exprs) -> bool:
     return True
 
 
-def _check_recurrent(exp: ExperimentConfig, network, exprs):
+def _check_recurrent(exp: ExperimentConfig, network):
     """Returns (correct, identified_depth)."""
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
     target_vals = pts
@@ -435,7 +432,7 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     if kind == "classification":
         row["accuracy"] = classification_accuracy(network, dag, test_set)
     elif kind == "recurrent":
-        ok, depth = _check_recurrent(exp, network, exprs)
+        ok, depth = _check_recurrent(exp, network)
         row["equivalent"] = ok
         row["depth"] = depth if depth is not None else ""
     elif kind == "implicit":
@@ -443,7 +440,7 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
         row["equivalent"] = ok
         row["trapped"] = trapped
     elif exp.equivalence != "none":
-        row["equivalent"] = _check_explicit(exp, network, exprs)
+        row["equivalent"] = _check_explicit(exp, exprs)
     if out_dir is not None:
         save_network(network, out_dir / f"trial_{trial}_weights.txt")
     return row
@@ -527,8 +524,10 @@ def run_experiment(
     echo=lambda *_: None,
 ) -> dict:
     """Run every trial of one benchmark through :func:`_trial_row`, in this
-    process or in a pool of ``workers``, and return the report dict.  Rows
-    arrive in trial order, and the reports are rewritten after each one."""
+    process or in a pool of ``workers``, and return the report dict.  Each
+    row is echoed as its trial finishes, in a pool maybe before an earlier
+    trial's, and the reports, rewritten after each row, list the rows
+    finished so far in trial order."""
     exp = _apply_overrides(parse_config(config_path), overrides)
     out = Path(out_dir) if out_dir else None
     if out is not None:
@@ -543,8 +542,11 @@ def run_experiment(
     try:
         with (ProcessPoolExecutor(workers, initializer=_set_class_split, initargs=(class_split,))
               if workers > 1 else nullcontext()) as pool:
-            for row in (pool.map if pool else map)(_trial_row, jobs):
+            done = (map(_trial_row, jobs) if pool is None else
+                    (f.result() for f in as_completed([pool.submit(_trial_row, j) for j in jobs])))
+            for row in done:
                 rows.append(row)
+                rows.sort(key=lambda r: r["trial"])
                 echo(_trial_line(row))
                 _write_report(out, exp, rows)
     finally:

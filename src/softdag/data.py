@@ -14,7 +14,6 @@ from .network import ConfigError, Network
 from .plan import evaluate
 from .rng import DATA_STREAM, derive_rng
 from .sampler import SampledDAG
-from .scoring import _repeats, _row_codes
 
 __all__ = [
     "Batch",
@@ -261,12 +260,12 @@ def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) ->
 class Batch:
     """One epoch's rows, as a batch source serves them; unpacks as ``X, Y``.
 
-    ``rows`` is ``(first, lanes)`` when at most half of the rows are
-    distinct: ``inputs[first]``, ``targets[first]`` are the distinct rows,
-    in the order of their codes, and row ``i`` equals distinct row
-    ``lanes[i]``.  It is ``(None, None)`` when the rows are scored as they
-    are.  The source knows this from how it drew the rows, with no scan of
-    the batch's values.
+    ``rows`` is ``(first, lanes)`` when the source drew the rows from
+    codes and at most half of them are distinct: ``inputs[first]``,
+    ``targets[first]`` are the distinct rows, in the order of their codes,
+    and row ``i`` equals distinct row ``lanes[i]``.  The source knows this
+    from its draw, with no scan of the batch's values.  Otherwise it is
+    ``(None, None)``, and the rows are scored as they are.
     """
 
     inputs: np.ndarray
@@ -275,6 +274,25 @@ class Batch:
 
     def __iter__(self):
         return iter((self.inputs, self.targets))
+
+
+def _repeats(codes: np.ndarray):
+    """``(first, lanes)`` of a batch whose row ``i`` has the code
+    ``codes[i]``, rows with equal codes being equal, when at most half of
+    the codes differ; else ``(None, None)``.  Row ``first[j]`` is the
+    first with the ``j``-th smallest code, and ``lanes[i]`` the rank of row
+    ``i``'s code.  Codes are small nonnegative integers: they index a table
+    of ``codes.max() + 1`` entries."""
+    n = len(codes)
+    if not n:
+        return None, None
+    present = np.bincount(codes) > 0
+    rank = np.cumsum(present) - 1
+    if rank[-1] >= n // 2:
+        return None, None
+    first = np.full(len(present), n)
+    np.minimum.at(first, codes, np.arange(n))
+    return first[present], rank[codes]
 
 
 class ResamplingSource:
@@ -302,8 +320,8 @@ class DatasetSource:
 
     When the batch size covers the whole dataset the same batch is served
     every epoch (a stationary source); otherwise a seeded random subset is
-    drawn per epoch.  The dataset's rows are told apart by their bytes
-    once, and each batch's repeats follow from the rows it picks.
+    drawn per epoch.  Nothing says which rows of a dataset repeat, so its
+    batches are scored on every row: ``rows`` is ``(None, None)``.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
@@ -311,22 +329,14 @@ class DatasetSource:
         self.batch_size = min(batch_size, len(dataset))
         self.seed = seed
         self.stationary = self.batch_size >= len(dataset)
-        codes = _row_codes(dataset.inputs, dataset.targets)
-        # a dataset of distinct rows serves batches of distinct rows
-        self._codes = None if len(codes) and codes.max() + 1 == len(codes) else codes
-        if self.stationary:
-            self._batch = self._pick(slice(None))
-
-    def _pick(self, idx) -> Batch:
-        data = self.dataset
-        rows = (None, None) if self._codes is None else _repeats(self._codes[idx])
-        return Batch(data.inputs[idx], data.targets[idx], rows)
 
     def batch(self, epoch: int) -> Batch:
+        data = self.dataset
         if self.stationary:
-            return self._batch
+            return Batch(data.inputs, data.targets, (None, None))
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
-        return self._pick(rng.choice(len(self.dataset), size=self.batch_size, replace=False))
+        idx = rng.choice(len(data), size=self.batch_size, replace=False)
+        return Batch(data.inputs[idx], data.targets[idx], (None, None))
 
 
 def as_batch_source(data, batch_size: int, seed: int):

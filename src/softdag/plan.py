@@ -138,9 +138,9 @@ class PopulationPlan:
         self._out_cells = out_cells
         self.interned = len(cells) * depth
 
-    def run(self, X: np.ndarray, sink, chunk: int = CHUNK_ROWS) -> None:
-        """Evaluate every graph and depth on the float64 batch ``X`` of
-        shape ``(n, input_count)``, one round at a time.
+    def run(self, X, sink, chunk: int = CHUNK_ROWS) -> None:
+        """Evaluate every graph and depth on the batch ``X`` of shape
+        ``(n, input_count)``, as float64, one round at a time.
 
         Once a depth has run, ``sink(buffer, rows, outputs, readers)``
         receives its distinct ``(node, output)`` columns not met before,
@@ -161,6 +161,9 @@ class PopulationPlan:
         agree, payloads included.
         """
         cfg = self.network.config
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != cfg.input_count:
+            raise ValueError(f"expected batch of shape (n, {cfg.input_count}), got {X.shape}")
         u, v = self.network.u, cfg.output_count
         most = u + self.interned
         self.canon = np.arange(most)
@@ -363,15 +366,6 @@ def _population_of(network: Network, dags) -> SampledPopulation:
     )
 
 
-def _check_batch(network: Network, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != network.config.input_count:
-        raise ValueError(
-            f"expected batch of shape (n, {network.config.input_count}), got {X.shape}"
-        )
-    return X
-
-
 def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:
     """Run the sampled function on a batch.
 
@@ -391,7 +385,6 @@ def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list
     depths for that sample.
     """
     plan = PopulationPlan(network, [dag], depth)
-    X = _check_batch(network, X)
     values = []
 
     def keep(buf: np.ndarray, rows: np.ndarray, outs, readers) -> None:

@@ -2,10 +2,11 @@
 
 :func:`fitness` is the Gaussian-kernel score of one column.
 :func:`population_fitness` runs a :class:`~softdag.plan.PopulationPlan`
-and scores each distinct ``(node, output)`` column once, on the distinct
-rows of a batch that repeats its rows.  :func:`population_select` returns
-each output's fittest candidates and scores exactly only the columns that
-an upper bound cannot rule out.
+and scores each distinct ``(node, output)`` column once: on a batch's
+distinct rows when the caller passes them (``rows``, as a
+:class:`~softdag.data.Batch` carries them), else on every row.
+:func:`population_select` returns each output's fittest candidates and
+scores exactly only the columns that an upper bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .network import ConfigError, Network
-from .plan import PopulationPlan, _check_batch
+from .plan import PopulationPlan
 
 __all__ = ["fitness", "population_fitness", "population_select", "select_top"]
 
@@ -86,66 +87,6 @@ def _kernel_sums(k: np.ndarray, variance: float, lanes=None) -> np.ndarray:
     return sums
 
 
-def _row_hash(columns: np.ndarray) -> np.ndarray:
-    """One ``uint64`` per row of a batch given as its ``(w, n)`` ``uint64``
-    columns: a polynomial in an odd multiplier, so rows that differ in one
-    column never collide."""
-    h = columns[0].copy()
-    for column in columns[1:]:
-        h *= np.uint64(0x9E3779B97F4A7C15)
-        h += column
-    return h
-
-
-def _row_codes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per row of a batch, the rank of its ``(x, y)`` row among the
-    distinct ones, told apart by their bytes: ``-0.0`` and ``0.0`` differ
-    and so do NaNs with different payloads.  Rows are grouped by a hash of
-    their bits; if two rows of a group differ, the rows' bytes are sorted
-    instead."""
-    columns = np.empty((X.shape[1] + Y.shape[1], len(X)), dtype=np.uint64)
-    columns[:X.shape[1]] = X.T.view(np.uint64)
-    columns[X.shape[1]:] = Y.T.view(np.uint64)
-    _, first, codes = np.unique(_row_hash(columns), return_index=True, return_inverse=True)
-    if not np.array_equal(columns[:, first[codes]], columns):
-        rows = np.ascontiguousarray(columns.T)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, codes = np.unique(keys, return_inverse=True)
-    return codes
-
-
-def _repeats(codes: np.ndarray):
-    """``(first, lanes)`` of a batch whose row ``i`` has the code
-    ``codes[i]``, rows with equal codes being equal, when at most half of
-    the codes differ; else ``(None, None)``.  Row ``first[j]`` is the
-    first with the ``j``-th smallest code, and ``lanes[i]`` the rank of row
-    ``i``'s code.  Codes are small nonnegative integers: they index a table
-    of ``codes.max() + 1`` entries."""
-    n = len(codes)
-    if not n:
-        return None, None
-    present = np.bincount(codes) > 0
-    rank = np.cumsum(present) - 1
-    if rank[-1] >= n // 2:
-        return None, None
-    first = np.full(len(present), n)
-    np.minimum.at(first, codes, np.arange(n))
-    return first[present], rank[codes]
-
-
-def _distinct_rows(X: np.ndarray, Y: np.ndarray):
-    """``_repeats`` of a batch given as arrays, keyed by ``_row_codes``.
-
-    The rows' sums decide most batches: equal rows have equal sums, so if
-    more than half of the sums differ, so do the rows.  One input column
-    would not do for images, whose corner pixel is the same in every row.
-    """
-    n = len(X)
-    if not n or len(np.unique(X.sum(axis=1))) > n // 2:
-        return None, None
-    return _repeats(_row_codes(X, Y))
-
-
 # A column's upper bound adds, per residual, the kernel term of the
 # smallest magnitude that shares its sign, exponent and top two mantissa
 # bits (``bits >> 50``).  Squaring and dividing round monotonically, so
@@ -181,7 +122,8 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     column, and per candidate and output the column it reads.
 
     ``rows`` is the batch's ``(first, lanes)`` as ``data.Batch`` carries
-    it; without it ``_distinct_rows`` finds them from the rows' bytes.
+    it: the plan runs on rows ``first`` and the kernel sums each column
+    over ``lanes``.  ``None`` or ``(None, None)`` scores every row.
     Without ``count`` every column is scored.  With it, once the
     candidates' outputs could fill more than two blocks of a full batch, a
     column is scored only if it can be among its output's ``count`` best
@@ -194,13 +136,13 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     ties it is scored, so the ``count`` best candidates, ties to the lower
     index, are all scored.
     """
-    X = _check_batch(network, X)
+    X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     v = network.config.output_count
-    if Y.shape != (X.shape[0], v):
+    if Y.shape != (len(X), v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
     plan = PopulationPlan(network, dags, depth)
-    first, lanes = _distinct_rows(X, Y) if rows is None else rows
+    first, lanes = (None, None) if rows is None else rows
     block_rows = SCORE_BLOCK_ROWS
     if lanes is not None:
         block_rows = SCORE_BLOCK_ROWS * len(X) // len(first)
@@ -280,7 +222,9 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
     return scores[:met], plan.index
 
 
-def population_fitness(network: Network, dags, X, Y, depth: int, variance: float) -> np.ndarray:
+def population_fitness(
+    network: Network, dags, X, Y, depth: int, variance: float, rows=None
+) -> np.ndarray:
     """Fitness matrix of a population: one row per candidate, one column
     per output.
 
@@ -289,14 +233,15 @@ def population_fitness(network: Network, dags, X, Y, depth: int, variance: float
     ``(node, output)`` column is scored once: its residual
     ``value - Y[:, j]`` goes into the next row of one block as soon as its
     round has run, and each full block is one call of the ``fitness``
-    kernel.  A batch that repeats its rows (``_distinct_rows``) is
-    evaluated and scored on its distinct rows, and only the kernel's sum
-    runs over every row.  Every entry equals ``fitness`` of that
+    kernel.  With ``rows``, a batch's ``(first, lanes)`` as
+    ``data.Batch`` carries them, it is evaluated and scored on its
+    distinct rows, and only the kernel's sum runs over every row; without
+    it every row is scored.  Every entry equals ``fitness`` of that
     candidate's ``evaluate``/``evaluate_recurrent`` column bit for bit.
     :func:`population_select` runs the same scorer (``_column_scores``)
     and skips the columns it can rule out; here every column is scored.
     """
-    scores, index = _column_scores(network, dags, X, Y, depth, variance)
+    scores, index = _column_scores(network, dags, X, Y, depth, variance, rows=rows)
     return scores[index]
 
 
@@ -307,14 +252,12 @@ def population_select(
     ``(candidate_index, fitness)`` pairs, fittest first, ties to the lower
     index: ``select_top(population_fitness(...), count)`` bit for bit.
 
-    Candidates are numbered as in :func:`population_fitness`.  ``rows``
-    is the batch's ``Batch.rows`` when a batch source served it; without
-    it the repeated rows are found from their bytes.  A column is
-    scored exactly only while its upper bound reaches its output's
-    ``count``-th best exact fitness so far (``_column_scores``); a column
-    it skips scores below the final cut and cannot be selected.  Raises
-    ``ConfigError`` when ``count`` exceeds the candidates, as
-    :func:`select_top` does.
+    Candidates are numbered as in :func:`population_fitness`, and
+    ``rows`` is read as there.  A column is scored exactly only while its
+    upper bound reaches its output's ``count``-th best exact fitness so
+    far (``_column_scores``); a column it skips scores below the final cut
+    and cannot be selected.  Raises ``ConfigError`` when ``count``
+    exceeds the candidates, as :func:`select_top` does.
     """
     scores, index = _column_scores(network, dags, X, Y, depth, variance, count, rows)
     return select_top(scores[index], count)

@@ -195,9 +195,8 @@ def adam_step(
 def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     """One population step: sample, score, select, accumulate, Adam.
 
-    ``batch`` is a :class:`~softdag.data.Batch`, whose distinct rows come
-    from its source, or an ``(X, Y)`` pair, whose rows are told apart by
-    their bytes.
+    ``batch`` is a :class:`~softdag.data.Batch`, scored on the distinct
+    rows its source names, or an ``(X, Y)`` pair, scored on every row.
     """
     net = run.network
     X, Y = batch

@@ -300,6 +300,17 @@ def reference_fitness(predictions, targets, variance):
     return float(np.nansum(k))
 
 
+def distinct_rows(X, Y):
+    """``(first, lanes)`` of a batch, as ``data.Batch.rows`` holds them:
+    its distinct ``(x, y)`` rows told apart by their bytes, so ``-0.0`` and
+    ``0.0`` differ and so do NaN payloads, each the first batch row that
+    has it; and per batch row, the rank of its distinct row."""
+    rows = np.ascontiguousarray(np.hstack([X, Y]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
+    return first, lanes.ravel()
+
+
 def cyclic_garbage(call) -> int:
     """Objects that only the cycle collector frees after ``call()``."""
     gc.collect()

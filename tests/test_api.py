@@ -1,7 +1,10 @@
 """The package's import surface: each module exports only what it defines,
-and ``softdag`` keeps its top-level names."""
+imports no other module's private names, and ``softdag`` keeps its
+top-level names."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -42,3 +45,18 @@ def test_top_level_names_are_unchanged():
         if not n.startswith("_") and not isinstance(getattr(softdag, n), types.ModuleType)
     ]
     assert sorted(public) == TOP_LEVEL
+
+
+@pytest.mark.parametrize("name", ["softdag", *MODULES])
+def test_modules_import_no_private_names(name):
+    # a name with a leading underscore is its module's own business
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "softdag")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private

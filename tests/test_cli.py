@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import time
 from pathlib import Path
 
 import numpy as np
@@ -315,9 +316,10 @@ def test_bench_directory(fast_config, tmp_path, capsys):
 
 
 def _serial_and_parallel(config, out_root):
-    """Run ``config`` with 1 and 2 workers; the rows, echoed lines and
-    every output file must match byte for byte.  Returns the serial
-    report and the names of its output files."""
+    """Run ``config`` with 1 and 2 workers; the rows, echoed lines (which
+    a pool echoes as its trials finish) and every output file must match
+    byte for byte.  Returns the serial report and the names of its output
+    files."""
     runs = []
     for workers in (1, 2):
         out, lines = out_root / f"workers_{workers}", []
@@ -327,7 +329,7 @@ def _serial_and_parallel(config, out_root):
         runs.append((report, lines, out))
     (serial, serial_lines, a), (parallel, parallel_lines, b) = runs
     assert serial["trial_rows"] == parallel["trial_rows"]
-    assert len(serial_lines) == 2 and serial_lines == parallel_lines
+    assert len(serial_lines) == 2 and serial_lines == sorted(parallel_lines)
     files = sorted(p.name for p in a.iterdir())
     assert files == sorted(p.name for p in b.iterdir())
     for name in files:
@@ -384,6 +386,37 @@ def test_raising_trial_is_an_error_row(fast_config, tmp_path, monkeypatch, capsy
     assert main(["bench", str(cfg_dir), "--out", str(tmp_path / "bench")]) == 2
     assert (tmp_path / "bench" / "benchmarks.csv").exists()
     assert "trial 1: error: RuntimeError: injected failure" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="pool workers are not forked")
+def test_pooled_trials_are_echoed_as_they_finish(fast_config, tmp_path, monkeypatch):
+    # trial 0 waits until the parent has echoed trial 1, or 10 s if it is
+    # never echoed before trial 0's own row
+    echoed = tmp_path / "echoed"
+    run_trial = cli.run_trial
+
+    def slow_first(exp, trial, **kwargs):
+        deadline = time.monotonic() + 10.0
+        while trial == 0 and not echoed.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return run_trial(exp, trial, **kwargs)
+
+    lines = []
+
+    def echo(line):
+        lines.append(line)
+        echoed.touch()
+
+    monkeypatch.setattr(cli, "run_trial", slow_first)
+    out = tmp_path / "out"
+    report = run_experiment(fast_config, out_dir=out, workers=2, echo=echo)
+    assert [line.split(":")[0] for line in lines] == ["  trial 1", "  trial 0"]
+    assert [r["trial"] for r in report["trial_rows"]] == [0, 1]
+    with open(out / "report.csv", newline="") as f:
+        assert [r["trial"] for r in csv.DictReader(f)] == ["0", "1"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["trial"] for r in summary["trials_detail"]] == [0, 1]
 
 
 CLASSIFY_CONFIG = """

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,8 @@ from softdag.data import (
 )
 from softdag.expression import Choices, Interval, evaluate_tree_batch
 from softdag.network import ConfigError
-from softdag.scoring import _row_codes
 
-from conftest import make_dag, make_network, same_bits
+from conftest import distinct_rows, make_dag, make_network, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -281,7 +281,7 @@ def _same_partition(got, X, Y):
     together are the rows with equal bytes."""
     first, lanes = got
     assert same_bits(X[first][lanes], X) and same_bits(Y[first][lanes], Y)
-    want = _row_codes(X, Y)
+    want = distinct_rows(X, Y)[1]
     assert np.array_equal(lanes[:, None] == lanes[None, :], want[:, None] == want[None, :])
 
 
@@ -315,6 +315,7 @@ def test_batch_rows_follow_the_draw():
 
 
 def test_dataset_batches_rows_follow_the_dataset():
+    # a dataset's batches are scored on every row, even when rows repeat
     rng = np.random.default_rng(0)
     base = rng.choice([0.0, -0.0, 1.0, np.nan], size=(5, 3))[rng.integers(0, 5, 60)]
     ds = Dataset(base[:, :2], base[:, 2:])
@@ -322,9 +323,23 @@ def test_dataset_batches_rows_follow_the_dataset():
     for epoch in (1, 2):
         for batch in (small.batch(epoch), full.batch(epoch)):
             assert isinstance(batch, Batch)
-            _same_partition(batch.rows, *batch)
-    distinct = Dataset(np.arange(10.0)[:, None], np.zeros((10, 1)))
-    assert DatasetSource(distinct, 4, seed=1).batch(1).rows == (None, None)
+            assert batch.rows == (None, None)
+    X, Y = full.batch(1)
+    assert X is ds.inputs and Y is ds.targets
+
+
+@pytest.mark.parametrize("batch_size", [100, 5000])
+def test_dataset_source_copies_nothing(batch_size):
+    # an image-shaped dataset: a source on it allocates no copy of its rows
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.random((2000, 784)), np.eye(2)[rng.integers(0, 2, 2000)])
+    tracemalloc.start()
+    try:
+        DatasetSource(ds, batch_size, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.inputs.nbytes / 4
 
 
 def _mnist_dir():

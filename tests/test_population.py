@@ -33,14 +33,13 @@ from softdag import trainer
 from softdag.cli import parse_config
 from softdag.expression import evaluate_tree_batch
 from softdag import scoring
+from softdag.data import _repeats
 from softdag.plan import PopulationPlan
 from softdag.scoring import (
     _BOUND_SHIFT,
     _EXP_ZERO,
     _bound_table,
-    _distinct_rows,
     _kernel_terms,
-    _repeats,
     population_fitness,
     population_select,
     select_top,
@@ -49,6 +48,7 @@ from softdag.trainer import TrainRun, population_gradient
 
 from conftest import (
     cyclic_garbage,
+    distinct_rows,
     make_dag,
     make_network,
     reference_accumulate_loss_gradient,
@@ -114,9 +114,9 @@ def repeated_rows(draw, recurrent=False):
     """A random network, a sampled population and a batch made of a few
     base rows, each used at least once, with targets.
 
-    The batch has about twice as many rows as there are base rows, so the
-    distinct rows fall just below, at or just above half of it, or far
-    below.  Base rows may share their inputs with different targets.
+    The batch has about twice or four times as many rows as there are base
+    rows.  Base rows may share their inputs with different
+    targets, and two base rows may be equal.
     """
     net, dags, rng, variance = _draw_population(draw, recurrent)
     base = draw(st.integers(1, 12))
@@ -193,7 +193,7 @@ def test_recurrent_population_fitness_matches_reference(case):
 @given(repeated_rows())
 def test_population_fitness_on_repeated_rows_matches_reference(case):
     net, dags, X, Y, variance = case
-    got = population_fitness(net, dags, X, Y, 1, variance)
+    got = population_fitness(net, dags, X, Y, 1, variance, distinct_rows(X, Y))
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 1, variance))
 
 
@@ -201,16 +201,17 @@ def test_population_fitness_on_repeated_rows_matches_reference(case):
 @given(repeated_rows(recurrent=True))
 def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
     net, dags, X, Y, variance = case
-    got = population_fitness(net, dags, X, Y, 3, variance)
+    got = population_fitness(net, dags, X, Y, 3, variance, distinct_rows(X, Y))
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
 
 
 @st.composite
 def selections(draw):
-    """A population, a batch, a kernel variance, a depth and a selection
-    count.
+    """A population, a batch, a kernel variance, a depth, a selection
+    count and the batch's ``rows``.
 
-    Depth 1 or 3; a batch with distinct or repeated rows; targets as drawn,
+    Depth 1 or 3; a batch with distinct rows, scored on every row, or with
+    repeated rows, scored on its distinct ones; targets as drawn,
     rounded to small integers so that distinct columns tie, shifted out of
     every candidate's reach so that all score 0.0, or an input plus an
     offset so that fitness is subnormal; graphs repeated in the population
@@ -220,8 +221,8 @@ def selections(draw):
     its margins can round below the exact fitness it ties.
     """
     recurrent = draw(st.booleans())
-    rows = repeated_rows if draw(st.booleans()) else populations
-    net, dags, X, Y, variance = draw(rows(recurrent))
+    repeated = draw(st.booleans())
+    net, dags, X, Y, variance = draw((repeated_rows if repeated else populations)(recurrent))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         dags = [dags[i] for i in rng.integers(0, len(dags), 2 * len(dags))]
@@ -238,17 +239,17 @@ def selections(draw):
     depth = 3 if recurrent else 1
     pool = len(dags) * depth
     count = draw(st.one_of(st.just(pool), st.integers(1, min(pool, 3)), st.integers(1, pool)))
-    return net, dags, X, Y, variance, depth, count
+    return net, dags, X, Y, variance, depth, count, distinct_rows(X, Y) if repeated else None
 
 
 @settings(max_examples=300, deadline=None)
 @given(selections(), st.sampled_from((1, 2, 5, 32)), st.sampled_from((1, 3, 8)))
 def test_population_select_matches_select_top(case, block_rows, select_rows):
     # small blocks give even small populations several blocks to bound
-    net, dags, X, Y, variance, depth, count = case
+    net, dags, X, Y, variance, depth, count, rows = case
     want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
     with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
-        got = population_select(net, dags, X, Y, depth, variance, count)
+        got = population_select(net, dags, X, Y, depth, variance, count, rows)
     assert [[c for c, _ in picks] for picks in got] == [[c for c, _ in picks] for picks in want]
     assert all(
         same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, want)
@@ -272,7 +273,8 @@ def test_population_select_ties_on_repeated_rows():
         count = int(rng.integers(1, 4))
         want = select_top(population_fitness(net, dags, X, Y, 1, variance), count)
         with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
-            assert population_select(net, dags, X, Y, 1, variance, count) == want
+            got = population_select(net, dags, X, Y, 1, variance, count, distinct_rows(X, Y))
+        assert got == want
 
 
 def test_population_select_counts_shared_columns():
@@ -310,46 +312,6 @@ def test_bound_table_bounds_every_lane(variance):
     # an entry of 0 holds only residuals whose term is exactly 0
     assert np.all(terms[bound == 0.0] == 0.0)
     assert np.all(table[[0, 1 << (63 - _BOUND_SHIFT)]] > 0.0)  # +-0.0
-
-
-def test_distinct_rows_falls_back_on_hash_collisions():
-    rng = np.random.default_rng(3)
-    X = rng.choice([0.0, -0.0, 1.0, np.nan, _OTHER_NAN], size=(200, 2))
-    Y = rng.choice([0.0, 2.0], size=(200, 1))
-    rows = np.hstack([X, Y]).view(np.uint64)
-    first, lanes = _distinct_rows(X, Y)
-    assert np.array_equal(rows[first][lanes], rows)
-    every_row_collides = mock.patch.object(
-        scoring, "_row_hash", lambda columns: np.zeros(columns.shape[1], np.uint64)
-    )
-    # Fortran-ordered batches too: the byte keys need C-ordered rows
-    for x, y in ((X, Y), (np.asfortranarray(X), np.asfortranarray(Y))):
-        with every_row_collides:
-            forced = _distinct_rows(x, y)
-        for got in (forced, _distinct_rows(x, y)):
-            # the same partition of the batch, whatever the order of the groups
-            assert np.array_equal(got[1][:, None] == got[1][None, :], lanes[:, None] == lanes[None, :])
-            assert np.array_equal(rows[got[0]][got[1]], rows)
-
-
-def test_distinct_rows_gate():
-    base = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [_OTHER_NAN, 1.0], [1.0, 2.0]])
-    X, Y = base[:, :1], base[:, 1:]
-    # -0.0 and 0.0, and two NaN payloads, are distinct rows
-    at_half = np.concatenate([np.arange(5), [4, 0, 1, 2, 3]])
-    first, lanes = _distinct_rows(X[at_half], Y[at_half])
-    assert len(first) == 5
-    assert same_bits(X[at_half][first][lanes], X[at_half])
-    assert same_bits(Y[at_half][first][lanes], Y[at_half])
-    # one more distinct row than half the batch
-    assert _distinct_rows(X[at_half[:-1]], Y[at_half[:-1]]) == (None, None)
-    # the same input with two targets is two rows
-    Y2 = np.where(np.arange(10)[:, None] < 5, 0.0, 3.0)
-    first, lanes = _distinct_rows(np.zeros((10, 1)), Y2)
-    assert len(first) == 2 and same_bits(Y2[first][lanes], Y2)
-    # mostly distinct row sums send the batch down the full path
-    assert _distinct_rows(np.arange(20.0)[:, None], np.zeros((20, 1))) == (None, None)
-    assert _distinct_rows(np.empty((0, 1)), np.empty((0, 1))) == (None, None)
 
 
 @pytest.mark.parametrize("top", [1, 2, 16, 300, 2404])
@@ -399,15 +361,6 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
         run = train(build_network(exp.network), exp.target, training)
     assert run.epoch == 30 and len(columns) == 30
     assert sum(rows_scored) < sum(columns) / 4
-
-
-@pytest.mark.parametrize("name", ["lfsr4", "poly_2x2_3x"])
-def test_training_from_a_source_keys_no_rows(name):
-    # the batch source says which rows repeat; no epoch reads their bytes
-    exp, training = _config_training(name, 20)
-    with mock.patch.object(scoring, "_distinct_rows", side_effect=AssertionError("keyed rows")):
-        run = train(build_network(exp.network), exp.target, training)
-    assert run.epoch == 20
 
 
 def _run(plan, X):
@@ -520,7 +473,7 @@ def _one_sample(plan, buf):
 def test_forced_hash_collisions_match_evaluate(case):
     # every value row collides, so every merge rests on the full comparison;
     # NaN, +-inf and +-0 rows must stay apart
-    net, dags, X, Y, variance, depth, count = case
+    net, dags, X, Y, variance, depth, count, rows = case
     columns = [evaluate_recurrent(net, dag, X, depth) for dag in dags]
     want = np.array([
         [fitness(out[:, j], Y[:, j], variance) for j in range(Y.shape[1])]
@@ -528,8 +481,9 @@ def test_forced_hash_collisions_match_evaluate(case):
     ])
     every_row_collides = mock.patch.object(PopulationPlan, "_view", _one_sample)
     with every_row_collides:
-        assert same_bits(population_fitness(net, dags, X, Y, depth, variance), want)
-        assert population_select(net, dags, X, Y, depth, variance, count) == select_top(want, count)
+        assert same_bits(population_fitness(net, dags, X, Y, depth, variance, rows), want)
+        got = population_select(net, dags, X, Y, depth, variance, count, rows)
+        assert got == select_top(want, count)
         for dag, outs in list(zip(dags, columns))[:5]:
             assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dag, X, depth), outs))
 
