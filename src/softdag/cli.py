@@ -50,6 +50,7 @@ from .expression import (
     Expr,
     Interval,
     ParseError,
+    compile_trees,
     evaluate_tree_batch,
     input_indices,
     parse as parse_expression,
@@ -172,8 +173,11 @@ def _build(path, cls, **fields):
 
 
 def _expression_fn(exprs: tuple[Expr, ...]):
+    # compiled once: a batch runs the trees' basis calls with no tree walk
+    program = compile_trees(exprs)
+
     def fn(X: np.ndarray) -> np.ndarray:
-        return np.stack([evaluate_tree_batch(e, X) for e in exprs], axis=1)
+        return np.stack(program(X), axis=1)
 
     return fn
 
@@ -228,7 +232,8 @@ def parse_config(path) -> ExperimentConfig:
             derived_expr = parse_expression(derived_raw)
         except ParseError as exc:
             raise ConfigError(f"{path}: bad derived expression: {exc}") from exc
-        derived = lambda free: evaluate_tree_batch(derived_expr, free)  # noqa: E731
+        derived_program = compile_trees((derived_expr,))
+        derived = lambda free: derived_program(free)[0]  # noqa: E731
         if len(ranges) != inputs - 1:
             raise ConfigError(
                 f"{path}: implicit targets need ranges for the {inputs - 1} free"

@@ -42,6 +42,7 @@ __all__ = [
     "parse",
     "evaluate_tree",
     "evaluate_tree_batch",
+    "compile_trees",
     "simplify",
     "input_indices",
     "sample_domain",
@@ -285,6 +286,51 @@ def _evaluate_node(node: Expr, X: np.ndarray, cache: dict[int, np.ndarray]) -> n
             )
     cache[key] = out
     return out
+
+
+def compile_trees(exprs):
+    """``exprs`` compiled once into a flat program of basis calls: a
+    function of a batch ``X`` that returns each tree's values, each with
+    the bits of ``evaluate_tree_batch``.
+
+    The program makes the calls that ``evaluate_tree_batch`` makes, on the
+    same arrays: an input is a column view of ``X``, a constant a full
+    column, and a subtree shared as one object is computed once.
+    """
+    steps: list[tuple] = []
+    slots: dict[int, int] = {}
+    outs = [_compile_node(e, steps, slots) for e in exprs]
+
+    def run(X) -> list[np.ndarray]:
+        X = np.asarray(X, dtype=np.float64)
+        values = []
+        with np.errstate(all="ignore"):
+            for fn, args in steps:
+                if fn is Input:
+                    values.append(X[:, args])
+                elif fn is Const:
+                    values.append(np.full(X.shape[0], args))
+                else:
+                    values.append(np.asarray(fn(*[values[i] for i in args]), dtype=np.float64))
+        return [values[s] for s in outs]
+
+    return run
+
+
+def _compile_node(node: Expr, steps: list, slots: dict[int, int]) -> int:
+    """Append the steps of ``node``'s subtree not in ``slots``, children
+    first, to ``steps``; return the slot of ``node``'s value."""
+    key = id(node)
+    if key not in slots:
+        if isinstance(node, Input):
+            step = (Input, node.index)
+        elif isinstance(node, Const):
+            step = (Const, node.value)
+        else:
+            step = (node.basis.fn, [_compile_node(c, steps, slots) for c in node.children])
+        slots[key] = len(steps)
+        steps.append(step)
+    return slots[key]
 
 
 def input_indices(expr: Expr) -> set[int]:

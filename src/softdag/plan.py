@@ -4,18 +4,22 @@ A :class:`PopulationPlan` value-numbers the nodes of a whole population:
 one ``(depth, level)`` round at a time, each distinct ``(basis, child
 ids)`` node is computed once per batch, in basis calls on stacked nodes,
 and a node whose value repeats an earlier one bit for bit takes that
-value's id, so its parents merge too.  ``evaluate`` and
-``evaluate_recurrent`` are the one-graph case of the same plan.
+value's id, so its parents merge too.  A :class:`ValueStore` keeps those
+values from one call to the next while the rows evaluated repeat bit for
+bit.  ``evaluate`` and ``evaluate_recurrent`` are the one-graph case of
+the same plan.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .network import Network
 from .sampler import SampledDAG, SampledPopulation, reachable_images
 
-__all__ = ["PopulationPlan", "evaluate", "evaluate_recurrent"]
+__all__ = ["PopulationPlan", "ValueStore", "evaluate", "evaluate_recurrent"]
 
 
 # Argument rows per basis call: 8 nodes of a 4-ary basis, 16 of a binary
@@ -28,6 +32,73 @@ CHUNK_ROWS = 32
 # lie together.  Every hit is checked on all lanes, so the lanes decide only
 # how often a check fails.
 HASH_LANES = 32
+
+
+# The most bytes that a ValueStore keeps from one call to the next, as
+# ``_Values.nbytes`` counts them.  A 100-epoch lfsr4 trial's values on its
+# 16 distinct rows take about 370 KB; on a 1000-row batch about 130 values
+# fit, fewer than one call computes.
+STORE_BYTES = 1 << 20
+
+
+class _Values(NamedTuple):
+    """A value store as :meth:`PopulationPlan.run` leaves it: the buffer
+    and its rows in use, ``canon`` and ``rows`` per id, the free rows, the
+    hash table and its spill lists, the id of each key and the keys."""
+
+    buf: np.ndarray
+    buffer_rows: int
+    canon: np.ndarray
+    rows: np.ndarray
+    free: list
+    table: dict
+    spill: dict
+    ids: dict
+    nodes: list
+
+    @property
+    def nbytes(self) -> int:
+        """The buffer's bytes, or one value row per id if that is more: an
+        id without a row still holds its key and its place in ``canon``
+        and ``rows``."""
+        return max(self.buf.nbytes, len(self.canon) * self.buf.itemsize * self.buf.shape[1])
+
+
+class ValueStore:
+    """The values that :meth:`PopulationPlan.run` computed, kept for the
+    next call while the rows it evaluates repeat bit for bit.
+
+    A call reuses the store when its batch has the bytes of the last
+    call's, its network the same config and constants, and its depth and
+    ``chunk`` are the last call's.  Any other call starts fresh.  A call
+    keeps its values for the next one only if its own batch repeated the
+    one before and they fit in ``STORE_BYTES``; otherwise the next call
+    starts fresh.  So a batch that changes every epoch costs one copy and
+    one compare of its bytes, and nothing is held between calls but those
+    bytes.
+    """
+
+    def __init__(self) -> None:
+        self._last = None  # the last call's network, depth, chunk and rows
+        self._kept = None  # the ``_Values`` that call kept
+        self._repeated = False
+
+    def _take(self, kind, X: np.ndarray):
+        """The values kept by the last call if ``kind`` and the bytes of the
+        rows ``X`` equal that call's, else ``None``; the store holds nothing
+        until ``_keep``.  Rows whose own bytes exceed ``STORE_BYTES`` can
+        never be kept, so they are not remembered either."""
+        last = (kind, X.shape, X.tobytes()) if X.nbytes <= STORE_BYTES else None
+        self._repeated = last is not None and last == self._last
+        kept = self._kept if self._repeated else None
+        self._last, self._kept = last, None
+        return kept
+
+    def _keep(self, kept: _Values) -> None:
+        """Keep ``kept`` for the next call if this call's rows repeated the
+        last call's and it fits in ``STORE_BYTES``."""
+        if self._repeated and kept.nbytes <= STORE_BYTES:
+            self._kept = kept
 
 
 class PopulationPlan:
@@ -69,6 +140,13 @@ class PopulationPlan:
     is gone computes the node again under its old id.  When a round needs
     more rows than are free, the buffer doubles.  ``buffer_rows`` counts
     the rows used.
+
+    The buffer, the hash table, the keys and ids, ``canon`` and ``rows``
+    form the value store.  A run given a :class:`ValueStore` that holds
+    the store of a run on the same rows starts from it: ids, ``basis``,
+    ``kids``, ``canon`` and ``rows`` then cover that run's nodes too.
+    ``evaluated``, ``merged``, ``columns`` and ``index`` count and number
+    this run's work alone.
     """
 
     def __init__(self, network: Network, dags, depth: int = 1):
@@ -138,7 +216,7 @@ class PopulationPlan:
         self._out_cells = out_cells
         self.interned = len(cells) * depth
 
-    def run(self, X, sink, chunk: int = CHUNK_ROWS) -> None:
+    def run(self, X, sink, chunk: int = CHUNK_ROWS, store: ValueStore | None = None) -> None:
         """Evaluate every graph and depth on the batch ``X`` of shape
         ``(n, input_count)``, as float64, one round at a time.
 
@@ -159,37 +237,52 @@ class PopulationPlan:
         place in its vector loop.  With ``chunk=1`` every node is its own
         call, payloads included.  Values merge only when all their bits
         agree, payloads included.
+
+        With a ``store`` the run starts from the values that the last run
+        on the same rows kept there (:class:`ValueStore`), and leaves its
+        own there for the next.  Its leaves are then interned already, and
+        a round computes only the keys never met before and those whose
+        value's row a sweep gave up.  A reused value keeps the NaN payload
+        of the call that computed it, which can change which columns merge
+        but no column's score: a NaN lane scores 0.
         """
         cfg = self.network.config
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != cfg.input_count:
             raise ValueError(f"expected batch of shape (n, {cfg.input_count}), got {X.shape}")
         u, v = self.network.u, cfg.output_count
-        most = u + self.interned
-        self.canon = np.arange(most)
-        self.rows = np.full(most, -1)
+        kind = (cfg, self._constants.tobytes(), self.depth, chunk)
+        kept = store._take(kind, X) if store is not None else None
+        reused = kept is not None
+        if not reused:
+            # ``_room`` rows; the buffer doubles when a round needs more
+            # rows than are free
+            buf = np.empty((self._room, X.shape[0]))
+            kept = _Values(buf, u, np.arange(u), np.arange(u), [], {}, {}, {}, [])
+        # ``_nodes`` holds the keys of the ids from u on, one block per
+        # round; ``ids`` numbers every key met
+        buf, canon, rows, ids = kept.buf, kept.canon, kept.rows, kept.ids
+        self.buffer_rows, self._free, self._nodes = kept.buffer_rows, kept.free, kept.nodes
+        self._table, self._spill = kept.table, kept.spill
+        count = len(canon) - u
+        most = len(canon) + self.interned
+        self.canon = canon = np.concatenate([canon, np.arange(len(canon), most)])
+        self.rows = np.concatenate([rows, np.full(self.interned, -1)])
         self.index = np.empty((self.candidates // self.depth, self.depth, v), dtype=np.int64)
         self.evaluated = self.merged = self.columns = 0
-        self.buffer_rows = u
         self._chunk = chunk
         self._lanes = min(X.shape[0], HASH_LANES)
-        # ``_room`` rows; it doubles when a round needs more rows than are free
-        self._view(np.empty((self._room, X.shape[0])))
-        self._free: list[int] = []
-        self._table: dict[bytes, int] = {}
-        self._spill: dict[bytes, list[int]] = {}
+        self._view(buf)
         self._column_of = np.full(most * v, -1)
-        # the keys of the ids from u on, one block per round
-        self._nodes: list[np.ndarray] = []
-        count = 0
-        ids: dict[bytes, int] = {}
-        canon = self.canon
+        # a reused store of several depths holds values that a sweep freed
+        swept = reused and self.depth > 1
         id_of = self._id_of.copy()
         with np.errstate(all="ignore"):
-            self.rows[:u] = leaves = np.arange(u)
-            self._buf[:cfg.input_count] = X.T
-            self._buf[cfg.input_count:u] = self._constants
-            self._merge(leaves, leaves)
+            if not reused:
+                leaves = np.arange(u)
+                self._buf[:cfg.input_count] = X.T
+                self._buf[cfg.input_count:u] = self._constants
+                self._merge(leaves, leaves)
             id_of[:, :u] = canon[:u]
             for d in range(self.depth):
                 if d:
@@ -203,7 +296,7 @@ class PopulationPlan:
                     fresh = [k for k in dict.fromkeys(found) if k not in ids]
                     ids.update(zip(fresh, range(top, top + len(fresh))))
                     node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
-                    if d:
+                    if d or swept:
                         # keys met before whose value's row is gone run again
                         again = node[self.rows[canon[node]] < 0]
                         again = np.unique(again[again < top])
@@ -227,8 +320,13 @@ class PopulationPlan:
         self.basis, self.kids = nodes[:, 0], nodes[:, 1:]
         self.canon, self.rows = self.canon[:u + count], self.rows[:u + count]
         self.index = self.index.reshape(self.candidates, v)
+        if store is not None:
+            store._keep(_Values(
+                self._buf, self.buffer_rows, self.canon, self.rows, self._free, self._table,
+                self._spill, ids, [nodes],
+            ))
         self._view(None)
-        self._table = self._spill = self._free = None
+        self._table = self._spill = self._free = self._nodes = None
 
     def _view(self, buf) -> None:
         """Take ``buf`` as the value buffer, and view the first

@@ -117,13 +117,16 @@ def _bound_table(variance: float) -> np.ndarray:
     return table
 
 
-def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, count=None, rows=None):
+def _column_scores(
+    network: Network, dags, X, Y, depth: int, variance: float, count=None, rows=None, store=None
+):
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
     column, and per candidate and output the column it reads.
 
     ``rows`` is the batch's ``(first, lanes)`` as ``data.Batch`` carries
     it: the plan runs on rows ``first`` and the kernel sums each column
     over ``lanes``.  ``None`` or ``(None, None)`` scores every row.
+    ``store``, a :class:`~softdag.plan.ValueStore`, goes to the plan's run.
     Without ``count`` every column is scored.  With it, once the
     candidates' outputs could fill more than two blocks of a full batch, a
     column is scored only if it can be among its output's ``count`` best
@@ -216,7 +219,7 @@ def _column_scores(network: Network, dags, X, Y, depth: int, variance: float, co
                 flush(block, scored)
                 scored, fill = scored + fill, 0
 
-    plan.run(X, score)
+    plan.run(X, score, store=store)
     if fill:
         flush(block[:fill], scored)
     return scores[:met], plan.index
@@ -246,20 +249,22 @@ def population_fitness(
 
 
 def population_select(
-    network: Network, dags, X, Y, depth: int, variance: float, count: int, rows=None
+    network: Network, dags, X, Y, depth: int, variance: float, count: int, rows=None, store=None
 ):
     """Per output, the ``count`` fittest candidates of a population as
     ``(candidate_index, fitness)`` pairs, fittest first, ties to the lower
     index: ``select_top(population_fitness(...), count)`` bit for bit.
 
     Candidates are numbered as in :func:`population_fitness`, and
-    ``rows`` is read as there.  A column is scored exactly only while its
+    ``rows`` is read as there.  With a ``store``
+    (:class:`~softdag.plan.ValueStore`) the plan reuses the values of the
+    last call on the same rows.  A column is scored exactly only while its
     upper bound reaches its output's ``count``-th best exact fitness so
     far (``_column_scores``); a column it skips scores below the final cut
     and cannot be selected.  Raises ``ConfigError`` when ``count``
     exceeds the candidates, as :func:`select_top` does.
     """
-    scores, index = _column_scores(network, dags, X, Y, depth, variance, count, rows)
+    scores, index = _column_scores(network, dags, X, Y, depth, variance, count, rows, store)
     return select_top(scores[index], count)
 
 

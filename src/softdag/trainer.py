@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Batch, as_batch_source
 from .expression import dag_to_expression, simplify, to_string
 from .network import ConfigError, Network
+from .plan import ValueStore
 from .rng import EPOCH_STREAM, derive_rng
 from .sampler import SampledDAG, SampledPopulation, most_likely_dag, reached_rows, sample_many
 from .scoring import population_select
@@ -108,11 +109,20 @@ class EpochStats:
 
 @dataclass
 class TrainRun:
+    """One trial's training state.
+
+    ``store`` keeps the population plan's computed values from one epoch
+    to the next while the rows it evaluates repeat bit for bit
+    (:class:`~softdag.plan.ValueStore`); the picks and weights are those
+    of computing every epoch afresh.
+    """
+
     network: Network
     adam: AdamState
     epoch: int = 0
     verdict: str = VERDICT_EXHAUSTED
     converged_epoch: int | None = None
+    store: ValueStore = field(default_factory=ValueStore, repr=False, compare=False)
 
 
 def population_gradient(network: Network, probs, population, pairs) -> list[np.ndarray]:
@@ -197,6 +207,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
 
     ``batch`` is a :class:`~softdag.data.Batch`, scored on the distinct
     rows its source names, or an ``(X, Y)`` pair, scored on every row.
+    The population is evaluated through ``run.store``, so an epoch whose
+    evaluated rows repeat the last epoch's bit for bit reuses its values.
     """
     net = run.network
     X, Y = batch
@@ -204,7 +216,9 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
     depth = config.recurrence_depth
-    picks = population_select(net, dags, X, Y, depth, config.variance, config.select_count, rows)
+    picks = population_select(
+        net, dags, X, Y, depth, config.variance, config.select_count, rows, run.store
+    )
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):

@@ -21,9 +21,9 @@ from softdag import (
     simplify,
     to_string,
 )
-from softdag.expression import ParseError
+from softdag.expression import ParseError, compile_trees
 
-from conftest import cyclic_garbage, fig1_network, fig1b_dag
+from conftest import cyclic_garbage, fig1_network, fig1b_dag, same_bits
 
 REG = builtin_registry()
 
@@ -179,6 +179,34 @@ def test_input_indices():
     expr = parse("x0 + sin(x2) * 4")
     assert input_indices(expr) == {0, 2}
     assert input_indices(Const(1.0)) == set()
+
+
+_specials = (0.0, -0.0, 1.0, -2.5, 1e-310, 1e300, np.inf, -np.inf, np.nan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trees=st.lists(_trees, min_size=1, max_size=3),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_trees_match_the_interpreter(trees, rows, seed):
+    # a subtree shared as one object, within a tree and across trees
+    trees.append(_apply("ADD", trees[0], _apply("MUL", trees[0], trees[-1])))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 3.0, size=(rows, 13))
+    X.flat[rng.integers(0, X.size, size=rows)] = rng.choice(_specials, size=rows)
+    got = compile_trees(trees)(X)
+    assert len(got) == len(trees)
+    # the same ufuncs on the same arrays: every bit, NaN payloads included
+    assert all(same_bits(g, evaluate_tree_batch(t, X)) for g, t in zip(got, trees))
+
+
+def test_compiled_trees_leave_no_cyclic_garbage():
+    program = compile_trees([parse("if_leq(2, x0, x0 / 2, x0^2) + sin(x0) * x0")])
+    X = np.linspace(-8.0, 8.0, 1000)[:, None]
+    assert cyclic_garbage(lambda: program(X)) == 0
+    assert cyclic_garbage(lambda: compile_trees([parse("x0 * 2 + x0")])) == 0
 
 
 def test_evaluate_tree_batch_leaves_no_cyclic_garbage():

@@ -348,10 +348,10 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
         rows_scored.append(len(k))
         return kernel_sums(k, *args)
 
-    def checked_select(net, dags, X, Y, depth, variance, count, rows):
+    def checked_select(net, dags, X, Y, depth, variance, count, rows, store):
         assert rows[1] is not None
         with mock.patch.object(scoring, "_kernel_sums", counted_sums):
-            got = population_select(net, dags, X, Y, depth, variance, count, rows)
+            got = population_select(net, dags, X, Y, depth, variance, count, rows, store)
         columns.append(len(column_scores(net, dags, X, Y, depth, variance, None, rows)[0]))
         want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
         assert got == want
