@@ -187,7 +187,10 @@ def parse_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read(path)
+    try:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: malformed config: {exc}") from exc
     for section in ("network", "training", "target", "experiment"):
         if not cp.has_section(section):
             raise ConfigError(f"{path}: missing [{section}] section")

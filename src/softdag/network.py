@@ -244,8 +244,11 @@ def save_network(network: Network, path: str | os.PathLike) -> None:
 def load_network(
     path: str | os.PathLike, registry: Mapping[str, BasisFunction] | None = None
 ) -> Network:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise WeightsFormatError(f"{path}: unreadable weights file: {exc}") from exc
     if not lines:
         raise WeightsFormatError(f"{path}: empty weights file")
     head = lines[0].split()
@@ -260,10 +263,9 @@ def load_network(
     if len(lines) < 2:
         raise WeightsFormatError(f"{path}: missing config header")
     try:
-        config = NetworkConfig.from_json_dict(json.loads(lines[1]))
+        network = Network(NetworkConfig.from_json_dict(json.loads(lines[1])), registry)
     except (KeyError, ValueError, TypeError) as exc:
         raise WeightsFormatError(f"{path}: bad config header: {exc}") from exc
-    network = Network(config, registry)
     rows = lines[2:]
     expected = sum(b.shape[0] for b in network.blocks())
     if len(rows) != expected:

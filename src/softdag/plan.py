@@ -4,15 +4,13 @@ A :class:`PopulationPlan` value-numbers the nodes of a whole population:
 one ``(depth, level)`` round at a time, each distinct ``(basis, child
 ids)`` node is computed once per batch, in basis calls on stacked nodes,
 and a node whose value repeats an earlier one bit for bit takes that
-value's id, so its parents merge too.  A :class:`ValueStore` keeps those
-values from one call to the next while the rows evaluated repeat bit for
-bit.  ``evaluate`` and ``evaluate_recurrent`` are the one-graph case of
-the same plan.
+value's id, so its parents merge too.  The ids, keys and values live in a
+:class:`ValueStore`, which keeps them from one run to the next while the
+rows evaluated repeat bit for bit.  ``evaluate`` and
+``evaluate_recurrent`` are the one-graph case of the same plan.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,119 +32,32 @@ CHUNK_ROWS = 32
 HASH_LANES = 32
 
 
-# The most bytes that a ValueStore keeps from one call to the next, as
-# ``_Values.nbytes`` counts them.  A 100-epoch lfsr4 trial's values on its
-# 16 distinct rows take about 370 KB; on a 1000-row batch about 130 values
-# fit, fewer than one call computes.
+# The most bytes that a ValueStore keeps from one run to the next, as
+# ``ValueStore.nbytes`` counts them.  A 100-epoch lfsr4 trial's values on
+# its 16 distinct rows take about 370 KB; on a 1000-row batch about 130
+# values fit, fewer than one run computes.
 STORE_BYTES = 1 << 20
-
-
-class _Values(NamedTuple):
-    """A value store as :meth:`PopulationPlan.run` leaves it: the buffer
-    and its rows in use, ``canon`` and ``rows`` per id, the free rows, the
-    hash table and its spill lists, the id of each key and the keys."""
-
-    buf: np.ndarray
-    buffer_rows: int
-    canon: np.ndarray
-    rows: np.ndarray
-    free: list
-    table: dict
-    spill: dict
-    ids: dict
-    nodes: list
-
-    @property
-    def nbytes(self) -> int:
-        """The buffer's bytes, or one value row per id if that is more: an
-        id without a row still holds its key and its place in ``canon``
-        and ``rows``."""
-        return max(self.buf.nbytes, len(self.canon) * self.buf.itemsize * self.buf.shape[1])
-
-
-class ValueStore:
-    """The values that :meth:`PopulationPlan.run` computed, kept for the
-    next call while the rows it evaluates repeat bit for bit.
-
-    A call reuses the store when its batch has the bytes of the last
-    call's, its network the same config and constants, and its depth and
-    ``chunk`` are the last call's.  Any other call starts fresh.  A call
-    keeps its values for the next one only if its own batch repeated the
-    one before and they fit in ``STORE_BYTES``; otherwise the next call
-    starts fresh.  So a batch that changes every epoch costs one copy and
-    one compare of its bytes, and nothing is held between calls but those
-    bytes.
-    """
-
-    def __init__(self) -> None:
-        self._last = None  # the last call's network, depth, chunk and rows
-        self._kept = None  # the ``_Values`` that call kept
-        self._repeated = False
-
-    def _take(self, kind, X: np.ndarray):
-        """The values kept by the last call if ``kind`` and the bytes of the
-        rows ``X`` equal that call's, else ``None``; the store holds nothing
-        until ``_keep``.  Rows whose own bytes exceed ``STORE_BYTES`` can
-        never be kept, so they are not remembered either."""
-        last = (kind, X.shape, X.tobytes()) if X.nbytes <= STORE_BYTES else None
-        self._repeated = last is not None and last == self._last
-        kept = self._kept if self._repeated else None
-        self._last, self._kept = last, None
-        return kept
-
-    def _keep(self, kept: _Values) -> None:
-        """Keep ``kept`` for the next call if this call's rows repeated the
-        last call's and it fits in ``STORE_BYTES``."""
-        if self._repeated and kept.nbytes <= STORE_BYTES:
-            self._kept = kept
 
 
 class PopulationPlan:
     """Value-numbered evaluation plan of several graphs and recurrent depths.
 
-    Ids ``0..u-1`` are the leaves: the input columns, then the constants.
-    Every later id is one distinct key ``(basis, child ids)`` that
-    :meth:`run` met.  It interns and computes the population in rounds:
-    round 0 is the leaves, and round ``1 + d * levels + q`` is level ``q``
-    of recurrent depth ``d``.  A level reads only lower levels and the
-    depth before it, so children have lower ids than their parents.  Depth
-    ``d + 1`` takes depth ``d``'s outputs as its input leaves.
+    :meth:`run` interns and computes the population in rounds, on the ids
+    of a :class:`ValueStore`: round 0 is the leaves, and round
+    ``1 + d * levels + q`` is level ``q`` of recurrent depth ``d``.  A level
+    reads only lower levels and the depth before it, so children have lower
+    ids than their parents.  Depth ``d + 1`` takes depth ``d``'s outputs as
+    its input leaves.  The graphs' id tables hold canonical ids, so the
+    parents of equal values have equal keys, and the next round merges them
+    before it computes anything.
 
-    Keys are value-numbered.  Once a round has computed its new nodes, each
-    one whose value repeats a live value bit for bit becomes an alias of
-    that value's id, its canonical id.  The graphs' id tables hold
-    canonical ids, so the parents of equal values have equal keys, and the
-    next round merges them before it computes anything.
-
-    The constructor keeps only what does not depend on the batch: every
-    graph's live images, the cells their keys read and write, and the
-    cells that no input reaches.  After a
-    run, ``basis[k - u]`` and ``kids[k - u]`` hold node ``k``'s key,
-    children padded with -1, ``canon[k]`` its canonical id, and ``index``
-    the column of each candidate and output, candidates sample-major then
-    depth.
-    ``interned`` counts the output-reachable nodes of every graph and
-    depth, one key lookup each; ``evaluated`` the nodes computed by a basis
-    call; ``merged`` the computed nodes and leaves whose value repeats an
-    earlier one; ``columns`` the distinct ``(node, output)`` columns.
-
-    Values live in the rows of one buffer, id ``k``'s in row ``rows[k]``
-    (-1 for an alias or a value whose row is gone).  An alias gives its row
-    up at once; a canonical value keeps its row to the end of its depth.
-    Once a depth has emitted its columns, only the values that the next
-    depth can read keep their rows: the leaves, the depth's outputs and
-    the values of the cells that no input reaches, whose keys are the same
-    at every depth.  A later round that meets the key of a value whose row
-    is gone computes the node again under its old id.  When a round needs
-    more rows than are free, the buffer doubles.  ``buffer_rows`` counts
-    the rows used.
-
-    The buffer, the hash table, the keys and ids, ``canon`` and ``rows``
-    form the value store.  A run given a :class:`ValueStore` that holds
-    the store of a run on the same rows starts from it: ids, ``basis``,
-    ``kids``, ``canon`` and ``rows`` then cover that run's nodes too.
-    ``evaluated``, ``merged``, ``columns`` and ``index`` count and number
-    this run's work alone.
+    The plan keeps only what does not depend on the batch: every graph's
+    live images, the cells their keys read and write, and the cells whose
+    values the next depth can read.  ``interned`` counts the
+    output-reachable nodes of every graph and depth, one key lookup each.
+    After a run, ``index`` holds the column of each candidate and output,
+    candidates sample-major then depth, and ``columns`` counts the distinct
+    ``(node, output)`` columns.
     """
 
     def __init__(self, network: Network, dags, depth: int = 1):
@@ -212,131 +123,221 @@ class PopulationPlan:
             ids += min(b - a, sum(ids**k for k in arities))
         self._room = min(u + max((b - a for a, b in spans), default=0), ids)
         self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-        self._constants = np.array(cfg.constants)[:, None]
         self._out_cells = out_cells
         self.interned = len(cells) * depth
 
-    def run(self, X, sink, chunk: int = CHUNK_ROWS, store: ValueStore | None = None) -> None:
+    def run(self, X, sink, store: ValueStore | None = None) -> None:
         """Evaluate every graph and depth on the batch ``X`` of shape
-        ``(n, input_count)``, as float64, one round at a time.
+        ``(n, input_count)``, as float64, one round at a time, on the ids
+        and values of ``store``, or of a fresh :class:`ValueStore` for this
+        run alone.
 
         Once a depth has run, ``sink(buffer, rows, outputs, readers)``
         receives its distinct ``(node, output)`` columns not met before,
         numbered on from the columns before: their values as rows ``rows``
         of ``buffer``, valid during the call, their output indices, and how
         many of the depth's candidates read each.  Then, if another depth
-        follows, one sweep (``_sweep``) frees the rows of the values that it
-        cannot read, and a round of a later depth computes again each node
-        whose key it meets but whose value's row is gone.
+        follows, one sweep frees the rows of the values that it cannot read.
 
         A round runs each basis's new nodes in calls on stacked rows, as
-        many nodes per call as fit in ``chunk`` argument rows.  Bases are
-        elementwise, so every value has the bits of a call on its row alone,
-        except the payload of a NaN that an addition or multiplication makes
-        from two NaNs: numpy takes it from either operand, by the lane's
-        place in its vector loop.  With ``chunk=1`` every node is its own
-        call, payloads included.  Values merge only when all their bits
-        agree, payloads included.
+        many nodes per call as fit in the store's ``chunk`` argument rows.
+        Bases are elementwise, so every value has the bits of a call on its
+        row alone, except the payload of a NaN that an addition or
+        multiplication makes from two NaNs: numpy takes it from either
+        operand, by the lane's place in its vector loop.  With ``chunk=1``
+        every node is its own call, payloads included.  Values merge only
+        when all their bits agree, payloads included.
 
-        With a ``store`` the run starts from the values that the last run
-        on the same rows kept there (:class:`ValueStore`), and leaves its
-        own there for the next.  Its leaves are then interned already, and
-        a round computes only the keys never met before and those whose
-        value's row a sweep gave up.  A reused value keeps the NaN payload
-        of the call that computed it, which can change which columns merge
-        but no column's score: a NaN lane scores 0.
+        A run that starts from the values of the last run on the same rows
+        computes only the keys never met before and those whose value's row
+        a sweep gave up.  A reused value keeps the NaN payload of the call
+        that computed it, which can change which columns merge but no
+        column's score: a NaN lane scores 0.
         """
         cfg = self.network.config
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != cfg.input_count:
             raise ValueError(f"expected batch of shape (n, {cfg.input_count}), got {X.shape}")
+        store = store or ValueStore(once=True)
         u, v = self.network.u, cfg.output_count
-        kind = (cfg, self._constants.tobytes(), self.depth, chunk)
-        kept = store._take(kind, X) if store is not None else None
-        reused = kept is not None
-        if not reused:
-            # ``_room`` rows; the buffer doubles when a round needs more
-            # rows than are free
-            buf = np.empty((self._room, X.shape[0]))
-            kept = _Values(buf, u, np.arange(u), np.arange(u), [], {}, {}, {}, [])
-        # ``_nodes`` holds the keys of the ids from u on, one block per
-        # round; ``ids`` numbers every key met
-        buf, canon, rows, ids = kept.buf, kept.canon, kept.rows, kept.ids
-        self.buffer_rows, self._free, self._nodes = kept.buffer_rows, kept.free, kept.nodes
-        self._table, self._spill = kept.table, kept.spill
-        count = len(canon) - u
-        most = len(canon) + self.interned
-        self.canon = canon = np.concatenate([canon, np.arange(len(canon), most)])
-        self.rows = np.concatenate([rows, np.full(self.interned, -1)])
         self.index = np.empty((self.candidates // self.depth, self.depth, v), dtype=np.int64)
-        self.evaluated = self.merged = self.columns = 0
-        self._chunk = chunk
-        self._lanes = min(X.shape[0], HASH_LANES)
-        self._view(buf)
-        self._column_of = np.full(most * v, -1)
-        # a reused store of several depths holds values that a sweep freed
-        swept = reused and self.depth > 1
+        self.columns = 0
         id_of = self._id_of.copy()
         with np.errstate(all="ignore"):
-            if not reused:
-                leaves = np.arange(u)
-                self._buf[:cfg.input_count] = X.T
-                self._buf[cfg.input_count:u] = self._constants
-                self._merge(leaves, leaves)
-            id_of[:, :u] = canon[:u]
+            store._start(self, X)
+            column_of = np.full(len(store.canon) * v, -1)
+            id_of[:, :u] = store.canon[:u]
             for d in range(self.depth):
                 if d:
-                    self._sweep(id_of)
+                    store._sweep(id_of.take(self._kept))
                     id_of[:, :cfg.input_count] = id_of.take(self._out_cells)
                 for a, b in self._spans:
-                    # one round: each live image's key as bytes, the keys not
-                    # met before numbered in order of first occurrence
+                    # one round: each live image's key as bytes
                     found = id_of.take(self._keys[a:b]).view(self._key_bytes).ravel().tolist()
-                    top = u + count
-                    fresh = [k for k in dict.fromkeys(found) if k not in ids]
-                    ids.update(zip(fresh, range(top, top + len(fresh))))
-                    node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
-                    if d or swept:
-                        # keys met before whose value's row is gone run again
-                        again = node[self.rows[canon[node]] < 0]
-                        again = np.unique(again[again < top])
-                        if len(again):
-                            canon[again] = again
-                            keys = np.concatenate(self._nodes)[again - u]
-                            order = np.argsort(keys[:, 0], kind="stable")
-                            again, keys = again[order], keys[order]
-                            self._merge(again, self._evaluate(keys, again))
-                    if fresh:
-                        keys = np.frombuffer(b"".join(fresh), dtype=np.int64)
-                        keys = keys.reshape(len(fresh), -1)
-                        self._nodes.append(keys)
-                        count += len(fresh)
-                        todo = np.arange(top, u + count)
-                        self._merge(todo, self._evaluate(keys, todo))
-                    node = canon[node]
-                    id_of.put(self._cells[a:b], node)
-                self._emit(id_of, d, sink)
-        nodes = np.concatenate([self._keys[:0], *self._nodes])
-        self.basis, self.kids = nodes[:, 0], nodes[:, 1:]
-        self.canon, self.rows = self.canon[:u + count], self.rows[:u + count]
+                    id_of.put(self._cells[a:b], store._intern(found))
+                self._emit(id_of, d, sink, store, column_of)
+        store._end()
         self.index = self.index.reshape(self.candidates, v)
-        if store is not None:
-            store._keep(_Values(
-                self._buf, self.buffer_rows, self.canon, self.rows, self._free, self._table,
-                self._spill, ids, [nodes],
-            ))
-        self._view(None)
-        self._table = self._spill = self._free = self._nodes = None
 
-    def _view(self, buf) -> None:
+    def _emit(self, id_of: np.ndarray, d: int, sink, store: ValueStore, column_of) -> None:
+        """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
+        and index every candidate of depth ``d``; ``column_of`` numbers the
+        columns met, by node and output."""
+        v = self.network.config.output_count
+        key = id_of.take(self._out_cells) * v + np.arange(v)
+        column = column_of[key]
+        new = key[column < 0]
+        if len(new):
+            fresh = np.unique(new)
+            column_of[fresh] = np.arange(self.columns, self.columns + len(fresh))
+            readers = np.bincount(column_of[new] - self.columns, minlength=len(fresh))
+            node, out = np.divmod(fresh, v)
+            sink(store.buf, store.rows[node], out, readers)
+            self.columns += len(fresh)
+            column = column_of[key]
+        self.index[:, d] = column
+
+
+class ValueStore:
+    """The value-numbered state of :meth:`PopulationPlan.run`: its ids, their
+    keys and their values, kept for the next run while the rows it evaluates
+    repeat bit for bit.
+
+    Ids ``0..u-1`` are the leaves: the input columns, then the constants.
+    Every later id is one distinct key ``(basis, child ids)`` that a run
+    met, and row ``k - u`` of ``nodes`` holds id ``k``'s basis and its
+    children padded with -1.  Once a round has computed its new nodes, each
+    one whose value repeats a live value bit for bit becomes an alias of
+    that value's id: ``canon[k]`` is id ``k``'s canonical id.
+
+    Values live in the rows of one buffer, ``buf``, id ``k``'s in row
+    ``rows[k]`` (-1 for an alias or a value whose row is gone).  An alias
+    gives its row up at once; a canonical value keeps its row until a sweep
+    (``_sweep``) frees the rows of the values that the next depth cannot
+    read.  A later round that meets the key of a value whose row is gone
+    computes the node again under its old id.  When a round needs more rows
+    than are free, the buffer doubles.  ``buffer_rows`` counts the rows
+    used.  The first ``HASH_LANES`` lanes of each row key a hash table of
+    the live values.
+
+    A run starts from what the store holds when its batch has the bytes of
+    the last run's and its network the same config and constants; any other
+    run starts fresh.  A run leaves its buffer, hash table and ids for the
+    next only if its own rows repeated the last run's (``repeated``) and
+    they fit in ``STORE_BYTES``; otherwise the store holds the rows' bytes,
+    ``canon``, ``rows`` and the keys.  So a batch that changes every epoch
+    costs one copy and one compare of its bytes.  A store made ``once``
+    serves one run and copies no bytes.
+
+    Each basis call takes as many nodes as fit in ``chunk`` argument rows.
+    ``evaluated`` counts the nodes a run computed by a basis call and
+    ``merged`` the computed nodes and leaves whose value repeats an earlier
+    one.
+    """
+
+    def __init__(self, chunk: int = CHUNK_ROWS, once: bool = False) -> None:
+        self.chunk = chunk
+        self._once = once
+        self._last = None  # the last run's network config, constants and rows
+        self.repeated = False
+        self.buf = None
+        self.evaluated = self.merged = self.buffer_rows = 0
+
+    @property
+    def nbytes(self) -> int:
+        """The buffer's bytes, or one value row per id if that is more: an
+        id without a row still holds its key and its place in ``canon`` and
+        ``rows``."""
+        return max(self.buf.nbytes, len(self.canon) * self.buf.itemsize * self.buf.shape[1])
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The key of every id from ``u`` on, one row each."""
+        if len(self._nodes) > 1:
+            self._nodes = [np.concatenate(self._nodes)]
+        return self._nodes[0]
+
+    def _start(self, plan: PopulationPlan, X: np.ndarray) -> None:
+        """Start a run of ``plan`` on the rows ``X``, from what the store
+        holds if the last run had the same network and rows, and make room
+        for the run's new ids.  Rows whose own bytes exceed ``STORE_BYTES``
+        can never be kept, so they are not remembered."""
+        network = plan.network
+        cfg, u = network.config, network.u
+        constants = np.array(cfg.constants)
+        last = None
+        if not self._once and X.nbytes <= STORE_BYTES:
+            last = (cfg, constants.tobytes(), X.shape, X.tobytes())
+        self.repeated = last is not None and last == self._last
+        # remembered when the run ends: a run cut short leaves nothing to reuse
+        self._last, self._key = None, last
+        self.evaluated = self.merged = 0
+        fresh = self.buf is None or not self.repeated
+        if fresh:
+            self._u, self._bases = u, network.bases
+            self._lanes = min(X.shape[0], HASH_LANES)
+            # ``_room`` rows; the buffer doubles when a round needs more
+            # rows than are free
+            self._view(np.empty((plan._room, X.shape[0])))
+            self.buffer_rows = u
+            self.canon = self.rows = np.arange(u)
+            self._free, self._table, self._spill, self._ids = [], {}, {}, {}
+            self._nodes = [np.empty((0, plan._keys.shape[1]), dtype=np.int64)]
+            self._swept = False  # a sweep gave rows up
+        top = len(self.canon)
+        self.canon = np.concatenate([self.canon, np.arange(top, top + plan.interned)])
+        self.rows = np.concatenate([self.rows, np.full(plan.interned, -1)])
+        if fresh:
+            leaves = np.arange(u)
+            self.buf[:cfg.input_count] = X.T
+            self.buf[cfg.input_count:u] = constants[:, None]
+            self._merge(leaves, leaves)
+
+    def _end(self) -> None:
+        """Drop the room of ids the run did not use, and keep the buffer,
+        hash table and ids only if the run's rows repeated the last run's
+        and its values fit in ``STORE_BYTES``."""
+        top = self._u + len(self._ids)
+        self.canon, self.rows = self.canon[:top], self.rows[:top]
+        self._last = self._key
+        if not (self.repeated and self.nbytes <= STORE_BYTES):
+            self.buf = self._samples = self._free = self._table = self._spill = self._ids = None
+
+    def _view(self, buf: np.ndarray) -> None:
         """Take ``buf`` as the value buffer, and view the first
         ``HASH_LANES`` lanes of each row as one byte string: the keys of the
         hash table, which Python hashes."""
-        self._buf = buf
+        self.buf = buf
         self._samples = None
-        if buf is not None and self._lanes:
+        if self._lanes:
             sample = np.dtype((np.void, buf.itemsize * self._lanes))
             self._samples = np.ndarray((len(buf),), sample, buf, strides=buf.strides[:1])
+
+    def _intern(self, found: list) -> np.ndarray:
+        """The canonical ids of one round's keys ``found``, as bytes.  The
+        keys not met before are numbered in order of first occurrence and
+        computed, and so are the keys met before whose value's row is
+        gone."""
+        u, canon, ids = self._u, self.canon, self._ids
+        top = u + len(ids)
+        fresh = [k for k in dict.fromkeys(found) if k not in ids]
+        ids.update(zip(fresh, range(top, top + len(fresh))))
+        node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+        if self._swept:
+            again = node[self.rows[canon[node]] < 0]
+            again = np.unique(again[again < top])
+            if len(again):
+                canon[again] = again
+                keys = self.nodes[again - u]
+                order = np.argsort(keys[:, 0], kind="stable")
+                again, keys = again[order], keys[order]
+                self._merge(again, self._evaluate(keys, again))
+        if fresh:
+            keys = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(len(fresh), -1)
+            self._nodes.append(keys)
+            todo = np.arange(top, top + len(fresh))
+            self._merge(todo, self._evaluate(keys, todo))
+        return canon[node]
 
     def _rows(self, count: int) -> np.ndarray:
         """``count`` free buffer rows, the most recently freed first; the
@@ -349,27 +350,28 @@ class PopulationPlan:
             top = self.buffer_rows
             self.buffer_rows += count - reused
             rows += range(top, self.buffer_rows)
-            if self.buffer_rows > len(self._buf):
-                grown = np.empty((max(self.buffer_rows, 2 * len(self._buf)), self._buf.shape[1]))
-                grown[:top] = self._buf[:top]
+            if self.buffer_rows > len(self.buf):
+                grown = np.empty((max(self.buffer_rows, 2 * len(self.buf)), self.buf.shape[1]))
+                grown[:top] = self.buf[:top]
                 self._view(grown)
         return np.array(rows, dtype=np.int64)
 
-    def _sweep(self, id_of: np.ndarray) -> None:
-        """Free the row of every value that the next depth cannot read: all
-        but the leaves and the values of the cells in ``_kept``."""
+    def _sweep(self, kept: np.ndarray) -> None:
+        """Free the row of every value but the leaves and the ids ``kept``,
+        the values that the next depth can read."""
         keep = np.zeros(len(self.rows), dtype=bool)
-        keep[:self.network.u] = True
-        keep[id_of.take(self._kept)] = True
+        keep[:self._u] = True
+        keep[kept] = True
         gone = np.flatnonzero((self.rows >= 0) & ~keep)
         self._free += self.rows[gone].tolist()
         self.rows[gone] = -1
+        self._swept = self._swept or len(gone) > 0
 
     def _evaluate(self, keys: np.ndarray, todo: np.ndarray) -> np.ndarray:
         """Compute the nodes ``todo``, whose ``keys`` come in runs of one
         basis, into free rows, and return the rows."""
         rows = self._rows(len(todo))
-        buf, chunk, bases = self._buf, self._chunk, self.network.bases
+        buf, chunk, bases = self.buf, self.chunk, self._bases
         self.rows[todo] = rows
         # children are canonical ids, whose rows are live
         src = self.rows[keys[:, 1:]]
@@ -392,7 +394,7 @@ class PopulationPlan:
         them, and a hit merges only if all of the row's bytes match; one that
         does not is compared with the other live values that share them.
         """
-        canon, table, buf, rows_of = self.canon, self._table, self._buf, self.rows
+        canon, table, buf, rows_of = self.canon, self._table, self.buf, self.rows
         keys = self._samples[rows].tolist() if self._samples is not None else [b""] * len(rows)
         ids = todo.tolist()
         # the first live value of each sample, else the first row of the
@@ -404,7 +406,7 @@ class PopulationPlan:
         # a sample of every lane is the whole row
         whole = self._samples is not None and self._lanes == buf.shape[1]
         rows = rows.tolist()
-        alias, target, freed = [], [], []
+        freed = []
         for i in hits:
             k, key, c = ids[i], keys[i], cand[i]
             if rows_of[c] < 0:
@@ -418,7 +420,9 @@ class PopulationPlan:
             if not whole:
                 mine = buf[rows[i]].tobytes()
                 if buf[rows_of[c]].tobytes() != mine:
-                    # a node met again may find itself among the others
+                    # a node met again may find itself among the others, and
+                    # a value computed again may find one that became an
+                    # alias in this round: neither can be its target
                     for c in self._spill.get(key, ()):
                         if c != k and canon[c] == c and rows_of[c] >= 0:
                             if buf[rows_of[c]].tobytes() == mine:
@@ -426,33 +430,14 @@ class PopulationPlan:
                     else:
                         self._spill.setdefault(key, []).append(k)
                         continue
-            alias.append(k)
-            target.append(c)
+            canon[k] = c
+            rows_of[k] = -1
             freed.append(rows[i])
-        canon[alias] = target
-        rows_of[alias] = -1
         self._free += freed
-        self.merged += len(alias)
-        if self._spill:
-            # an alias of a value that became an alias in this round
+        self.merged += len(freed)
+        # an alias of a value that became an alias later in this round
+        while self._spill and np.any(canon[canon[todo]] != canon[todo]):
             canon[todo] = canon[canon[todo]]
-
-    def _emit(self, id_of: np.ndarray, d: int, sink) -> None:
-        """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
-        and index every candidate of depth ``d``."""
-        v = self.network.config.output_count
-        key = id_of.take(self._out_cells) * v + np.arange(v)
-        column = self._column_of[key]
-        new = key[column < 0]
-        if len(new):
-            fresh = np.unique(new)
-            self._column_of[fresh] = np.arange(self.columns, self.columns + len(fresh))
-            readers = np.bincount(self._column_of[new] - self.columns, minlength=len(fresh))
-            node, out = np.divmod(fresh, v)
-            sink(self._buf, self.rows[node], out, readers)
-            self.columns += len(fresh)
-            column = self._column_of[key]
-        self.index[:, d] = column
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:
@@ -490,5 +475,5 @@ def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list
 
     # one node per call: callers get the values themselves, so NaN payloads
     # stay those of evaluating the graph node by node
-    plan.run(X, keep, chunk=1)
+    plan.run(X, keep, ValueStore(chunk=1, once=True))
     return [np.stack([values[c] for c in columns], axis=1) for columns in plan.index]

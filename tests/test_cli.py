@@ -186,10 +186,15 @@ def test_extract_malformed_weights_exit_code(tmp_path, capsys):
     bad_version.write_text("\n".join(["softdag-weights x"] + lines[1:]) + "\n")
     bad_row = tmp_path / "bad_row.txt"
     bad_row.write_text("\n".join(lines[:2] + ["1.0 oops"] + lines[3:]) + "\n")
-    for broken in (bad_version, bad_row):
+    bad_basis = tmp_path / "bad_basis.txt"
+    assert lines[1].count('"SIN"') == 1
+    bad_basis.write_text("\n".join([lines[0], lines[1].replace('"SIN"', '"NOPE"')] + lines[2:]))
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"\xff" + path.read_bytes())
+    for broken in (bad_version, bad_row, bad_basis, not_utf8, tmp_path):
         assert main(["extract", str(broken)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err and str(broken) in err
 
 
 def test_main_validation_exit_code(tmp_path, capsys):
@@ -239,6 +244,9 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "select = 5", "select = 60", ["run"]),
     ("poly_2x2_3x", "depth = 2", "depth = 0", ["run"]),
     ("poly_2x2_3x", "temperature = 1.0\nlast", "temperature = 0\nlast", ["run"]),
+    ("poly_2x2_3x", "# benchmark: 2x^2 + 3x", "text before any section", ["run"]),
+    ("poly_2x2_3x", "samples = 50", "samples = 50\nsamples = 60", ["run"]),
+    ("poly_2x2_3x", "[target]", "[target]\n[target]", ["run"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -249,6 +257,17 @@ def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new
     assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "poly_2x2_3x.ini"
+    path.write_bytes((CONFIG_DIR / "poly_2x2_3x.ini").read_bytes().replace(b"2x^2", b"2x\xff2"))
+    out = tmp_path / "out"
+    for argv in (["run", str(path)], ["bench", str(tmp_path)]):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -34,7 +34,7 @@ from softdag.cli import parse_config
 from softdag.expression import evaluate_tree_batch
 from softdag import scoring
 from softdag.data import _repeats
-from softdag.plan import PopulationPlan
+from softdag.plan import PopulationPlan, ValueStore
 from softdag.scoring import (
     _BOUND_SHIFT,
     _EXP_ZERO,
@@ -364,26 +364,29 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
 
 
 def _run(plan, X):
-    """Run ``plan`` on ``X`` one node per call, dropping its columns."""
-    plan.run(X, lambda *column: None, chunk=1)
-    return plan
+    """Run ``plan`` on ``X`` one node per call, dropping its columns, and
+    return its store."""
+    store = ValueStore(chunk=1)
+    plan.run(X, lambda *column: None, store)
+    return store
 
 
 @_settings
 @given(populations())
 def test_plan_shares_nodes(case):
     net, dags, X, _, _ = case
-    plan = _run(PopulationPlan(net, dags), X)
-    keys = [(b, *kids) for b, kids in zip(plan.basis.tolist(), plan.kids.tolist())]
+    plan = PopulationPlan(net, dags)
+    nodes = _run(plan, X).nodes
+    keys = [tuple(key) for key in nodes.tolist()]
     assert len(set(keys)) == len(keys)
     # children precede their parents; -1 pads each argument list to the
     # largest arity
-    ids = np.arange(net.u, net.u + len(plan.kids))[:, None]
-    assert np.all(plan.kids < ids)
-    arity = np.array([net.bases[b].arity for b in plan.basis.tolist()], dtype=int)
-    assert np.array_equal(plan.kids >= 0, np.arange(plan.kids.shape[1]) < arity[:, None])
-    single = [_run(PopulationPlan(net, [dag]), X) for dag in dags]
-    assert len(plan.kids) <= sum(len(p.kids) for p in single)
+    basis, kids = nodes[:, 0], nodes[:, 1:]
+    assert np.all(kids < np.arange(net.u, net.u + len(kids))[:, None])
+    arity = np.array([net.bases[b].arity for b in basis.tolist()], dtype=int)
+    assert np.array_equal(kids >= 0, np.arange(kids.shape[1]) < arity[:, None])
+    single = [PopulationPlan(net, [dag]) for dag in dags]
+    assert len(nodes) <= sum(len(_run(p, X).nodes) for p in single)
     assert plan.interned == sum(p.interned for p in single)
 
 
@@ -400,30 +403,30 @@ def _halfsquare_population():
     return net, sample_many(net, rng, 100), X, np.square(X)
 
 
-_real_rows, _real_view = PopulationPlan._rows, PopulationPlan._view
+_real_rows, _real_view = ValueStore._rows, ValueStore._view
 
 
 def test_value_buffer_reuses_rows():
     net, dags, X, Y = _halfsquare_population()
-    plans = []
+    stores = []
 
-    def poisoned(plan, count):
+    def poisoned(store, count):
         # a row handed out holds a NaN until its node is computed, so a
         # value whose row went to another while a round still reads it
         # would change the fitness
-        got = _real_rows(plan, count)
-        plan._buf[got] = _OTHER_NAN
-        plans.append(plan)
+        got = _real_rows(store, count)
+        store.buf[got] = _OTHER_NAN
+        stores.append(store)
         return got
 
-    with mock.patch.object(PopulationPlan, "_rows", poisoned):
+    with mock.patch.object(ValueStore, "_rows", poisoned):
         got = population_fitness(net, dags, X, Y, 3, 0.01)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, 0.01))
-    plan = plans[-1]
-    assert plan.buffer_rows < plan.evaluated - plan.merged
+    store = stores[-1]
+    assert store.buffer_rows < store.evaluated - store.merged
     # canonical values gave their rows up at a depth boundary
-    canonical = plan.canon == np.arange(len(plan.canon))
-    assert np.any(canonical & (plan.rows < 0))
+    canonical = store.canon == np.arange(len(store.canon))
+    assert np.any(canonical & (store.rows < 0))
 
 
 def test_plan_runs_again_alike():
@@ -431,9 +434,9 @@ def test_plan_runs_again_alike():
     plan = PopulationPlan(net, dags, 3)
     runs = []
     for _ in range(2):
-        values = []
-        plan.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]))
-        runs.append((np.array(values), plan.index.copy(), plan.buffer_rows, plan.merged))
+        values, store = [], ValueStore()
+        plan.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]), store)
+        runs.append((np.array(values), plan.index.copy(), store.buffer_rows, store.merged))
     (first, *rest), (second, *again) = runs
     assert same_bits(first, second) and all(np.array_equal(a, b) for a, b in zip(rest, again))
 
@@ -453,19 +456,19 @@ def test_swept_value_met_again_is_computed_again():
     want = _reference_matrix(net, dags, X, Y, 3, 1.0)
     assert same_bits(population_fitness(net, dags, X, Y, 3, 1.0), want)
     assert population_select(net, dags, X, Y, 3, 1.0, 2) == select_top(want, 2)
-    plan = _run(PopulationPlan(net, dags, 3), X)
-    ids = _node_ids(plan)
+    store = _run(PopulationPlan(net, dags, 3), X)
+    ids = _node_ids(store, net.u)
     neg_x0 = ids[(0, 0)]
-    assert plan.canon[ids[(0, neg_x0)]] == 0
+    assert store.canon[ids[(0, neg_x0)]] == 0
     # -x0 is computed at every depth, each distinct key once otherwise
-    assert plan.evaluated == len(plan.kids) + 2
+    assert store.evaluated == len(store.nodes) + 2
 
 
-def _one_sample(plan, buf):
-    """``PopulationPlan._view`` that samples no lanes: every value row has
-    the same empty sample, so every hash lookup hits."""
-    _real_view(plan, buf)
-    plan._samples = None
+def _one_sample(store, buf):
+    """``ValueStore._view`` that samples no lanes: every value row has the
+    same empty sample, so every hash lookup hits."""
+    _real_view(store, buf)
+    store._samples = None
 
 
 @settings(max_examples=200, deadline=None)
@@ -479,7 +482,7 @@ def test_forced_hash_collisions_match_evaluate(case):
         [fitness(out[:, j], Y[:, j], variance) for j in range(Y.shape[1])]
         for outs in columns for out in outs
     ])
-    every_row_collides = mock.patch.object(PopulationPlan, "_view", _one_sample)
+    every_row_collides = mock.patch.object(ValueStore, "_view", _one_sample)
     with every_row_collides:
         assert same_bits(population_fitness(net, dags, X, Y, depth, variance, rows), want)
         got = population_select(net, dags, X, Y, depth, variance, count, rows)
@@ -488,11 +491,30 @@ def test_forced_hash_collisions_match_evaluate(case):
             assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dag, X, depth), outs))
 
 
-def _node_ids(plan):
-    """Each node's id by its key ``(basis, children...)``, padding dropped."""
+def test_values_computed_again_in_one_round_stay_apart_from_their_aliases():
+    # every row collides, so every merge goes through the spill lists; at
+    # depth 3 values that a sweep freed, and that wait in those lists, are
+    # computed again in one round: one may become the alias of another,
+    # but never of one that has become an alias itself, or both would lose
+    # their rows
+    net = make_network(("ADD", "ADD", "SUB", "NEG"), input_count=1, constants=(1.0,), skip=False)
+    dags = [
+        make_dag(net, [[1, 0, 0, 1, 0, 1, 1], [0, 1, 2, 0, 2, 3, 2]], [2]),
+        make_dag(net, [[1, 0, 1, 1, 0, 1, 1], [1, 3, 3, 0, 2, 3, 2]], [3]),
+        make_dag(net, [[0, 0, 0, 0, 0, 1, 0], [2, 3, 1, 0, 0, 3, 3]], [3]),
+    ]
+    X, Y = np.array([[3.0], [2.0], [-0.0]]), np.array([[3.0], [-1.0], [3.0]])
+    with mock.patch.object(ValueStore, "_view", _one_sample):
+        got = population_fitness(net, dags, X, Y, 3, 0.01)
+    assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, 0.01))
+
+
+def _node_ids(store, u):
+    """Each node's id by its key ``(basis, children...)``, padding dropped;
+    ids ``0..u-1`` are the leaves."""
     return {
-        (b, *(k for k in kids if k >= 0)): plan.network.u + i
-        for i, (b, kids) in enumerate(zip(plan.basis.tolist(), plan.kids.tolist()))
+        (b, *(k for k in kids if k >= 0)): u + i
+        for i, (b, *kids) in enumerate(store.nodes.tolist())
     }
 
 
@@ -512,23 +534,24 @@ def test_equal_values_merge_and_their_parents_share_a_node():
         make_dag(net, [[0, 1, 0, 1]], [4]),
     ]
     X = np.random.default_rng(0).normal(size=(40, 1))
-    plan = _run(PopulationPlan(net, dags), X)
-    ids = _node_ids(plan)
+    plan = PopulationPlan(net, dags)
+    store = _run(plan, X)
+    ids = _node_ids(store, net.u)
     for key in ((MUL, 0, 1), (DIV, 0, 1), (IF_LEQ, 1, 1, 0, 2)):
-        assert plan.canon[ids[key]] == 0
+        assert store.canon[ids[key]] == 0
     # every parent reads x, so the four parents are one node
     assert [key for key in ids if key[0] == NEG] == [(NEG, 0)]
-    assert plan.merged == 3 and plan.evaluated == 4
+    assert store.merged == 3 and store.evaluated == 4
     # one column for the four graphs' outputs, one for x * 1 and x / 1
     assert plan.index[:, 0].tolist() == [1, 1, 1, 1, 0, 0] and plan.columns == 2
     # a row of +0.0 and one of -0.0, and two NaN payloads, stay apart
     for x in (0.0, _OTHER_NAN):
-        plan = _run(PopulationPlan(net, dags), np.full((40, 1), x))
-        ids = _node_ids(plan)
-        neg_x = plan.canon[ids[(NEG, plan.canon[ids[(MUL, 0, 1)]])]]
-        assert neg_x != 0 and plan.canon[neg_x] == neg_x
+        store = _run(PopulationPlan(net, dags), np.full((40, 1), x))
+        ids = _node_ids(store, net.u)
+        neg_x = store.canon[ids[(NEG, store.canon[ids[(MUL, 0, 1)]])]]
+        assert neg_x != 0 and store.canon[neg_x] == neg_x
     # if_leq of a NaN is np.nan, whose payload is not x's
-    assert plan.canon[ids[(IF_LEQ, 1, 1, 0, 2)]] != 0
+    assert store.canon[ids[(IF_LEQ, 1, 1, 0, 2)]] != 0
 
 
 def test_population_fitness_leaves_no_cyclic_garbage():

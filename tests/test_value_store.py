@@ -12,12 +12,11 @@ from softdag import DatasetSource, build_network, generate, sample_many, train
 from softdag import plan, trainer
 from softdag.cli import parse_config
 from softdag.plan import PopulationPlan, ValueStore
+from softdag.scoring import population_select
 
-from conftest import make_network, same_bits
+from conftest import cyclic_garbage, make_network, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-_real_take, _real_keep = ValueStore._take, ValueStore._keep
 
 
 def _config_training(name, epochs, **fields):
@@ -26,38 +25,35 @@ def _config_training(name, epochs, **fields):
     return exp, training
 
 
-def _train(exp, data, training, reuse=True, reused=None):
+def _held(store):
+    """The number of ids whose values ``store`` holds for the next run, else
+    ``None``."""
+    return None if store.buf is None else len(store.canon)
+
+
+def _train(exp, data, training, reuse=True):
     """Train a fresh network of ``exp`` on ``data``.  Returns its weights,
     each epoch's picks, per epoch the number of ids of the store it reused
-    (``None`` for a fresh start; appended to ``reused`` as the epochs go)
-    and the size of each store kept for the next epoch.  Without ``reuse``
-    the store keeps nothing, so every epoch starts fresh."""
-    picks, sizes = [], []
-    reused = [] if reused is None else reused
+    (``None`` for a fresh start) and the size of each store kept for the
+    next epoch.  Without ``reuse`` no rows fit in the store, so every epoch
+    starts fresh."""
+    picks, reused, sizes = [], [], []
     real_select = trainer.population_select
 
     def select(*args):
+        store = args[-1]
+        held = _held(store)
         got = real_select(*args)
         picks.append(got)
+        reused.append(held if store.repeated else None)
+        if store.buf is not None:
+            sizes.append(store.nbytes)
         return got
-
-    def take(store, *args):
-        kept = _real_take(store, *args)
-        reused.append(None if kept is None else len(kept.canon))
-        return kept
-
-    def keep(store, kept):
-        if reuse:
-            _real_keep(store, kept)
-        if store._kept is not None:
-            # the buffer, and one value row per id
-            sizes.append(max(kept.buf.nbytes, len(kept.canon) * 8 * kept.buf.shape[1]))
 
     network = build_network(exp.network)
     with (
         mock.patch.object(trainer, "population_select", select),
-        mock.patch.object(ValueStore, "_take", take),
-        mock.patch.object(ValueStore, "_keep", keep),
+        mock.patch.object(plan, "STORE_BYTES", plan.STORE_BYTES if reuse else -1),
     ):
         train(network, data, training)
     return network.blocks(), picks, reused, sizes
@@ -100,34 +96,48 @@ def test_stationary_dataset_reuses_values_at_depth_1():
     assert all(reused[2:])
 
 
-def test_swept_values_are_computed_again_at_depth_0_of_a_reused_store():
-    # depth 4: each depth boundary frees the values the next depth cannot
-    # read, so the next epoch meets their keys at depth 0 with no row
+def test_stationary_dataset_reuses_values_at_depth_4():
+    # each depth boundary frees the values the next depth cannot read, so
+    # the next epoch meets their keys at depth 0 with no row
     exp, training = _config_training("recurrent_halfsquare", 30, batch_size=8)
     assert training.recurrence_depth == 4
-    data = _stationary(exp, 8)
-    again, reused = [], []
-    real_evaluate = PopulationPlan._evaluate
-
-    def evaluate(plan, keys, todo):
-        # no columns yet: depth 0; ids below the kept ones: met before
-        if plan.columns == 0 and reused[-1]:
-            again.append(int(np.count_nonzero(todo < reused[-1])))
-        return real_evaluate(plan, keys, todo)
-
-    with mock.patch.object(PopulationPlan, "_evaluate", evaluate):
-        got = _train(exp, data, training, reused=reused)
-    _same_trajectory(got, _train(exp, data, training, reuse=False))
+    reused, _ = _same_training(exp, _stationary(exp, 8), training)
     assert all(reused[2:])
-    assert sum(again) > 0
 
 
-def _column_values(network, dags, X, store):
+def _column_values(network, dags, X, store, depth=1):
     """Every column the plan hands its sink, in candidate order."""
     values = []
-    p = PopulationPlan(network, dags)
-    p.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]), store=store)
+    p = PopulationPlan(network, dags, depth)
+    p.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]), store)
     return np.array(values)[p.index]
+
+
+def _recurrent_population(rows):
+    """A network with one input and one output, 30 graphs sampled on it and
+    ``rows`` rows of inputs."""
+    net = make_network(
+        ("IF_LEQ", "ADD", "MUL", "DIV"), input_count=1, constants=(1.0, 2.0), depth=2
+    )
+    rng = np.random.default_rng(8)
+    return net, sample_many(net, rng, 30), rng.uniform(-8.0, 8.0, size=(rows, 1))
+
+
+def test_swept_values_are_computed_again_at_depth_0_of_a_reused_store():
+    # the second depth-3 run keeps its values, of which the depth
+    # boundaries swept depth 0's inner ones; a depth-1 run on the same rows
+    # computes those again under their old ids
+    net, dags, X = _recurrent_population(20)
+    store = ValueStore()
+    for _ in range(2):
+        _column_values(net, dags, X, store, 3)
+    held = _held(store)
+    swept = (store.canon == np.arange(held)) & (store.rows < 0)
+    got = _column_values(net, dags, X, store)
+    assert store.repeated and np.any(swept & (store.rows[:held] >= 0))
+    fresh = ValueStore()
+    assert same_bits(got, _column_values(net, dags, X, fresh))
+    assert store.evaluated < fresh.evaluated
 
 
 def test_a_different_network_on_the_same_rows_starts_fresh():
@@ -139,23 +149,18 @@ def test_a_different_network_on_the_same_rows_starts_fresh():
     ]
     nets.append(make_network(bases[::-1], input_count=1, constants=(2.0,), depth=2))
     store = ValueStore()
-    takes = []
-
-    def take(store, *args):
-        kept = _real_take(store, *args)
-        takes.append(kept is not None)
-        return kept
-
-    with mock.patch.object(ValueStore, "_take", take):
-        for net in nets:
-            dags = sample_many(net, rng, 30)
-            want = _column_values(net, dags, X, None)
-            for _ in range(3):
-                got = _column_values(net, dags, X, store)
-                assert same_bits(got, want)
+    reused = []
+    for net in nets:
+        dags = sample_many(net, rng, 30)
+        want = _column_values(net, dags, X, None)
+        for _ in range(3):
+            held = _held(store)
+            got = _column_values(net, dags, X, store)
+            reused.append(held is not None and store.repeated)
+            assert same_bits(got, want)
     # each network's third call reuses its second's values, and the first
     # call of the next network, with -0.0 for 0.0 too, starts fresh
-    assert takes == [False, False, True] * len(nets)
+    assert reused == [False, False, True] * len(nets)
 
 
 def test_store_restarts_past_its_budget():
@@ -168,12 +173,29 @@ def test_store_restarts_past_its_budget():
     assert restarts and any(reused[restarts[0] + 1:])
 
 
+def test_store_holds_values_only_after_a_repeated_run():
+    # rows that differ from the last run's leave only their bytes behind;
+    # a repeated run within the budget leaves its buffer, table and ids
+    net, dags, X = _recurrent_population(40)
+    store = ValueStore()
+    for rows, repeated in ((X, False), (X + 1.0, False), (X + 1.0, True), (X, False)):
+        _column_values(net, dags, rows, store, 3)
+        assert store.repeated == repeated
+        assert store._last[-1] == rows.tobytes()
+        kept = (store.buf, store._table, store._ids)
+        if repeated:
+            assert store.nbytes <= plan.STORE_BYTES and all(k is not None for k in kept)
+            assert len(store._ids) == len(store.canon) - net.u
+        else:
+            assert kept == (None, None, None)
+
+
 def test_no_depth_1_call_scores_two_equal_columns_of_an_output():
     exp, training = _config_training("lfsr4", 60)
     calls = []
     real_run = PopulationPlan.run
 
-    def run(p, X, sink, chunk=plan.CHUNK_ROWS, store=None):
+    def run(p, X, sink, store=None):
         seen = set()
 
         def checked(buf, rows, outs, readers):
@@ -184,7 +206,7 @@ def test_no_depth_1_call_scores_two_equal_columns_of_an_output():
             sink(buf, rows, outs, readers)
 
         calls.append(p.depth)
-        return real_run(p, X, checked, chunk, store)
+        return real_run(p, X, checked, store)
 
     with mock.patch.object(PopulationPlan, "run", run):
         _train(exp, exp.target, training)
@@ -199,4 +221,20 @@ def test_rows_past_the_budget_are_not_remembered():
     with mock.patch.object(plan, "STORE_BYTES", X.nbytes - 1):
         for _ in range(3):
             assert same_bits(_column_values(net, dags, X, store), _column_values(net, dags, X, None))
-            assert store._last is None and store._kept is None
+            assert store._last is None and store.buf is None
+
+
+def test_selection_through_a_store_leaves_no_cyclic_garbage():
+    # a store that referred to its plan, or a plan to its store, would keep
+    # the value buffer alive until the collector ran
+    net, dags, X = _recurrent_population(40)
+    Y = np.square(X)
+    for depth in (3, 1):
+        store = ValueStore()
+
+        def select():
+            for _ in range(3):
+                population_select(net, dags, X, Y, depth, 0.01, 2, None, store)
+
+        assert cyclic_garbage(select) == 0
+        assert store.repeated and store.buf is not None
