@@ -158,7 +158,7 @@ class PopulationPlan:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != cfg.input_count:
             raise ValueError(f"expected batch of shape (n, {cfg.input_count}), got {X.shape}")
-        store = store or ValueStore(once=True)
+        store = store or ValueStore()
         u, v = self.network.u, cfg.output_count
         self.index = np.empty((self.candidates // self.depth, self.depth, v), dtype=np.int64)
         self.columns = 0
@@ -226,8 +226,7 @@ class ValueStore:
     next only if its own rows repeated the last run's (``repeated``) and
     they fit in ``STORE_BYTES``; otherwise the store holds the rows' bytes,
     ``canon``, ``rows`` and the keys.  So a batch that changes every epoch
-    costs one copy and one compare of its bytes.  A store made ``once``
-    serves one run and copies no bytes.
+    costs one copy and one compare of its bytes.
 
     Each basis call takes as many nodes as fit in ``chunk`` argument rows.
     ``evaluated`` counts the nodes a run computed by a basis call and
@@ -235,9 +234,8 @@ class ValueStore:
     one.
     """
 
-    def __init__(self, chunk: int = CHUNK_ROWS, once: bool = False) -> None:
+    def __init__(self, chunk: int = CHUNK_ROWS) -> None:
         self.chunk = chunk
-        self._once = once
         self._last = None  # the last run's network config, constants and rows
         self.repeated = False
         self.buf = None
@@ -247,7 +245,9 @@ class ValueStore:
     def nbytes(self) -> int:
         """The buffer's bytes, or one value row per id if that is more: an
         id without a row still holds its key and its place in ``canon`` and
-        ``rows``."""
+        ``rows``.  0 when the store holds no buffer."""
+        if self.buf is None:
+            return 0
         return max(self.buf.nbytes, len(self.canon) * self.buf.itemsize * self.buf.shape[1])
 
     @property
@@ -266,7 +266,7 @@ class ValueStore:
         cfg, u = network.config, network.u
         constants = np.array(cfg.constants)
         last = None
-        if not self._once and X.nbytes <= STORE_BYTES:
+        if X.nbytes <= STORE_BYTES:
             last = (cfg, constants.tobytes(), X.shape, X.tobytes())
         self.repeated = last is not None and last == self._last
         # remembered when the run ends: a run cut short leaves nothing to reuse
@@ -475,5 +475,5 @@ def evaluate_recurrent(network: Network, dag: SampledDAG, X, depth: int) -> list
 
     # one node per call: callers get the values themselves, so NaN payloads
     # stay those of evaluating the graph node by node
-    plan.run(X, keep, ValueStore(chunk=1, once=True))
+    plan.run(X, keep, ValueStore(chunk=1))
     return [np.stack([values[c] for c in columns], axis=1) for columns in plan.index]

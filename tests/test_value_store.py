@@ -34,18 +34,23 @@ def _held(store):
 def _train(exp, data, training, reuse=True):
     """Train a fresh network of ``exp`` on ``data``.  Returns its weights,
     each epoch's picks, per epoch the number of ids of the store it reused
-    (``None`` for a fresh start) and the size of each store kept for the
-    next epoch.  Without ``reuse`` no rows fit in the store, so every epoch
-    starts fresh."""
-    picks, reused, sizes = [], [], []
+    (``None`` for a fresh start), the size of each store kept for the next
+    epoch and, per reused store, how many of its canonical ids without a
+    row had one again after the epoch.  Without ``reuse`` no rows fit in
+    the store, so every epoch starts fresh."""
+    picks, reused, sizes, again = [], [], [], []
     real_select = trainer.population_select
 
     def select(*args):
         store = args[-1]
         held = _held(store)
+        if held is not None:
+            swept = (store.canon == np.arange(held)) & (store.rows < 0)
         got = real_select(*args)
         picks.append(got)
         reused.append(held if store.repeated else None)
+        if reused[-1] is not None:
+            again.append(int(np.count_nonzero(swept & (store.rows[:held] >= 0))))
         if store.buf is not None:
             sizes.append(store.nbytes)
         return got
@@ -56,11 +61,11 @@ def _train(exp, data, training, reuse=True):
         mock.patch.object(plan, "STORE_BYTES", plan.STORE_BYTES if reuse else -1),
     ):
         train(network, data, training)
-    return network.blocks(), picks, reused, sizes
+    return network.blocks(), picks, reused, sizes, again
 
 
 def _same_trajectory(got, want):
-    (blocks, picks, *_), (fresh_blocks, fresh_picks, fresh, _) = got, want
+    (blocks, picks, *_), (fresh_blocks, fresh_picks, fresh, *_) = got, want
     assert picks == fresh_picks
     assert all(same_bits(a, b) for a, b in zip(blocks, fresh_blocks))
     assert not any(fresh)
@@ -68,7 +73,8 @@ def _same_trajectory(got, want):
 
 def _same_training(exp, data, training):
     """Train with the store and with it forced to miss; both must agree.
-    Returns the first run's reused-store sizes and kept sizes."""
+    Returns the first run's reused-store sizes, kept sizes and ids given
+    rows again."""
     got = _train(exp, data, training)
     _same_trajectory(got, _train(exp, data, training, reuse=False))
     return got[2:]
@@ -78,7 +84,7 @@ def test_lfsr4_reuses_values_with_the_same_trajectory():
     # lfsr4's batches hold the same 16 distinct rows every epoch: from the
     # third epoch on, each call starts from the last call's values
     exp, training = _config_training("lfsr4", 150)
-    reused, _ = _same_training(exp, exp.target, training)
+    reused, *_ = _same_training(exp, exp.target, training)
     assert reused[:2] == [None, None] and all(reused[2:])
 
 
@@ -92,17 +98,18 @@ def test_stationary_dataset_reuses_values_at_depth_1():
     exp, training = _config_training("poly_2x2_3x", 60, batch_size=40)
     data = _stationary(exp, 40)
     assert DatasetSource(data, training.batch_size, 0).stationary
-    reused, _ = _same_training(exp, data, training)
+    reused, *_ = _same_training(exp, data, training)
     assert all(reused[2:])
 
 
 def test_stationary_dataset_reuses_values_at_depth_4():
     # each depth boundary frees the values the next depth cannot read, so
-    # the next epoch meets their keys at depth 0 with no row
+    # the next epoch meets their keys with no row and computes them again
     exp, training = _config_training("recurrent_halfsquare", 30, batch_size=8)
     assert training.recurrence_depth == 4
-    reused, _ = _same_training(exp, _stationary(exp, 8), training)
+    reused, _, again = _same_training(exp, _stationary(exp, 8), training)
     assert all(reused[2:])
+    assert sum(again) > 0
 
 
 def _column_values(network, dags, X, store, depth=1):
@@ -166,7 +173,7 @@ def test_a_different_network_on_the_same_rows_starts_fresh():
 def test_store_restarts_past_its_budget():
     exp, training = _config_training("lfsr4", 120)
     with mock.patch.object(plan, "STORE_BYTES", 64 << 10):
-        reused, sizes = _same_training(exp, exp.target, training)
+        reused, sizes, _ = _same_training(exp, exp.target, training)
     assert sizes and max(sizes) <= 64 << 10
     # the store filled up, started fresh and was reused again
     restarts = [i for i in range(3, len(reused)) if reused[i] is None]
@@ -187,7 +194,7 @@ def test_store_holds_values_only_after_a_repeated_run():
             assert store.nbytes <= plan.STORE_BYTES and all(k is not None for k in kept)
             assert len(store._ids) == len(store.canon) - net.u
         else:
-            assert kept == (None, None, None)
+            assert kept == (None, None, None) and store.nbytes == 0
 
 
 def test_no_depth_1_call_scores_two_equal_columns_of_an_output():
