@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "DIV_GUARD",
@@ -130,6 +129,18 @@ def _max9(*args):
     return out
 
 
+def _sigmoid(a):
+    # scipy.special is slow to import and only these two bases use it, so
+    # it loads on their first call
+    from scipy.special import expit
+
+    return expit(a)
+
+
+def _sigmoid10(a):
+    return _sigmoid(np.multiply(10.0, a))
+
+
 def _add4(a, b, c, d):
     return np.add(np.add(a, b), np.add(c, d))
 
@@ -207,9 +218,9 @@ _register("IF_LEQ", 4, _if_leq, _call("if_leq"))
 _register("MIN", 2, np.minimum, _call("min"))
 _register("MAX", 2, np.maximum, _call("max"))
 _register("XOR", 2, _xor, _call("xor"))
-_register("SIGMOID", 1, expit, _call("sigmoid"))
+_register("SIGMOID", 1, _sigmoid, _call("sigmoid"))
 _register("TANH", 1, np.tanh, _call("tanh"))
-_register("SIGMOID10", 1, lambda a: expit(np.multiply(10.0, a)), _call("sigmoid10"))
+_register("SIGMOID10", 1, _sigmoid10, _call("sigmoid10"))
 _register("TANH10", 1, lambda a: np.tanh(np.multiply(10.0, a)), _call("tanh10"))
 _register("ADD4", 4, _add4, _call("add4"))
 _register("ADD9", 9, _add9, _call("add9"))

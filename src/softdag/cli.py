@@ -33,7 +33,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .bases import resolve_bases
 from .data import (
@@ -584,6 +583,9 @@ def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> 
 
 def _environment() -> dict:
     """What a run's numbers depend on besides the config and the seed."""
+    # scipy's own module is light; its submodules load where they are used
+    import scipy
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -19,12 +19,12 @@ numeric literal folds into a negative constant.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .bases import ArityError, BasisFunction, builtin_registry, eval_basis
 from .network import Network
@@ -392,8 +392,12 @@ def simplify(expr: Expr) -> Expr:
 def sample_domain(domain, n: int, seed: int = 0) -> np.ndarray:
     """Quasi-uniform sample points in a box of Interval/Choices dimensions.
 
-    When every dimension is discrete and the full grid fits within ``n``
-    points, the grid is enumerated exhaustively instead.
+    The Interval dimensions take the first ``n`` points of the scrambled
+    Halton sequence that ``scipy.stats.qmc.Halton(d, seed=seed)`` draws, bit
+    for bit, scaled to their ranges; the Choices dimensions draw their
+    values from ``np.random.default_rng(seed + 1)``.  When every dimension
+    is discrete and the full grid fits within ``n`` points, the grid is
+    enumerated exhaustively instead.
     """
     dims = list(domain)
     if not dims:
@@ -409,8 +413,7 @@ def sample_domain(domain, n: int, seed: int = 0) -> np.ndarray:
     cont_axes = [k for k, d in enumerate(dims) if isinstance(d, Interval)]
     out = np.empty((n, len(dims)), dtype=np.float64)
     if cont_axes:
-        halton = qmc.Halton(d=len(cont_axes), seed=seed)
-        unit = halton.random(n)
+        unit = _scrambled_halton(len(cont_axes), n, seed)
         for col, k in enumerate(cont_axes):
             lo, hi = dims[k].lo, dims[k].hi
             out[:, k] = lo + (hi - lo) * unit[:, col]
@@ -419,6 +422,39 @@ def sample_domain(domain, n: int, seed: int = 0) -> np.ndarray:
         if isinstance(d, Choices):
             out[:, k] = rng.choice(np.asarray(d.values), size=n)
     return out
+
+
+def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of Owen's scrambled Halton sequence in ``d``
+    dimensions, as scipy's ``qmc.Halton(d, seed=seed).random(n)`` draws
+    them.  Dimension ``j`` is the van der Corput sequence in the ``j``-th
+    prime base ``b``, whose ``k``-th digit goes through its own random
+    permutation of ``0..b-1``: one per digit that a float64 resolves, each
+    shuffled in turn by ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    unit = np.empty((n, d))
+    for j, base in enumerate(_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index, point, scale = np.arange(n), np.zeros(n), 1.0 / base
+        for perm in perms:
+            index, digit = np.divmod(index, base)
+            point += perm[digit] * scale
+            scale /= base
+        unit[:, j] = point
+    return unit
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def values_equivalent(va, vb, tol: float) -> bool:

@@ -358,14 +358,40 @@ class ValueStore:
 
     def _sweep(self, kept: np.ndarray) -> None:
         """Free the row of every value but the leaves and the ids ``kept``,
-        the values that the next depth can read."""
+        the values that the next depth can read, and take each freed value
+        out of the hash table or its spill list.  A live value of the spill
+        list takes the table's place of a freed one."""
         keep = np.zeros(len(self.rows), dtype=bool)
         keep[:self._u] = True
         keep[kept] = True
         gone = np.flatnonzero((self.rows >= 0) & ~keep)
-        self._free += self.rows[gone].tolist()
+        rows = self.rows[gone]
+        table, spill = self._table, self._spill
+        # the spill lists first, so that only live values are promoted
+        first = []
+        for k, key in zip(gone.tolist(), self._sample_keys(rows)):
+            if table[key] == k:
+                first.append(key)
+            else:
+                spill[key].remove(k)
+                if not spill[key]:
+                    del spill[key]
+        for key in first:
+            if key in spill:
+                table[key] = spill[key].pop(0)
+                if not spill[key]:
+                    del spill[key]
+            else:
+                del table[key]
+        self._free += rows.tolist()
         self.rows[gone] = -1
         self._swept = self._swept or len(gone) > 0
+
+    def _sample_keys(self, rows: np.ndarray) -> list:
+        """The hash table's key of each value row ``rows``."""
+        if self._samples is None:
+            return [b""] * len(rows)
+        return self._samples[rows].tolist()
 
     def _evaluate(self, keys: np.ndarray, todo: np.ndarray) -> np.ndarray:
         """Compute the nodes ``todo``, whose ``keys`` come in runs of one
@@ -395,7 +421,7 @@ class ValueStore:
         does not is compared with the other live values that share them.
         """
         canon, table, buf, rows_of = self.canon, self._table, self.buf, self.rows
-        keys = self._samples[rows].tolist() if self._samples is not None else [b""] * len(rows)
+        keys = self._sample_keys(rows)
         ids = todo.tolist()
         # the first live value of each sample, else the first row of the
         # round that has it
@@ -409,24 +435,12 @@ class ValueStore:
         freed = []
         for i in hits:
             k, key, c = ids[i], keys[i], cand[i]
-            if rows_of[c] < 0:
-                # that value's row is gone: the first row of the round with
-                # this sample stands for it
-                if rows_of[table[key]] < 0:
-                    table[key] = k
-                c = table[key]
-                if c == k:
-                    continue
             if not whole:
                 mine = buf[rows[i]].tobytes()
                 if buf[rows_of[c]].tobytes() != mine:
-                    # a node met again may find itself among the others, and
-                    # a value computed again may find one that became an
-                    # alias in this round: neither can be its target
                     for c in self._spill.get(key, ()):
-                        if c != k and canon[c] == c and rows_of[c] >= 0:
-                            if buf[rows_of[c]].tobytes() == mine:
-                                break
+                        if buf[rows_of[c]].tobytes() == mine:
+                            break
                     else:
                         self._spill.setdefault(key, []).append(k)
                         continue
@@ -435,9 +449,6 @@ class ValueStore:
             freed.append(rows[i])
         self._free += freed
         self.merged += len(freed)
-        # an alias of a value that became an alias later in this round
-        while self._spill and np.any(canon[canon[todo]] != canon[todo]):
-            canon[todo] = canon[canon[todo]]
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:

@@ -142,3 +142,16 @@ def test_bases_on_blocks_equal_row_calls(rows, n, edge_share):
                     nan = np.isnan(want)
                     assert np.array_equal(np.isnan(got[r]), nan), basis.name
                     assert same_bits(got[r][~nan], want[~nan]), basis.name
+
+
+def test_sigmoids_equal_scipys_expit():
+    from scipy.special import expit
+
+    x = np.concatenate([
+        [np.inf, -np.inf, np.nan, 0.0, -0.0, 745.0, -745.0],
+        np.random.default_rng(11).normal(0.0, 30.0, size=500),
+    ])
+    for name, want in (("SIGMOID", expit(x)), ("SIGMOID10", expit(10.0 * x))):
+        basis = REG[name]
+        assert same_bits(basis.fn(x), want), name
+        assert same_bits([eval_basis(basis, (v,)) for v in x], want), name

@@ -1,6 +1,10 @@
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -512,3 +516,35 @@ def test_main_mismatched_idx_pair_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "120 images vs 119 labels" in err and "Traceback" not in err
     assert not (out / "report.csv").exists()
+
+
+_NO_SCIPY_RUN = textwrap.dedent("""
+    import sys
+    from dataclasses import replace
+
+    import softdag
+    from softdag import cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    exp = cli.parse_config(sys.argv[1])
+    softdag.build_network(exp.network)
+    assert not scipy_modules(), scipy_modules()
+    exp = replace(exp, training=replace(exp.training, max_epochs=3))
+    row = cli.run_trial(exp, 0)
+    assert row["equivalent"] in (True, False), row
+    assert not {"scipy.stats", "scipy.special"} & set(sys.modules), scipy_modules()
+""")
+
+
+def test_a_trial_and_its_check_load_no_scipy_submodule():
+    # a fresh interpreter: the test session itself has imported scipy
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(CONFIG_DIR / "poly_2x2_3x.ini")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr

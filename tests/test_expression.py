@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -173,6 +174,48 @@ def test_sample_domain_discrete_enumeration():
     pts = sample_domain((bit, bit, bit, bit), 512)
     assert pts.shape == (16, 4)
     assert len({tuple(p) for p in pts}) == 16
+
+
+def _scipy_sample_domain(dims, n, seed):
+    """``sample_domain`` as it was written on scipy's Halton sampler."""
+    from scipy.stats import qmc
+
+    discrete = [d for d in dims if isinstance(d, Choices)]
+    if len(discrete) == len(dims) and math.prod(len(d.values) for d in dims) <= max(n, 1):
+        return np.asarray(list(itertools.product(*(d.values for d in dims))), dtype=np.float64)
+    out = np.empty((n, len(dims)))
+    cont_axes = [k for k, d in enumerate(dims) if isinstance(d, Interval)]
+    if cont_axes:
+        unit = qmc.Halton(d=len(cont_axes), seed=seed).random(n)
+        for col, k in enumerate(cont_axes):
+            out[:, k] = dims[k].lo + (dims[k].hi - dims[k].lo) * unit[:, col]
+    rng = np.random.default_rng(seed + 1)
+    for k, d in enumerate(dims):
+        if isinstance(d, Choices):
+            out[:, k] = rng.choice(np.asarray(d.values), size=n)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_sample_domain_draws_scipys_scrambled_halton(d, seed):
+    from scipy.stats import qmc
+
+    for n in (1, 7, 512):
+        want = qmc.Halton(d=d, seed=seed).random(n)
+        assert same_bits(sample_domain([Interval(0.0, 1.0)] * d, n, seed), want)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("dims", [
+    (Interval(-10.0, 10.0), Choices((0.0, 1.0)), Interval(0.5, 2.0), Choices((-1.0, 2.0, 5.0))),
+    (Choices((0.0, 1.0)), Interval(-3.0, 3.0)),
+    (Choices((0.0, 1.0)),) * 4,  # a 16-point grid: enumerated when n reaches 16
+    (Choices((0.0, 1.0, 2.0)),) * 3,
+])
+def test_sample_domain_equals_its_scipy_form(dims, seed):
+    for n in (1, 7, 16, 512):
+        assert same_bits(sample_domain(dims, n, seed), _scipy_sample_domain(dims, n, seed))
 
 
 def test_input_indices():

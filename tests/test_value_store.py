@@ -14,7 +14,7 @@ from softdag.cli import parse_config
 from softdag.plan import PopulationPlan, ValueStore
 from softdag.scoring import population_select
 
-from conftest import cyclic_garbage, make_network, same_bits
+from conftest import cyclic_garbage, make_dag, make_network, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,6 +145,25 @@ def test_swept_values_are_computed_again_at_depth_0_of_a_reused_store():
     fresh = ValueStore()
     assert same_bits(got, _column_values(net, dags, X, fresh))
     assert store.evaluated < fresh.evaluated
+
+
+def test_a_value_merges_with_the_spill_list_of_a_swept_table_value():
+    # x0 is 1 on the first HASH_LANES rows and 2 on the last, so x0 + x0 and
+    # 1 + 1 share their hash key: x0 + x0, met first, holds the table's
+    # place and 1 + 1 waits in the spill list.  The depth boundary frees
+    # x0 + x0 and keeps 1 + 1, which reads no input.  At depth 1 the output
+    # min(x0 + x0, 1 + 1) has the value of 1 + 1 under a new key, and must
+    # merge with it, so both depths' outputs are one column
+    net = make_network(("ADD", "ADD", "MIN"), input_count=1, constants=(1.0,), depth=2)
+    dag = make_dag(net, [[0, 0, 1, 1], [0, 0, 0, 0, 2, 3]], [7])
+    X = np.ones((plan.HASH_LANES + 1, 1))
+    X[-1] = 2.0
+    p = PopulationPlan(net, [dag], 2)
+    store = ValueStore()
+    p.run(X, lambda *column: None, store)
+    # x0 + x0, 1 + 1 and the output at depth 0, and again but for 1 + 1
+    assert store.evaluated == 5 and store.merged == 2
+    assert p.columns == 1 and p.index.tolist() == [[0], [0]]
 
 
 def test_a_different_network_on_the_same_rows_starts_fresh():
