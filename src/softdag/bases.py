@@ -14,6 +14,7 @@ function calls.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -86,13 +87,26 @@ def eval_basis(basis: BasisFunction, args: tuple) -> float:
 # numeric implementations
 
 
+def _same_shape(*args) -> bool:
+    """True when the arguments share one shape that holds some element."""
+    shape = np.shape(args[0])
+    return all(np.shape(x) == shape for x in args) and np.size(args[0]) > 0
+
+
 def _div(a, b):
+    # no denominator to guard (a NaN fails the test too): a plain division
+    if _same_shape(a, b) and np.abs(b).min() >= DIV_GUARD:
+        return np.divide(a, b)
     den = np.where(np.abs(b) < DIV_GUARD, np.nan, b)
     return np.divide(a, den)
 
 
 def _if_leq(a, b, c, d):
     out = np.asarray(np.where(np.less_equal(a, b), c, d), dtype=np.float64)
+    # a NaN anywhere makes these sums NaN, and an inf or an overflow only
+    # takes the path below, so a finite sum means no argument holds a NaN
+    if _same_shape(a, b, c, d) and math.isfinite(float(np.vdot(a, b)) + float(np.vdot(c, d))):
+        return out
     # strict sentinel semantics: any NaN argument poisons the result, and
     # minimum carries a NaN through, so one isnan finds them all
     low = np.minimum(a, b, out=np.empty_like(out))

@@ -27,6 +27,7 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -473,10 +474,15 @@ def _trial_row(job) -> dict:
                          class_split=_class_split)
     except Exception as exc:  # noqa: BLE001 - one failing trial must not lose the others
         traceback.print_exc()
-        row = dict.fromkeys(REPORT_COLUMNS, "")
-        row.update(trial=trial, seed=derive_seed(exp.training.seed, TRIAL_STREAM, trial),
-                   verdict=VERDICT_ERROR, error=f"{type(exc).__name__}: {exc}")
-        return row
+        return _error_row(exp, trial, exc)
+
+
+def _error_row(exp: ExperimentConfig, trial: int, exc: BaseException) -> dict:
+    """The report row of a trial that did not finish, naming why."""
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    row.update(trial=trial, seed=derive_seed(exp.training.seed, TRIAL_STREAM, trial),
+               verdict=VERDICT_ERROR, error=f"{type(exc).__name__}: {exc}")
+    return row
 
 
 def _trial_line(row: dict) -> str:
@@ -534,7 +540,9 @@ def run_experiment(
     process or in a pool of ``workers``, and return the report dict.  Each
     row is echoed as its trial finishes, in a pool maybe before an earlier
     trial's, and the reports, rewritten after each row, list the rows
-    finished so far in trial order."""
+    finished so far in trial order.  A worker that dies breaks the pool:
+    then every trial without a row gets an ``error`` row that names the
+    cause, and the run returns."""
     exp = _apply_overrides(parse_config(config_path), overrides)
     out = Path(out_dir) if out_dir else None
     if out is not None:
@@ -544,6 +552,13 @@ def run_experiment(
     jobs = [(str(config_path), overrides, t, out, write_logs) for t in range(exp.trials)]
 
     rows = []
+
+    def record(row: dict) -> None:
+        rows.append(row)
+        rows.sort(key=lambda r: r["trial"])
+        echo(_trial_line(row))
+        _write_report(out, exp, rows)
+
     _write_report(out, exp, rows)
     _set_class_split(class_split)  # for the in-process map; a pool sets each worker's
     try:
@@ -552,10 +567,12 @@ def run_experiment(
             done = (map(_trial_row, jobs) if pool is None else
                     (f.result() for f in as_completed([pool.submit(_trial_row, j) for j in jobs])))
             for row in done:
-                rows.append(row)
-                rows.sort(key=lambda r: r["trial"])
-                echo(_trial_line(row))
-                _write_report(out, exp, rows)
+                record(row)
+    except BrokenProcessPool as exc:
+        finished = {row["trial"] for row in rows}
+        for job in jobs:
+            if job[2] not in finished:
+                record(_error_row(exp, job[2], exc))
     finally:
         _set_class_split(None)
 

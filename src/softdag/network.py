@@ -126,7 +126,9 @@ class Network:
     addressed as ``(level, row, source_index)``.  ``weights[p]`` has shape
     ``(M, len(arg_codes[p]))`` for levels ``p = 0..depth``;
     ``output_weights`` has shape ``(output_count, len(output_codes))``.
-    All weights initialize to 1.0, which makes every row exactly uniform.
+    Every block is a view of one vector, ``params``, in ``blocks()`` order;
+    write a block in place, never rebind it.  All weights initialize to
+    1.0, which makes every row exactly uniform.
     """
 
     def __init__(
@@ -154,9 +156,16 @@ class Network:
         self.basis_first = np.array(
             [first.setdefault(b.name, i) for i, b in enumerate(self.bases)]
         )
+        # the images ordered by basis name, and each name's arity, for the
+        # population plan's keys (``plan.PopulationPlan``)
+        self.by_basis = np.argsort(self.basis_first, kind="stable")
+        self.name_arities = [self.bases[i].arity for i in first.values()]
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
         self.levels = config.depth + 1
+        # the cells that end each graph's id table in the plan: -1 for
+        # padding, then each basis's first occurrence
+        self.key_cells = np.array([-1, *self.basis_first])
         # every source index decoded once into its global code: inputs,
         # then constants, then the images of each level in turn, so image
         # (q, i) is code u + q * N + i whatever the wiring; with skip
@@ -173,8 +182,13 @@ class Network:
             if skip
             else self.u + (self.levels - 1) * self.N + np.arange(self.N)
         )
-        self.weights = [np.ones((self.M, len(codes))) for codes in self.arg_codes]
-        self.output_weights = np.ones((config.output_count, len(self.output_codes)))
+        # one vector holds every block, so one Adam pass updates them all
+        shapes = [(self.M, len(codes)) for codes in self.arg_codes]
+        shapes.append((config.output_count, len(self.output_codes)))
+        ends = np.cumsum([0, *(rows * cols for rows, cols in shapes)]).tolist()
+        self._layout = list(zip(ends[:-1], ends[1:], shapes))
+        self.params = np.ones(ends[-1])
+        *self.weights, self.output_weights = self.blocks(self.params)
 
     # -- layout ------------------------------------------------------------
 
@@ -196,12 +210,15 @@ class Network:
 
     # -- parameters ----------------------------------------------------------
 
-    def blocks(self) -> list[np.ndarray]:
-        """All trainable weight arrays, in a fixed order."""
-        return [*self.weights, self.output_weights]
+    def blocks(self, params: np.ndarray | None = None) -> list[np.ndarray]:
+        """All trainable weight arrays, in a fixed order; with ``params``, a
+        vector laid out like ``self.params``, the same views of it."""
+        if params is None:
+            return [*self.weights, self.output_weights]
+        return [params[a:b].reshape(shape) for a, b, shape in self._layout]
 
     def weight_count(self) -> int:
-        return int(sum(b.size for b in self.blocks()))
+        return self.params.size
 
 
 def build_network(

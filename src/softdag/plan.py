@@ -51,9 +51,11 @@ class PopulationPlan:
     parents of equal values have equal keys, and the next round merges them
     before it computes anything.
 
-    The plan keeps only what does not depend on the batch: every graph's
-    live images, the cells their keys read and write, and the cells whose
-    values the next depth can read.  ``interned`` counts the
+    The plan keeps only what does not depend on the batch: the
+    ``population`` of graphs, their live images (``live``, as
+    :func:`~softdag.sampler.reachable_images` gives them from every
+    graph's outputs), the cells their keys read and write, and the cells
+    whose values the next depth can read.  ``interned`` counts the
     output-reachable nodes of every graph and depth, one key lookup each.
     After a run, ``index`` holds the column of each candidate and output,
     candidates sample-major then depth, and ``columns`` counts the distinct
@@ -78,19 +80,19 @@ class PopulationPlan:
         width = u + levels * N + 1 + N
         pad = width - N - 1
         id_of = np.empty((graphs, width), dtype=np.int64)
-        id_of[:, pad] = -1
-        id_of[:, pad + 1:] = network.basis_first
+        id_of[:, pad:] = network.key_cells
         codes = np.full((levels, graphs, M + 1), pad)
         for q, choices in enumerate(population.choices):
             codes[q, :, :M] = network.arg_codes[q][choices]
         out_codes = network.output_codes[population.output_choices]
-        live = reachable_images(network, codes[:, :, :M], out_codes)
+        self.population = population
+        self.live = reachable_images(network, codes[:, :, :M], out_codes)
         # every live image, level-major and then by basis, so that a
         # round's new keys come in runs of one basis: its key cells and its
         # id cell
-        by_basis = np.argsort(network.basis_first, kind="stable")
+        by_basis = network.by_basis
         level, image, graph = np.nonzero(
-            live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
+            self.live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
         )
         image = by_basis[image]
         base = graph * width
@@ -117,10 +119,9 @@ class PopulationPlan:
         # whole depth if that needs less: a level has at most one distinct
         # key per live image, and at most one per choice of each basis's
         # children among the ids before it
-        arities = [network.bases[i].arity for i in set(network.basis_first.tolist())]
         ids = u
         for a, b in spans:
-            ids += min(b - a, sum(ids**k for k in arities))
+            ids += min(b - a, sum(ids**k for k in network.name_arities))
         self._room = min(u + max((b - a for a, b in spans), default=0), ids)
         self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
         self._out_cells = out_cells

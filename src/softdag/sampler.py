@@ -88,17 +88,35 @@ class SampledPopulation:
             yield SampledDAG(tuple(choices), out)
 
 
+# The most compares per selection row, draws times sources, at which
+# ``_draw`` counts a block's draws in one compare; past it each row makes
+# one binary search, which costs about the same whatever the draw count.
+# Measured on blocks of 4-18 rows of 1-24 sources with 50-150 draws, the
+# compare was 1.5-4.8x faster up to 1000 compares per row and level or
+# slower from 1200 on; a one-row block lost about 1 us.  On MNIST's
+# 791-source rows it was 9x slower.
+DRAW_ROW_COMPARES = 1024
+
+
 def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` draws from every row of ``probs``, shape ``(count, rows)``.
 
-    Each row is one binary search for all ``count`` uniforms, so a draw
-    costs O(log sources) per choice however wide the rows are.
+    A draw is the number of its row's cumulative sums at or below its
+    uniform.  The sums never decrease, so this is ``searchsorted(...,
+    side="right")`` of each row, and it is one of two forms: a count over
+    one compare of the whole block, or, for wide rows or many draws
+    (``DRAW_ROW_COMPARES``), one binary search per row, which costs
+    O(log sources) per choice however wide the rows are.
     """
     cum = np.cumsum(probs, axis=1)
     r = rng.random((count, probs.shape[0]))
-    idx = np.empty(r.shape, dtype=np.int64)
-    for m in range(probs.shape[0]):
-        idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+    if count * probs.shape[1] <= DRAW_ROW_COMPARES:
+        # sources leading and contiguous: the sum runs over whole planes
+        idx = np.less_equal(np.ascontiguousarray(cum.T)[:, None, :], r).sum(axis=0)
+    else:
+        idx = np.empty(r.shape, dtype=np.int64)
+        for m in range(probs.shape[0]):
+            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
@@ -149,13 +167,15 @@ def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
     return live[:, u:]
 
 
-def reached_rows(network: Network, population: SampledPopulation, graph, roots):
+def reached_rows(network: Network, population: SampledPopulation, graph, roots, live=None):
     """For each level in turn, ``(pair, row, chosen)``: the argument rows
     that pair ``k`` reaches from the source codes ``roots[k]`` in graph
     ``graph[k]`` of ``population``, pair-major, and the source index each
-    row chose."""
-    arg_codes = [codes[c[graph]] for codes, c in zip(network.arg_codes, population.choices)]
-    live = reachable_images(network, arg_codes, roots)
+    row chose.  ``live``, if given, is the ``reachable_images`` of the
+    pairs, already known."""
+    if live is None:
+        arg_codes = [codes[c[graph]] for codes, c in zip(network.arg_codes, population.choices)]
+        live = reachable_images(network, arg_codes, roots)
     for q, choices in enumerate(population.choices):
         pair, row = np.nonzero(live[:, q * network.N + network.row_image])
         yield pair, row, choices[graph[pair], row]

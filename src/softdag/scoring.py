@@ -5,8 +5,10 @@
 and scores each distinct ``(node, output)`` column once: on a batch's
 distinct rows when the caller passes them (``rows``, as a
 :class:`~softdag.data.Batch` carries them), else on every row.
-:func:`population_select` returns each output's fittest candidates and
-scores exactly only the columns that an upper bound cannot rule out.
+:func:`population_select` runs a plan that the caller built, as
+``train_epoch`` does once per epoch, returns each output's fittest
+candidates and scores exactly only the columns that an upper bound cannot
+rule out.
 """
 
 from __future__ import annotations
@@ -117,11 +119,10 @@ def _bound_table(variance: float) -> np.ndarray:
     return table
 
 
-def _column_scores(
-    network: Network, dags, X, Y, depth: int, variance: float, count=None, rows=None, store=None
-):
+def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows=None, store=None):
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
-    column, and per candidate and output the column it reads.
+    column of ``plan``'s run on ``X``, and per candidate and output the
+    column it reads.
 
     ``rows`` is the batch's ``(first, lanes)`` as ``data.Batch`` carries
     it: the plan runs on rows ``first`` and the kernel sums each column
@@ -141,10 +142,9 @@ def _column_scores(
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    v = network.config.output_count
+    v = plan.network.config.output_count
     if Y.shape != (len(X), v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
-    plan = PopulationPlan(network, dags, depth)
     first, lanes = (None, None) if rows is None else rows
     block_rows = SCORE_BLOCK_ROWS
     if lanes is not None:
@@ -198,7 +198,7 @@ def _column_scores(
         if block is None:
             # rows for the columns that can still come: these, and at most
             # one per candidate and output of every later depth
-            later = (plan.candidates - plan.candidates // depth) * v
+            later = (plan.candidates - plan.candidates // plan.depth) * v
             block = np.empty((min(block_rows, len(rows) + later), X.shape[0]))
             if select:
                 codes = np.empty(block.shape, dtype=np.int64)
@@ -244,16 +244,18 @@ def population_fitness(
     :func:`population_select` runs the same scorer (``_column_scores``)
     and skips the columns it can rule out; here every column is scored.
     """
-    scores, index = _column_scores(network, dags, X, Y, depth, variance, rows=rows)
+    plan = PopulationPlan(network, dags, depth)
+    scores, index = _column_scores(plan, X, Y, variance, rows=rows)
     return scores[index]
 
 
 def population_select(
-    network: Network, dags, X, Y, depth: int, variance: float, count: int, rows=None, store=None
+    plan: PopulationPlan, X, Y, variance: float, count: int, rows=None, store=None
 ):
-    """Per output, the ``count`` fittest candidates of a population as
-    ``(candidate_index, fitness)`` pairs, fittest first, ties to the lower
-    index: ``select_top(population_fitness(...), count)`` bit for bit.
+    """Per output, the ``count`` fittest candidates of the population of
+    ``plan`` as ``(candidate_index, fitness)`` pairs, fittest first, ties
+    to the lower index: ``select_top(population_fitness(...), count)`` of
+    the plan's network, graphs and depth, bit for bit.
 
     Candidates are numbered as in :func:`population_fitness`, and
     ``rows`` is read as there.  With a ``store``
@@ -264,7 +266,7 @@ def population_select(
     and cannot be selected.  Raises ``ConfigError`` when ``count``
     exceeds the candidates, as :func:`select_top` does.
     """
-    scores, index = _column_scores(network, dags, X, Y, depth, variance, count, rows, store)
+    scores, index = _column_scores(plan, X, Y, variance, count, rows, store)
     return select_top(scores[index], count)
 
 

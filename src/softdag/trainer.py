@@ -19,9 +19,9 @@ import numpy as np
 from .data import Batch, as_batch_source
 from .expression import dag_to_expression, simplify, to_string
 from .network import ConfigError, Network
-from .plan import ValueStore
+from .plan import PopulationPlan, ValueStore
 from .rng import EPOCH_STREAM, derive_rng
-from .sampler import SampledDAG, SampledPopulation, most_likely_dag, reached_rows, sample_many
+from .sampler import SampledDAG, most_likely_dag, reached_rows, sample_many
 from .scoring import population_select
 
 __all__ = [
@@ -125,33 +125,41 @@ class TrainRun:
     store: ValueStore = field(default_factory=ValueStore, repr=False, compare=False)
 
 
-def population_gradient(network: Network, probs, population, pairs) -> list[np.ndarray]:
-    """Gradient of ``-sum(scale * log q_output(graph))`` over ``pairs``, per block.
+def population_gradient(plan: PopulationPlan, probs, pairs) -> np.ndarray:
+    """Gradient of ``-sum(scale * log q_output(graph))`` over ``pairs``,
+    one vector laid out like the network's ``params``.
 
-    ``probs`` are the network's softmax rows, as ``Network.block_probs``
+    ``plan`` is a :class:`~softdag.plan.PopulationPlan` of the graphs and
+    ``probs`` the network's softmax rows, as ``Network.block_probs``
     returns them.  ``pairs`` lists ``(graph, output, scale)``: a graph of
-    ``population`` (a :class:`SampledPopulation` or a sequence of graphs),
-    one of its outputs and the weight of its log-probability, fitness times
-    the depth scale.  For a row with chosen index ``c`` and softmax
-    probabilities ``p`` a pair contributes ``scale * (p - e_c) / T`` on each
-    row reachable from its output, and nothing elsewhere.  Each weight
-    receives the pairs' contributions in the order given.
+    the plan's population, one of its outputs and the weight of its
+    log-probability, fitness times the depth scale.  For a row with chosen
+    index ``c`` and softmax probabilities ``p`` a pair contributes
+    ``scale * (p - e_c) / T`` on each row reachable from its output, and
+    nothing elsewhere.  Each weight receives the pairs' contributions in
+    the order given.  With one output a graph's reachable rows are the
+    plan's ``live`` images; with several the plan holds only their union,
+    so each pair's are found again.
     """
-    grads = [np.zeros_like(b) for b in network.blocks()]
+    network = plan.network
+    grad = np.zeros_like(network.params)
     pairs = [p for p in pairs if p[2] != 0.0]
     if not pairs:
-        return grads
+        return grad
+    blocks = network.blocks(grad)
     graph, out, scale = (np.array(column) for column in zip(*pairs))
-    population = SampledPopulation.of(population)
+    population = plan.population
     chosen = population.output_choices[graph, out]
     roots = network.output_codes[chosen][:, None]
+    live = plan.live[graph] if network.config.output_count == 1 else None
     coef = scale / network.config.last_layer_temperature
-    _scatter(grads[-1], probs[-1], out, chosen, coef)
+    _scatter(blocks[-1], probs[-1], out, chosen, coef)
     coef = scale / network.config.temperature
     # pair-major, so each row receives its pairs in order
-    for q, (pair, row, chosen) in enumerate(reached_rows(network, population, graph, roots)):
-        _scatter(grads[q], probs[q], row, chosen, coef[pair])
-    return grads
+    levels = reached_rows(network, population, graph, roots, live)
+    for q, (pair, row, chosen) in enumerate(levels):
+        _scatter(blocks[q], probs[q], row, chosen, coef[pair])
+    return grad
 
 
 def _scatter(grad: np.ndarray, probs: np.ndarray, rows, chosen, coef) -> None:
@@ -174,10 +182,12 @@ def loss_gradient(
     """Gradient of the fitness-weighted negative log-likelihood, per block.
 
     The contribution of one graph: ``population_gradient`` of the single
-    pair ``(dag, output_index, fitness_value * depth)``.
+    pair ``(dag, output_index, fitness_value * depth)``, as views of that
+    vector.
     """
     pair = (0, int(output_index), float(fitness_value) * float(depth))
-    return population_gradient(network, network.block_probs(), [dag], [pair])
+    grad = population_gradient(PopulationPlan(network, [dag]), network.block_probs(), [pair])
+    return network.blocks(grad)
 
 
 def adam_step(
@@ -207,8 +217,11 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
 
     ``batch`` is a :class:`~softdag.data.Batch`, scored on the distinct
     rows its source names, or an ``(X, Y)`` pair, scored on every row.
-    The population is evaluated through ``run.store``, so an epoch whose
-    evaluated rows repeat the last epoch's bit for bit reuses its values.
+    One :class:`~softdag.plan.PopulationPlan` of the draw serves scoring
+    and the gradient.  The population is evaluated through ``run.store``,
+    so an epoch whose evaluated rows repeat the last epoch's bit for bit
+    reuses its values.  ``run.adam`` holds the state of one Adam pass over
+    ``params``.
     """
     net = run.network
     X, Y = batch
@@ -216,9 +229,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
     depth = config.recurrence_depth
-    picks = population_select(
-        net, dags, X, Y, depth, config.variance, config.select_count, rows, run.store
-    )
+    plan = PopulationPlan(net, dags, depth)
+    picks = population_select(plan, X, Y, config.variance, config.select_count, rows, run.store)
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):
@@ -229,8 +241,8 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
             r, d = divmod(ci, depth)
             pairs.append((r, j, float(kv) * float(d + 1)))
     # the weights are unchanged since the draw, so its softmax rows serve
-    grads = population_gradient(net, dags.probs, dags, pairs)
-    adam_step(net.blocks(), grads, run.adam, config.learning_rate)
+    grad = population_gradient(plan, dags.probs, pairs)
+    adam_step([net.params], [grad], run.adam, config.learning_rate)
     run.epoch += 1
     selected = tuple(selected_raw)
     equal = all(s[0] == s[-1] for s in selected)
@@ -275,7 +287,7 @@ def train(
     """
     config.validate_for(network)
     source = as_batch_source(data, config.batch_size, config.seed)
-    run = TrainRun(network=network, adam=AdamState.from_blocks(network.blocks()))
+    run = TrainRun(network=network, adam=AdamState.from_blocks([network.params]))
     streak = 0
     previous = None
     for epoch in range(1, config.max_epochs + 1):

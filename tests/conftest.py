@@ -401,5 +401,8 @@ def reference_train_epoch(run, batch, config):
         for ci, kv in sorted(sel):
             r, d = divmod(ci, depth)
             reference_accumulate_loss_gradient(net, dags[r], kv, j, grads, depth=d + 1)
-    adam_step(net.blocks(), grads, run.adam, config.learning_rate)
+    # Adam works lane by lane, so one pass over the blocks laid end to end
+    # is the same as one pass per block
+    flat = np.concatenate([g.ravel() for g in grads])
+    adam_step([net.params], [flat], run.adam, config.learning_rate)
     run.epoch += 1

@@ -155,3 +155,55 @@ def test_sigmoids_equal_scipys_expit():
         basis = REG[name]
         assert same_bits(basis.fn(x), want), name
         assert same_bits([eval_basis(basis, (v,)) for v in x], want), name
+
+
+def _guarded_div(a, b):
+    """DIV with its guard applied to every lane."""
+    den = np.where(np.abs(b) < DIV_GUARD, np.nan, b)
+    return np.divide(a, den)
+
+
+def _masked_if_leq(a, b, c, d):
+    """IF_LEQ with every lane masked by its arguments' NaNs."""
+    out = np.asarray(np.where(np.less_equal(a, b), c, d), dtype=np.float64)
+    low = np.minimum(a, b, out=np.empty_like(out))
+    np.minimum(low, c, out=low)
+    np.minimum(low, d, out=low)
+    np.putmask(out, np.isnan(low), np.nan)
+    return out
+
+
+_MASKED = {"DIV": _guarded_div, "IF_LEQ": _masked_if_leq}
+
+
+def _same_call(name, args):
+    with np.errstate(all="ignore"):
+        got, want = REG[name].fn(*args), _MASKED[name](*args)
+    assert type(got) is type(want), name
+    assert same_bits(got, want), name
+
+
+@pytest.mark.parametrize("name", sorted(_MASKED))
+@pytest.mark.parametrize("edge_share", [0.0, 0.01, 0.3, 0.9])
+def test_masking_bases_equal_their_guarded_forms(name, edge_share):
+    # the fast paths skip the guard and the mask only when no lane needs
+    # them; blocks with few, some or many edge values, clean blocks, their
+    # strided columns, scalars, empty arrays and broadcast arguments
+    rng = np.random.default_rng(int(edge_share * 100) + len(name))
+    arity = REG[name].arity
+    for rows, n in [(1, 1), (3, 7), (8, 1000), (5, 1003)]:
+        args = []
+        for _ in range(arity):
+            block = rng.normal(0.0, 3.0, size=(rows, n))
+            spots = rng.random(block.shape) < edge_share
+            block[spots] = rng.choice(_EDGES, size=int(spots.sum()))
+            args.append(block)
+        _same_call(name, args)
+        _same_call(name, [np.asfortranarray(a)[:, 0] for a in args])
+        _same_call(name, [a[0] for a in args])
+    for _ in range(300):
+        _same_call(name, [np.float64(x) for x in rng.choice(_EDGES, size=arity)])
+        _same_call(name, [float(x) for x in rng.normal(0.0, 1.0, size=arity)])
+    _same_call(name, [np.empty((0, 4))] * arity)
+    _same_call(name, [np.full(5, 2.0), *[np.float64(x) for x in rng.choice(_EDGES, arity - 1)]])
+    _same_call(name, [np.full((3, 5), 1e300), np.full((3, 5), -1e300)] * (arity // 2))

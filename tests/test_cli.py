@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -440,6 +441,48 @@ def test_pooled_trials_are_echoed_as_they_finish(fast_config, tmp_path, monkeypa
         assert [r["trial"] for r in csv.DictReader(f)] == ["0", "1"]
     summary = json.loads((out / "summary.json").read_text())
     assert [r["trial"] for r in summary["trials_detail"]] == [0, 1]
+
+
+def test_dead_worker_leaves_error_rows(fast_config, tmp_path, monkeypatch, capsys):
+    # a worker that dies breaks the pool: every trial without a row becomes
+    # an error row naming the cause, the reports are still written, and
+    # bench goes on to its next config
+    run_trial = cli.run_trial
+
+    def dying(exp, trial, **kwargs):
+        if trial == 1:
+            os._exit(3)
+        return run_trial(exp, trial, **kwargs)
+
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(cli, "run_trial", dying)
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", functools.partial(cli.ProcessPoolExecutor, mp_context=fork)
+    )
+    argv = ["--trials", "4", "--parallel-trials", "2", "--max-epochs", "20"]
+
+    def check(out):
+        with open(out / "report.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["trial"] for r in rows] == ["0", "1", "2", "3"]
+        assert rows[1]["verdict"] == "error"
+        for row in rows:
+            assert (row["verdict"] == "error") == row["error"].startswith("BrokenProcessPool: ")
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["verdict"] for r in summary["trials_detail"]] == [r["verdict"] for r in rows]
+
+    assert main(["run", str(fast_config), "--out", str(tmp_path / "run"), *argv]) == 2
+    check(tmp_path / "run")
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name in ("a_sine", "b_sine"):
+        (cfg_dir / f"{name}.ini").write_text(FAST_CONFIG.replace("fast_sine", name))
+    assert main(["bench", str(cfg_dir), "--out", str(tmp_path / "bench"), *argv]) == 2
+    for name in ("a_sine", "b_sine"):
+        check(tmp_path / "bench" / name)
+    with open(tmp_path / "bench" / "benchmarks.csv", newline="") as f:
+        assert [r["name"] for r in csv.DictReader(f)] == ["a_sine", "b_sine"]
+    assert "trial 1: error: BrokenProcessPool: " in capsys.readouterr().out
 
 
 CLASSIFY_CONFIG = """

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from softdag import (
     parameter_count,
     save_network,
     softmax_rows,
+    train,
 )
+from softdag.cli import parse_config
 
 from conftest import fig1_network, random_tiny_network
 
@@ -133,6 +138,36 @@ def test_save_load_round_trip(tmp_path, rng):
     assert loaded.config == net.config
     for a, b in zip(loaded.blocks(), net.blocks()):
         assert np.array_equal(a, b)
+
+
+def _blocks_view_params(net) -> bool:
+    """Every block is a view of ``params``, laid end to end in order."""
+    blocks = net.blocks()
+    return (
+        all(a is b for a, b in zip(blocks, [*net.weights, net.output_weights]))
+        and all(np.shares_memory(b, net.params) for b in blocks)
+        and np.array_equal(np.concatenate([b.ravel() for b in blocks]), net.params)
+    )
+
+
+def test_blocks_are_views_of_one_vector(tmp_path, rng):
+    exp = parse_config(Path(__file__).resolve().parent.parent / "configs" / "poly_2x2_3x.ini")
+    net = build_network(exp.network)
+    assert _blocks_view_params(net) and net.params.size == net.weight_count()
+    train(net, exp.target, replace(exp.training, max_epochs=3, patience=4))
+    assert _blocks_view_params(net) and not np.all(net.params == 1.0)
+    for network in (net, random_tiny_network(rng)):
+        path = tmp_path / "weights.txt"
+        save_network(network, path)
+        loaded = load_network(path)
+        assert _blocks_view_params(loaded)
+        assert loaded.params.tobytes() == network.params.tobytes()
+    # the same views of another vector laid out like params
+    other = np.arange(net.params.size, dtype=float)
+    views = net.blocks(other)
+    assert [v.shape for v in views] == [b.shape for b in net.blocks()]
+    assert all(np.shares_memory(v, other) for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), other)
 
 
 def test_load_errors(tmp_path, rng):

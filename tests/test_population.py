@@ -249,7 +249,7 @@ def test_population_select_matches_select_top(case, block_rows, select_rows):
     net, dags, X, Y, variance, depth, count, rows = case
     want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
     with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
-        got = population_select(net, dags, X, Y, depth, variance, count, rows)
+        got = population_select(PopulationPlan(net, dags, depth), X, Y, variance, count, rows)
     assert [[c for c, _ in picks] for picks in got] == [[c for c, _ in picks] for picks in want]
     assert all(
         same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, want)
@@ -273,7 +273,8 @@ def test_population_select_ties_on_repeated_rows():
         count = int(rng.integers(1, 4))
         want = select_top(population_fitness(net, dags, X, Y, 1, variance), count)
         with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
-            got = population_select(net, dags, X, Y, 1, variance, count, distinct_rows(X, Y))
+            plan = PopulationPlan(net, dags)
+            got = population_select(plan, X, Y, variance, count, distinct_rows(X, Y))
         assert got == want
 
 
@@ -285,9 +286,9 @@ def test_population_select_counts_shared_columns():
     dags = [make_dag(net, [], [0])] * count + [make_dag(net, [], [j]) for j in (1, 2, 3)]
     X = np.random.default_rng(0).uniform(3.0, 4.0, size=(50, 1))
     with mock.patch.object(scoring, "SCORE_BLOCK_ROWS", 1):
-        scores, index = scoring._column_scores(net, dags, X, X, 1, 0.01, count)
+        scores, index = scoring._column_scores(PopulationPlan(net, dags), X, X, 0.01, count)
     assert np.isfinite(scores).tolist() == [True, False, False, False]
-    assert population_select(net, dags, X, X, 1, 0.01, count) == [
+    assert population_select(PopulationPlan(net, dags), X, X, 0.01, count) == [
         [(c, scores[0]) for c in range(count)]
     ]
 
@@ -348,11 +349,12 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
         rows_scored.append(len(k))
         return kernel_sums(k, *args)
 
-    def checked_select(net, dags, X, Y, depth, variance, count, rows, store):
+    def checked_select(plan, X, Y, variance, count, rows, store):
         assert rows[1] is not None
         with mock.patch.object(scoring, "_kernel_sums", counted_sums):
-            got = population_select(net, dags, X, Y, depth, variance, count, rows, store)
-        columns.append(len(column_scores(net, dags, X, Y, depth, variance, None, rows)[0]))
+            got = population_select(plan, X, Y, variance, count, rows, store)
+        columns.append(len(column_scores(plan, X, Y, variance, None, rows)[0]))
+        net, dags, depth = plan.network, plan.population, plan.depth
         want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
         assert got == want
         return got
@@ -455,7 +457,7 @@ def test_swept_value_met_again_is_computed_again():
     X, Y = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
     want = _reference_matrix(net, dags, X, Y, 3, 1.0)
     assert same_bits(population_fitness(net, dags, X, Y, 3, 1.0), want)
-    assert population_select(net, dags, X, Y, 3, 1.0, 2) == select_top(want, 2)
+    assert population_select(PopulationPlan(net, dags, 3), X, Y, 1.0, 2) == select_top(want, 2)
     store = _run(PopulationPlan(net, dags, 3), X)
     ids = _node_ids(store, net.u)
     neg_x0 = ids[(0, 0)]
@@ -485,7 +487,7 @@ def test_forced_hash_collisions_match_evaluate(case):
     every_row_collides = mock.patch.object(ValueStore, "_view", _one_sample)
     with every_row_collides:
         assert same_bits(population_fitness(net, dags, X, Y, depth, variance, rows), want)
-        got = population_select(net, dags, X, Y, depth, variance, count, rows)
+        got = population_select(PopulationPlan(net, dags, depth), X, Y, variance, count, rows)
         assert got == select_top(want, count)
         for dag, outs in list(zip(dags, columns))[:5]:
             assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dag, X, depth), outs))
@@ -686,11 +688,12 @@ def test_population_gradient_matches_reference(case, count, picks):
     want = [np.zeros_like(b) for b in net.blocks()]
     for r, j, k, d in picks:
         reference_accumulate_loss_gradient(net, population[r % count], k, j % v, want, depth=d)
-    got = population_gradient(net, net.block_probs(), population, pairs)
-    assert all(same_bits(g, w) for g, w in zip(got, want))
+    got = population_gradient(PopulationPlan(net, population), net.block_probs(), pairs)
+    assert all(same_bits(g, w) for g, w in zip(net.blocks(got), want))
     # a list of graphs is stacked into the same population
-    listed = population_gradient(net, net.block_probs(), list(population), pairs)
-    assert all(same_bits(g, w) for g, w in zip(listed, want))
+    plan = PopulationPlan(net, list(population))
+    listed = population_gradient(plan, net.block_probs(), pairs)
+    assert all(same_bits(g, w) for g, w in zip(net.blocks(listed), want))
 
 
 @_settings
@@ -723,7 +726,7 @@ def test_train_epoch_matches_reference(case, depth, target):
         copy = build_network(net.config)
         for dst, src in zip(copy.blocks(), net.blocks()):
             dst[...] = src
-        run = TrainRun(copy, AdamState.from_blocks(copy.blocks()))
+        run = TrainRun(copy, AdamState.from_blocks([copy.params]))
         for _ in range(3):
             epoch(run, (X, Y), config)
         runs.append(copy)

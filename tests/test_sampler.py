@@ -1,5 +1,7 @@
 import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from softdag import (
     sample,
     sample_many,
 )
+from softdag import sampler
+from softdag.cli import parse_config
+from softdag.network import build_network
+from softdag.sampler import _draw
 
 from conftest import (
     arg_source,
@@ -254,3 +260,92 @@ def test_most_likely_dag():
     net.weights[1][2] = [0, 5, 0, 0, 0, 0, 0, 0]
     assert most_likely_dag(net).choices[1][2] == 1
 
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class _Uniforms:
+    """A generator whose ``random`` returns fixed uniforms."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self, shape):
+        assert shape == self.r.shape
+        return self.r
+
+
+def _row_searches(probs, r):
+    """The draw as one ``searchsorted`` per selection row."""
+    cum = np.cumsum(probs, axis=1)
+    idx = np.empty(r.shape, dtype=np.int64)
+    for m in range(probs.shape[0]):
+        idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+    return np.minimum(idx, probs.shape[1] - 1)
+
+
+def _check_draw(probs, r):
+    """Both forms of ``_draw``, and the one its gate picks, equal the
+    per-row searches on the uniforms ``r``."""
+    want = _row_searches(probs, r)
+    for gate in (sampler.DRAW_ROW_COMPARES, -1, len(r) * probs.shape[1]):
+        with mock.patch.object(sampler, "DRAW_ROW_COMPARES", gate):
+            got = _draw(probs, _Uniforms(r), len(r))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _ties(probs, rng, count):
+    """Uniforms drawn from 0.0 and the rows' own cumulative sums."""
+    cum = np.cumsum(probs, axis=1)
+    pool = np.concatenate([[0.0], cum[cum < 1.0]])
+    r = rng.choice(pool, size=(count, probs.shape[0]))
+    # and each row's own sums, exactly
+    for m in range(probs.shape[0]):
+        r[:, m] = rng.choice(np.concatenate([[0.0], cum[m][cum[m] < 1.0]]), size=count)
+    return r
+
+
+def test_draw_equals_row_searches_on_adversarial_rows():
+    rng = np.random.default_rng(3)
+    for width in (1, 2, 3, 9, 40):
+        for rows in (1, 4, 17):
+            weights = rng.normal(0.0, 2.0, size=(rows, width))
+            # sources of probability exactly 0, and rows of one source
+            weights[rng.random(weights.shape) < 0.4] = -1e8
+            if width > 1:
+                zero = rng.integers(0, width, rows)
+                weights[np.arange(rows), zero] = -1e8
+                weights[np.arange(rows), (zero + 1) % width] = 0.0
+            probs = np.exp(weights - weights.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            assert width == 1 or np.all(np.any(probs == 0.0, axis=1))
+            for count in (1, 2, 50, 150):
+                _check_draw(probs, rng.random((count, rows)))
+                _check_draw(probs, _ties(probs, rng, count))
+
+
+def test_draw_gate_sits_between_its_forms():
+    # blocks just inside and just past the gate, drawn through sample_many
+    rng = np.random.default_rng(4)
+    width = 8
+    edge = sampler.DRAW_ROW_COMPARES // width
+    for count in (edge - 1, edge, edge + 1):
+        probs = rng.dirichlet(np.full(width, 0.3), size=5)
+        _check_draw(probs, rng.random((count, 5)))
+        _check_draw(probs, _ties(probs, rng, count))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_draw_equals_row_searches_on_every_config(path):
+    # every block of every shipped network, the MNIST ones included; none
+    # needs its data to be built
+    exp = parse_config(path)
+    net = build_network(exp.network)
+    rng = np.random.default_rng(5)
+    for block in net.blocks():
+        block += rng.normal(0.0, 2.0, size=block.shape)
+    count = exp.training.sample_count
+    for probs in net.block_probs():
+        _check_draw(probs, rng.random((count, probs.shape[0])))
+        _check_draw(probs, _ties(probs, rng, count))

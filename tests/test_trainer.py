@@ -1,6 +1,7 @@
 import csv
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from softdag import (
     train,
     train_epoch,
 )
+from softdag import data, plan, sampler, trainer
 from softdag.data import ResamplingSource, TargetSpec
 from softdag.expression import Interval, evaluate_tree_batch
 from softdag.cli import parse_config, summarize
@@ -203,7 +205,7 @@ def test_train_epoch_reduces_to_single_sample_update():
     for dst, src in zip(reference.blocks(), net.blocks()):
         dst[...] = src
 
-    run = TrainRun(network=net, adam=AdamState.from_blocks(net.blocks()))
+    run = TrainRun(network=net, adam=AdamState.from_blocks([net.params]))
     X, Y = ResamplingSource(spec, config.batch_size, config.seed).batch(1)
     train_epoch(run, (X, Y), config)
 
@@ -348,3 +350,50 @@ def test_csv_logger_matches_extracting_every_epoch(tmp_path):
         exprs = [row[-1] for row in list(csv.reader(f))[1:]]
     changes = sum(a != b for a, b in zip(exprs, exprs[1:]))
     assert len(exprs) == 80 and 0 < changes < len(exprs) - 1
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _counted(owner, name, counts):
+    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    return mock.patch.object(owner, name, counted)
+
+
+def _train_config(name, epochs):
+    exp = parse_config(CONFIG_DIR / f"{name}.ini")
+    network = build_network(exp.network)
+    train(network, exp.target, replace(exp.training, max_epochs=epochs, patience=epochs + 1))
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("poly_2x2_3x", 1), ("recurrent_halfsquare", 1), ("lfsr4", 2),
+])
+def test_reachability_passes_per_epoch(name, passes):
+    # the plan's pass serves the gradient when the network has one output;
+    # with several it holds only their union, so each pair's rows are found
+    # again
+    counts = {}
+    with _counted(plan, "reachable_images", counts), _counted(sampler, "reachable_images", counts):
+        _train_config(name, 3)
+    assert counts == {"reachable_images": 3 * passes}
+
+
+def test_traced_benchmark_targets_run_once_per_epoch():
+    # the traced benchmark times the draw, Adam, the epoch and the batch by
+    # patching these names; each must still run once per epoch
+    counts = {}
+    with (
+        _counted(trainer, "sample_many", counts),
+        _counted(trainer, "adam_step", counts),
+        _counted(trainer, "train_epoch", counts),
+        _counted(data.ResamplingSource, "batch", counts),
+    ):
+        _train_config("poly_2x2_3x", 3)
+    assert counts == {"sample_many": 3, "adam_step": 3, "train_epoch": 3, "batch": 3}

@@ -260,7 +260,7 @@ def test_selection_through_a_store_leaves_no_cyclic_garbage():
 
         def select():
             for _ in range(3):
-                population_select(net, dags, X, Y, depth, 0.01, 2, None, store)
+                population_select(PopulationPlan(net, dags, depth), X, Y, 0.01, 2, None, store)
 
         assert cyclic_garbage(select) == 0
         assert store.repeated and store.buf is not None
