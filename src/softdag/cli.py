@@ -26,9 +26,6 @@ import platform
 import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -562,23 +559,41 @@ def run_experiment(
     _write_report(out, exp, rows)
     _set_class_split(class_split)  # for the in-process map; a pool sets each worker's
     try:
-        with (ProcessPoolExecutor(workers, initializer=_set_class_split, initargs=(class_split,))
-              if workers > 1 else nullcontext()) as pool:
-            done = (map(_trial_row, jobs) if pool is None else
-                    (f.result() for f in as_completed([pool.submit(_trial_row, j) for j in jobs])))
-            for row in done:
+        if workers > 1:
+            _run_pooled(exp, jobs, workers, class_split, record)
+        else:
+            for row in map(_trial_row, jobs):
                 record(row)
-    except BrokenProcessPool as exc:
-        finished = {row["trial"] for row in rows}
-        for job in jobs:
-            if job[2] not in finished:
-                record(_error_row(exp, job[2], exc))
     finally:
         _set_class_split(None)
 
     report = summarize(exp.name, rows, exp.trials)
     report["trial_rows"] = rows
     return report
+
+
+def _run_pooled(exp: ExperimentConfig, jobs: list, workers: int, class_split, record) -> None:
+    """Run ``jobs`` in a pool of ``workers`` processes and ``record`` each
+    trial's row as it finishes.  A worker that dies breaks the pool: then
+    every trial without a row gets an ``error`` row that names the cause."""
+    # imported here: the pool pulls in ``multiprocessing``, which a run in
+    # one process never loads
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    finished = set()
+    try:
+        with ProcessPoolExecutor(
+            workers, initializer=_set_class_split, initargs=(class_split,)
+        ) as pool:
+            for future in as_completed([pool.submit(_trial_row, job) for job in jobs]):
+                row = future.result()
+                finished.add(row["trial"])
+                record(row)
+    except BrokenProcessPool as exc:
+        for job in jobs:
+            if job[2] not in finished:
+                record(_error_row(exp, job[2], exc))
 
 
 def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> None:

@@ -113,10 +113,12 @@ class NetworkConfig:
 def softmax_rows(matrix: np.ndarray, temperature: float) -> np.ndarray:
     """Row-wise temperature softmax of a weight matrix; stable under max
     subtraction."""
+    # the first division makes the copy; the rest works in it
     z = np.asarray(matrix, dtype=np.float64) / float(temperature)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 class Network:
@@ -145,10 +147,12 @@ class Network:
         # the image each argument row feeds
         self.row_image = np.repeat(np.arange(len(self.bases)), [b.arity for b in self.bases])
         self.M = offsets[-1]
-        # the argument rows of each image, padded with M to the largest arity
+        # each image's key in the population plan (``plan.PopulationPlan``)
+        # as slots of a level's row there: its basis, slot M + 1 + image,
+        # then its argument rows, padded with slot M to the largest arity
         width = max(b.arity for b in self.bases)
-        self.image_slots = np.array([
-            [*self.image_rows(i), *[self.M] * (width - b.arity)]
+        self.key_slots = np.array([
+            [self.M + 1 + i, *self.image_rows(i), *[self.M] * (width - b.arity)]
             for i, b in enumerate(self.bases)
         ])
         # for each basis occurrence, the first occurrence of its name
@@ -186,7 +190,8 @@ class Network:
         shapes = [(self.M, len(codes)) for codes in self.arg_codes]
         shapes.append((config.output_count, len(self.output_codes)))
         ends = np.cumsum([0, *(rows * cols for rows, cols in shapes)]).tolist()
-        self._layout = list(zip(ends[:-1], ends[1:], shapes))
+        # each block's ``(start, end, shape)`` in ``params``
+        self.layout = list(zip(ends[:-1], ends[1:], shapes))
         self.params = np.ones(ends[-1])
         *self.weights, self.output_weights = self.blocks(self.params)
 
@@ -215,7 +220,7 @@ class Network:
         vector laid out like ``self.params``, the same views of it."""
         if params is None:
             return [*self.weights, self.output_weights]
-        return [params[a:b].reshape(shape) for a, b, shape in self._layout]
+        return [params[a:b].reshape(shape) for a, b, shape in self.layout]
 
     def weight_count(self) -> int:
         return self.params.size

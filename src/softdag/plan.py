@@ -81,27 +81,30 @@ class PopulationPlan:
         pad = width - N - 1
         id_of = np.empty((graphs, width), dtype=np.int64)
         id_of[:, pad:] = network.key_cells
-        codes = np.full((levels, graphs, M + 1), pad)
-        for q, choices in enumerate(population.choices):
-            codes[q, :, :M] = network.arg_codes[q][choices]
+        arg = [codes[c] for codes, c in zip(network.arg_codes, population.choices)]
+        # per level and graph, the cell that each slot of ``key_slots``
+        # reads: the chosen codes, then the padding and basis cells
+        codes = np.empty((levels, graphs, M + 1 + N), dtype=np.int64)
+        codes[:, :, :M] = arg
+        codes[:, :, M:] = np.arange(pad, width)
         out_codes = network.output_codes[population.output_choices]
         self.population = population
-        self.live = reachable_images(network, codes[:, :, :M], out_codes)
+        self.live = reachable_images(network, arg, out_codes)
         # every live image, level-major and then by basis, so that a
         # round's new keys come in runs of one basis: its key cells and its
         # id cell
         by_basis = network.by_basis
-        level, image, graph = np.nonzero(
-            self.live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
-        )
+        by_level = self.live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
+        level, image, graph = by_level.nonzero()
         image = by_basis[image]
         base = graph * width
-        keys = np.empty((len(graph), 1 + network.image_slots.shape[1]), dtype=np.int64)
-        keys[:, 0] = base + pad + 1 + image
-        keys[:, 1:] = codes[level[:, None], graph[:, None], network.image_slots[image]]
-        keys[:, 1:] += base[:, None]
+        # a key reads its level's and graph's row of ``codes`` at its image's
+        # ``key_slots``, as cells of the graph's id table
+        start = (level * graphs + graph) * codes.shape[2]
+        keys = codes.take(start[:, None] + network.key_slots[image])
+        keys += base[:, None]
         cells = base + u + level * N + image
-        ends = [0, *np.searchsorted(level, np.arange(1, levels + 1)).tolist()]
+        ends = [0, *level.searchsorted(np.arange(1, levels + 1)).tolist()]
         spans = list(zip(ends[:-1], ends[1:]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
         self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
@@ -189,9 +192,8 @@ class PopulationPlan:
         column = column_of[key]
         new = key[column < 0]
         if len(new):
-            fresh = np.unique(new)
+            fresh, readers = _distinct(new)
             column_of[fresh] = np.arange(self.columns, self.columns + len(fresh))
-            readers = np.bincount(column_of[new] - self.columns, minlength=len(fresh))
             node, out = np.divmod(fresh, v)
             sink(store.buf, store.rows[node], out, readers)
             self.columns += len(fresh)
@@ -321,13 +323,24 @@ class ValueStore:
         gone."""
         u, canon, ids = self._u, self.canon, self._ids
         top = u + len(ids)
-        fresh = [k for k in dict.fromkeys(found) if k not in ids]
-        ids.update(zip(fresh, range(top, top + len(fresh))))
-        node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+        node = None
+        if self.repeated:
+            # on the last run's rows most rounds met all their keys before,
+            # and one pass numbers them
+            try:
+                node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+            except KeyError:
+                pass
+        fresh = []
+        if node is None:
+            fresh = [k for k in dict.fromkeys(found) if k not in ids]
+            ids.update(zip(fresh, range(top, top + len(fresh))))
+            node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
         if self._swept:
             again = node[self.rows[canon[node]] < 0]
-            again = np.unique(again[again < top])
+            again = again[again < top]
             if len(again):
+                again = _distinct(again)[0]
                 canon[again] = again
                 keys = self.nodes[again - u]
                 order = np.argsort(keys[:, 0], kind="stable")
@@ -450,6 +463,20 @@ class ValueStore:
             freed.append(rows[i])
         self._free += freed
         self.merged += len(freed)
+
+
+def _distinct(keys: np.ndarray):
+    """``(values, counts)``: the distinct values of ``keys`` in ascending
+    order, as ``np.unique`` gives them, and how often each occurs.  One
+    sort and a compare of neighbours, which costs a fraction of
+    ``np.unique`` on a few hundred keys and does not import ``numpy.ma``."""
+    keys = np.sort(keys)
+    # where each run of equal keys starts, and where the last one ends
+    first = np.empty(len(keys) + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    starts = first.nonzero()[0]
+    return keys[starts[:-1]], starts[1:] - starts[:-1]
 
 
 def _population_of(network: Network, dags) -> SampledPopulation:

@@ -19,8 +19,10 @@ SPLIT_STREAM = 4
 
 
 def derive_rng(*keys: int) -> np.random.Generator:
-    """Generator for the stream addressed by ``keys``."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) & _MASK for k in keys]))
+    """Generator for the stream addressed by ``keys``: ``default_rng`` of
+    their seed sequence, built without its argument checks."""
+    seq = np.random.SeedSequence([int(k) & _MASK for k in keys])
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def derive_seed(*keys: int) -> int:

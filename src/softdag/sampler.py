@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -91,15 +92,17 @@ class SampledPopulation:
 # The most compares per selection row, draws times sources, at which
 # ``_draw`` counts a block's draws in one compare; past it each row makes
 # one binary search, which costs about the same whatever the draw count.
-# Measured on blocks of 4-18 rows of 1-24 sources with 50-150 draws, the
-# compare was 1.5-4.8x faster up to 1000 compares per row and level or
-# slower from 1200 on; a one-row block lost about 1 us.  On MNIST's
-# 791-source rows it was 9x slower.
+# Against the searches mapped over a block's rows, the compare took
+# 0.4-0.8x their time on blocks of 8-13 rows up to 400 compares per row,
+# about the same at 800 and 1.0-1.7x from 1200 on; on blocks of 1-4 rows
+# it was up to 3x slower at 800, a few us.  On MNIST's 791-source rows it
+# was 13x slower.
 DRAW_ROW_COMPARES = 1024
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` draws from every row of ``probs``, shape ``(count, rows)``.
+def _draw(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The draws of every row of ``probs`` on the uniforms ``r``, of shape
+    ``(count, rows)``.
 
     A draw is the number of its row's cumulative sums at or below its
     uniform.  The sums never decrease, so this is ``searchsorted(...,
@@ -108,15 +111,13 @@ def _draw(probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray
     (``DRAW_ROW_COMPARES``), one binary search per row, which costs
     O(log sources) per choice however wide the rows are.
     """
-    cum = np.cumsum(probs, axis=1)
-    r = rng.random((count, probs.shape[0]))
-    if count * probs.shape[1] <= DRAW_ROW_COMPARES:
+    cum = probs.cumsum(axis=1)
+    if len(r) * probs.shape[1] <= DRAW_ROW_COMPARES:
         # sources leading and contiguous: the sum runs over whole planes
         idx = np.less_equal(np.ascontiguousarray(cum.T)[:, None, :], r).sum(axis=0)
     else:
-        idx = np.empty(r.shape, dtype=np.int64)
-        for m in range(probs.shape[0]):
-            idx[:, m] = np.searchsorted(cum[m], r[:, m], side="right")
+        # one search per row, mapped over the rows without a Python loop
+        idx = np.array(list(map(np.ndarray.searchsorted, cum, r.T, repeat("right")))).T.copy()
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 
@@ -125,14 +126,18 @@ def sample_many(network: Network, rng: np.random.Generator, count: int) -> Sampl
 
     Every row's index is drawn from its own categorical; draw order is
     fixed (levels bottom-up, then the outputs; graph-major within each), so
-    a given generator state always produces the same graphs.
+    a given generator state always produces the same graphs.  One call
+    draws every uniform: the generator fills its output in order, so each
+    block's slice holds the doubles that a call of its own would draw.
     """
     probs = network.block_probs()
-    return SampledPopulation(
-        choices=tuple(_draw(p, rng, count) for p in probs[:-1]),
-        output_choices=_draw(probs[-1], rng, count),
-        probs=tuple(probs),
-    )
+    r = rng.random(count * sum(map(len, probs)))
+    draws = []
+    for p in probs:
+        draws.append(_draw(p, r[:count * len(p)].reshape(count, len(p))))
+        r = r[count * len(p):]
+    *choices, out = draws
+    return SampledPopulation(choices=tuple(choices), output_choices=out, probs=tuple(probs))
 
 
 def sample(network: Network, rng: np.random.Generator) -> SampledDAG:
@@ -158,12 +163,17 @@ def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
     matrix whose column ``q * N + i`` is image ``(q, i)``.  Images read only
     lower levels, so one pass from the top level down is complete.
     """
-    u, N = network.u, network.N
-    live = np.zeros((len(roots), u + network.levels * N), dtype=bool)
-    live[np.arange(len(roots))[:, None], roots] = True
+    u, N, M = network.u, network.N, network.M
+    width = u + network.levels * N
+    live = np.zeros((len(roots), width), dtype=bool)
+    # flat indices: a graph's cells start at ``graph * width``
+    cells = live.reshape(-1)
+    start = np.arange(0, live.size, width)
+    cells[(start[:, None] + roots).ravel()] = True
     for q in reversed(range(network.levels)):
-        graph, row = np.nonzero(live[:, u + q * N + network.row_image])
-        live[graph, arg_codes[q][graph, row]] = True
+        # ``graph * M + row`` of each live argument row
+        hit = live[:, u + q * N + network.row_image].ravel().nonzero()[0]
+        cells[start[hit // M] + arg_codes[q].ravel().take(hit)] = True
     return live[:, u:]
 
 
@@ -177,7 +187,7 @@ def reached_rows(network: Network, population: SampledPopulation, graph, roots, 
         arg_codes = [codes[c[graph]] for codes, c in zip(network.arg_codes, population.choices)]
         live = reachable_images(network, arg_codes, roots)
     for q, choices in enumerate(population.choices):
-        pair, row = np.nonzero(live[:, q * network.N + network.row_image])
+        pair, row = live[:, q * network.N + network.row_image].nonzero()
         yield pair, row, choices[graph[pair], row]
 
 

@@ -119,6 +119,25 @@ def _bound_table(variance: float) -> np.ndarray:
     return table
 
 
+def _merge_best(best: np.ndarray, count: int, got, outs, reads) -> None:
+    """Merge the exact scores ``got`` of columns of the outputs ``outs``,
+    each counted ``reads`` times, into ``best``.
+
+    Row ``j`` of ``best`` holds output ``j``'s ``count`` best scores so
+    far, ascending, with -inf where fewer have come, and then room for
+    ``count * len(got)`` more.  Scores are never -inf, so the first column
+    is each output's ``count``-th best score, its cut, once it has one.
+    All outputs merge at once: each new score takes a column of its own,
+    on its output's row, and the other rows hold -inf there.
+    """
+    got = got.repeat(reads)
+    pool = best[:, :count + len(got)]
+    pool[:, count:] = -np.inf
+    pool[outs.repeat(reads), np.arange(count, count + len(got))] = got
+    pool.sort(axis=1)
+    best[:, :count] = pool[:, len(got):]
+
+
 def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows=None, store=None):
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
     column of ``plan``'s run on ``X``, and per candidate and output the
@@ -167,8 +186,10 @@ def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows
         # a distinct row's term counts once per batch row it stands for
         weights = None if lanes is None else np.bincount(lanes, minlength=X.shape[0]).astype(float)
         shares = np.empty(most, dtype=np.intp)
-        best = [np.empty(0)] * v
-        cut = np.full(v, -np.inf)
+        # each output's best scores so far (``_merge_best``); its first
+        # column is the cut
+        best = np.full((v, count * (1 + SELECT_ROWS)), -np.inf)
+        cut = best[:, 0]
 
     def flush(part: np.ndarray, a: int) -> None:
         """Score the residual rows ``part``, columns ``a, a + 1, ...``."""
@@ -179,17 +200,12 @@ def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows
         lane_bounds = table.take(codes[:len(part)], out=terms[:len(part)], mode="clip")
         bound = lane_bounds.sum(axis=1) if weights is None else lane_bounds @ weights
         bound *= 1.0 + _BOUND_REL
-        todo = np.argsort(-bound, kind="stable")
+        todo = (-bound).argsort(kind="stable")
         while len(todo := todo[bound[todo] >= cut[output[a + todo]]]):
             rows, todo = todo[:SELECT_ROWS], todo[SELECT_ROWS:]
-            got = scores[a + rows] = _kernel_sums(part[rows], variance, lanes)
-            outs = output[a + rows]
-            for j in set(outs.tolist()):
-                mine = outs == j
-                kept = np.concatenate([best[j], np.repeat(got[mine], shares[a + rows[mine]])])
-                best[j] = np.sort(kept)[::-1][:count]
-                if len(best[j]) == count:
-                    cut[j] = best[j][-1]
+            at = a + rows
+            got = scores[at] = _kernel_sums(part[rows], variance, lanes)
+            _merge_best(best, count, got, output[at], shares[at])
 
     fill = met = scored = 0
 
@@ -282,9 +298,7 @@ def select_top(fitness_matrix: np.ndarray, count: int):
     n_cand = K.shape[0]
     if count > n_cand:
         raise ConfigError(f"cannot select {count} of {n_cand} candidates")
-    picks = []
-    order_tiebreak = np.arange(n_cand)
-    for j in range(K.shape[1]):
-        order = np.lexsort((order_tiebreak, -K[:, j]))[:count]
-        picks.append([(int(c), float(K[c, j])) for c in order])
-    return picks
+    # a stable sort keeps tied candidates in index order
+    order = (-K).argsort(axis=0, kind="stable")[:count]
+    values = K[order, np.arange(K.shape[1])]
+    return [list(zip(c, k)) for c, k in zip(order.T.tolist(), values.T.tolist())]

@@ -142,34 +142,35 @@ def population_gradient(plan: PopulationPlan, probs, pairs) -> np.ndarray:
     so each pair's are found again.
     """
     network = plan.network
-    grad = np.zeros_like(network.params)
+    cfg = network.config
+    grad = np.zeros(network.params.size)
     pairs = [p for p in pairs if p[2] != 0.0]
     if not pairs:
         return grad
-    blocks = network.blocks(grad)
     graph, out, scale = (np.array(column) for column in zip(*pairs))
     population = plan.population
     chosen = population.output_choices[graph, out]
     roots = network.output_codes[chosen][:, None]
-    live = plan.live[graph] if network.config.output_count == 1 else None
-    coef = scale / network.config.last_layer_temperature
-    _scatter(blocks[-1], probs[-1], out, chosen, coef)
-    coef = scale / network.config.temperature
-    # pair-major, so each row receives its pairs in order
-    levels = reached_rows(network, population, graph, roots, live)
-    for q, (pair, row, chosen) in enumerate(levels):
-        _scatter(blocks[q], probs[q], row, chosen, coef[pair])
+    live = plan.live[graph] if cfg.output_count == 1 else None
+    # every block's reached rows, the output rows last; pair-major within a
+    # block, so each row receives its pairs in order
+    levels = [*reached_rows(network, population, graph, roots, live)]
+    levels.append((np.arange(len(pairs)), out, chosen))
+    block = np.arange(len(levels)).repeat([len(row) for _, row, _ in levels])
+    pair, row, chosen = (np.concatenate(column) for column in zip(*levels))
+    start, width = np.array([(a, shape[1]) for a, _, shape in network.layout]).T
+    temperature = np.array([cfg.temperature] * network.levels + [cfg.last_layer_temperature])
+    # a reached row's weights are a run of ``width`` cells of ``params``,
+    # and its terms start at ``offset``
+    width = width[block]
+    offset = width.cumsum() - width
+    cells = (start[block] + row * width - offset).repeat(width) + np.arange(offset[-1] + width[-1])
+    # scale * (p - e_c) / T per cell, in one scatter for all blocks
+    d = np.concatenate([p.ravel() for p in probs])[cells]
+    d[offset + chosen] -= 1.0
+    d *= (scale[pair] / temperature[block]).repeat(width)
+    np.add.at(grad, cells, d)
     return grad
-
-
-def _scatter(grad: np.ndarray, probs: np.ndarray, rows, chosen, coef) -> None:
-    """Add ``coef[k] * (probs[rows[k]] - e_chosen[k])`` to ``grad[rows[k]]``
-    for each ``k`` in turn; ``np.add.at`` adds repeated rows one after
-    another."""
-    d = probs[rows]
-    d[np.arange(len(rows)), chosen] -= 1.0
-    d *= coef[:, None]
-    np.add.at(grad, rows, d)
 
 
 def loss_gradient(
@@ -246,10 +247,12 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     run.epoch += 1
     selected = tuple(selected_raw)
     equal = all(s[0] == s[-1] for s in selected)
+    values = [k for s in selected for k in s]
     return EpochStats(
         epoch=run.epoch,
         best=np.array([s[0] for s in selected]),
-        mean_selected=float(np.mean([k for s in selected for k in s])),
+        # np.mean's sum and division, without its Python layers
+        mean_selected=float(np.add.reduce(np.array(values)) / len(values)),
         selected=selected,
         selected_equal=equal,
     )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import json
@@ -456,8 +457,11 @@ def test_dead_worker_leaves_error_rows(fast_config, tmp_path, monkeypatch, capsy
 
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(cli, "run_trial", dying)
+    # the pool is imported from concurrent.futures when a run starts one
     monkeypatch.setattr(
-        cli, "ProcessPoolExecutor", functools.partial(cli.ProcessPoolExecutor, mp_context=fork)
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork),
     )
     argv = ["--trials", "4", "--parallel-trials", "2", "--max-epochs", "20"]
 
@@ -563,7 +567,8 @@ def test_main_mismatched_idx_pair_exit_code(tmp_path, capsys):
 
 _NO_SCIPY_RUN = textwrap.dedent("""
     import sys
-    from dataclasses import replace
+
+    import numpy as np
 
     import softdag
     from softdag import cli
@@ -574,20 +579,32 @@ _NO_SCIPY_RUN = textwrap.dedent("""
     exp = cli.parse_config(sys.argv[1])
     softdag.build_network(exp.network)
     assert not scipy_modules(), scipy_modules()
-    exp = replace(exp, training=replace(exp.training, max_epochs=3))
-    row = cli.run_trial(exp, 0)
+    # one trial in this process, as `softdag run` runs it with one worker
+    report = cli.run_experiment(sys.argv[1], overrides={"trials": 1, "max_epochs": 3})
+    row = report["trial_rows"][0]
     assert row["equivalent"] in (True, False), row
     assert not {"scipy.stats", "scipy.special"} & set(sys.modules), scipy_modules()
+    # a depth-4 self-composition whose later depths compute again values
+    # that a sweep freed (this graph does)
+    net = softdag.build_network(cli.parse_config(sys.argv[2]).network)
+    dag = softdag.sample(net, np.random.default_rng(10))
+    softdag.evaluate_recurrent(net, dag, np.linspace(-8.0, 8.0, 64)[:, None], 4)
+    # np.unique imports numpy.ma; a pool imports multiprocessing
+    loaded = {"numpy.ma", "multiprocessing", "concurrent.futures"} & set(sys.modules)
+    assert not loaded, loaded
 """)
 
 
 def test_a_trial_and_its_check_load_no_scipy_submodule():
-    # a fresh interpreter: the test session itself has imported scipy
+    # a fresh interpreter: the test session itself has imported scipy.
+    # lfsr4 has several outputs, poly_2x2_3x one.
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, str(CONFIG_DIR / "poly_2x2_3x.ini")],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert done.returncode == 0, done.stderr
+    recurrent = str(CONFIG_DIR / "recurrent_halfsquare.ini")
+    for config in ("poly_2x2_3x.ini", "lfsr4.ini"):
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_RUN, str(CONFIG_DIR / config), recurrent],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, (config, done.stderr)

@@ -130,6 +130,32 @@ def test_softmax_properties(rng):
     assert np.isfinite(extreme).all()
 
 
+def _copying_softmax(matrix, temperature):
+    """``softmax_rows`` with a new array at every step."""
+    z = np.asarray(matrix, dtype=np.float64) / float(temperature)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_softmax_in_place_equals_the_copying_form(rng):
+    net = random_tiny_network(rng)
+    cfg = net.config
+    for scale in (1.0, 40.0, 1e3, 1e8):
+        net.params[:] = rng.normal(0.0, scale, net.params.shape)
+        # rows far below zero, and rows whose exp underflows in most places
+        net.params[::5] = -abs(net.params[::5]) - 1e6
+        probs = net.block_probs()
+        temperatures = [cfg.temperature] * net.levels + [cfg.last_layer_temperature]
+        for block, t, p in zip(net.blocks(), temperatures, probs):
+            for temperature in (t, 0.3, 7.0):
+                got = softmax_rows(block, temperature)
+                assert got.tobytes() == _copying_softmax(block, temperature).tobytes()
+                assert not np.shares_memory(got, net.params)
+            assert p.tobytes() == _copying_softmax(block, t).tobytes()
+            assert not np.shares_memory(p, net.params)
+
+
 def test_save_load_round_trip(tmp_path, rng):
     net = random_tiny_network(rng)
     path = tmp_path / "weights.txt"

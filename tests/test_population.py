@@ -35,6 +35,7 @@ from softdag.expression import evaluate_tree_batch
 from softdag import scoring
 from softdag.data import _repeats
 from softdag.plan import PopulationPlan, ValueStore
+from softdag.sampler import reached_rows
 from softdag.scoring import (
     _BOUND_SHIFT,
     _EXP_ZERO,
@@ -694,6 +695,103 @@ def test_population_gradient_matches_reference(case, count, picks):
     plan = PopulationPlan(net, list(population))
     listed = population_gradient(plan, net.block_probs(), pairs)
     assert all(same_bits(g, w) for g, w in zip(net.blocks(listed), want))
+
+
+def _sorted_cuts(count, outputs, merges):
+    """Each output's cut after each merge, as ``_column_scores`` kept it
+    with one sort per output that a merge met."""
+    best = [np.empty(0)] * outputs
+    cut = np.full(outputs, -np.inf)
+    cuts = []
+    for got, outs, reads in merges:
+        for j in set(outs.tolist()):
+            mine = outs == j
+            kept = np.concatenate([best[j], np.repeat(got[mine], reads[mine])])
+            best[j] = np.sort(kept)[::-1][:count]
+            if len(best[j]) == count:
+                cut[j] = best[j][-1]
+        cuts.append(cut.copy())
+    return cuts
+
+
+@pytest.mark.parametrize("name, epochs", [("lfsr4", 30), ("recurrent_halfsquare", 8)])
+def test_selection_cuts_equal_a_sort_per_output(name, epochs):
+    # every merge of recorded training epochs, replayed one output at a time
+    calls = []
+    merge = scoring._merge_best
+
+    def record(best, count, got, outs, reads):
+        merge(best, count, got, outs, reads)
+        if not calls or calls[-1][0] is not best:
+            calls.append((best, count, []))
+        calls[-1][2].append(((got.copy(), outs.copy(), reads.copy()), best[:, 0].copy()))
+
+    exp = parse_config(CONFIG_DIR / f"{name}.ini")
+    training = replace(exp.training, max_epochs=epochs, patience=epochs + 1)
+    with mock.patch.object(scoring, "_merge_best", record):
+        train(build_network(exp.network), exp.target, training)
+    assert sum(len(merges) for *_, merges in calls) >= epochs
+    for best, count, merges in calls:
+        want = _sorted_cuts(count, len(best), [m for m, _ in merges])
+        assert [cut.tobytes() for _, cut in merges] == [cut.tobytes() for cut in want]
+
+
+def _blockwise_gradient(plan, probs, pairs):
+    """``population_gradient``'s sums as one 2-D ``np.add.at`` per block,
+    each row of a block taking its pairs' terms in turn."""
+    network = plan.network
+    cfg = network.config
+    grad = np.zeros_like(network.params)
+    pairs = [p for p in pairs if p[2] != 0.0]
+    if not pairs:
+        return grad
+    blocks = network.blocks(grad)
+    graph, out, scale = (np.array(column) for column in zip(*pairs))
+    chosen = plan.population.output_choices[graph, out]
+    roots = network.output_codes[chosen][:, None]
+
+    def scatter(block, probs, rows, chosen, coef):
+        d = probs[rows]
+        d[np.arange(len(rows)), chosen] -= 1.0
+        d *= coef[:, None]
+        np.add.at(block, rows, d)
+
+    scatter(blocks[-1], probs[-1], out, chosen, scale / cfg.last_layer_temperature)
+    coef = scale / cfg.temperature
+    for q, (pair, row, chosen) in enumerate(reached_rows(network, plan.population, graph, roots)):
+        scatter(blocks[q], probs[q], row, chosen, coef[pair])
+    return grad
+
+
+@_settings
+@given(
+    skewed_networks(),
+    st.integers(1, 6),
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 2),
+            # the smallest subnormals divide to +/-0.0 at a temperature of 2
+            # or 3, and the infinities make +/-inf and NaN terms; other
+            # scales round differently in another order of addition
+            st.one_of(
+                st.sampled_from((5e-324, -5e-324, 1e308, np.inf, -np.inf)),
+                st.floats(-100.0, 100.0),
+            ),
+        ),
+        max_size=24,
+    ),
+)
+def test_one_scatter_equals_a_scatter_per_block(case, count, picks):
+    # few graphs and many pairs, so rows repeat within and across pairs
+    net, rng = case
+    population = sample_many(net, rng, count)
+    pairs = [(r % count, j % net.config.output_count, k) for r, j, k in picks]
+    plan = PopulationPlan(net, population)
+    with np.errstate(all="ignore"):
+        got = population_gradient(plan, population.probs, pairs)
+        want = _blockwise_gradient(plan, population.probs, pairs)
+    assert got.tobytes() == want.tobytes()
 
 
 @_settings

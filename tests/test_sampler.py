@@ -265,17 +265,6 @@ def test_most_likely_dag():
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-class _Uniforms:
-    """A generator whose ``random`` returns fixed uniforms."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def random(self, shape):
-        assert shape == self.r.shape
-        return self.r
-
-
 def _row_searches(probs, r):
     """The draw as one ``searchsorted`` per selection row."""
     cum = np.cumsum(probs, axis=1)
@@ -291,7 +280,7 @@ def _check_draw(probs, r):
     want = _row_searches(probs, r)
     for gate in (sampler.DRAW_ROW_COMPARES, -1, len(r) * probs.shape[1]):
         with mock.patch.object(sampler, "DRAW_ROW_COMPARES", gate):
-            got = _draw(probs, _Uniforms(r), len(r))
+            got = _draw(probs, r)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
@@ -349,3 +338,20 @@ def test_draw_equals_row_searches_on_every_config(path):
     for probs in net.block_probs():
         _check_draw(probs, rng.random((count, probs.shape[0])))
         _check_draw(probs, _ties(probs, rng, count))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_one_uniform_draw_equals_a_draw_per_block(path):
+    # sample_many's one call for every block's uniforms consumes the
+    # generator as one call per block did, and gives the same choices
+    net = build_network(parse_config(path).network)
+    rng = np.random.default_rng(6)
+    for block in net.blocks():
+        block += rng.normal(0.0, 2.0, size=block.shape)
+    for count in (1, 50, 100):
+        got_rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
+        population = sample_many(net, got_rng, count)
+        want = [_row_searches(p, want_rng.random((count, len(p)))) for p in net.block_probs()]
+        for got, choices in zip((*population.choices, population.output_choices), want):
+            assert got.dtype == np.int64 and np.array_equal(got, choices)
+        assert got_rng.random() == want_rng.random()

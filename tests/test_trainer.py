@@ -150,6 +150,31 @@ def test_select_top_scale_invariance(rng):
         assert [c for c, _ in base[j]] == [c for c, _ in scaled[j]]
 
 
+def _lexsort_picks(K, count):
+    """``select_top`` as one ``lexsort`` per output, ties to the lower
+    candidate index."""
+    picks = []
+    for j in range(K.shape[1]):
+        order = np.lexsort((np.arange(len(K)), -K[:, j]))[:count]
+        picks.append([(int(c), float(K[c, j])) for c in order])
+    return picks
+
+
+def test_select_top_equals_a_lexsort_per_output(rng):
+    # few distinct values, so candidates tie; -inf marks a column that
+    # selection skipped, and -0.0 ties with 0.0
+    for outputs in (1, 4):
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            K = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5, -np.inf], size=(n, outputs))
+            for count in sorted({1, min(3, n), n}):
+                got, want = select_top(K, count), _lexsort_picks(K, count)
+                assert got == want
+                bits = [[np.float64(k).tobytes() for _, k in p] for p in (*got, *want)]
+                assert bits[:outputs] == bits[outputs:]
+                assert all(type(c) is int and type(k) is float for p in got for c, k in p)
+
+
 def test_adam_zero_gradient_fresh_state():
     blocks = [np.ones((2, 3))]
     state = AdamState.from_blocks(blocks)

@@ -264,3 +264,22 @@ def test_selection_through_a_store_leaves_no_cyclic_garbage():
 
         assert cyclic_garbage(select) == 0
         assert store.repeated and store.buf is not None
+
+
+def test_distinct_keys_equal_np_unique():
+    # the plan's distinct keys and their counts, against np.unique itself
+    rng = np.random.default_rng(6)
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        np.array([3, 3, 3]),
+        np.array([5, -2, 5, -9, -2, 0, 5]),
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, -1]),
+        rng.integers(-50, 50, 400),
+        rng.integers(0, 4000, 1600),
+    ]
+    for keys in cases:
+        values, counts = plan._distinct(keys)
+        want, want_counts = np.unique(keys, return_counts=True)
+        assert values.tobytes() == want.tobytes() and values.dtype == want.dtype
+        assert counts.tobytes() == want_counts.astype(counts.dtype).tobytes()
