@@ -127,32 +127,34 @@ def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(X, Y)
 
 
-def _generate(spec: TargetSpec, n: int, rng: np.random.Generator):
+def _complete(spec: TargetSpec, free: np.ndarray):
+    """``(X, Y)`` of the rows whose free input columns are ``free``."""
+    with np.errstate(all="ignore"):
+        if spec.kind == "implicit":
+            last = np.asarray(spec.derived(free), dtype=np.float64)
+            return np.column_stack([free, last]), np.full((len(free), spec.output_count), spec.constant_target)
+        depth = spec.target_depth if spec.kind == "recurrent" else 1
+        Y = np.asarray(_compose(spec.fn, free, depth), dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    return free, Y
+
+
+def _generate(spec: TargetSpec, n: int, rng: np.random.Generator, first=None):
     """``generate``'s rows as ``(X, Y, codes)``, with the row codes of
     ``_sample_inputs``: an implicit target's free columns decide its rows,
-    and a redrawn row carries its new code."""
+    and a redrawn row carries its new code.  ``first``, if given, is the
+    ``(free, codes)`` of the first ``n`` rows, drawn from ``rng`` before."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.kind == "classification":
         raise ConfigError("classification datasets are loaded, not generated")
 
     def draw(count: int):
-        if spec.kind == "implicit":
-            free, codes = _sample_inputs(spec.input_ranges, count, rng)
-            with np.errstate(all="ignore"):
-                last = np.asarray(spec.derived(free), dtype=np.float64)
-            X = np.column_stack([free, last])
-            Y = np.full((count, spec.output_count), spec.constant_target)
-            return X, Y, codes
-        X, codes = _sample_inputs(spec.input_ranges, count, rng)
-        with np.errstate(all="ignore"):
-            depth = spec.target_depth if spec.kind == "recurrent" else 1
-            Y = np.asarray(_compose(spec.fn, X, depth), dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        return X, Y, codes
+        free, codes = _sample_inputs(spec.input_ranges, count, rng)
+        return (*_complete(spec, free), codes)
 
-    X, Y, codes = draw(n)
+    X, Y, codes = draw(n) if first is None else (*_complete(spec, first[0]), first[1])
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         # one pass over each array settles a batch with nothing to redraw;
         # a per-row reduction along the short axis costs many times more
@@ -296,7 +298,15 @@ def _repeats(codes: np.ndarray):
 
 
 class ResamplingSource:
-    """Fresh batch drawn from the target distribution every epoch."""
+    """Fresh batch drawn from the target distribution every epoch.
+
+    When every input range is a choice with few combinations in all, the
+    source draws the picks first, and computes the inputs, the target and
+    their finiteness on the batch's distinct rows only; a batch with too
+    many distinct rows or a non-finite one takes the general path from the
+    same draw.  The rows, and the generator's numbers, are the same either
+    way.
+    """
 
     def __init__(self, spec: TargetSpec, batch_size: int, seed: int):
         self.spec = spec
@@ -308,11 +318,46 @@ class ResamplingSource:
         # distinct on average, too many for distinct rows to pay.
         per_row = [len(d.values) if isinstance(d, Choices) else math.inf for d in spec.input_ranges]
         self._coded = math.prod(per_row) <= 4 * batch_size
+        self._values = [np.asarray(d.values) for d in spec.input_ranges] if self._coded else None
 
     def batch(self, epoch: int) -> Batch:
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
-        X, Y, codes = _generate(self.spec, self.batch_size, rng)
-        return Batch(X, Y, _repeats(codes) if self._coded else (None, None))
+        if not self._coded:
+            X, Y, _ = _generate(self.spec, self.batch_size, rng)
+            return Batch(X, Y, (None, None))
+        values = self._values
+        picks = _picks(values, self.batch_size, rng)
+        codes = np.zeros(self.batch_size, dtype=np.int64)
+        for column, pick in zip(values, picks):
+            codes *= len(column)
+            codes += pick
+        first, lanes = _repeats(codes)
+        if first is not None:
+            X, Y = _complete(self.spec, _choose(values, picks[:, first]))
+            if np.isfinite(X).all() and np.isfinite(Y).all():
+                return Batch(X.take(lanes, 0), Y.take(lanes, 0), (first, lanes))
+        X, Y, codes = _generate(self.spec, self.batch_size, rng, (_choose(values, picks), codes))
+        return Batch(X, Y, _repeats(codes))
+
+
+def _picks(values, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The indices of ``n`` rows into each choice column's ``values``, one
+    row per column, with the numbers and generator state of
+    ``_sample_inputs``: one ``rng.integers`` call per column."""
+    if len({len(column) for column in values}) > 1:
+        return np.stack([rng.integers(0, len(column), n, dtype=np.int64) for column in values])
+    # the generator spends one 32-bit draw per pick, in order, so columns of
+    # one size take one call
+    size = len(values[0]) if values else 1
+    return rng.integers(0, size, (len(values), n), dtype=np.int64)
+
+
+def _choose(values, picks: np.ndarray) -> np.ndarray:
+    """The rows of the choice columns' ``values`` that ``picks`` name."""
+    out = np.empty((picks.shape[1], len(values)), dtype=np.float64)
+    for k, column in enumerate(values):
+        out[:, k] = column[picks[k]]
+    return out
 
 
 class DatasetSource:

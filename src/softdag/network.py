@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFunction, resolve_bases
+from .bases import RULE_IF_LEQ, BasisFunction, alias_rule, alias_table, resolve_bases
 
 __all__ = [
     "ConfigError",
@@ -170,6 +170,28 @@ class Network:
         # the cells that end each graph's id table in the plan: -1 for
         # padding, then each basis's first occurrence
         self.key_cells = np.array([-1, *self.basis_first])
+        # what the plan can know of an image's value before computing it
+        # (``plan._aliases``), None when no rule can fire; x * 1 and x / 1
+        # need a constant 1: each image's rule code (``bases.alias_rule``),
+        # the table of ``bases.alias_table``, and each cell's constant, as
+        # ``alias_table`` indexes it
+        rules = [alias_rule(b) for b in self.bases]
+        if 1.0 not in config.constants:
+            rules = [r if r == RULE_IF_LEQ else 0 for r in rules]
+        self.alias_rule = self.alias_table = self.cell_constant = None
+        if any(rules):
+            self.alias_rule = np.array(rules)
+            self.alias_table = alias_table(config.constants)
+            self.cell_constant = np.zeros(self.u + self.levels * self.N + 1 + self.N, dtype=np.int64)
+            self.cell_constant[config.input_count:self.u] = np.arange(1, len(config.constants) + 1)
+        # where the plan's keys of each level end, as it sorts them: its
+        # plain keys, then its sure aliases, then its NaN-checked ones,
+        # sorted on ``3 * level + kind``, or on the level alone if no rule
+        # can fire
+        if self.alias_rule is None:
+            self.round_bounds = np.repeat(np.arange(1, self.levels + 1), 3)
+        else:
+            self.round_bounds = np.arange(1, 3 * self.levels + 1)
         # every source index decoded once into its global code: inputs,
         # then constants, then the images of each level in turn, so image
         # (q, i) is code u + q * N + i whatever the wiring; with skip

@@ -51,12 +51,19 @@ class PopulationPlan:
     parents of equal values have equal keys, and the next round merges them
     before it computes anything.
 
+    An image whose value is provably one argument's value takes that
+    argument's id with no key (``bases.alias_table``): ``x * 1``, ``1 * x``
+    and ``x / 1`` surely, and ``IF_LEQ`` with one condition cell, two
+    constant condition cells or one branch cell when no argument's value
+    holds a NaN; the others are plain keys.
+
     The plan keeps only what does not depend on the batch: the
     ``population`` of graphs, their live images (``live``, as
     :func:`~softdag.sampler.reachable_images` gives them from every
     graph's outputs), the cells their keys read and write, and the cells
-    whose values the next depth can read.  ``interned`` counts the
-    output-reachable nodes of every graph and depth, one key lookup each.
+    whose values the next depth can read.  ``interned`` counts the keys
+    that a run can look up, those of every graph and depth but the sure
+    aliases.
     After a run, ``index`` holds the column of each candidate and output,
     candidates sample-major then depth, and ``columns`` counts the distinct
     ``(node, output)`` columns.
@@ -102,12 +109,28 @@ class PopulationPlan:
         # ``key_slots``, as cells of the graph's id table
         start = (level * graphs + graph) * codes.shape[2]
         keys = codes.take(start[:, None] + network.key_slots[image])
-        keys += base[:, None]
         cells = base + u + level * N + image
-        ends = [0, *level.searchsorted(np.arange(1, levels + 1)).tolist()]
-        spans = list(zip(ends[:-1], ends[1:]))
+        # each key's round, and, where an identity rule can fire, its kind
+        # (``_aliases``): a level's plain keys, then its sure aliases, then
+        # its NaN-checked ones, which end where ``code`` passes the
+        # network's ``round_bounds``
+        code, src = level, None
+        if network.alias_rule is not None:
+            kind, src = _aliases(network, network.alias_rule[image], keys)
+            src += base
+            code = level * 3 + kind
+            order = np.argsort(code, kind="stable")
+            code, keys, base, cells, src = code[order], keys[order], base[order], cells[order], src[order]
+            # each key's graph, read when a later depth leaves graphs out
+            graph = graph[order] if depth > 1 else None
+        keys += base[:, None]
+        self._keys, self._cells, self._src, self._code, self._graph = keys, cells, src, code, graph
+        ends = [0, *code.searchsorted(network.round_bounds).tolist()]
+        spans = list(zip(ends[:-1:3], ends[3::3]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
-        self._id_of, self._keys, self._cells, self._spans = id_of, keys, cells, spans
+        self._id_of = id_of
+        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+        self._all = self._rounds(keys, cells, src, ends)
         # the cells whose values the next depth can read: the outputs, and
         # the cells that no input reaches, whose keys are the same at every
         # depth
@@ -126,9 +149,32 @@ class PopulationPlan:
         for a, b in spans:
             ids += min(b - a, sum(ids**k for k in network.name_arities))
         self._room = min(u + max((b - a for a, b in spans), default=0), ids)
-        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
         self._out_cells = out_cells
-        self.interned = len(cells) * depth
+        # every key but the sure aliases'
+        self.interned = (len(cells) - sum(ends[2::3]) + sum(ends[1::3])) * depth
+
+    @staticmethod
+    def _rounds(keys, cells, src, ends) -> list:
+        """Each level's round, from keys and cells in ``__init__``'s order,
+        whose kinds end at ``ends``: its plain keys and their cells, and, if
+        it has aliases, their argument cells, their cells, and the four
+        argument cells and the keys of the NaN-checked ones, which come
+        last, or None if it has none."""
+        rounds = []
+        for a, p, s, b in zip(ends[:-1:3], ends[1::3], ends[2::3], ends[3::3]):
+            aliases = None
+            if b > p:
+                checked = (keys[s:b, 1:5], keys[s:b]) if b > s else (None, None)
+                aliases = (src[p:b], cells[p:b], *checked)
+            rounds.append((keys[a:p], cells[a:p], aliases))
+        return rounds
+
+    def _rounds_of(self, graphs: np.ndarray) -> list:
+        """The rounds of the keys of the graphs that ``graphs`` marks."""
+        live = graphs[self._graph]
+        keys, cells, code = self._keys[live], self._cells[live], self._code[live]
+        src = None if self._src is None else self._src[live]
+        return self._rounds(keys, cells, src, [0, *code.searchsorted(self.network.round_bounds).tolist()])
 
     def run(self, X, sink, store: ValueStore | None = None) -> None:
         """Evaluate every graph and depth on the batch ``X`` of shape
@@ -142,6 +188,13 @@ class PopulationPlan:
         of ``buffer``, valid during the call, their output indices, and how
         many of the depth's candidates read each.  Then, if another depth
         follows, one sweep frees the rows of the values that it cannot read.
+
+        A round gives each sure alias its argument's id and each
+        NaN-checked alias its argument's id if no argument's value holds a
+        NaN; it interns the plain keys and the checked keys that fail.  At
+        depth ``d >= 1`` a graph whose input ids equal the last depth's
+        holds every id of the depth already, and its keys are left out of
+        this depth's rounds and of all later ones.
 
         A round runs each basis's new nodes in calls on stacked rows, as
         many nodes per call as fit in the store's ``chunk`` argument rows.
@@ -163,10 +216,11 @@ class PopulationPlan:
         if X.ndim != 2 or X.shape[1] != cfg.input_count:
             raise ValueError(f"expected batch of shape (n, {cfg.input_count}), got {X.shape}")
         store = store or ValueStore()
-        u, v = self.network.u, cfg.output_count
+        u, v, inputs = self.network.u, cfg.output_count, cfg.input_count
         self.index = np.empty((self.candidates // self.depth, self.depth, v), dtype=np.int64)
         self.columns = 0
         id_of = self._id_of.copy()
+        rounds, fixed = self._all, 0
         with np.errstate(all="ignore"):
             store._start(self, X)
             column_of = np.full(len(store.canon) * v, -1)
@@ -174,14 +228,39 @@ class PopulationPlan:
             for d in range(self.depth):
                 if d:
                     store._sweep(id_of.take(self._kept))
-                    id_of[:, :cfg.input_count] = id_of.take(self._out_cells)
-                for a, b in self._spans:
-                    # one round: each live image's key as bytes
-                    found = id_of.take(self._keys[a:b]).view(self._key_bytes).ravel().tolist()
-                    id_of.put(self._cells[a:b], store._intern(found))
+                    fed = id_of.take(self._out_cells)
+                    same = (fed == id_of[:, :inputs]).all(axis=1)
+                    id_of[:, :inputs] = fed
+                    if np.count_nonzero(same) > fixed:
+                        fixed = np.count_nonzero(same)
+                        rounds = self._rounds_of(~same)
+                for keys, cells, aliases in rounds:
+                    if len(keys):
+                        # each plain key as bytes
+                        found = id_of.take(keys).view(self._key_bytes).ravel().tolist()
+                        id_of.put(cells, store._intern(found))
+                    if aliases is not None:
+                        self._alias(id_of, store, *aliases)
                 self._emit(id_of, d, sink, store, column_of)
         store._end()
         self.index = self.index.reshape(self.candidates, v)
+
+    def _alias(self, id_of: np.ndarray, store: ValueStore, src, cells, args, keys) -> None:
+        """Give a round's aliases, at ``cells``, the ids of their argument
+        cells ``src``, but intern and compute each NaN-checked one, the
+        last ``len(keys)``, that has a NaN in a value of its ``args``."""
+        if args is not None:
+            ids = id_of.take(args).ravel().tolist()
+            nan = store._nan_facts(dict.fromkeys(ids))
+            if any(map(nan.__getitem__, ids)):
+                fail = np.array([nan[k] for k in ids]).reshape(-1, 4).any(axis=1)
+                take = np.ones(len(src), dtype=bool)
+                take[len(src) - len(keys):] = ~fail
+                id_of.put(cells[take], id_of.take(src[take]))
+                found = id_of.take(keys[fail]).view(self._key_bytes).ravel().tolist()
+                id_of.put(cells[~take], store._intern(found))
+                return
+        id_of.put(cells, id_of.take(src))
 
     def _emit(self, id_of: np.ndarray, d: int, sink, store: ValueStore, column_of) -> None:
         """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
@@ -287,6 +366,7 @@ class ValueStore:
             self._free, self._table, self._spill, self._ids = [], {}, {}, {}
             self._nodes = [np.empty((0, plan._keys.shape[1]), dtype=np.int64)]
             self._swept = False  # a sweep gave rows up
+            self._nan = {}  # per id, whether its value holds a NaN
         top = len(self.canon)
         self.canon = np.concatenate([self.canon, np.arange(top, top + plan.interned)])
         self.rows = np.concatenate([self.rows, np.full(plan.interned, -1)])
@@ -304,7 +384,7 @@ class ValueStore:
         self.canon, self.rows = self.canon[:top], self.rows[:top]
         self._last = self._key
         if not (self.repeated and self.nbytes <= STORE_BYTES):
-            self.buf = self._samples = self._free = self._table = self._spill = self._ids = None
+            self.buf = self._samples = self._free = self._table = self._spill = self._ids = self._nan = None
 
     def _view(self, buf: np.ndarray) -> None:
         """Take ``buf`` as the value buffer, and view the first
@@ -352,6 +432,19 @@ class ValueStore:
             todo = np.arange(top, top + len(fresh))
             self._merge(todo, self._evaluate(keys, todo))
         return canon[node]
+
+    def _nan_facts(self, ids) -> dict:
+        """Whether the value of each id holds a NaN, by id, known for the
+        distinct ``ids`` at least: canonical ids with live rows.  Each id's
+        fact is read once from its row and kept as long as the id: a value
+        computed again has the same NaN lanes."""
+        nan = self._nan
+        new = [k for k in ids if k not in nan]
+        if new:
+            # minimum carries a NaN through
+            low = np.minimum.reduce(self.buf.take(self.rows.take(new), 0), axis=1)
+            nan.update(zip(new, np.isnan(low).tolist()))
+        return nan
 
     def _rows(self, count: int) -> np.ndarray:
         """``count`` free buffer rows, the most recently freed first; the
@@ -463,6 +556,19 @@ class ValueStore:
             freed.append(rows[i])
         self._free += freed
         self.merged += len(freed)
+
+
+def _aliases(network: Network, rule: np.ndarray, keys: np.ndarray):
+    """``(kind, src)`` of each key, as source codes, whose image has the
+    rule code ``rule``: kind 1 when its value is surely one argument's
+    value, bit for bit, kind 2 when it is so if no argument holds a NaN,
+    else 0 (``bases.alias_table``); and for kinds 1 and 2 the code of that
+    argument."""
+    const = network.cell_constant.take(keys[:, 1:3])
+    ab = (keys[:, 1] == keys[:, 2]).view(np.int8)
+    cd = (keys[:, 3] == keys[:, 4]).view(np.int8) if keys.shape[1] > 4 else 0
+    took = network.alias_table[rule, const[:, 0], const[:, 1], ab, cd]
+    return took >> 3, keys[np.arange(len(keys)), took & 7]
 
 
 def _distinct(keys: np.ndarray):

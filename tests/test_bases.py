@@ -207,3 +207,27 @@ def test_masking_bases_equal_their_guarded_forms(name, edge_share):
     _same_call(name, [np.empty((0, 4))] * arity)
     _same_call(name, [np.full(5, 2.0), *[np.float64(x) for x in rng.choice(_EDGES, arity - 1)]])
     _same_call(name, [np.full((3, 5), 1e300), np.full((3, 5), -1e300)] * (arity // 2))
+
+
+def _same_shape_by_np_shape(*args) -> bool:
+    # the check as np.shape and np.size spell it, for any argument
+    shape = np.shape(args[0])
+    return all(np.shape(x) == shape for x in args) and np.size(args[0]) > 0
+
+
+def test_same_shape_agrees_with_np_shape():
+    from softdag.bases import _same_shape
+
+    row, block = np.ones(3), np.ones((2, 3))
+    cases = [
+        (1.0, 2.0), (1.0, 2.0, 3.0, 4.0),
+        (np.float64(1.0), 2.0),
+        (np.array(1.0), np.array(2.0)), (np.array(1.0), 2.0),
+        (np.empty(0), np.empty(0)), (np.empty((2, 0)), np.empty((2, 0))), (np.empty(0), 1.0),
+        (row, row), (block, block, block, block), (row, row.copy(), row[::-1], row),
+        (block, row), (row, block), (row, np.ones((3, 1))), (np.ones(1), row),
+        (row, 1.0), (1.0, row), (np.array(1.0), row), (row, [1.0, 2.0, 3.0]),
+        ([1.0, 2.0], [3.0, 4.0]), (block, block.T.T, block[:, :2]),
+    ]
+    for args in cases:
+        assert _same_shape(*args) is _same_shape_by_np_shape(*args), args

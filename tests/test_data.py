@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from softdag import (
     parse,
     split,
 )
+from softdag import data
 from softdag.cli import parse_config
 from softdag.data import (
     Batch,
     DatasetSource,
     ResamplingSource,
     TargetSpec,
+    _generate,
+    _repeats,
     _sample_inputs,
     as_batch_source,
     load_idx_images,
@@ -28,6 +32,7 @@ from softdag.data import (
 )
 from softdag.expression import Choices, Interval, evaluate_tree_batch
 from softdag.network import ConfigError
+from softdag.rng import DATA_STREAM, derive_rng
 
 from conftest import distinct_rows, make_dag, make_network, same_bits
 
@@ -312,6 +317,49 @@ def test_batch_rows_follow_the_draw():
                       ((Choices((0.0, 1.0)),) * 64, 100), ((Choices((0.0, 1.0)),) * 3, 1)):
         spec = _spec_from_expression("x0", ranges)
         assert ResamplingSource(spec, n, 1).batch(1).rows == (None, None)
+
+
+def test_coded_batches_equal_the_general_path():
+    # a coded source draws its picks first and computes its distinct rows
+    # only; the batch is the general path's, row codes and all
+    def general(spec, n, seed, epoch):
+        X, Y, codes = _generate(spec, n, derive_rng(seed, DATA_STREAM, epoch))
+        return X, Y, _repeats(codes)
+
+    specs = [
+        (target_lfsr4(), 1000),
+        # choice columns of different sizes
+        (_spec_from_expression("x0 * x1 - x2", (Choices((0.0, 1.0, 2.0)), Choices((3.0, -0.5)),
+                                                 Choices((1.0, 2.0, 3.0, 4.0, 5.0)))), 200),
+        # 1 / 0 is the division guard's NaN, so some batches redraw rows
+        (_spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0)))), 40),
+        (TargetSpec(kind="implicit", input_count=2, output_count=1,
+                    input_ranges=(Choices((0.0, 2.0, 4.0)),),
+                    derived=lambda F: evaluate_tree_batch(parse("1 / x0"), F)), 40),
+        # more distinct rows than half the batch
+        (_spec_from_expression("x0", (Choices(tuple(np.arange(40.0))),)), 10),
+    ]
+    for (spec, n), general_path in zip(specs, (False, False, True, True, True)):
+        for seed in (0, 1, 7, 12345):
+            source = ResamplingSource(spec, n, seed)
+            for epoch in range(1, 9):
+                calls = []
+
+                def counted(*args):
+                    calls.append(len(args) == 4)
+                    return _generate(*args)
+
+                with mock.patch.object(data, "_generate", counted):
+                    batch = source.batch(epoch)
+                # lfsr4 and the mixed columns never take the general path; the
+                # others have a non-finite row or too many distinct ones
+                assert calls == ([True] if general_path else [])
+                X, Y, rows = general(spec, n, seed, epoch)
+                assert same_bits(batch.inputs, X) and same_bits(batch.targets, Y)
+                assert all(
+                    (a is None and b is None) or np.array_equal(a, b)
+                    for a, b in zip(batch.rows, rows)
+                )
 
 
 def test_dataset_batches_rows_follow_the_dataset():

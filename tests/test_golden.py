@@ -26,6 +26,13 @@ GOLDEN = {
     # recurrent: self-composition to depth 4
     "recurrent_halfsquare": "fadc08a07ab8dc8627b36a442ce7d5e6da293826fca8078e28ca494871e6917b",
     "poly_2x2_3x": "f77c45e91b8efdd6aef931a5ca94132d1501f6e7280beee46a4f4e1636e085d2",
+    # configs whose identities (x * 1, x / 1, if_leq with a decided condition
+    # or one branch) the plan resolves without a basis call; recorded before
+    # it did
+    "recurrent_step": "3d447ca653f9956318fad0b72f56bb367101e0a7513291c2a6a52b0f90252c76",
+    "sort3": "90d2f2f433891cc214d7ca4ea19dd06d60cc72d003076af62f1e9c76f8bd0297",
+    "piecewise_3x": "a8ba2487be097c3703c0fa8cac47e52d56abfbc1cd336609b898fbda048aa3a3",
+    "rational_poly": "6351aafdf5fd5777a23ec412ad78716106e8537fcfc94d5f33a1591084293ab2",
 }
 
 

@@ -35,6 +35,7 @@ from softdag.expression import evaluate_tree_batch
 from softdag import scoring
 from softdag.data import _repeats
 from softdag.plan import PopulationPlan, ValueStore
+from softdag.rng import TRIAL_STREAM, derive_seed
 from softdag.sampler import reached_rows
 from softdag.scoring import (
     _BOUND_SHIFT,
@@ -366,6 +367,19 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
     assert sum(rows_scored) < sum(columns) / 4
 
 
+def test_halfsquare_epochs_compute_fewer_nodes():
+    # trial 0 of recurrent_halfsquare, as ``softdag run`` trains it: an
+    # epoch computed 420.1 nodes on average over the first 20 before the
+    # plan resolved identities and skipped repeated depths, and 327.9 after
+    exp = parse_config(CONFIG_DIR / "recurrent_halfsquare.ini")
+    seed = derive_seed(exp.training.seed, TRIAL_STREAM, 0)
+    training = replace(exp.training, seed=seed, max_epochs=20, patience=21)
+    evaluated = []
+    train(build_network(exp.network), exp.target, training,
+          logger=lambda run, stats: evaluated.append(run.store.evaluated))
+    assert len(evaluated) == 20 and np.mean(evaluated) <= 340
+
+
 def _run(plan, X):
     """Run ``plan`` on ``X`` one node per call, dropping its columns, and
     return its store."""
@@ -521,6 +535,21 @@ def _node_ids(store, u):
     }
 
 
+def _cell_ids(plan, X):
+    """Run ``plan`` on ``X`` as ``_run`` does; return its store and, per
+    depth, the id that each cell of each graph's id table held: row ``g``,
+    column ``c`` is the id of graph ``g``'s source code ``c``."""
+    tables, emit = [], PopulationPlan._emit
+
+    def kept(self, id_of, *args):
+        tables.append(id_of.copy())
+        return emit(self, id_of, *args)
+
+    with mock.patch.object(PopulationPlan, "_emit", kept):
+        store = _run(plan, X)
+    return store, tables
+
+
 def test_equal_values_merge_and_their_parents_share_a_node():
     # codes: x = 0, constants 1.0 = 1 and 2.0 = 2, then MUL, DIV, IF_LEQ and
     # NEG at level 0 (3-6) and level 1 (7-10); each graph outputs NEG at
@@ -538,23 +567,118 @@ def test_equal_values_merge_and_their_parents_share_a_node():
     ]
     X = np.random.default_rng(0).normal(size=(40, 1))
     plan = PopulationPlan(net, dags)
-    store = _run(plan, X)
+    store, (cells,) = _cell_ids(plan, X)
     ids = _node_ids(store, net.u)
-    for key in ((MUL, 0, 1), (DIV, 0, 1), (IF_LEQ, 1, 1, 0, 2)):
-        assert store.canon[ids[key]] == 0
+    # x * 1, x / 1 and if_leq(1, 1, x, 2) hold x's id
+    assert cells[0, 3] == cells[1, 4] == cells[3, 5] == 0
     # every parent reads x, so the four parents are one node
     assert [key for key in ids if key[0] == NEG] == [(NEG, 0)]
-    assert store.merged == 3 and store.evaluated == 4
+    assert store.merged == 0 and store.evaluated == 1
     # one column for the four graphs' outputs, one for x * 1 and x / 1
     assert plan.index[:, 0].tolist() == [1, 1, 1, 1, 0, 0] and plan.columns == 2
     # a row of +0.0 and one of -0.0, and two NaN payloads, stay apart
     for x in (0.0, _OTHER_NAN):
-        store = _run(PopulationPlan(net, dags), np.full((40, 1), x))
-        ids = _node_ids(store, net.u)
-        neg_x = store.canon[ids[(NEG, store.canon[ids[(MUL, 0, 1)]])]]
+        store, (cells,) = _cell_ids(PopulationPlan(net, dags), np.full((40, 1), x))
+        neg_x = store.canon[cells[0, 10]]
         assert neg_x != 0 and store.canon[neg_x] == neg_x
     # if_leq of a NaN is np.nan, whose payload is not x's
-    assert store.canon[ids[(IF_LEQ, 1, 1, 0, 2)]] != 0
+    assert store.canon[cells[3, 5]] != 0
+
+
+# codes: x = 0, constants 1.0 = 1 and 2.0 = 2, then MUL, DIV, IF_LEQ and
+# NEG at level 0 (3-6) and level 1 (7-10); level 0's choice rows are MUL's
+# two arguments, DIV's two, IF_LEQ's four and NEG's one
+_IDENTITIES = (
+    ([0, 1], 3, 0),  # x * 1
+    ([1, 0], 3, 0),  # 1 * x
+    ([0, 0, 0, 1], 4, 0),  # x / 1
+    ([0, 0, 0, 0, 0, 0, 2, 1], 5, 2),  # if_leq(x, x, 2, 1): one condition cell
+    ([0, 0, 0, 0, 2, 1, 1, 0], 5, 0),  # if_leq(2, 1, 1, x): two constant ones
+    ([0, 0, 0, 0, 1, 2, 0, 2], 5, 0),  # if_leq(1, 2, x, 2): two constant ones
+    ([0, 0, 0, 0, 0, 1, 0, 0], 5, 0),  # if_leq(x, 1, x, x): one branch cell
+)
+
+
+def _identity_population():
+    net = make_network(("MUL", "DIV", "IF_LEQ", "NEG"), input_count=1, constants=(1.0, 2.0))
+    return net, [make_dag(net, [row], [out]) for row, out, _ in _IDENTITIES]
+
+
+def test_identities_take_their_arguments_id_with_no_basis_call():
+    net, dags = _identity_population()
+    X = np.random.default_rng(1).normal(size=(30, 1))
+    X[:3, 0] = [np.inf, -np.inf, -0.0]
+    store, (cells,) = _cell_ids(PopulationPlan(net, dags), X)
+    outs = [out for _, out, _ in _IDENTITIES]
+    assert cells[np.arange(len(dags)), outs].tolist() == [want for _, _, want in _IDENTITIES]
+    assert store.evaluated == 0 and len(store.nodes) == 0
+    Y = np.random.default_rng(2).normal(size=(30, 1))
+    assert same_bits(population_fitness(net, dags, X, Y, 1, 0.1), _reference_matrix(net, dags, X, Y, 1, 0.1))
+
+
+def test_if_leq_with_a_nan_argument_is_computed():
+    # a NaN in x poisons every if_leq that reads x; one that reads only
+    # constants still takes its argument's id
+    net, dags = _identity_population()
+    dags.append(make_dag(net, [[0, 0, 0, 0, 1, 2, 2, 1]], [5]))  # if_leq(1, 2, 2, 1)
+    X = np.random.default_rng(1).normal(size=(30, 1))
+    # if_leq writes np.nan over a NaN lane, so no result repeats x
+    X[7, 0] = _OTHER_NAN
+    store, (cells,) = _cell_ids(PopulationPlan(net, dags), X)
+    outs = cells[np.arange(len(dags)), 5].tolist()
+    assert cells[:3, [3, 3, 4]].diagonal().tolist() == [0, 0, 0]
+    assert outs[-1] == 2
+    assert all(k >= net.u for k in outs[3:7]) and store.evaluated == 4
+    Y = np.random.default_rng(2).normal(size=(30, 1))
+    assert same_bits(population_fitness(net, dags, X, Y, 1, 0.1), _reference_matrix(net, dags, X, Y, 1, 0.1))
+
+
+def test_recurrent_identity_graph_is_computed_at_depth_0_only():
+    # -(-x) merges with x, so every depth after the first meets the same
+    # keys again; x * 1 computes nothing at all
+    net = make_network(("NEG", "MUL"), input_count=1, constants=(1.0,))
+    dags = [make_dag(net, [[0], [2]], [4]), make_dag(net, [[0, 0, 1]], [3])]
+    X = np.random.default_rng(3).normal(size=(20, 1))
+    plan = PopulationPlan(net, dags, 4)
+    store, tables = _cell_ids(plan, X)
+    assert store.evaluated == 2 and len(tables) == 4
+    assert all(np.array_equal(t, tables[0]) for t in tables)
+    # both graphs read x's column at every depth
+    assert plan.columns == 1 and np.all(plan.index == 0)
+    want = reference_evaluate_recurrent(net, dags[0], X, 4)
+    assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dags[0], X, 4), want))
+
+
+@st.composite
+def identity_populations(draw):
+    """A recurrent population on IF_LEQ, MUL, DIV and one other basis with
+    the constants 1.0 and 2.0, and a batch whose lanes hold NaN, +-inf and
+    +-0 among normal values."""
+    bases = ("IF_LEQ", "MUL", "DIV", draw(st.sampled_from(("ADD", "NEG", "IF_LEQ", "MUL"))))
+    inputs = draw(st.integers(1, 2))
+    net = make_network(
+        bases, input_count=inputs, constants=(1.0, 2.0), output_count=inputs,
+        depth=draw(st.integers(1, 2)), skip=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for block in net.blocks():
+        # leaves and equal cells often enough for every rule to fire
+        block += rng.normal(0.0, 2.0, size=block.shape)
+        block[:, : net.u] += 2.0
+    dags = sample_many(net, rng, draw(st.integers(1, 30)))
+    n = draw(st.integers(1, 30))
+    X = rng.choice([0.0, -0.0, 1.0, 2.0, -1.5, np.inf, -np.inf, np.nan, _OTHER_NAN], size=(n, inputs))
+    X += rng.normal(0.0, 1.0, size=X.shape) * rng.integers(0, 2, size=X.shape)
+    Y = rng.normal(0.0, 2.0, size=(n, inputs))
+    return net, dags, X, Y, draw(st.sampled_from((0.01, 1.0)))
+
+
+@_settings
+@given(identity_populations())
+def test_identities_keep_recurrent_fitness(case):
+    net, dags, X, Y, variance = case
+    got = population_fitness(net, dags, X, Y, 3, variance)
+    assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
 
 
 def test_population_fitness_leaves_no_cyclic_garbage():
