@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -252,59 +252,17 @@ _register("MIN9", 9, _min9, _call("min9"))
 _register("MAX9", 9, _max9, _call("max9"))
 
 
-# Rule codes of the builtin implementations whose value can be one of their
-# arguments' values, whatever the batch: ``x * 1``, ``x / 1``, and
-# ``if_leq`` with a decided condition or one branch; the population plan
-# (``plan.PopulationPlan``) reads them.  0 for every other basis.
-RULE_MUL, RULE_DIV, RULE_IF_LEQ = 1, 2, 3
-_RULES = {np.multiply: RULE_MUL, _div: RULE_DIV, _if_leq: RULE_IF_LEQ}
-
-
-def alias_rule(basis: BasisFunction) -> int:
-    """The rule code of ``basis``'s implementation, by identity."""
-    return _RULES.get(basis.fn, 0)
-
-
-def alias_table(constants) -> np.ndarray:
-    """What a node takes by its rule, as ``8 * kind + k``: the value of its
-    argument ``k - 1``, surely (kind 1) or if none of its arguments holds a
-    NaN (kind 2); 0 when the rule does not fire.
-
-    ``table[rule, i, j, ab, cd]`` is that of a node with the rule code
-    ``rule`` whose first two argument cells hold the constants ``i`` and
-    ``j``, 1-based indices into ``constants`` or 0 for any other cell, and
-    whose first two (``ab``) and last two (``cd``) argument cells are one
-    cell (1) or not (0).
-    """
-    c = np.array([np.nan, *constants], dtype=np.float64)
-    one = c == 1.0
-    table = np.zeros((4, len(c), len(c), 2, 2), dtype=np.int64)
-    # x * 1 and x / 1 are x, and 1 * x is x, NaN payloads included: a
-    # call copies a quiet NaN's payload when one operand is NaN
-    table[RULE_MUL] = np.where(one[None, :], 8 + 1, np.where(one[:, None], 8 + 2, 0))[..., None, None]
-    table[RULE_DIV] = np.where(one[None, :], 8 + 1, 0)[..., None, None]
-    # with no NaN argument, two constants pick c or d in every lane, and
-    # if_leq(a, a, c, d) and if_leq(a, b, c, c) are c
-    pick = np.where(c[:, None] <= c[None, :], 16 + 3, np.where(c[:, None] > c[None, :], 16 + 4, 0))
-    table[RULE_IF_LEQ] = pick[..., None, None]
-    table[RULE_IF_LEQ, :, :, 1, :] = table[RULE_IF_LEQ, :, :, :, 1] = 16 + 3
-    return table
-
-
 def builtin_registry() -> dict[str, BasisFunction]:
     """Mapping from stable name to basis prototype (shared singletons)."""
     return dict(_REGISTRY)
 
 
-def resolve_bases(
-    names, registry: Mapping[str, BasisFunction] | None = None
-) -> tuple[BasisFunction, ...]:
+def resolve_bases(names) -> tuple[BasisFunction, ...]:
     """Resolve a sequence of basis names, preserving order and repeats."""
-    reg = _REGISTRY if registry is None else registry
     out = []
     for name in names:
         key = str(name).upper()
-        if key not in reg:
+        if key not in _REGISTRY:
             raise ValueError(f"unknown basis {name!r}")
-        out.append(reg[key])
+        out.append(_REGISTRY[key])
     return tuple(out)

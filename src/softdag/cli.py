@@ -160,6 +160,14 @@ def _get(cp, path, section, key, cast, default=None, required=False):
         raise ConfigError(f"{path}: bad [{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _derived(path, key, given, value, source: str):
+    """``value``, the ``[target] key`` that ``source`` fixes; a ``given``
+    value that contradicts it names the file and the key."""
+    if given is not None and given != value:
+        raise ConfigError(f"{path}: [target] {key} = {given} contradicts {source}, which fixes it at {value}")
+    return value
+
+
 def _build(path, cls, **fields):
     """``cls(**fields)``; a field the class rejects names the file."""
     try:
@@ -193,7 +201,7 @@ def parse_config(path) -> ExperimentConfig:
 
     kind = _get(cp, path, "target", "kind", str, default="explicit")
     inputs = _get(cp, path, "target", "inputs", int, required=kind != "classification")
-    outputs = _get(cp, path, "target", "outputs", int, default=1)
+    outputs = _get(cp, path, "target", "outputs", int)
     ranges = _get(cp, path, "target", "ranges", _parse_ranges, default=())
 
     fn = None
@@ -204,8 +212,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: unknown builtin target {builtin_name!r}")
         builtin = BUILTIN_TARGETS[builtin_name]()
         fn = builtin.fn
-        inputs = builtin.input_count
-        outputs = builtin.output_count
+        inputs = _derived(path, "inputs", inputs, builtin.input_count, f"builtin {builtin_name}")
+        outputs = _derived(path, "outputs", outputs, builtin.output_count, f"builtin {builtin_name}")
         if not ranges:
             ranges = builtin.input_ranges
     elif cp.has_option("target", "expression"):
@@ -214,7 +222,7 @@ def parse_config(path) -> ExperimentConfig:
             target_exprs = tuple(parse_expression(p.strip()) for p in raw.split("|"))
         except ParseError as exc:
             raise ConfigError(f"{path}: bad target expression: {exc}") from exc
-        outputs = len(target_exprs)
+        outputs = _derived(path, "outputs", outputs, len(target_exprs), "the '|'-separated expressions")
         for e in target_exprs:
             used = input_indices(e)
             if used and max(used) >= inputs:
@@ -241,6 +249,20 @@ def parse_config(path) -> ExperimentConfig:
     elif kind != "classification" and len(ranges) != inputs:
         raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
 
+    classes = ()
+    idx_images = idx_labels = ""
+    test_fraction = 0.1
+    input_count = inputs
+    if kind == "classification":
+        idx_images = _get(cp, path, "target", "images", str, required=True)
+        idx_labels = _get(cp, path, "target", "labels", str, required=True)
+        classes = _get(cp, path, "target", "classes", _parse_ints, required=True)
+        test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
+        input_count = _get(cp, path, "target", "pixels", int, default=784)
+        outputs = _derived(path, "outputs", outputs, len(classes), "the classes list")
+    if outputs is None:
+        outputs = 1
+
     name = _get(cp, path, "experiment", "name", str, default=path.stem)
     target = _build(
         path,
@@ -255,19 +277,6 @@ def parse_config(path) -> ExperimentConfig:
         target_depth=_get(cp, path, "target", "target_depth", int, default=1),
         name=name,
     )
-
-    classes = ()
-    idx_images = idx_labels = ""
-    test_fraction = 0.1
-    if kind == "classification":
-        idx_images = _get(cp, path, "target", "images", str, required=True)
-        idx_labels = _get(cp, path, "target", "labels", str, required=True)
-        classes = _get(cp, path, "target", "classes", _parse_ints, required=True)
-        test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
-        input_count = _get(cp, path, "target", "pixels", int, default=784)
-        outputs = len(classes)
-    else:
-        input_count = inputs
 
     basis_names = tuple(_split_list(_get(cp, path, "network", "bases", str, required=True)))
     try:
@@ -397,6 +406,9 @@ def _check_implicit(exp: ExperimentConfig, exprs):
 
 def _load_classification(exp: ExperimentConfig):
     dataset = load_idx(exp.idx_images, exp.idx_labels, exp.classes)
+    if dataset.inputs.shape[1] != exp.network.input_count:
+        raise ConfigError(f"{exp.name}: [target] pixels = {exp.network.input_count}, but"
+                          f" {exp.idx_images} holds images of {dataset.inputs.shape[1]} pixels")
     rng = derive_rng(exp.training.seed, SPLIT_STREAM)
     return split(dataset, exp.test_fraction, rng)
 

@@ -235,6 +235,10 @@ def load_idx(images_path, labels_path, class_filter) -> Dataset:
             f" {len(labels)} labels"
         )
     classes = sorted(int(c) for c in class_filter)
+    # a class with no rows would have a target column of zeros
+    missing = [c for c in classes if not np.any(labels == c)]
+    if missing:
+        raise IdxFormatError(f"{images_path} / {labels_path}: no rows of class {', '.join(map(str, missing))}")
     mask = np.isin(labels, classes)
     kept = labels[mask]
     onehot = np.zeros((len(kept), len(classes)), dtype=np.float64)

@@ -22,7 +22,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -137,10 +137,11 @@ _TOKEN_RE = re.compile(
 
 _VAR_RE = re.compile(r"x(\d+)$")
 
+_BASES = builtin_registry()
+
 
 class _Parser:
-    def __init__(self, text: str, registry: Mapping[str, BasisFunction]):
-        self.registry = registry
+    def __init__(self, text: str):
         self.tokens: list[tuple[str, str]] = []
         pos = 0
         while pos < len(text):
@@ -182,7 +183,7 @@ class _Parser:
             _, op = self.take()
             right = self.product()
             name = "ADD" if op == "+" else "SUB"
-            left = Apply(self.registry[name], (left, right))
+            left = Apply(_BASES[name], (left, right))
         return left
 
     def product(self) -> Expr:
@@ -191,7 +192,7 @@ class _Parser:
             _, op = self.take()
             right = self.factor()
             name = "MUL" if op == "*" else "DIV"
-            left = Apply(self.registry[name], (left, right))
+            left = Apply(_BASES[name], (left, right))
         return left
 
     def factor(self) -> Expr:
@@ -200,14 +201,14 @@ class _Parser:
             inner = self.factor()
             if isinstance(inner, Const):
                 return Const(-inner.value)
-            return Apply(self.registry["NEG"], (inner,))
+            return Apply(_BASES["NEG"], (inner,))
         return self.postfix()
 
     def postfix(self) -> Expr:
         node = self.primary()
         while self.peek()[0] == "pow2":
             self.take()
-            node = Apply(self.registry["SQUARE"], (node,))
+            node = Apply(_BASES["SQUARE"], (node,))
         return node
 
     def primary(self) -> Expr:
@@ -223,7 +224,7 @@ class _Parser:
                     args.append(self.sum())
                 self.expect(")")
                 key = tok.upper()
-                basis = self.registry.get(key)
+                basis = _BASES.get(key)
                 if basis is None:
                     raise ParseError(f"unknown function {tok!r}")
                 if len(args) != basis.arity:
@@ -242,10 +243,9 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
-def parse(text: str, registry: Mapping[str, BasisFunction] | None = None) -> Expr:
+def parse(text: str) -> Expr:
     """Parse an expression string back into a tree."""
-    reg = builtin_registry() if registry is None else dict(registry)
-    return _Parser(text, reg).parse()
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

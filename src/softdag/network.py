@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .bases import RULE_IF_LEQ, BasisFunction, alias_rule, alias_table, resolve_bases
+from .bases import resolve_bases
 
 __all__ = [
     "ConfigError",
@@ -133,13 +132,9 @@ class Network:
     1.0, which makes every row exactly uniform.
     """
 
-    def __init__(
-        self,
-        config: NetworkConfig,
-        registry: Mapping[str, BasisFunction] | None = None,
-    ):
+    def __init__(self, config: NetworkConfig):
         self.config = config
-        self.bases = resolve_bases(config.bases, registry)
+        self.bases = resolve_bases(config.bases)
         offsets = [0]
         for b in self.bases:
             offsets.append(offsets[-1] + b.arity)
@@ -147,51 +142,9 @@ class Network:
         # the image each argument row feeds
         self.row_image = np.repeat(np.arange(len(self.bases)), [b.arity for b in self.bases])
         self.M = offsets[-1]
-        # each image's key in the population plan (``plan.PopulationPlan``)
-        # as slots of a level's row there: its basis, slot M + 1 + image,
-        # then its argument rows, padded with slot M to the largest arity
-        width = max(b.arity for b in self.bases)
-        self.key_slots = np.array([
-            [self.M + 1 + i, *self.image_rows(i), *[self.M] * (width - b.arity)]
-            for i, b in enumerate(self.bases)
-        ])
-        # for each basis occurrence, the first occurrence of its name
-        first: dict[str, int] = {}
-        self.basis_first = np.array(
-            [first.setdefault(b.name, i) for i, b in enumerate(self.bases)]
-        )
-        # the images ordered by basis name, and each name's arity, for the
-        # population plan's keys (``plan.PopulationPlan``)
-        self.by_basis = np.argsort(self.basis_first, kind="stable")
-        self.name_arities = [self.bases[i].arity for i in first.values()]
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
         self.levels = config.depth + 1
-        # the cells that end each graph's id table in the plan: -1 for
-        # padding, then each basis's first occurrence
-        self.key_cells = np.array([-1, *self.basis_first])
-        # what the plan can know of an image's value before computing it
-        # (``plan._aliases``), None when no rule can fire; x * 1 and x / 1
-        # need a constant 1: each image's rule code (``bases.alias_rule``),
-        # the table of ``bases.alias_table``, and each cell's constant, as
-        # ``alias_table`` indexes it
-        rules = [alias_rule(b) for b in self.bases]
-        if 1.0 not in config.constants:
-            rules = [r if r == RULE_IF_LEQ else 0 for r in rules]
-        self.alias_rule = self.alias_table = self.cell_constant = None
-        if any(rules):
-            self.alias_rule = np.array(rules)
-            self.alias_table = alias_table(config.constants)
-            self.cell_constant = np.zeros(self.u + self.levels * self.N + 1 + self.N, dtype=np.int64)
-            self.cell_constant[config.input_count:self.u] = np.arange(1, len(config.constants) + 1)
-        # where the plan's keys of each level end, as it sorts them: its
-        # plain keys, then its sure aliases, then its NaN-checked ones,
-        # sorted on ``3 * level + kind``, or on the level alone if no rule
-        # can fire
-        if self.alias_rule is None:
-            self.round_bounds = np.repeat(np.arange(1, self.levels + 1), 3)
-        else:
-            self.round_bounds = np.arange(1, 3 * self.levels + 1)
         # every source index decoded once into its global code: inputs,
         # then constants, then the images of each level in turn, so image
         # (q, i) is code u + q * N + i whatever the wiring; with skip
@@ -248,18 +201,14 @@ class Network:
         return self.params.size
 
 
-def build_network(
-    config: NetworkConfig, registry: Mapping[str, BasisFunction] | None = None
-) -> Network:
+def build_network(config: NetworkConfig) -> Network:
     """Construct a network with uniform (all-ones) initial weights."""
-    return Network(config, registry)
+    return Network(config)
 
 
-def parameter_count(
-    config: NetworkConfig, registry: Mapping[str, BasisFunction] | None = None
-) -> int:
+def parameter_count(config: NetworkConfig) -> int:
     """Closed-form trainable weight count; equals an actual build's total."""
-    bases = resolve_bases(config.bases, registry)
+    bases = resolve_bases(config.bases)
     N = len(bases)
     M = sum(b.arity for b in bases)
     u = config.input_count + len(config.constants)
@@ -285,9 +234,7 @@ def save_network(network: Network, path: str | os.PathLike) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def load_network(
-    path: str | os.PathLike, registry: Mapping[str, BasisFunction] | None = None
-) -> Network:
+def load_network(path: str | os.PathLike) -> Network:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -307,7 +254,7 @@ def load_network(
     if len(lines) < 2:
         raise WeightsFormatError(f"{path}: missing config header")
     try:
-        network = Network(NetworkConfig.from_json_dict(json.loads(lines[1])), registry)
+        network = Network(NetworkConfig.from_json_dict(json.loads(lines[1])))
     except (KeyError, ValueError, TypeError) as exc:
         raise WeightsFormatError(f"{path}: bad config header: {exc}") from exc
     rows = lines[2:]

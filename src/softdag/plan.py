@@ -12,6 +12,8 @@ rows evaluated repeat bit for bit.  ``evaluate`` and
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .network import Network
@@ -52,7 +54,7 @@ class PopulationPlan:
     before it computes anything.
 
     An image whose value is provably one argument's value takes that
-    argument's id with no key (``bases.alias_table``): ``x * 1``, ``1 * x``
+    argument's id with no key (``_alias_table``): ``x * 1``, ``1 * x``
     and ``x / 1`` surely, and ``IF_LEQ`` with one condition cell, two
     constant condition cells or one branch cell when no argument's value
     holds a NaN; the others are plain keys.
@@ -78,6 +80,7 @@ class PopulationPlan:
         self.network = network
         self.depth = depth
         u, N, M, levels = network.u, network.N, network.M, network.levels
+        tables = self._tables = _tables(network)
         population = _population_of(network, dags)
         graphs = len(population)
         self.candidates = graphs * depth
@@ -87,7 +90,7 @@ class PopulationPlan:
         width = u + levels * N + 1 + N
         pad = width - N - 1
         id_of = np.empty((graphs, width), dtype=np.int64)
-        id_of[:, pad:] = network.key_cells
+        id_of[:, pad:] = tables.key_cells
         arg = [codes[c] for codes, c in zip(network.arg_codes, population.choices)]
         # per level and graph, the cell that each slot of ``key_slots``
         # reads: the chosen codes, then the padding and basis cells
@@ -100,7 +103,7 @@ class PopulationPlan:
         # every live image, level-major and then by basis, so that a
         # round's new keys come in runs of one basis: its key cells and its
         # id cell
-        by_basis = network.by_basis
+        by_basis = tables.by_basis
         by_level = self.live.reshape(graphs, levels, N)[:, :, by_basis].transpose(1, 2, 0)
         level, image, graph = by_level.nonzero()
         image = by_basis[image]
@@ -108,24 +111,23 @@ class PopulationPlan:
         # a key reads its level's and graph's row of ``codes`` at its image's
         # ``key_slots``, as cells of the graph's id table
         start = (level * graphs + graph) * codes.shape[2]
-        keys = codes.take(start[:, None] + network.key_slots[image])
+        keys = codes.take(start[:, None] + tables.key_slots[image])
         cells = base + u + level * N + image
-        # each key's round, and, where an identity rule can fire, its kind
-        # (``_aliases``): a level's plain keys, then its sure aliases, then
-        # its NaN-checked ones, which end where ``code`` passes the
-        # network's ``round_bounds``
-        code, src = level, None
-        if network.alias_rule is not None:
-            kind, src = _aliases(network, network.alias_rule[image], keys)
+        # each key's round and kind (``_Tables.aliases``) as ``3 * level +
+        # kind``: a level's plain keys, then its sure aliases, then its
+        # NaN-checked ones, which end where ``code`` passes ``bounds``
+        code, src = level * 3, None
+        if tables.rule is not None:
+            kind, src = tables.aliases(image, keys)
             src += base
-            code = level * 3 + kind
+            code += kind
             order = np.argsort(code, kind="stable")
             code, keys, base, cells, src = code[order], keys[order], base[order], cells[order], src[order]
             # each key's graph, read when a later depth leaves graphs out
             graph = graph[order] if depth > 1 else None
         keys += base[:, None]
         self._keys, self._cells, self._src, self._code, self._graph = keys, cells, src, code, graph
-        ends = [0, *code.searchsorted(network.round_bounds).tolist()]
+        ends = [0, *code.searchsorted(tables.bounds).tolist()]
         spans = list(zip(ends[:-1:3], ends[3::3]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
         self._id_of = id_of
@@ -147,7 +149,7 @@ class PopulationPlan:
         # children among the ids before it
         ids = u
         for a, b in spans:
-            ids += min(b - a, sum(ids**k for k in network.name_arities))
+            ids += min(b - a, sum(ids**k for k in tables.arities))
         self._room = min(u + max((b - a for a, b in spans), default=0), ids)
         self._out_cells = out_cells
         # every key but the sure aliases'
@@ -174,7 +176,7 @@ class PopulationPlan:
         live = graphs[self._graph]
         keys, cells, code = self._keys[live], self._cells[live], self._code[live]
         src = None if self._src is None else self._src[live]
-        return self._rounds(keys, cells, src, [0, *code.searchsorted(self.network.round_bounds).tolist()])
+        return self._rounds(keys, cells, src, [0, *code.searchsorted(self._tables.bounds).tolist()])
 
     def run(self, X, sink, store: ValueStore | None = None) -> None:
         """Evaluate every graph and depth on the batch ``X`` of shape
@@ -558,17 +560,96 @@ class ValueStore:
         self.merged += len(freed)
 
 
-def _aliases(network: Network, rule: np.ndarray, keys: np.ndarray):
-    """``(kind, src)`` of each key, as source codes, whose image has the
-    rule code ``rule``: kind 1 when its value is surely one argument's
-    value, bit for bit, kind 2 when it is so if no argument holds a NaN,
-    else 0 (``bases.alias_table``); and for kinds 1 and 2 the code of that
-    argument."""
-    const = network.cell_constant.take(keys[:, 1:3])
-    ab = (keys[:, 1] == keys[:, 2]).view(np.int8)
-    cd = (keys[:, 3] == keys[:, 4]).view(np.int8) if keys.shape[1] > 4 else 0
-    took = network.alias_table[rule, const[:, 0], const[:, 1], ab, cd]
-    return took >> 3, keys[np.arange(len(keys)), took & 7]
+# Identity rule codes by basis name, as ``_alias_table`` indexes them.
+# Every network holds only builtin bases, so a name is its implementation.
+_MUL, _DIV, _IF_LEQ = 1, 2, 3
+_RULES = {"MUL": _MUL, "DIV": _DIV, "IF_LEQ": _IF_LEQ}
+
+
+class _Tables:
+    """What a network's plans read of its layout, built on its first plan
+    and kept while it lives (``_tables``): each image's ``key_slots``, as
+    slots of a level's row of the plan's ``codes`` (its basis, slot
+    ``M + 1 + image``, then its argument rows, padded with slot ``M``);
+    the ``key_cells`` that end each graph's id table (-1 for padding, then
+    each basis's first occurrence of its name); the images ordered
+    ``by_basis`` name and each name's ``arities``; and the ``bounds`` of a
+    level's plain keys, sure aliases and NaN-checked ones, as the codes
+    ``3 * level + kind`` sort.
+
+    ``rule`` holds each image's rule code, or None when no rule can fire
+    (``x * 1`` and ``x / 1`` need a constant 1.0); then ``table`` is the
+    rules' ``_alias_table`` and ``constant`` each cell's constant as
+    ``table`` indexes it.
+    """
+
+    def __init__(self, network: Network):
+        cfg, bases, M, N = network.config, network.bases, network.M, network.N
+        width = max(b.arity for b in bases)
+        self.key_slots = np.array([
+            [M + 1 + i, *network.image_rows(i), *[M] * (width - b.arity)]
+            for i, b in enumerate(bases)
+        ])
+        first: dict[str, int] = {}
+        basis_first = [first.setdefault(b.name, i) for i, b in enumerate(bases)]
+        self.key_cells = np.array([-1, *basis_first])
+        self.by_basis = np.argsort(basis_first, kind="stable")
+        self.arities = [bases[i].arity for i in first.values()]
+        self.bounds = np.arange(1, 3 * network.levels + 1)
+        one = 1.0 in cfg.constants
+        rules = [_RULES.get(b.name, 0) if one or b.name == "IF_LEQ" else 0 for b in bases]
+        self.rule = None
+        if any(rules):
+            self.rule = np.array(rules)
+            self.table = _alias_table(cfg.constants)
+            self.constant = np.zeros(network.u + network.levels * N + 1 + N, dtype=np.int64)
+            self.constant[cfg.input_count:network.u] = np.arange(1, len(cfg.constants) + 1)
+
+    def aliases(self, image: np.ndarray, keys: np.ndarray):
+        """``(kind, src)`` of each key, as source codes, of an image of
+        ``image``: kind 1 when its value is surely one argument's value, bit
+        for bit, kind 2 when it is so if no argument holds a NaN, else 0
+        (``_alias_table``); and for kinds 1 and 2 the code of that
+        argument."""
+        const = self.constant.take(keys[:, 1:3])
+        ab = (keys[:, 1] == keys[:, 2]).view(np.int8)
+        cd = (keys[:, 3] == keys[:, 4]).view(np.int8) if keys.shape[1] > 4 else 0
+        took = self.table[self.rule[image], const[:, 0], const[:, 1], ab, cd]
+        return took >> 3, keys[np.arange(len(keys)), took & 7]
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _tables(network: Network) -> _Tables:
+    """The :class:`_Tables` of ``network``, built on first need."""
+    return _TABLES.get(network) or _TABLES.setdefault(network, _Tables(network))
+
+
+def _alias_table(constants) -> np.ndarray:
+    """What a node takes by its rule, as ``8 * kind + k``: the value of its
+    argument ``k - 1``, surely (kind 1) or if none of its arguments holds a
+    NaN (kind 2); 0 when the rule does not fire.
+
+    ``table[rule, i, j, ab, cd]`` is that of a node with the rule code
+    ``rule`` whose first two argument cells hold the constants ``i`` and
+    ``j``, 1-based indices into ``constants`` or 0 for any other cell, and
+    whose first two (``ab``) and last two (``cd``) argument cells are one
+    cell (1) or not (0).
+    """
+    c = np.array([np.nan, *constants], dtype=np.float64)
+    one = c == 1.0
+    table = np.zeros((4, len(c), len(c), 2, 2), dtype=np.int64)
+    # x * 1 and x / 1 are x, and 1 * x is x, NaN payloads included: a
+    # call copies a quiet NaN's payload when one operand is NaN
+    table[_MUL] = np.where(one[None, :], 8 + 1, np.where(one[:, None], 8 + 2, 0))[..., None, None]
+    table[_DIV] = np.where(one[None, :], 8 + 1, 0)[..., None, None]
+    # with no NaN argument, two constants pick c or d in every lane, and
+    # if_leq(a, a, c, d) and if_leq(a, b, c, c) are c
+    pick = np.where(c[:, None] <= c[None, :], 16 + 3, np.where(c[:, None] > c[None, :], 16 + 4, 0))
+    table[_IF_LEQ] = pick[..., None, None]
+    table[_IF_LEQ, :, :, 1, :] = table[_IF_LEQ, :, :, :, 1] = 16 + 3
+    return table
 
 
 def _distinct(keys: np.ndarray):

@@ -46,6 +46,9 @@ VERDICT_ZERO_FITNESS = "zero-fitness"
 # relative tolerance for the cross-epoch fitness-multiset check
 _HISTORY_RTOL = 1e-12
 
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -191,26 +194,18 @@ def loss_gradient(
     return network.blocks(grad)
 
 
-def adam_step(
-    blocks,
-    gradients,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> None:
+def adam_step(blocks, gradients, state: AdamState, learning_rate: float) -> None:
     """In-place bias-corrected Adam update of every block."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for w, g, m, v in zip(blocks, gradients, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        w -= learning_rate * (m / c1) / (np.sqrt(v / c2) + epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        w -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:

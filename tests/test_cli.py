@@ -266,6 +266,35 @@ def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, old, key, bad, good", [
+    ("poly_2x2_3x", "inputs = 1", "outputs", 3, 1),
+    ("pair_piecewise", "inputs = 2", "outputs", 1, 2),
+    ("lfsr4", "inputs = 4", "inputs", 7, 4),
+    ("lfsr4", "inputs = 4", "outputs", 1, 4),
+    ("mnist_binary", "classes = 0, 7", "outputs", 3, 2),
+])
+def test_target_counts_that_contradict_the_target_exit_1(tmp_path, capsys, config, old, key, bad, good):
+    # the builtin, the expressions or the classes fix the counts; a config
+    # that says otherwise must not parse as something else in silence
+    path = tmp_path / f"{config}.ini"
+    text = (CONFIG_DIR / f"{config}.ini").read_text()
+    assert text.count(old) == 1
+
+    def write(value):
+        line = f"{key} = {value}"
+        path.write_text(text.replace(old, line if old.startswith(key) else f"{old}\n{line}"))
+
+    write(bad)
+    with pytest.raises(ConfigError, match=rf"\[target\] {key} = {bad} contradicts"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"[target] {key} = {bad}" in err and "Traceback" not in err
+    write(good)
+    exp = parse_config(path)
+    assert getattr(exp.network, f"{key[:-1]}_count") == good
+
+
 def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     path = tmp_path / "poly_2x2_3x.ini"
     path.write_bytes((CONFIG_DIR / "poly_2x2_3x.ini").read_bytes().replace(b"2x^2", b"2x\xff2"))
@@ -562,6 +591,34 @@ def test_main_mismatched_idx_pair_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "120 images vs 119 labels" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+def test_listed_class_with_no_rows_exits_1(tmp_path, capsys):
+    # the labels are 0 and 7: class 9's target column would be all zeros
+    cfg = _classify_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("classes = 0, 7", "classes = 0, 9"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no rows of class 9" in err and "labels-idx1-ubyte" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+def test_pixels_that_differ_from_the_images_exit_1_before_any_trial(tmp_path, capsys, monkeypatch):
+    cfg = _classify_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("pixels = 16", "pixels = 784"))
+    with pytest.raises(ConfigError, match="pixels = 784.* 16 pixels"):
+        cli._load_classification(parse_config(cfg))
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "pixels = 784" in err and "images-idx3-ubyte" in err and "Traceback" not in err
     assert not (out / "report.csv").exists()
 
 

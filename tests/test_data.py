@@ -203,6 +203,17 @@ def test_load_idx_errors(tmp_path, rng):
         load_idx(img_path, odd_labels, {0, 1})
 
 
+def test_load_idx_rejects_a_listed_class_with_no_rows(tmp_path, rng):
+    # class 9's target column would be all zeros, so no verdict could mean
+    # anything
+    images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
+    labels = np.array([0, 1, 0, 1], dtype=np.uint8)
+    img_path, lab_path = _write_idx_pair(tmp_path, images, labels)
+    with pytest.raises(IdxFormatError, match="no rows of class 9") as info:
+        load_idx(img_path, lab_path, {0, 9})
+    assert str(img_path) in str(info.value) and str(lab_path) in str(info.value)
+
+
 def test_classification_accuracy_rules():
     net = make_network(("ID", "NEG"), input_count=2, output_count=2, depth=1)
     dag = make_dag(net, [[0, 0]], [0, 1])  # outputs copy the two inputs

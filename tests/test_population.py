@@ -33,7 +33,8 @@ from softdag import trainer
 from softdag.cli import parse_config
 from softdag.expression import evaluate_tree_batch
 from softdag import scoring
-from softdag.data import _repeats
+from softdag.data import _repeats, as_batch_source
+from softdag import plan as plan_module
 from softdag.plan import PopulationPlan, ValueStore
 from softdag.rng import TRIAL_STREAM, derive_seed
 from softdag.sampler import reached_rows
@@ -647,6 +648,44 @@ def test_recurrent_identity_graph_is_computed_at_depth_0_only():
     assert plan.columns == 1 and np.all(plan.index == 0)
     want = reference_evaluate_recurrent(net, dags[0], X, 4)
     assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dags[0], X, 4), want))
+
+
+def test_plan_tables_are_built_once_per_network(monkeypatch):
+    # what the plan reads of the network's layout depends on it alone, so
+    # five epochs of plans build it once, and another network its own
+    built = []
+    init = plan_module._Tables.__init__
+
+    def counted(tables, network):
+        built.append(network)
+        init(tables, network)
+
+    monkeypatch.setattr(plan_module._Tables, "__init__", counted)
+    exp = parse_config(CONFIG_DIR / "recurrent_halfsquare.ini")
+    config = replace(exp.training, sample_count=20, select_count=2, batch_size=50)
+    net = build_network(exp.network)
+    run = TrainRun(network=net, adam=AdamState.from_blocks([net.params]))
+    source = as_batch_source(exp.target, config.batch_size, config.seed)
+    for epoch in range(1, 6):
+        train_epoch(run, source.batch(epoch), config)
+    assert built == [net]
+    other = build_network(exp.network)
+    PopulationPlan(other, sample_many(other, np.random.default_rng(0), 3))
+    assert built == [net, other]
+    assert plan_module._tables(other) is not plan_module._tables(net)
+
+
+def test_mul_and_div_rules_need_a_constant_one():
+    bases = ("MUL", "DIV", "IF_LEQ", "NEG")
+    one = plan_module._tables(make_network(bases, input_count=1, constants=(1.0, 2.0), depth=2))
+    two = plan_module._tables(make_network(bases, input_count=1, constants=(2.0,), depth=2))
+    assert one.rule.tolist() == [plan_module._MUL, plan_module._DIV, plan_module._IF_LEQ, 0]
+    assert two.rule.tolist() == [0, 0, plan_module._IF_LEQ, 0]
+    none = plan_module._tables(make_network(("MUL", "DIV", "NEG"), input_count=1, constants=(2.0,), depth=2))
+    assert none.rule is None
+    # one sort code, 3 * level + kind, whether or not a rule can fire
+    for tables in (one, two, none):
+        assert tables.bounds.tolist() == list(range(1, 10))
 
 
 @st.composite
