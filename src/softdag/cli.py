@@ -259,6 +259,7 @@ def parse_config(path) -> ExperimentConfig:
         classes = _get(cp, path, "target", "classes", _parse_ints, required=True)
         test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
         input_count = _get(cp, path, "target", "pixels", int, default=784)
+        _derived(path, "inputs", inputs, input_count, "[target] pixels")
         outputs = _derived(path, "outputs", outputs, len(classes), "the classes list")
     if outputs is None:
         outputs = 1
@@ -462,27 +463,41 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     return row
 
 
-_class_split = None  # the running experiment's classification split, if any
+@dataclass(frozen=True)
+class _Run:
+    """What every trial of the running experiment shares in one process."""
+
+    exp: ExperimentConfig
+    out_dir: Path | None
+    write_logs: bool
+    class_split: tuple | None  # a classification target's (train, test) pair
 
 
-def _set_class_split(class_split) -> None:
-    """A pool runs this in each worker, so the split is sent once per worker."""
-    global _class_split
-    _class_split = class_split
+_run: _Run | None = None  # the experiment this process runs trials of
 
 
-def _trial_row(job) -> dict:
-    """Run one trial job of :func:`run_experiment`; a trial that raises
-    becomes an ``error`` row.  The config is parsed here, not passed in,
-    because its target closures cannot be sent to a worker process."""
-    config_path, overrides, trial, out_dir, write_logs = job
+def _start_run(run: _Run | None) -> None:
+    global _run
+    _run = run
+
+
+def _start_worker(config_path, overrides, out_dir, write_logs, class_split) -> None:
+    """A pool's initializer: each worker parses the config once, because
+    its target closures cannot be sent to a worker process."""
     exp = _apply_overrides(parse_config(config_path), overrides)
+    _start_run(_Run(exp, out_dir, write_logs, class_split))
+
+
+def _trial_row(trial: int) -> dict:
+    """Run one trial of the running experiment; a trial that raises
+    becomes an ``error`` row."""
+    run = _run
     try:
-        return run_trial(exp, trial, out_dir=out_dir, write_logs=write_logs,
-                         class_split=_class_split)
+        return run_trial(run.exp, trial, out_dir=run.out_dir, write_logs=run.write_logs,
+                         class_split=run.class_split)
     except Exception as exc:  # noqa: BLE001 - one failing trial must not lose the others
         traceback.print_exc()
-        return _error_row(exp, trial, exc)
+        return _error_row(run.exp, trial, exc)
 
 
 def _error_row(exp: ExperimentConfig, trial: int, exc: BaseException) -> dict:
@@ -553,19 +568,19 @@ def run_experiment(
     echo=lambda *_: None,
 ) -> dict:
     """Run every trial of one benchmark through :func:`_trial_row`, in this
-    process or in a pool of ``workers``, and return the report dict.  Each
-    row is echoed as its trial finishes, in a pool maybe before an earlier
-    trial's, and the reports, rewritten after each row, list the rows
-    finished so far in trial order.  A worker that dies breaks the pool:
-    then every trial without a row gets an ``error`` row that names the
-    cause, and the run returns."""
+    process or in a pool of ``workers``, and return the report dict.  The
+    config is parsed once per process, so every trial runs the config the
+    run started with.  Each row is echoed as its trial finishes, in a pool
+    maybe before an earlier trial's, and the reports, rewritten after each
+    row, list the rows finished so far in trial order.  A worker that dies
+    breaks the pool: then every trial without a row gets an ``error`` row
+    that names the cause, and the run returns."""
     exp = _apply_overrides(parse_config(config_path), overrides)
     out = Path(out_dir) if out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     # loaded before any trial runs, so that a bad file fails the run at once
     class_split = _load_classification(exp) if exp.target.kind == "classification" else None
-    jobs = [(str(config_path), overrides, t, out, write_logs) for t in range(exp.trials)]
 
     rows = []
 
@@ -576,25 +591,27 @@ def run_experiment(
         _write_report(out, exp, rows)
 
     _write_report(out, exp, rows)
-    _set_class_split(class_split)  # for the in-process map; a pool sets each worker's
+    _start_run(_Run(exp, out, write_logs, class_split))  # a pool starts each worker's
     try:
         if workers > 1:
-            _run_pooled(exp, jobs, workers, class_split, record)
+            _run_pooled(exp, workers, (str(config_path), overrides, out, write_logs, class_split),
+                        record)
         else:
-            for row in map(_trial_row, jobs):
+            for row in map(_trial_row, range(exp.trials)):
                 record(row)
     finally:
-        _set_class_split(None)
+        _start_run(None)
 
     report = summarize(exp.name, rows, exp.trials)
     report["trial_rows"] = rows
     return report
 
 
-def _run_pooled(exp: ExperimentConfig, jobs: list, workers: int, class_split, record) -> None:
-    """Run ``jobs`` in a pool of ``workers`` processes and ``record`` each
-    trial's row as it finishes.  A worker that dies breaks the pool: then
-    every trial without a row gets an ``error`` row that names the cause."""
+def _run_pooled(exp: ExperimentConfig, workers: int, worker_args: tuple, record) -> None:
+    """Run ``exp``'s trials in a pool of ``workers`` processes, each started
+    by :func:`_start_worker` on ``worker_args``, and ``record`` each trial's
+    row as it finishes.  A worker that dies breaks the pool: then every
+    trial without a row gets an ``error`` row that names the cause."""
     # imported here: the pool pulls in ``multiprocessing``, which a run in
     # one process never loads
     from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -602,17 +619,16 @@ def _run_pooled(exp: ExperimentConfig, jobs: list, workers: int, class_split, re
 
     finished = set()
     try:
-        with ProcessPoolExecutor(
-            workers, initializer=_set_class_split, initargs=(class_split,)
-        ) as pool:
-            for future in as_completed([pool.submit(_trial_row, job) for job in jobs]):
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=worker_args) as pool:
+            trials = [pool.submit(_trial_row, t) for t in range(exp.trials)]
+            for future in as_completed(trials):
                 row = future.result()
                 finished.add(row["trial"])
                 record(row)
     except BrokenProcessPool as exc:
-        for job in jobs:
-            if job[2] not in finished:
-                record(_error_row(exp, job[2], exc))
+        for t in range(exp.trials):
+            if t not in finished:
+                record(_error_row(exp, t, exc))
 
 
 def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> None:
@@ -691,7 +707,7 @@ def cmd_bench(args) -> int:
         if exp.extended and not args.extended:
             print(f"skipping {exp.name} (extended; rerun with --extended)")
             continue
-        print(f"running {exp.name} ({exp.trials} trials)")
+        print(f"running {exp.name} ({_apply_overrides(exp, overrides).trials} trials)")
         out = Path(args.out) / exp.name if args.out else None
         report = run_experiment(
             path, out_dir=out, overrides=overrides,

@@ -312,7 +312,13 @@ def train(
 
 
 class CsvTrainLogger:
-    """Per-epoch CSV log: fitness summary plus the current best expression."""
+    """Per-epoch CSV log: fitness summary plus the current best expression.
+
+    ``close()`` closes the file and releases the writer, whose record
+    buffer (128 KiB once a row is written) would otherwise live as long as
+    the logger; a second ``close()`` does nothing, and a row logged after
+    it raises ``ValueError``.
+    """
 
     def __init__(self, path, network: Network):
         v = network.config.output_count
@@ -326,6 +332,8 @@ class CsvTrainLogger:
         self._choices = self._expressions = None
 
     def __call__(self, run: TrainRun, stats: EpochStats) -> None:
+        if self._writer is None:
+            raise ValueError("epoch logged after the CSV log was closed")
         net = run.network
         dag = most_likely_dag(net)
         # the expressions follow from the argmax choices alone, and those
@@ -344,7 +352,9 @@ class CsvTrainLogger:
         )
 
     def close(self) -> None:
-        self._file.close()
+        if self._file is not None:
+            self._file.close()
+            self._file = self._writer = None
 
     def __enter__(self):
         return self

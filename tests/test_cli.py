@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import functools
+import gc
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,9 +274,11 @@ def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new
     ("lfsr4", "inputs = 4", "inputs", 7, 4),
     ("lfsr4", "inputs = 4", "outputs", 1, 4),
     ("mnist_binary", "classes = 0, 7", "outputs", 3, 2),
+    ("mnist_binary", "classes = 0, 7", "inputs", 7, 784),
 ])
 def test_target_counts_that_contradict_the_target_exit_1(tmp_path, capsys, config, old, key, bad, good):
-    # the builtin, the expressions or the classes fix the counts; a config
+    # the builtin, the expressions, the classes or the pixels fix the
+    # counts; a config
     # that says otherwise must not parse as something else in silence
     path = tmp_path / f"{config}.ini"
     text = (CONFIG_DIR / f"{config}.ini").read_text()
@@ -367,6 +371,44 @@ def test_bench_directory(fast_config, tmp_path, capsys):
     assert main(["bench", str(cfg_dir), "--trials", "1", "--out", str(again)]) == 1
     assert "NOPE" in capsys.readouterr().err
     assert not again.exists()
+
+
+def test_bench_announces_the_trials_it_runs(tmp_path, capsys):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "fast_sine.ini").write_text(FAST_CONFIG)
+    assert main(["bench", str(cfg_dir), "--trials", "1", "--max-epochs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "running fast_sine (1 trials)"
+    assert [line.split(":")[0] for line in lines if line.startswith("  trial")] == ["  trial 0"]
+
+
+def test_a_run_leaves_little_for_the_cycle_collector(fast_config, tmp_path, monkeypatch):
+    # a benchmark's clocked logger sits in a reference cycle, so only the
+    # cycle collector frees it; a closed logger must hold almost nothing by
+    # then (its csv writer's record buffer alone is 128 KiB), and no trial
+    # may leave a parsed config behind
+    class Cycled(cli.CsvTrainLogger):
+        def __init__(self, path, network):
+            super().__init__(path, network)
+            self.me = self
+
+    monkeypatch.setattr(cli, "CsvTrainLogger", Cycled)
+    trials = 3
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        report = run_experiment(fast_config, out_dir=tmp_path / "out", write_logs=True,
+                                overrides={"trials": trials})
+        before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    _assert_no_errors(report)
+    assert freed < trials * 64 * 1024, freed
 
 
 def _serial_and_parallel(config, out_root):

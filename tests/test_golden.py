@@ -33,6 +33,15 @@ GOLDEN = {
     "sort3": "90d2f2f433891cc214d7ca4ea19dd06d60cc72d003076af62f1e9c76f8bd0297",
     "piecewise_3x": "a8ba2487be097c3703c0fa8cac47e52d56abfbc1cd336609b898fbda048aa3a3",
     "rational_poly": "6351aafdf5fd5777a23ec412ad78716106e8537fcfc94d5f33a1591084293ab2",
+    # the other non-image configs, recorded after the ones above
+    "sin_3x_plus_2": "b14693dc48110284e23e8cd20c22cf55b2f0391ec5d8c12a69a5f5f86de81332",
+    "sum_of_sines": "d324bfab15f500479176f197a0e6c65b6be137db6d216d9b793ae076f7b0a955",
+    "piecewise_square_neg": "05d8e5b4aecb9d49c4fd54a25519333ea526f01b33e8cbf6181fbcc41c1c2ed5",
+    "piecewise_sin": "c2a4502684412c91521b1581ff8019a72033b3320814805facdeb050b638a98f",
+    "half_squares": "9fca856a6017d1b9d8d514eb601f0463763edcdef6990d75812ec99747b0ea19",
+    "hyperbola_implicit": "cfc196026473556d25b8c410fad89c5acc92f2bb97c1e2ed19c05e1246d996de",
+    "pair_piecewise": "fdfc11fe5a427a25e18f1fce4e5bf550d119ba56cfafdffe0599182d0dea6de4",
+    "ratio_power": "496a272baf5faa72b8887a60dc4a1f66a7d31d6e08bf56f0e990d77fa02e28b8",
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -375,6 +376,31 @@ def test_csv_logger_matches_extracting_every_epoch(tmp_path):
         exprs = [row[-1] for row in list(csv.reader(f))[1:]]
     changes = sum(a != b for a, b in zip(exprs, exprs[1:]))
     assert len(exprs) == 80 and 0 < changes < len(exprs) - 1
+
+
+def test_closed_csv_logger_releases_its_writer(tmp_path):
+    exp = parse_config(Path(__file__).resolve().parent.parent / "configs" / "poly_2x2_3x.ini")
+    net = build_network(exp.network)
+    epochs = []
+    train(net, exp.target, replace(exp.training, max_epochs=5, patience=6),
+          logger=lambda run, stats: epochs.append((run, stats)))
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        logger = CsvTrainLogger(path, net)
+        for run, stats in epochs:
+            logger(run, stats)
+        logger.close()
+        # the csv writer's record buffer alone is 128 KiB after one row
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024, held
+    logger.close()  # a second close does nothing
+    assert len(path.read_text().splitlines()) == 1 + len(epochs)
+    with pytest.raises(ValueError, match="closed"):
+        logger(*epochs[0])
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
