@@ -305,11 +305,11 @@ class ResamplingSource:
     """Fresh batch drawn from the target distribution every epoch.
 
     When every input range is a choice with few combinations in all, the
-    source draws the picks first, and computes the inputs, the target and
-    their finiteness on the batch's distinct rows only; a batch with too
-    many distinct rows or a non-finite one takes the general path from the
-    same draw.  The rows, and the generator's numbers, are the same either
-    way.
+    source computes the inputs, the target and their finiteness once, on
+    every combination in code order; a batch draws the picks and takes its
+    rows from that table by code.  A batch with too many distinct rows or
+    a non-finite one takes the general path from the same draw.  The rows,
+    and the generator's numbers, are the same either way.
     """
 
     def __init__(self, spec: TargetSpec, batch_size: int, seed: int):
@@ -321,8 +321,16 @@ class ResamplingSource:
         # 4 * batch_size, uniform draws leave over 0.88 of a batch's rows
         # distinct on average, too many for distinct rows to pay.
         per_row = [len(d.values) if isinstance(d, Choices) else math.inf for d in spec.input_ranges]
-        self._coded = math.prod(per_row) <= 4 * batch_size
-        self._values = [np.asarray(d.values) for d in spec.input_ranges] if self._coded else None
+        self._coded = spec.kind != "classification" and math.prod(per_row) <= 4 * batch_size
+        if self._coded:
+            self._values = [np.asarray(d.values) for d in spec.input_ranges]
+            # row c of the table is the combination with code c: its picks
+            # are the mixed-radix digits of c, the first column's leading
+            sizes = [len(column) for column in self._values]
+            self._radix = np.array([math.prod(sizes[k + 1:]) for k in range(len(sizes))], dtype=np.int64)
+            picks = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
+            X, Y = _complete(spec, _choose(self._values, picks))
+            self._table = X, Y, np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
 
     def batch(self, epoch: int) -> Batch:
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
@@ -331,15 +339,11 @@ class ResamplingSource:
             return Batch(X, Y, (None, None))
         values = self._values
         picks = _picks(values, self.batch_size, rng)
-        codes = np.zeros(self.batch_size, dtype=np.int64)
-        for column, pick in zip(values, picks):
-            codes *= len(column)
-            codes += pick
+        codes = self._radix @ picks
         first, lanes = _repeats(codes)
-        if first is not None:
-            X, Y = _complete(self.spec, _choose(values, picks[:, first]))
-            if np.isfinite(X).all() and np.isfinite(Y).all():
-                return Batch(X.take(lanes, 0), Y.take(lanes, 0), (first, lanes))
+        X, Y, finite = self._table
+        if first is not None and finite[codes[first]].all():
+            return Batch(X.take(codes, 0), Y.take(codes, 0), (first, lanes))
         X, Y, codes = _generate(self.spec, self.batch_size, rng, (_choose(values, picks), codes))
         return Batch(X, Y, _repeats(codes))
 

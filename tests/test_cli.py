@@ -678,6 +678,9 @@ _NO_SCIPY_RUN = textwrap.dedent("""
     exp = cli.parse_config(sys.argv[1])
     softdag.build_network(exp.network)
     assert not scipy_modules(), scipy_modules()
+    # setting up a run loads no numpy.random either: it loads on first draw
+    random = sorted(m for m in sys.modules if m.startswith("numpy.random"))
+    assert not random, random
     # one trial in this process, as `softdag run` runs it with one worker
     report = cli.run_experiment(sys.argv[1], overrides={"trials": 1, "max_epochs": 3})
     row = report["trial_rows"][0]

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -371,6 +372,30 @@ def test_coded_batches_equal_the_general_path():
                     (a is None and b is None) or np.array_equal(a, b)
                     for a, b in zip(batch.rows, rows)
                 )
+
+
+def test_a_coded_source_computes_its_target_once():
+    # the table of every combination is built with the source; batches
+    # take their rows from it
+    calls = []
+    lfsr4 = target_lfsr4()
+
+    def counted(X):
+        calls.append(len(X))
+        return lfsr4.fn(X)
+
+    source = ResamplingSource(replace(lfsr4, fn=counted), 1000, 3)
+    assert calls == [16]
+    for epoch in range(1, 11):
+        X, Y = source.batch(epoch)
+        assert same_bits(Y, lfsr4.fn(X))
+    assert calls == [16]
+
+
+def test_a_classification_target_is_not_generated():
+    source = ResamplingSource(TargetSpec(kind="classification", input_count=4, output_count=2), 10, 1)
+    with pytest.raises(ConfigError, match="loaded, not generated"):
+        source.batch(1)
 
 
 def test_dataset_batches_rows_follow_the_dataset():

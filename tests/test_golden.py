@@ -4,6 +4,11 @@ Trial 0 of each config at the config's own seed, as ``softdag run`` trains
 it, stopped after 50 epochs.  The SHA-256 of its final weight blocks was
 recorded before the population evaluator replaced the per-graph loop; a
 change that moves any weight by one bit changes the digest.
+
+Row digests pin what a run reports from those weights: trial 0's
+``run_trial`` row (verdict, epochs, expression, equivalent) at a capped
+``max_epochs``, so extraction, simplification and the equivalence checks
+are pinned too.
 """
 
 import hashlib
@@ -14,7 +19,7 @@ import numpy as np
 import pytest
 
 from softdag import build_network, train
-from softdag.cli import parse_config
+from softdag.cli import parse_config, run_trial
 from softdag.rng import TRIAL_STREAM, derive_seed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -62,3 +67,24 @@ def test_golden_trajectory(name):
     run = train(network, exp.target, training)
     assert run.epoch == EPOCHS
     assert weights_digest(network) == GOLDEN[name]
+
+
+# config -> (max_epochs, SHA-256 of the row's repr), recorded before
+# derive_rng seeded blocks of keys and a coded source kept a target table
+ROWS = {
+    # ('converged', 215, 'x1 | x2 | x3 | xor(x0, x1)', True)
+    "lfsr4": (400, "e6914d51c87151dd17e35621faf2deae9bdbc262cf3ca38386ffb5f70d8fae96"),
+    # ('converged', 115, '(((x0 + x0) + x0) + ((x0 + x0) * x0))', True)
+    "poly_2x2_3x": (150, "3009c9d30ff3dda3e131e2e1b9b2840fc4f676c482b42dcb808d543c3347bae5"),
+    # ('max-epochs-exhausted', 60, '(x0 * x0)', False)
+    "recurrent_halfsquare": (60, "a520476dc7d6427fcf872ac7c9c1714b1ef6b036073d0bbc0fd63e351176124b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_golden_row(name):
+    exp = parse_config(CONFIG_DIR / f"{name}.ini")
+    max_epochs, digest = ROWS[name]
+    row = run_trial(replace(exp, training=replace(exp.training, max_epochs=max_epochs)), 0)
+    fields = (row["verdict"], row["epochs"], row["expression"], row["equivalent"])
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest, fields
