@@ -25,7 +25,7 @@ import os
 import platform
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,10 +81,10 @@ class ExperimentConfig:
     network: NetworkConfig
     training: TrainConfig
     target: TargetSpec
-    equivalence: str  # numeric | exact | none
-    tolerance: float
-    trials: int
-    extended: bool
+    equivalence: str = "numeric"  # numeric | exact | none
+    tolerance: float = 1e-6
+    trials: int = 10
+    extended: bool = False
     reference_expression: Expr | None = None
     reference_ranges: tuple = ()
     idx_images: str = ""
@@ -133,31 +133,112 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in _split_list(raw))
 
 
+def _parse_bool(raw: str) -> bool:
+    # 1/yes/true/on or 0/no/false/off, any case; a typo must not read as false
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _parse_bases(raw: str) -> tuple[str, ...]:
+    names = tuple(_split_list(raw))
+    resolve_bases(names)
+    return names
+
+
+def _parse_targets(raw: str) -> tuple[Expr, ...]:
+    return tuple(parse_expression(part.strip()) for part in raw.split("|"))
+
+
+def _parse_builtin(raw: str) -> TargetSpec:
+    if raw not in BUILTIN_TARGETS:
+        raise ValueError(f"unknown builtin target {raw!r}")
+    return BUILTIN_TARGETS[raw]()
+
+
+def _one_of(*choices: str):
+    def cast(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"use {' | '.join(choices)}")
+        return raw
+
+    return cast
+
+
 def _at_least_one(path, name: str, value) -> None:
     """Reject a count below 1, naming the file it applies to."""
     if value is not None and value < 1:
         raise ConfigError(f"{path}: {name} must be >= 1, not {value}")
 
 
-# Options that once changed how training weighted the selected graphs;
-# ignoring one would silently train differently from what the file asks.
-_REMOVED_TRAINING_KEYS = ("rank_reweight", "rank_reweight_increasing", "depth_scales_logprob")
+# target kinds, and the sets of them that read a key
+_KINDS = ("explicit", "implicit", "recurrent", "classification")
+_SAMPLED = ("explicit", "implicit", "recurrent")  # inputs drawn from [target] ranges
+_PROGRAM = ("explicit", "recurrent")  # given by an expression or a builtin
+_IMPLICIT = ("implicit",)
+_CLASSIFY = ("classification",)
+
+# ``[section] key``: (field it sets, cast, kinds that read it, kinds that
+# require it).  parse_config passes each value to NetworkConfig,
+# TrainConfig, TargetSpec or ExperimentConfig by its field name, once it
+# has worked out the target function and the counts from builtin,
+# expression, derived, pixels, inputs and outputs.  A key the file leaves
+# out sets nothing, so the field's dataclass default applies.  Only
+# explicit targets read equivalence, and classification reads neither it
+# nor tolerance, but both are accepted on every kind.
+SCHEMA = {
+    ("network", "bases"): ("bases", _parse_bases, _KINDS, _KINDS),
+    ("network", "constants"): ("constants", _parse_constants, _KINDS, ()),
+    ("network", "depth"): ("depth", int, _KINDS, _KINDS),
+    ("network", "temperature"): ("temperature", float, _KINDS, ()),
+    ("network", "last_layer_temperature"): ("last_layer_temperature", float, _KINDS, ()),
+    ("network", "skip_connections"): ("skip_connections", _parse_bool, _KINDS, ()),
+    ("training", "samples"): ("sample_count", int, _KINDS, _KINDS),
+    ("training", "select"): ("select_count", int, _KINDS, _KINDS),
+    ("training", "variance"): ("variance", float, _KINDS, _KINDS),
+    ("training", "learning_rate"): ("learning_rate", float, _KINDS, _KINDS),
+    ("training", "max_epochs"): ("max_epochs", int, _KINDS, ()),
+    ("training", "patience"): ("patience", int, _KINDS, ()),
+    ("training", "recurrence_depth"): ("recurrence_depth", int, _KINDS, ()),
+    ("training", "batch_size"): ("batch_size", int, _KINDS, ()),
+    ("training", "seed"): ("seed", int, _KINDS, ()),
+    ("target", "kind"): ("kind", _one_of(*_KINDS), _KINDS, ()),
+    ("target", "inputs"): ("input_count", int, _KINDS, _SAMPLED),
+    ("target", "outputs"): ("output_count", int, _KINDS, ()),
+    ("target", "ranges"): ("input_ranges", _parse_ranges, _SAMPLED, ()),
+    ("target", "builtin"): ("builtin", _parse_builtin, _PROGRAM, ()),
+    ("target", "expression"): ("expression", _parse_targets, _PROGRAM, ()),
+    ("target", "derived"): ("derived", parse_expression, _IMPLICIT, _IMPLICIT),
+    ("target", "constant"): ("constant_target", float, _IMPLICIT, ()),
+    ("target", "target_depth"): ("target_depth", int, ("recurrent",), ()),
+    ("target", "images"): ("idx_images", str, _CLASSIFY, _CLASSIFY),
+    ("target", "labels"): ("idx_labels", str, _CLASSIFY, _CLASSIFY),
+    ("target", "classes"): ("classes", _parse_ints, _CLASSIFY, _CLASSIFY),
+    ("target", "test_fraction"): ("test_fraction", float, _CLASSIFY, ()),
+    ("target", "pixels"): ("pixels", int, _CLASSIFY, ()),
+    ("experiment", "name"): ("name", str, _KINDS, ()),
+    ("experiment", "trials"): ("trials", int, _KINDS, ()),
+    ("experiment", "equivalence"): ("equivalence", _one_of("numeric", "exact", "none"), _KINDS, ()),
+    ("experiment", "tolerance"): ("tolerance", float, _KINDS, ()),
+    ("experiment", "extended"): ("extended", _parse_bool, _KINDS, ()),
+    ("experiment", "reference"): ("reference_expression", parse_expression, _IMPLICIT, ()),
+    ("experiment", "reference_ranges"): ("reference_ranges", _parse_ranges, _IMPLICIT, ()),
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in SCHEMA))
 
 
-def _get(cp, path, section, key, cast, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"{path}: missing [{section}] {key}")
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        if cast is bool:
-            # 1/yes/true/on or 0/no/false/off, any case; a typo must not
-            # read as false
-            return cp.getboolean(section, key)
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: bad [{section}] {key} = {raw!r}: {exc}") from exc
+def _unknown(path, section: str, key: str = "") -> ConfigError:
+    """The error for a ``[section] key``, or a section with no keys, that
+    :data:`SCHEMA` does not list; it names the key's own section if the key
+    is misplaced, else the nearest listed name."""
+    import difflib  # loaded only when a config is wrong
+
+    name = f"[{section}] {key}".rstrip()
+    names = [f"[{s}] {k}" for s, k in SCHEMA] if key else [f"[{s}]" for s in _SECTIONS]
+    near = [n for n in names if key and n.endswith(f"] {key}")]
+    near = near or difflib.get_close_matches(name, names, n=1, cutoff=0.8)
+    return ConfigError(f"{path}: unknown {name}" + (f"; did you mean {near[0]}?" if near else ""))
 
 
 def _derived(path, key, given, value, source: str):
@@ -168,10 +249,13 @@ def _derived(path, key, given, value, source: str):
     return value
 
 
-def _build(path, cls, **fields):
-    """``cls(**fields)``; a field the class rejects names the file."""
+def _build(path, cls, values: dict, **pinned):
+    """``cls`` of the ``values`` named after its fields, with ``pinned`` in
+    their place; a field the class rejects names the file."""
+    kwargs = {f.name: values[f.name] for f in fields(cls) if f.name in values}
+    kwargs.update(pinned)
     try:
-        return cls(**fields)
+        return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -186,168 +270,87 @@ def _expression_fn(exprs: tuple[Expr, ...]):
     return fn
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """The experiment that the INI file at ``path`` describes, read through
+    :data:`SCHEMA`.  The values of ``overrides`` (``seed``, ``max_epochs``,
+    ``trials``) that are not None replace the file's."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no default section: a [DEFAULT] header is one more unknown section,
+    # not keys copied into every other section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: malformed config: {exc}") from exc
-    for section in ("network", "training", "target", "experiment"):
-        if not cp.has_section(section):
+    given = {}
+    for section in cp.sections():
+        items = cp.items(section)
+        if not items and section not in _SECTIONS:
+            raise _unknown(path, section)
+        for key, raw in items:
+            if (section, key) not in SCHEMA:
+                raise _unknown(path, section, key)
+            field, cast = SCHEMA[section, key][:2]
+            try:
+                given[field] = cast(raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{path}: bad [{section}] {key} = {raw!r}: {exc}") from exc
+    for section in _SECTIONS:
+        if section not in cp:
             raise ConfigError(f"{path}: missing [{section}] section")
+    kind = given.get("kind", "explicit")
+    for (section, key), (field, _, reads, needs) in SCHEMA.items():
+        if field in given and kind not in reads:
+            raise ConfigError(f"{path}: [{section}] {key} is not read by {kind} targets")
+        if field not in given and kind in needs:
+            raise ConfigError(f"{path}: missing [{section}] {key}")
+    _at_least_one(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
+    given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
 
-    kind = _get(cp, path, "target", "kind", str, default="explicit")
-    inputs = _get(cp, path, "target", "inputs", int, required=kind != "classification")
-    outputs = _get(cp, path, "target", "outputs", int)
-    ranges = _get(cp, path, "target", "ranges", _parse_ranges, default=())
-
-    fn = None
-    derived = None
-    builtin_name = _get(cp, path, "target", "builtin", str, default="")
-    if builtin_name:
-        if builtin_name not in BUILTIN_TARGETS:
-            raise ConfigError(f"{path}: unknown builtin target {builtin_name!r}")
-        builtin = BUILTIN_TARGETS[builtin_name]()
+    inputs, outputs = given.get("input_count"), given.get("output_count")
+    ranges = given.get("input_ranges", ())
+    builtin, exprs = given.get("builtin"), given.get("expression")
+    fn = derived = None
+    if builtin is not None and exprs is not None:
+        raise ConfigError(f"{path}: [target] builtin and [target] expression both give the target;"
+                          " keep one")
+    if builtin is not None:
         fn = builtin.fn
-        inputs = _derived(path, "inputs", inputs, builtin.input_count, f"builtin {builtin_name}")
-        outputs = _derived(path, "outputs", outputs, builtin.output_count, f"builtin {builtin_name}")
-        if not ranges:
-            ranges = builtin.input_ranges
-    elif cp.has_option("target", "expression"):
-        raw = cp.get("target", "expression")
-        try:
-            target_exprs = tuple(parse_expression(p.strip()) for p in raw.split("|"))
-        except ParseError as exc:
-            raise ConfigError(f"{path}: bad target expression: {exc}") from exc
-        outputs = _derived(path, "outputs", outputs, len(target_exprs), "the '|'-separated expressions")
-        for e in target_exprs:
+        inputs = _derived(path, "inputs", inputs, builtin.input_count, f"builtin {builtin.name}")
+        outputs = _derived(path, "outputs", outputs, builtin.output_count, f"builtin {builtin.name}")
+        ranges = ranges or builtin.input_ranges
+    elif exprs is not None:
+        outputs = _derived(path, "outputs", outputs, len(exprs), "the '|'-separated expressions")
+        for e in exprs:
             used = input_indices(e)
             if used and max(used) >= inputs:
-                raise ConfigError(
-                    f"{path}: expression uses x{max(used)} but inputs = {inputs}"
-                )
-        fn = _expression_fn(target_exprs)
-    elif kind not in ("classification", "implicit"):
+                raise ConfigError(f"{path}: expression uses x{max(used)} but inputs = {inputs}")
+        fn = _expression_fn(exprs)
+    elif kind in _PROGRAM:
         raise ConfigError(f"{path}: [target] needs an expression or builtin")
 
+    input_count = inputs
     if kind == "implicit":
-        derived_raw = _get(cp, path, "target", "derived", str, required=True)
-        try:
-            derived_expr = parse_expression(derived_raw)
-        except ParseError as exc:
-            raise ConfigError(f"{path}: bad derived expression: {exc}") from exc
-        derived_program = compile_trees((derived_expr,))
+        derived_program = compile_trees((given["derived"],))
         derived = lambda free: derived_program(free)[0]  # noqa: E731
         if len(ranges) != inputs - 1:
-            raise ConfigError(
-                f"{path}: implicit targets need ranges for the {inputs - 1} free"
-                " dimensions"
-            )
-    elif kind != "classification" and len(ranges) != inputs:
+            raise ConfigError(f"{path}: implicit targets need ranges for the {inputs - 1} free dimensions")
+    elif kind == "classification":
+        input_count = _derived(path, "inputs", inputs, given.get("pixels", 784), "[target] pixels")
+        outputs = _derived(path, "outputs", outputs, len(given["classes"]), "the classes list")
+        inputs = 0  # the target is loaded from the IDX pair, never generated
+    elif len(ranges) != inputs:
         raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
 
-    classes = ()
-    idx_images = idx_labels = ""
-    test_fraction = 0.1
-    input_count = inputs
-    if kind == "classification":
-        idx_images = _get(cp, path, "target", "images", str, required=True)
-        idx_labels = _get(cp, path, "target", "labels", str, required=True)
-        classes = _get(cp, path, "target", "classes", _parse_ints, required=True)
-        test_fraction = _get(cp, path, "target", "test_fraction", float, default=0.1)
-        input_count = _get(cp, path, "target", "pixels", int, default=784)
-        _derived(path, "inputs", inputs, input_count, "[target] pixels")
-        outputs = _derived(path, "outputs", outputs, len(classes), "the classes list")
-    if outputs is None:
-        outputs = 1
-
-    name = _get(cp, path, "experiment", "name", str, default=path.stem)
-    target = _build(
-        path,
-        TargetSpec,
-        kind=kind,
-        input_count=inputs if kind != "classification" else 0,
-        output_count=outputs,
-        input_ranges=ranges,
-        fn=fn,
-        derived=derived,
-        constant_target=_get(cp, path, "target", "constant", float, default=1.0),
-        target_depth=_get(cp, path, "target", "target_depth", int, default=1),
-        name=name,
-    )
-
-    basis_names = tuple(_split_list(_get(cp, path, "network", "bases", str, required=True)))
-    try:
-        resolve_bases(basis_names)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    network = _build(
-        path,
-        NetworkConfig,
-        bases=basis_names,
-        input_count=input_count,
-        constants=_get(cp, path, "network", "constants", _parse_constants, default=()),
-        output_count=outputs,
-        depth=_get(cp, path, "network", "depth", int, required=True),
-        temperature=_get(cp, path, "network", "temperature", float, default=1.0),
-        last_layer_temperature=_get(
-            cp, path, "network", "last_layer_temperature", float, default=1.0
-        ),
-        skip_connections=_get(cp, path, "network", "skip_connections", bool, default=True),
-    )
-
-    for key in _REMOVED_TRAINING_KEYS:
-        if cp.has_option("training", key):
-            raise ConfigError(f"{path}: [training] {key} is no longer supported")
-    training = _build(
-        path,
-        TrainConfig,
-        sample_count=_get(cp, path, "training", "samples", int, required=True),
-        select_count=_get(cp, path, "training", "select", int, required=True),
-        variance=_get(cp, path, "training", "variance", float, required=True),
-        learning_rate=_get(cp, path, "training", "learning_rate", float, required=True),
-        max_epochs=_get(cp, path, "training", "max_epochs", int, default=1000),
-        patience=_get(cp, path, "training", "patience", int, default=30),
-        recurrence_depth=_get(cp, path, "training", "recurrence_depth", int, default=1),
-        batch_size=_get(cp, path, "training", "batch_size", int, default=1000),
-        seed=_get(cp, path, "training", "seed", int, default=0),
-    )
-
-    reference_expr = None
-    if cp.has_option("experiment", "reference"):
-        try:
-            reference_expr = parse_expression(cp.get("experiment", "reference"))
-        except ParseError as exc:
-            raise ConfigError(f"{path}: bad reference expression: {exc}") from exc
-    reference_ranges = _get(cp, path, "experiment", "reference_ranges", _parse_ranges, default=())
-
-    trials = _get(cp, path, "experiment", "trials", int, default=10)
-    _at_least_one(path, "[experiment] trials", trials)
-    equivalence = _get(cp, path, "experiment", "equivalence", str, default="numeric")
-    if equivalence not in ("numeric", "exact", "none"):
-        raise ConfigError(
-            f"{path}: [experiment] equivalence must be numeric, exact or none,"
-            f" not {equivalence!r}"
-        )
-    return ExperimentConfig(
-        name=name,
-        network=network,
-        training=training,
-        target=target,
-        equivalence=equivalence,
-        tolerance=_get(cp, path, "experiment", "tolerance", float, default=1e-6),
-        trials=trials,
-        extended=_get(cp, path, "experiment", "extended", bool, default=False),
-        reference_expression=reference_expr,
-        reference_ranges=reference_ranges,
-        idx_images=idx_images,
-        idx_labels=idx_labels,
-        classes=classes,
-        test_fraction=test_fraction,
-    )
+    given.setdefault("name", path.stem)
+    outputs = 1 if outputs is None else outputs
+    target = _build(path, TargetSpec, given, kind=kind, input_count=inputs, output_count=outputs,
+                    input_ranges=ranges, fn=fn, derived=derived)
+    network = _build(path, NetworkConfig, given, input_count=input_count, output_count=outputs)
+    training = _build(path, TrainConfig, given)
+    return _build(path, ExperimentConfig, given, network=network, training=training, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +487,7 @@ def _start_run(run: _Run | None) -> None:
 def _start_worker(config_path, overrides, out_dir, write_logs, class_split) -> None:
     """A pool's initializer: each worker parses the config once, because
     its target closures cannot be sent to a worker process."""
-    exp = _apply_overrides(parse_config(config_path), overrides)
+    exp = parse_config(config_path, overrides)
     _start_run(_Run(exp, out_dir, write_logs, class_split))
 
 
@@ -516,20 +519,6 @@ def _trial_line(row: dict) -> str:
         + (f", equivalent={row['equivalent']}" if row["equivalent"] != "" else "")
         + (f", accuracy={row['accuracy']:.4f}" if row["accuracy"] != "" else "")
     )
-
-
-def _apply_overrides(exp: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    if not overrides:
-        return exp
-    training = exp.training
-    if overrides.get("seed") is not None:
-        training = replace(training, seed=overrides["seed"])
-    if overrides.get("max_epochs") is not None:
-        training = replace(training, max_epochs=overrides["max_epochs"])
-    exp = replace(exp, training=training)
-    if overrides.get("trials") is not None:
-        exp = replace(exp, trials=overrides["trials"])
-    return exp
 
 
 def summarize(name: str, rows: list[dict], trials: int) -> dict:
@@ -575,7 +564,7 @@ def run_experiment(
     row, list the rows finished so far in trial order.  A worker that dies
     breaks the pool: then every trial without a row gets an ``error`` row
     that names the cause, and the run returns."""
-    exp = _apply_overrides(parse_config(config_path), overrides)
+    exp = parse_config(config_path, overrides)
     out = Path(out_dir) if out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -700,14 +689,14 @@ def cmd_bench(args) -> int:
     paths = sorted(config_dir.glob("*.ini"))
     if not paths:
         raise ConfigError(f"no .ini configs under {config_dir}")
-    exps = [parse_config(path) for path in paths]  # all checked before any trial runs
     overrides = _overrides(args, config_dir)
+    exps = [parse_config(path, overrides) for path in paths]  # all checked before any trial runs
     summaries = []
     for path, exp in zip(paths, exps):
         if exp.extended and not args.extended:
             print(f"skipping {exp.name} (extended; rerun with --extended)")
             continue
-        print(f"running {exp.name} ({_apply_overrides(exp, overrides).trials} trials)")
+        print(f"running {exp.name} ({exp.trials} trials)")
         out = Path(args.out) / exp.name if args.out else None
         report = run_experiment(
             path, out_dir=out, overrides=overrides,
@@ -744,11 +733,10 @@ def cmd_extract(args) -> int:
 
 def cmd_gen_data(args) -> int:
     _at_least_one(args.config, "--count", args.count)
-    exp = parse_config(args.config)
+    exp = parse_config(args.config, {"seed": args.seed})
     if exp.target.kind == "classification":
         raise ConfigError("gen-data does not apply to classification targets")
-    base_seed = args.seed if args.seed is not None else exp.training.seed
-    rng = derive_rng(base_seed, DATA_STREAM, 0)
+    rng = derive_rng(exp.training.seed, DATA_STREAM, 0)
     ds = generate(exp.target, args.count, rng)
     out = Path(args.out) if args.out else Path(f"{exp.name}_data.csv")
     with open(out, "w", newline="", encoding="utf-8") as f:

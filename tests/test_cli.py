@@ -1,10 +1,12 @@
 import concurrent.futures
+import configparser
 import csv
 import functools
 import gc
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -255,6 +257,9 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "# benchmark: 2x^2 + 3x", "text before any section", ["run"]),
     ("poly_2x2_3x", "samples = 50", "samples = 50\nsamples = 60", ["run"]),
     ("poly_2x2_3x", "[target]", "[target]\n[target]", ["run"]),
+    ("mnist_binary", "classes = 0, 7", "classes = 0, 7\nexpression = x0", ["run"]),
+    ("lfsr4", "builtin = lfsr4", "builtin = lfsr4\nexpression = x0", ["run"]),
+    ("poly_2x2_3x", "", "", ["run", "--max-epochs", "0"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -323,6 +328,45 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     assert main(["run", str(old), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, old, new, named", [
+    ("poly_2x2_3x", "samples = 50", "sampels = 7", ["[training] sampels"]),
+    ("poly_2x2_3x", "trials = 10", "trails = 3", ["[experiment] trails"]),
+    ("poly_2x2_3x", "[experiment]", "[trainng]\nlearning_rate = 5\n[experiment]",
+     ["[trainng] learning_rate"]),
+    ("poly_2x2_3x", "inputs = 1", "inputs = 1\nderived = x0", ["[target] derived"]),
+    ("mnist_binary", "pixels = 784", "pixels = 784\nranges = 0..1", ["[target] ranges"]),
+    ("poly_2x2_3x", "inputs = 1", "inputs = 1\ntarget_depth = 2", ["[target] target_depth"]),
+    ("lfsr4", "builtin = lfsr4", "builtin = lfsr4\nexpression = x0",
+     ["[target] builtin", "[target] expression"]),
+])
+def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
+    # a typo, or a key the target kind never reads, must not run the
+    # defaults in silence
+    path = tmp_path / f"{config}.ini"
+    text = (CONFIG_DIR / f"{config}.ini").read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--trials", "1", "--max-epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert all(name in err for name in named), err
+    assert not out.exists()
+
+
+def test_readme_names_every_config_key():
+    # the README's INI block and its list of other keys, against the table
+    # parse_config reads
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("## Benchmark configs")[1].split("\n## ")[0]
+    block = section.split("```ini\n")[1].split("```")[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_string(block)
+    in_block = {(s, k) for s in cp.sections() for k in cp[s]}
+    in_list = set(re.findall(r"`\[(\w+)\] (\w+)`", section))
+    assert in_block | in_list == set(cli.SCHEMA)
 
 
 def test_parallel_trials_option(capsys):
@@ -676,6 +720,8 @@ _NO_SCIPY_RUN = textwrap.dedent("""
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     exp = cli.parse_config(sys.argv[1])
+    # difflib is only for naming the key nearest a misspelled one
+    assert "difflib" not in sys.modules
     softdag.build_network(exp.network)
     assert not scipy_modules(), scipy_modules()
     # setting up a run loads no numpy.random either: it loads on first draw
