@@ -278,8 +278,10 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     # no default section: a [DEFAULT] header is one more unknown section,
-    # not keys copied into every other section
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    # not keys copied into every other section; no interpolation: a value
+    # is read as written, ``%`` and all
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="",
+                                   interpolation=None)
     try:
         cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

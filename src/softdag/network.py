@@ -277,4 +277,7 @@ def load_network(path: str | os.PathLike) -> Network:
                 block[r] = [float(x) for x in values]
             except ValueError as exc:
                 raise WeightsFormatError(f"{path}: row {cursor}: {exc}") from exc
+            # argmax would take a NaN as the likeliest source
+            if not np.isfinite(block[r]).all():
+                raise WeightsFormatError(f"{path}: row {cursor}: non-finite weight")
     return network

@@ -30,7 +30,7 @@ CHUNK_ROWS = 32
 
 # Lanes of a value row that key its hash table: the first ones, whose bits
 # lie together.  Every hit is checked on all lanes, so the lanes decide only
-# how often a check fails.
+# how often a check fails and two equal values stay apart.
 HASH_LANES = 32
 
 
@@ -301,8 +301,8 @@ class ValueStore:
     read.  A later round that meets the key of a value whose row is gone
     computes the node again under its old id.  When a round needs more rows
     than are free, the buffer doubles.  ``buffer_rows`` counts the rows
-    used.  The first ``HASH_LANES`` lanes of each row key a hash table of
-    the live values.
+    used.  The first ``HASH_LANES`` lanes of each row key a hash table that
+    holds at most one live value per key (``_merge``).
 
     A run starts from what the store holds when its batch has the bytes of
     the last run's and its network the same config and constants; any other
@@ -365,7 +365,7 @@ class ValueStore:
             self._view(np.empty((plan._room, X.shape[0])))
             self.buffer_rows = u
             self.canon = self.rows = np.arange(u)
-            self._free, self._table, self._spill, self._ids = [], {}, {}, {}
+            self._free, self._table, self._ids = [], {}, {}
             self._nodes = [np.empty((0, plan._keys.shape[1]), dtype=np.int64)]
             self._swept = False  # a sweep gave rows up
             self._nan = {}  # per id, whether its value holds a NaN
@@ -386,7 +386,7 @@ class ValueStore:
         self.canon, self.rows = self.canon[:top], self.rows[:top]
         self._last = self._key
         if not (self.repeated and self.nbytes <= STORE_BYTES):
-            self.buf = self._samples = self._free = self._table = self._spill = self._ids = self._nan = None
+            self.buf = self._samples = self._free = self._table = self._ids = self._nan = None
 
     def _view(self, buf: np.ndarray) -> None:
         """Take ``buf`` as the value buffer, and view the first
@@ -468,29 +468,15 @@ class ValueStore:
     def _sweep(self, kept: np.ndarray) -> None:
         """Free the row of every value but the leaves and the ids ``kept``,
         the values that the next depth can read, and take each freed value
-        out of the hash table or its spill list.  A live value of the spill
-        list takes the table's place of a freed one."""
+        that the hash table holds out of it."""
         keep = np.zeros(len(self.rows), dtype=bool)
         keep[:self._u] = True
         keep[kept] = True
         gone = np.flatnonzero((self.rows >= 0) & ~keep)
         rows = self.rows[gone]
-        table, spill = self._table, self._spill
-        # the spill lists first, so that only live values are promoted
-        first = []
+        table = self._table
         for k, key in zip(gone.tolist(), self._sample_keys(rows)):
-            if table[key] == k:
-                first.append(key)
-            else:
-                spill[key].remove(k)
-                if not spill[key]:
-                    del spill[key]
-        for key in first:
-            if key in spill:
-                table[key] = spill[key].pop(0)
-                if not spill[key]:
-                    del spill[key]
-            else:
+            if table.get(key) == k:
                 del table[key]
         self._free += rows.tolist()
         self.rows[gone] = -1
@@ -525,34 +511,25 @@ class ValueStore:
         """Make each id of ``todo``, just computed into ``rows``, an alias of
         the live value that repeats its row bit for bit, if any.
 
-        The first lanes of a row look up the first live value that shares
-        them, and a hit merges only if all of the row's bytes match; one that
-        does not is compared with the other live values that share them.
+        The hash table maps the first lanes of a row to at most one live
+        value, and a hit merges only if all of the row's bytes match that
+        value's.  A value whose first lanes a different live value holds
+        keeps its own id and stays out of the table.
         """
         canon, table, buf, rows_of = self.canon, self._table, self.buf, self.rows
-        keys = self._sample_keys(rows)
         ids = todo.tolist()
-        # the first live value of each sample, else the first row of the
-        # round that has it
-        cand = list(map(table.setdefault, keys, ids))
+        # the live value of each sample, else the first row of the round
+        # that has it
+        cand = list(map(table.setdefault, self._sample_keys(rows), ids))
         if cand == ids:
             return
-        hits = [i for i, (c, k) in enumerate(zip(cand, ids)) if c != k]
         # a sample of every lane is the whole row
         whole = self._samples is not None and self._lanes == buf.shape[1]
         rows = rows.tolist()
         freed = []
-        for i in hits:
-            k, key, c = ids[i], keys[i], cand[i]
-            if not whole:
-                mine = buf[rows[i]].tobytes()
-                if buf[rows_of[c]].tobytes() != mine:
-                    for c in self._spill.get(key, ()):
-                        if buf[rows_of[c]].tobytes() == mine:
-                            break
-                    else:
-                        self._spill.setdefault(key, []).append(k)
-                        continue
+        for i, (c, k) in enumerate(zip(cand, ids)):
+            if c == k or not whole and buf[rows[i]].tobytes() != buf[rows_of[c]].tobytes():
+                continue
             canon[k] = c
             rows_of[k] = -1
             freed.append(rows[i])

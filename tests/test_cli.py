@@ -207,6 +207,24 @@ def test_extract_malformed_weights_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err and str(broken) in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_extract_non_finite_weight_exits_1(tmp_path, capsys, bad):
+    from softdag import NetworkConfig, build_network, load_network, save_network
+    from softdag.network import WeightsFormatError
+
+    path = tmp_path / "fresh.txt"
+    save_network(build_network(NetworkConfig(bases=("SIN",), input_count=2, depth=1)), path)
+    lines = path.read_text().splitlines()
+    # the first level-0 weight row
+    lines[2] = " ".join([bad, *lines[2].split()[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(WeightsFormatError, match=r"fresh\.txt: row 1: non-finite"):
+        load_network(path)
+    assert main(["extract", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "row 1" in err
+
+
 def test_main_validation_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(FAST_CONFIG.replace("SIN, ADD", "SIN, NOPE"))
@@ -390,6 +408,18 @@ def test_gen_data(fast_config, tmp_path, capsys):
     again = tmp_path / "data2.csv"
     assert main(["gen-data", str(fast_config), "--count", "50", "--out", str(again)]) == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_a_percent_sign_in_a_value_is_read_as_written(tmp_path):
+    # values are not interpolated: a lone % is one more character
+    path = tmp_path / "poly.ini"
+    text = (CONFIG_DIR / "poly_2x2_3x.ini").read_text()
+    assert text.count("name = poly_2x2_3x") == 1
+    path.write_text(text.replace("name = poly_2x2_3x", "name = poly 100%"))
+    assert parse_config(path).name == "poly 100%"
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", str(path), "--count", "5", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_bench_directory(fast_config, tmp_path, capsys):

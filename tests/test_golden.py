@@ -9,9 +9,14 @@ Row digests pin what a run reports from those weights: trial 0's
 ``run_trial`` row (verdict, epochs, expression, equivalent) at a capped
 ``max_epochs``, so extraction, simplification and the equivalence checks
 are pinned too.
+
+The classification digest pins the image path: ``mnist_binary``'s network
+and training on a generated two-class IDX pair, split as ``softdag run``
+splits it.
 """
 
 import hashlib
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 from softdag import build_network, train
+from softdag import cli
 from softdag.cli import parse_config, run_trial
 from softdag.rng import TRIAL_STREAM, derive_seed
 
@@ -78,6 +84,12 @@ ROWS = {
     "poly_2x2_3x": (150, "3009c9d30ff3dda3e131e2e1b9b2840fc4f676c482b42dcb808d543c3347bae5"),
     # ('max-epochs-exhausted', 60, '(x0 * x0)', False)
     "recurrent_halfsquare": (60, "a520476dc7d6427fcf872ac7c9c1714b1ef6b036073d0bbc0fd63e351176124b"),
+    # the configs whose values share their first lanes most often; recorded
+    # while values that shared them were compared with every such live value
+    # ('max-epochs-exhausted', 100, 'min(x0, x1) | x1 | max(x2, x0)', False)
+    "sort3": (100, "2acd4c56183a6a339bee56bac6cd41a55ac0762968ba185b2088dff9f58b42a5"),
+    # ('max-epochs-exhausted', 100, '(x0 + x0)', False)
+    "recurrent_step": (100, "bd217b3d6defbe9231e46780f3ebf0c0a178dfdb3eeb9955d86da2bdd224eed2"),
 }
 
 
@@ -88,3 +100,35 @@ def test_golden_row(name):
     row = run_trial(replace(exp, training=replace(exp.training, max_epochs=max_epochs)), 0)
     fields = (row["verdict"], row["epochs"], row["expression"], row["equivalent"])
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest, fields
+
+
+# SHA-256 of the final weights of 50 epochs of mnist_binary's network and
+# training on ``_ring_and_bar``'s images, recorded with the rows above
+CLASSIFICATION = "ecd7d34625ae2cd6214f308909b1db12849b86421c5f00a6b54fd7681f6184e2"
+
+
+def _ring_and_bar(tmp_path, n=1200):
+    """A seeded 28x28 IDX pair over uniform noise: class 0 is a ring, class
+    7 a vertical bar."""
+    rng = np.random.default_rng(7)
+    labels = np.where(np.arange(n) % 2 == 0, 0, 7).astype(np.uint8)
+    images = rng.integers(0, 100, size=(n, 28, 28), dtype=np.uint8)
+    r = np.hypot(*np.mgrid[-13.5:14.5, -13.5:14.5])
+    images[labels == 0] |= np.where((r >= 7) & (r <= 10), 255, 0).astype(np.uint8)
+    images[labels == 7, :, 12:16] = 255
+    img_path, lab_path = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
+    img_path.write_bytes(struct.pack(">iiii", 2051, n, 28, 28) + images.tobytes())
+    lab_path.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
+    return img_path, lab_path
+
+
+def test_golden_classification(tmp_path):
+    exp = parse_config(CONFIG_DIR / "mnist_binary.ini")
+    img_path, lab_path = _ring_and_bar(tmp_path)
+    train_set, _ = cli._load_classification(replace(exp, idx_images=str(img_path), idx_labels=str(lab_path)))
+    seed = derive_seed(exp.training.seed, TRIAL_STREAM, 0)
+    training = replace(exp.training, seed=seed, max_epochs=EPOCHS, patience=EPOCHS + 1)
+    network = build_network(exp.network)
+    run = train(network, train_set, training)
+    assert run.epoch == EPOCHS
+    assert weights_digest(network) == CLASSIFICATION

@@ -510,8 +510,8 @@ def test_forced_hash_collisions_match_evaluate(case):
 
 
 def test_values_computed_again_in_one_round_stay_apart_from_their_aliases():
-    # every row collides, so every merge goes through the spill lists; at
-    # depth 3 values that a sweep freed, and that wait in those lists, are
+    # every row collides, so the hash table holds one live value and a value
+    # merges only with that one; at depth 3 values that a sweep freed are
     # computed again in one round: one may become the alias of another,
     # but never of one that has become an alias itself, or both would lose
     # their rows

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import tracemalloc
 from dataclasses import replace
@@ -30,10 +31,10 @@ from softdag import (
     train,
     train_epoch,
 )
-from softdag import data, plan, sampler, trainer
+from softdag import cli, data, plan, sampler, trainer
 from softdag.data import ResamplingSource, TargetSpec
 from softdag.expression import Interval, evaluate_tree_batch
-from softdag.cli import parse_config, summarize
+from softdag.cli import parse_config, run_trial, summarize
 from softdag.rng import EPOCH_STREAM, derive_rng
 from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
 from softdag.plan import evaluate, evaluate_recurrent
@@ -448,3 +449,19 @@ def test_traced_benchmark_targets_run_once_per_epoch():
     ):
         _train_config("poly_2x2_3x", 3)
     assert counts == {"sample_many": 3, "adam_step": 3, "train_epoch": 3, "batch": 3}
+
+
+def test_traced_benchmark_cli_targets_run_through_cli(tmp_path):
+    # the traced benchmark times a trial's training, extraction, checks and
+    # save by patching these names on softdag.cli; a trial must still call
+    # each of them through it
+    names = ("train", "dag_to_expression", "simplify", "evaluate_tree_batch",
+             "values_equivalent", "save_network")
+    exp = parse_config(CONFIG_DIR / "poly_2x2_3x.ini")
+    exp = replace(exp, training=replace(exp.training, max_epochs=5))
+    counts = {}
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(_counted(cli, name, counts))
+        run_trial(exp, 0, out_dir=tmp_path)
+    assert sorted(counts) == sorted(names) and min(counts.values()) >= 1, counts

@@ -11,7 +11,7 @@ import numpy as np
 from softdag import DatasetSource, build_network, generate, sample_many, train
 from softdag import plan, trainer
 from softdag.cli import parse_config
-from softdag.plan import PopulationPlan, ValueStore
+from softdag.plan import PopulationPlan, ValueStore, evaluate_recurrent
 from softdag.scoring import population_select
 
 from conftest import cyclic_garbage, make_dag, make_network, same_bits
@@ -147,23 +147,29 @@ def test_swept_values_are_computed_again_at_depth_0_of_a_reused_store():
     assert store.evaluated < fresh.evaluated
 
 
-def test_a_value_merges_with_the_spill_list_of_a_swept_table_value():
+def test_a_value_whose_sample_another_live_value_holds_keeps_its_own_id():
     # x0 is 1 on the first HASH_LANES rows and 2 on the last, so x0 + x0 and
     # 1 + 1 share their hash key: x0 + x0, met first, holds the table's
-    # place and 1 + 1 waits in the spill list.  The depth boundary frees
-    # x0 + x0 and keeps 1 + 1, which reads no input.  At depth 1 the output
-    # min(x0 + x0, 1 + 1) has the value of 1 + 1 under a new key, and must
-    # merge with it, so both depths' outputs are one column
+    # place, and 1 + 1 and the output min(x0 + x0, 1 + 1), whose value is
+    # 1 + 1's, keep their own ids out of the table.  The depth boundary
+    # frees x0 + x0 and its entry.  At depth 1 the output has the depth-0
+    # output's value under a new key, but the table holds neither, so the
+    # two depths' outputs are two columns of equal bits
     net = make_network(("ADD", "ADD", "MIN"), input_count=1, constants=(1.0,), depth=2)
     dag = make_dag(net, [[0, 0, 1, 1], [0, 0, 0, 0, 2, 3]], [7])
     X = np.ones((plan.HASH_LANES + 1, 1))
     X[-1] = 2.0
     p = PopulationPlan(net, [dag], 2)
     store = ValueStore()
-    p.run(X, lambda *column: None, store)
+    values = []
+    p.run(X, lambda buf, rows, outs, readers: values.extend(buf[rows]), store)
     # x0 + x0, 1 + 1 and the output at depth 0, and again but for 1 + 1
-    assert store.evaluated == 5 and store.merged == 2
-    assert p.columns == 1 and p.index.tolist() == [[0], [0]]
+    assert store.evaluated == 5 and store.merged == 0
+    assert p.columns == 2 and p.index.tolist() == [[0], [1]]
+    got = np.array(values)[p.index]
+    want = evaluate_recurrent(net, dag, X, 2)
+    assert all(same_bits(got[d, 0], want[d][:, 0]) for d in range(2))
+    assert np.all(got == 2.0)
 
 
 def test_a_different_network_on_the_same_rows_starts_fresh():
