@@ -129,8 +129,13 @@ def _parse_ranges(raw: str) -> tuple:
     return tuple(dims)
 
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in _split_list(raw))
+def _parse_classes(raw: str) -> tuple[int, ...]:
+    classes = tuple(int(tok) for tok in _split_list(raw))
+    for k, c in enumerate(classes):
+        # a repeated class would train two outputs on one target column
+        if c in classes[:k]:
+            raise ValueError(f"class {c} is listed more than once")
+    return classes
 
 
 def _parse_bool(raw: str) -> bool:
@@ -214,7 +219,7 @@ SCHEMA = {
     ("target", "target_depth"): ("target_depth", int, ("recurrent",), ()),
     ("target", "images"): ("idx_images", str, _CLASSIFY, _CLASSIFY),
     ("target", "labels"): ("idx_labels", str, _CLASSIFY, _CLASSIFY),
-    ("target", "classes"): ("classes", _parse_ints, _CLASSIFY, _CLASSIFY),
+    ("target", "classes"): ("classes", _parse_classes, _CLASSIFY, _CLASSIFY),
     ("target", "test_fraction"): ("test_fraction", float, _CLASSIFY, ()),
     ("target", "pixels"): ("pixels", int, _CLASSIFY, ()),
     ("experiment", "name"): ("name", str, _KINDS, ()),
@@ -416,7 +421,11 @@ def _load_classification(exp: ExperimentConfig):
         raise ConfigError(f"{exp.name}: [target] pixels = {exp.network.input_count}, but"
                           f" {exp.idx_images} holds images of {dataset.inputs.shape[1]} pixels")
     rng = derive_rng(exp.training.seed, SPLIT_STREAM)
-    return split(dataset, exp.test_fraction, rng)
+    train, test = split(dataset, exp.test_fraction, rng)
+    if not len(test):
+        raise ConfigError(f"{exp.name}: [target] test_fraction = {exp.test_fraction} leaves no test rows"
+                          f" of the {len(dataset)} rows of {exp.idx_images}")
+    return train, test
 
 
 def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,

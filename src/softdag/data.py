@@ -91,27 +91,18 @@ class TargetSpec:
             raise ConfigError("implicit targets need a derived-coordinate rule")
 
 
-def _sample_inputs(ranges, n: int, rng: np.random.Generator):
-    """``(inputs, codes)``: ``n`` rows drawn from ``ranges``, and per row
-    the mixed-radix number of its ``Choices`` indices.  When every column
-    is a ``Choices`` with fewer than ``2**63`` combinations in all, rows
-    with equal codes are equal.
-    """
+def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` rows drawn from ``ranges``."""
     out = np.empty((n, len(ranges)), dtype=np.float64)
-    codes = np.zeros(n, dtype=np.int64)
     for k, dim in enumerate(ranges):
         if isinstance(dim, Interval):
             out[:, k] = rng.uniform(dim.lo, dim.hi, size=n)
         elif isinstance(dim, Choices):
-            values = np.asarray(dim.values)
-            # the numbers and generator state of rng.choice(values, n)
-            picks = rng.integers(0, len(values), n, dtype=np.int64)
-            out[:, k] = values[picks]
-            codes *= len(values)
-            codes += picks
+            # the numbers and generator state of rng.choice(dim.values, n)
+            out[:, k] = np.asarray(dim.values)[rng.integers(0, len(dim.values), n, dtype=np.int64)]
         else:
             raise ConfigError(f"bad range spec {dim!r}")
-    return out, codes
+    return out
 
 
 def _compose(fn, X: np.ndarray, depth: int) -> np.ndarray:
@@ -123,8 +114,7 @@ def _compose(fn, X: np.ndarray, depth: int) -> np.ndarray:
 
 def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
     """Draw ``n`` rows for the target; rows with non-finite entries are redrawn."""
-    X, Y, _ = _generate(spec, n, rng)
-    return Dataset(X, Y)
+    return Dataset(*_generate(spec, n, rng))
 
 
 def _complete(spec: TargetSpec, free: np.ndarray):
@@ -140,34 +130,21 @@ def _complete(spec: TargetSpec, free: np.ndarray):
     return free, Y
 
 
-def _generate(spec: TargetSpec, n: int, rng: np.random.Generator, first=None):
-    """``generate``'s rows as ``(X, Y, codes)``, with the row codes of
-    ``_sample_inputs``: an implicit target's free columns decide its rows,
-    and a redrawn row carries its new code.  ``first``, if given, is the
-    ``(free, codes)`` of the first ``n`` rows, drawn from ``rng`` before."""
+def _generate(spec: TargetSpec, n: int, rng: np.random.Generator):
+    """``generate``'s rows as ``(X, Y)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.kind == "classification":
         raise ConfigError("classification datasets are loaded, not generated")
-
-    def draw(count: int):
-        free, codes = _sample_inputs(spec.input_ranges, count, rng)
-        return (*_complete(spec, free), codes)
-
-    X, Y, codes = draw(n) if first is None else (*_complete(spec, first[0]), first[1])
+    X, Y = _complete(spec, _sample_inputs(spec.input_ranges, n, rng))
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         # one pass over each array settles a batch with nothing to redraw;
         # a per-row reduction along the short axis costs many times more
         if np.isfinite(X).all() and np.isfinite(Y).all():
-            break
+            return X, Y
         bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
-        X2, Y2, codes2 = draw(int(bad.sum()))
-        X[bad] = X2
-        Y[bad] = Y2
-        codes[bad] = codes2
-    else:
-        raise ConfigError(f"target {spec.name!r} keeps producing non-finite rows")
-    return X, Y, codes
+        X[bad], Y[bad] = _complete(spec, _sample_inputs(spec.input_ranges, int(bad.sum()), rng))
+    raise ConfigError(f"target {spec.name!r} keeps producing non-finite rows")
 
 
 def split(dataset: Dataset, test_fraction: float, rng: np.random.Generator):
@@ -266,39 +243,20 @@ def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) ->
 class Batch:
     """One epoch's rows, as a batch source serves them; unpacks as ``X, Y``.
 
-    ``rows`` is ``(first, lanes)`` when the source drew the rows from
-    codes and at most half of them are distinct: ``inputs[first]``,
-    ``targets[first]`` are the distinct rows, in the order of their codes,
-    and row ``i`` equals distinct row ``lanes[i]``.  The source knows this
-    from its draw, with no scan of the batch's values.  Otherwise it is
-    ``(None, None)``, and the rows are scored as they are.
+    ``distinct`` is ``(table_X, table_Y, codes)`` when the source drew the
+    rows by code from a table of at most half as many rows as the batch:
+    the table is the distinct rows and the codes are the lanes, so batch
+    row ``i`` equals table row ``codes[i]``.  A table row that no code
+    names weighs nothing.  Otherwise it is ``None``, and the rows are
+    scored as they are.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    rows: tuple
+    distinct: tuple | None = None
 
     def __iter__(self):
         return iter((self.inputs, self.targets))
-
-
-def _repeats(codes: np.ndarray):
-    """``(first, lanes)`` of a batch whose row ``i`` has the code
-    ``codes[i]``, rows with equal codes being equal, when at most half of
-    the codes differ; else ``(None, None)``.  Row ``first[j]`` is the
-    first with the ``j``-th smallest code, and ``lanes[i]`` the rank of row
-    ``i``'s code.  Codes are small nonnegative integers: they index a table
-    of ``codes.max() + 1`` entries."""
-    n = len(codes)
-    if not n:
-        return None, None
-    present = np.bincount(codes) > 0
-    rank = np.cumsum(present) - 1
-    if rank[-1] >= n // 2:
-        return None, None
-    first = np.full(len(present), n)
-    np.minimum.at(first, codes, np.arange(n))
-    return first[present], rank[codes]
 
 
 class ResamplingSource:
@@ -306,10 +264,9 @@ class ResamplingSource:
 
     When every input range is a choice with few combinations in all, the
     source computes the inputs, the target and their finiteness once, on
-    every combination in code order; a batch draws the picks and takes its
-    rows from that table by code.  A batch with too many distinct rows or
-    a non-finite one takes the general path from the same draw.  The rows,
-    and the generator's numbers, are the same either way.
+    every combination in code order; a batch draws the codes, redraws
+    those of non-finite combinations, and takes its rows from that table.
+    The rows, and the generator's numbers, are those of ``_generate``.
     """
 
     def __init__(self, spec: TargetSpec, batch_size: int, seed: int):
@@ -319,7 +276,7 @@ class ResamplingSource:
         # The row codes tell rows apart when every free column is a choice.
         # An interval's rows do not repeat, and with more combinations than
         # 4 * batch_size, uniform draws leave over 0.88 of a batch's rows
-        # distinct on average, too many for distinct rows to pay.
+        # distinct on average, too many for the table to pay.
         per_row = [len(d.values) if isinstance(d, Choices) else math.inf for d in spec.input_ranges]
         self._coded = spec.kind != "classification" and math.prod(per_row) <= 4 * batch_size
         if self._coded:
@@ -330,22 +287,27 @@ class ResamplingSource:
             self._radix = np.array([math.prod(sizes[k + 1:]) for k in range(len(sizes))], dtype=np.int64)
             picks = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
             X, Y = _complete(spec, _choose(self._values, picks))
-            self._table = X, Y, np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
+            X.flags.writeable = Y.flags.writeable = False
+            self._table = X, Y
+            self._finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
+            # a table of more than half a batch's rows costs more to score
+            # than the batch
+            self._distinct = len(X) <= batch_size // 2
 
     def batch(self, epoch: int) -> Batch:
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
         if not self._coded:
-            X, Y, _ = _generate(self.spec, self.batch_size, rng)
-            return Batch(X, Y, (None, None))
-        values = self._values
-        picks = _picks(values, self.batch_size, rng)
-        codes = self._radix @ picks
-        first, lanes = _repeats(codes)
-        X, Y, finite = self._table
-        if first is not None and finite[codes[first]].all():
-            return Batch(X.take(codes, 0), Y.take(codes, 0), (first, lanes))
-        X, Y, codes = _generate(self.spec, self.batch_size, rng, (_choose(values, picks), codes))
-        return Batch(X, Y, _repeats(codes))
+            return Batch(*_generate(self.spec, self.batch_size, rng))
+        codes = self._radix @ _picks(self._values, self.batch_size, rng)
+        for _ in range(_MAX_RESAMPLE_ROUNDS):
+            bad = ~self._finite[codes]
+            if not bad.any():
+                break
+            codes[bad] = self._radix @ _picks(self._values, int(bad.sum()), rng)
+        else:
+            raise ConfigError(f"target {self.spec.name!r} keeps producing non-finite rows")
+        X, Y = self._table
+        return Batch(X.take(codes, 0), Y.take(codes, 0), (X, Y, codes) if self._distinct else None)
 
 
 def _picks(values, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -374,7 +336,7 @@ class DatasetSource:
     When the batch size covers the whole dataset the same batch is served
     every epoch (a stationary source); otherwise a seeded random subset is
     drawn per epoch.  Nothing says which rows of a dataset repeat, so its
-    batches are scored on every row: ``rows`` is ``(None, None)``.
+    batches are scored on every row: ``distinct`` is ``None``.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
@@ -386,10 +348,10 @@ class DatasetSource:
     def batch(self, epoch: int) -> Batch:
         data = self.dataset
         if self.stationary:
-            return Batch(data.inputs, data.targets, (None, None))
+            return Batch(data.inputs, data.targets)
         rng = derive_rng(self.seed, DATA_STREAM, epoch)
         idx = rng.choice(len(data), size=self.batch_size, replace=False)
-        return Batch(data.inputs[idx], data.targets[idx], (None, None))
+        return Batch(data.inputs[idx], data.targets[idx])
 
 
 def as_batch_source(data, batch_size: int, seed: int):

@@ -81,7 +81,7 @@ class PopulationPlan:
         self.depth = depth
         u, N, M, levels = network.u, network.N, network.M, network.levels
         tables = self._tables = _tables(network)
-        population = _population_of(network, dags)
+        population = SampledPopulation.of(dags)
         graphs = len(population)
         self.candidates = graphs * depth
         # per graph, the id of every source code, then a cell holding -1
@@ -641,15 +641,6 @@ def _distinct(keys: np.ndarray):
     np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
     starts = first.nonzero()[0]
     return keys[starts[:-1]], starts[1:] - starts[:-1]
-
-
-def _population_of(network: Network, dags) -> SampledPopulation:
-    if len(dags):
-        return SampledPopulation.of(dags)
-    return SampledPopulation(
-        choices=tuple(np.empty((0, network.M), dtype=np.int64) for _ in range(network.levels)),
-        output_choices=np.empty((0, network.config.output_count), dtype=np.int64),
-    )
 
 
 def evaluate(network: Network, dag: SampledDAG, X) -> np.ndarray:

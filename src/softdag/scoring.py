@@ -3,8 +3,8 @@
 :func:`fitness` is the Gaussian-kernel score of one column.
 :func:`population_fitness` runs a :class:`~softdag.plan.PopulationPlan`
 and scores each distinct ``(node, output)`` column once: on a batch's
-distinct rows when the caller passes them (``rows``, as a
-:class:`~softdag.data.Batch` carries them), else on every row.
+distinct rows when the caller passes them with the batch's ``lanes``, as
+a :class:`~softdag.data.Batch` carries them, else on every row.
 :func:`population_select` runs a plan that the caller built, as
 ``train_epoch`` does once per epoch, returns each output's fittest
 candidates and scores exactly only the columns that an upper bound cannot
@@ -138,14 +138,15 @@ def _merge_best(best: np.ndarray, count: int, got, outs, reads) -> None:
     best[:, :count] = pool[:, len(got):]
 
 
-def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows=None, store=None):
+def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, lanes=None, store=None):
     """``(scores, index)``: the fitness of each distinct ``(node, output)``
     column of ``plan``'s run on ``X``, and per candidate and output the
     column it reads.
 
-    ``rows`` is the batch's ``(first, lanes)`` as ``data.Batch`` carries
-    it: the plan runs on rows ``first`` and the kernel sums each column
-    over ``lanes``.  ``None`` or ``(None, None)`` scores every row.
+    With ``lanes``, ``X`` and ``Y`` are a batch's distinct rows and batch
+    row ``i`` is distinct row ``lanes[i]``, as ``data.Batch.distinct``
+    holds them: the plan runs on the distinct rows and the kernel sums
+    each column over ``lanes``.  Without it every row is scored.
     ``store``, a :class:`~softdag.plan.ValueStore`, goes to the plan's run.
     Without ``count`` every column is scored.  With it, once the
     candidates' outputs could fill more than two blocks of a full batch, a
@@ -164,11 +165,7 @@ def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows
     v = plan.network.config.output_count
     if Y.shape != (len(X), v):
         raise ValueError(f"targets of shape {Y.shape} for a batch of shape {X.shape}")
-    first, lanes = (None, None) if rows is None else rows
-    block_rows = SCORE_BLOCK_ROWS
-    if lanes is not None:
-        block_rows = SCORE_BLOCK_ROWS * len(X) // len(first)
-        X, Y = X[first], Y[first]
+    block_rows = SCORE_BLOCK_ROWS if lanes is None else SCORE_BLOCK_ROWS * len(lanes) // len(X)
     targets = np.ascontiguousarray(Y.T)
     most = plan.candidates * v
     scores = np.full(most, -np.inf)
@@ -242,7 +239,7 @@ def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, rows
 
 
 def population_fitness(
-    network: Network, dags, X, Y, depth: int, variance: float, rows=None
+    network: Network, dags, X, Y, depth: int, variance: float, lanes=None
 ) -> np.ndarray:
     """Fitness matrix of a population: one row per candidate, one column
     per output.
@@ -252,21 +249,21 @@ def population_fitness(
     ``(node, output)`` column is scored once: its residual
     ``value - Y[:, j]`` goes into the next row of one block as soon as its
     round has run, and each full block is one call of the ``fitness``
-    kernel.  With ``rows``, a batch's ``(first, lanes)`` as
-    ``data.Batch`` carries them, it is evaluated and scored on its
-    distinct rows, and only the kernel's sum runs over every row; without
-    it every row is scored.  Every entry equals ``fitness`` of that
+    kernel.  With ``lanes``, ``X`` and ``Y`` are a batch's distinct rows,
+    as ``data.Batch.distinct`` carries them: the population is evaluated
+    and scored on them, and only the kernel's sum runs over every lane;
+    without it every row is scored.  Every entry equals ``fitness`` of that
     candidate's ``evaluate``/``evaluate_recurrent`` column bit for bit.
     :func:`population_select` runs the same scorer (``_column_scores``)
     and skips the columns it can rule out; here every column is scored.
     """
     plan = PopulationPlan(network, dags, depth)
-    scores, index = _column_scores(plan, X, Y, variance, rows=rows)
+    scores, index = _column_scores(plan, X, Y, variance, lanes=lanes)
     return scores[index]
 
 
 def population_select(
-    plan: PopulationPlan, X, Y, variance: float, count: int, rows=None, store=None
+    plan: PopulationPlan, X, Y, variance: float, count: int, lanes=None, store=None
 ):
     """Per output, the ``count`` fittest candidates of the population of
     ``plan`` as ``(candidate_index, fitness)`` pairs, fittest first, ties
@@ -274,7 +271,7 @@ def population_select(
     the plan's network, graphs and depth, bit for bit.
 
     Candidates are numbered as in :func:`population_fitness`, and
-    ``rows`` is read as there.  With a ``store``
+    ``lanes`` is read as there.  With a ``store``
     (:class:`~softdag.plan.ValueStore`) the plan reuses the values of the
     last call on the same rows.  A column is scored exactly only while its
     upper bound reaches its output's ``count``-th best exact fitness so
@@ -282,7 +279,7 @@ def population_select(
     and cannot be selected.  Raises ``ConfigError`` when ``count``
     exceeds the candidates, as :func:`select_top` does.
     """
-    scores, index = _column_scores(plan, X, Y, variance, count, rows, store)
+    scores, index = _column_scores(plan, X, Y, variance, count, lanes, store)
     return select_top(scores[index], count)
 
 

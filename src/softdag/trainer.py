@@ -211,8 +211,9 @@ def adam_step(blocks, gradients, state: AdamState, learning_rate: float) -> None
 def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     """One population step: sample, score, select, accumulate, Adam.
 
-    ``batch`` is a :class:`~softdag.data.Batch`, scored on the distinct
-    rows its source names, or an ``(X, Y)`` pair, scored on every row.
+    ``batch`` is a :class:`~softdag.data.Batch`, scored on its distinct
+    rows when its source names them, or an ``(X, Y)`` pair, scored on
+    every row.
     One :class:`~softdag.plan.PopulationPlan` of the draw serves scoring
     and the gradient.  The population is evaluated through ``run.store``,
     so an epoch whose evaluated rows repeat the last epoch's bit for bit
@@ -220,13 +221,13 @@ def train_epoch(run: TrainRun, batch, config: TrainConfig) -> EpochStats:
     ``params``.
     """
     net = run.network
-    X, Y = batch
-    rows = batch.rows if isinstance(batch, Batch) else None
+    distinct = batch.distinct if isinstance(batch, Batch) else None
+    X, Y, lanes = distinct or (*batch, None)
     rng = derive_rng(config.seed, EPOCH_STREAM, run.epoch + 1)
     dags = sample_many(net, rng, config.sample_count)
     depth = config.recurrence_depth
     plan = PopulationPlan(net, dags, depth)
-    picks = population_select(plan, X, Y, config.variance, config.select_count, rows, run.store)
+    picks = population_select(plan, X, Y, config.variance, config.select_count, lanes, run.store)
     pairs = []
     selected_raw = []
     for j, sel in enumerate(picks):

@@ -301,14 +301,14 @@ def reference_fitness(predictions, targets, variance):
 
 
 def distinct_rows(X, Y):
-    """``(first, lanes)`` of a batch, as ``data.Batch.rows`` holds them:
-    its distinct ``(x, y)`` rows told apart by their bytes, so ``-0.0`` and
-    ``0.0`` differ and so do NaN payloads, each the first batch row that
-    has it; and per batch row, the rank of its distinct row."""
+    """``(X, Y, lanes)`` of a batch's distinct rows, as
+    ``data.Batch.distinct`` holds them: its distinct ``(x, y)`` rows told
+    apart by their bytes, so ``-0.0`` and ``0.0`` differ and so do NaN
+    payloads; and per batch row, the rank of its distinct row."""
     rows = np.ascontiguousarray(np.hstack([X, Y]))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, lanes = np.unique(keys, return_index=True, return_inverse=True)
-    return first, lanes.ravel()
+    return X[first], Y[first], lanes.ravel()
 
 
 def cyclic_garbage(call) -> int:

@@ -721,6 +721,37 @@ def test_listed_class_with_no_rows_exits_1(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+def test_an_empty_test_split_exits_1_before_any_trial(tmp_path, capsys, monkeypatch):
+    # 120 rows at test_fraction = 0.005 leave floor(0.6) = 0 test rows, and
+    # an accuracy over no rows would be NaN
+    cfg = _classify_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("test_fraction = 0.1", "test_fraction = 0.005"))
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[target] test_fraction = 0.005" in err and "120 rows" in err
+    assert "images-idx3-ubyte" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
+def test_a_repeated_class_exits_1(tmp_path, capsys):
+    # a repeated class would train two outputs on one class's column
+    cfg = _classify_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("classes = 0, 7", "classes = 0, 7, 7"))
+    with pytest.raises(ConfigError, match="class 7 is listed more than once"):
+        parse_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "class 7" in err and "Traceback" not in err
+    assert not (out / "report.csv").exists()
+
+
 def test_pixels_that_differ_from_the_images_exit_1_before_any_trial(tmp_path, capsys, monkeypatch):
     cfg = _classify_config(tmp_path)
     cfg.write_text(cfg.read_text().replace("pixels = 16", "pixels = 784"))

@@ -25,7 +25,6 @@ from softdag.data import (
     ResamplingSource,
     TargetSpec,
     _generate,
-    _repeats,
     _sample_inputs,
     as_batch_source,
     load_idx_images,
@@ -35,7 +34,7 @@ from softdag.expression import Choices, Interval, evaluate_tree_batch
 from softdag.network import ConfigError
 from softdag.rng import DATA_STREAM, derive_rng
 
-from conftest import distinct_rows, make_dag, make_network, same_bits
+from conftest import make_dag, make_network, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,59 +284,57 @@ def test_choice_draw_matches_rng_choice():
     values = (0.0, 1.0, -2.5)
     for seed in range(50):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        X, codes = _sample_inputs((Choices(values), Choices(values[:2])), 1000, ours)
+        X = _sample_inputs((Choices(values), Choices(values[:2])), 1000, ours)
         assert same_bits(X[:, 0], theirs.choice(np.asarray(values), size=1000))
         assert same_bits(X[:, 1], theirs.choice(np.asarray(values[:2]), size=1000))
         assert ours.random() == theirs.random()
-        # the mixed-radix number of the two indices
-        assert np.array_equal(codes, 2 * np.array([values.index(v) for v in X[:, 0]]) + X[:, 1])
 
 
-def _same_partition(got, X, Y):
-    """``got`` is ``(first, lanes)`` of the batch ``X, Y``: the rows it puts
-    together are the rows with equal bytes."""
-    first, lanes = got
-    assert same_bits(X[first][lanes], X) and same_bits(Y[first][lanes], Y)
-    want = distinct_rows(X, Y)[1]
-    assert np.array_equal(lanes[:, None] == lanes[None, :], want[:, None] == want[None, :])
+def _table_rows(batch):
+    """Check that a coded batch's ``distinct`` is a read-only table whose
+    rows ``lanes`` are the batch, and return it."""
+    X, Y, lanes = batch.distinct
+    assert not X.flags.writeable and not Y.flags.writeable
+    assert same_bits(X[lanes], batch.inputs) and same_bits(Y[lanes], batch.targets)
+    return X, Y, lanes
 
 
 def test_batch_rows_follow_the_draw():
-    X, Y = batch = ResamplingSource(target_lfsr4(), 1000, 3).batch(7)
-    first, lanes = batch.rows
-    # distinct rows in code order, each the first of its code
-    codes = X @ [8.0, 4.0, 2.0, 1.0]
-    _, want_first, want_lanes = np.unique(codes, return_index=True, return_inverse=True)
-    assert np.array_equal(first, want_first) and np.array_equal(lanes, want_lanes)
-    _same_partition(batch.rows, X, Y)
+    lfsr4 = target_lfsr4()
+    batch = ResamplingSource(lfsr4, 1000, 3).batch(7)
+    X, Y, lanes = _table_rows(batch)
+    # the table is every combination in code order, and the lanes are the
+    # batch's codes
+    bits = np.indices((2, 2, 2, 2)).reshape(4, 16).T.astype(float)
+    assert same_bits(X, bits) and same_bits(Y, lfsr4.fn(bits))
+    assert np.array_equal(lanes, batch.inputs @ [8.0, 4.0, 2.0, 1.0])
 
-    # 1 / 0 is the division guard's sentinel, so those rows are redrawn
-    # with new codes; an implicit target keys its free columns
+    # 1 / 0 is the division guard's sentinel: the table holds those rows,
+    # and no lane reads them; an implicit target's table is its free columns'
     inverse = _spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))))
     implicit = TargetSpec(
         kind="implicit", input_count=2, output_count=1, input_ranges=(Choices((0.0, 2.0, 4.0)),),
         derived=lambda F: evaluate_tree_batch(parse("1 / x0"), F),
     )
-    for spec in (inverse, implicit):
-        X, Y = batch = ResamplingSource(spec, 40, 1).batch(2)
-        assert np.isfinite(X).all() and np.isfinite(Y).all()
-        _same_partition(batch.rows, X, Y)
+    for spec, rows in ((inverse, 6), (implicit, 3)):
+        batch = ResamplingSource(spec, 40, 1).batch(2)
+        X, Y, lanes = _table_rows(batch)
+        assert len(X) == rows and not (np.isfinite(X).all() and np.isfinite(Y).all())
+        assert np.isfinite(batch.inputs).all() and np.isfinite(batch.targets).all()
 
-    # an interval column, or more than 4 combinations per batch row, score
-    # every row
+    # an interval column, more than 4 combinations per batch row, or more
+    # than half as many as batch rows score every row
     for ranges, n in (((Choices((0.0, 1.0)), Interval(0.0, 1.0)), 100),
-                      ((Choices((0.0, 1.0)),) * 64, 100), ((Choices((0.0, 1.0)),) * 3, 1)):
+                      ((Choices((0.0, 1.0)),) * 64, 100), ((Choices((0.0, 1.0)),) * 3, 1),
+                      ((Choices((0.0, 1.0)),) * 3, 15)):
         spec = _spec_from_expression("x0", ranges)
-        assert ResamplingSource(spec, n, 1).batch(1).rows == (None, None)
+        assert ResamplingSource(spec, n, 1).batch(1).distinct is None
+    assert ResamplingSource(spec, 16, 1).batch(1).distinct is not None
 
 
 def test_coded_batches_equal_the_general_path():
-    # a coded source draws its picks first and computes its distinct rows
-    # only; the batch is the general path's, row codes and all
-    def general(spec, n, seed, epoch):
-        X, Y, codes = _generate(spec, n, derive_rng(seed, DATA_STREAM, epoch))
-        return X, Y, _repeats(codes)
-
+    # a coded source draws and redraws codes with the numbers of the
+    # general path, and takes its rows from its table without calling it
     specs = [
         (target_lfsr4(), 1000),
         # choice columns of different sizes
@@ -351,27 +348,31 @@ def test_coded_batches_equal_the_general_path():
         # more distinct rows than half the batch
         (_spec_from_expression("x0", (Choices(tuple(np.arange(40.0))),)), 10),
     ]
-    for (spec, n), general_path in zip(specs, (False, False, True, True, True)):
+
+    picks, draws = data._picks, []
+
+    def counted(*args):
+        draws.append(args[1])
+        return picks(*args)
+
+    def general_path(*args):
+        raise AssertionError("a coded batch called _generate")
+
+    for (spec, n), redraws in zip(specs, (False, False, True, True, False)):
+        draws.clear()
         for seed in (0, 1, 7, 12345):
             source = ResamplingSource(spec, n, seed)
             for epoch in range(1, 9):
-                calls = []
-
-                def counted(*args):
-                    calls.append(len(args) == 4)
-                    return _generate(*args)
-
-                with mock.patch.object(data, "_generate", counted):
+                with mock.patch.object(data, "_generate", general_path), \
+                        mock.patch.object(data, "_picks", counted):
                     batch = source.batch(epoch)
-                # lfsr4 and the mixed columns never take the general path; the
-                # others have a non-finite row or too many distinct ones
-                assert calls == ([True] if general_path else [])
-                X, Y, rows = general(spec, n, seed, epoch)
+                X, Y = _generate(spec, n, derive_rng(seed, DATA_STREAM, epoch))
                 assert same_bits(batch.inputs, X) and same_bits(batch.targets, Y)
-                assert all(
-                    (a is None and b is None) or np.array_equal(a, b)
-                    for a, b in zip(batch.rows, rows)
-                )
+                assert (batch.distinct is None) == (n == 10)
+                if batch.distinct is not None:
+                    _table_rows(batch)
+        # a redraw draws fewer codes than a batch
+        assert any(count < n for count in draws) == redraws
 
 
 def test_a_coded_source_computes_its_target_once():
@@ -407,7 +408,7 @@ def test_dataset_batches_rows_follow_the_dataset():
     for epoch in (1, 2):
         for batch in (small.batch(epoch), full.batch(epoch)):
             assert isinstance(batch, Batch)
-            assert batch.rows == (None, None)
+            assert batch.distinct is None
     X, Y = full.batch(1)
     assert X is ds.inputs and Y is ds.targets
 

@@ -31,9 +31,9 @@ from softdag import (
 )
 from softdag import trainer
 from softdag.cli import parse_config
-from softdag.expression import evaluate_tree_batch
+from softdag.expression import Choices, evaluate_tree_batch, parse
 from softdag import scoring
-from softdag.data import _repeats, as_batch_source
+from softdag.data import ResamplingSource, TargetSpec, as_batch_source
 from softdag import plan as plan_module
 from softdag.plan import PopulationPlan, ValueStore
 from softdag.rng import TRIAL_STREAM, derive_seed
@@ -196,7 +196,8 @@ def test_recurrent_population_fitness_matches_reference(case):
 @given(repeated_rows())
 def test_population_fitness_on_repeated_rows_matches_reference(case):
     net, dags, X, Y, variance = case
-    got = population_fitness(net, dags, X, Y, 1, variance, distinct_rows(X, Y))
+    Xd, Yd, lanes = distinct_rows(X, Y)
+    got = population_fitness(net, dags, Xd, Yd, 1, variance, lanes)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 1, variance))
 
 
@@ -204,14 +205,16 @@ def test_population_fitness_on_repeated_rows_matches_reference(case):
 @given(repeated_rows(recurrent=True))
 def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
     net, dags, X, Y, variance = case
-    got = population_fitness(net, dags, X, Y, 3, variance, distinct_rows(X, Y))
+    Xd, Yd, lanes = distinct_rows(X, Y)
+    got = population_fitness(net, dags, Xd, Yd, 3, variance, lanes)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
 
 
 @st.composite
 def selections(draw):
     """A population, a batch, a kernel variance, a depth, a selection
-    count and the batch's ``rows``.
+    count and what ``population_select`` scores: the batch's distinct rows
+    and lanes, or its rows and ``None``.
 
     Depth 1 or 3; a batch with distinct rows, scored on every row, or with
     repeated rows, scored on its distinct ones; targets as drawn,
@@ -242,17 +245,17 @@ def selections(draw):
     depth = 3 if recurrent else 1
     pool = len(dags) * depth
     count = draw(st.one_of(st.just(pool), st.integers(1, min(pool, 3)), st.integers(1, pool)))
-    return net, dags, X, Y, variance, depth, count, distinct_rows(X, Y) if repeated else None
+    return net, dags, X, Y, variance, depth, count, distinct_rows(X, Y) if repeated else (X, Y, None)
 
 
 @settings(max_examples=300, deadline=None)
 @given(selections(), st.sampled_from((1, 2, 5, 32)), st.sampled_from((1, 3, 8)))
 def test_population_select_matches_select_top(case, block_rows, select_rows):
     # small blocks give even small populations several blocks to bound
-    net, dags, X, Y, variance, depth, count, rows = case
+    net, dags, X, Y, variance, depth, count, (Xs, Ys, lanes) = case
     want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
     with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=block_rows, SELECT_ROWS=select_rows):
-        got = population_select(PopulationPlan(net, dags, depth), X, Y, variance, count, rows)
+        got = population_select(PopulationPlan(net, dags, depth), Xs, Ys, variance, count, lanes)
     assert [[c for c, _ in picks] for picks in got] == [[c for c, _ in picks] for picks in want]
     assert all(
         same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, want)
@@ -277,8 +280,37 @@ def test_population_select_ties_on_repeated_rows():
         want = select_top(population_fitness(net, dags, X, Y, 1, variance), count)
         with mock.patch.multiple(scoring, SCORE_BLOCK_ROWS=1, SELECT_ROWS=1):
             plan = PopulationPlan(net, dags)
-            got = population_select(plan, X, Y, variance, count, distinct_rows(X, Y))
+            Xd, Yd, lanes = distinct_rows(X, Y)
+            got = population_select(plan, Xd, Yd, variance, count, lanes)
         assert got == want
+
+
+def test_population_select_on_a_table_with_rows_no_lane_reads():
+    # 1 / x0 over {0, 1, 2} x {3, 4}: the source's table holds the rows of
+    # x0 = 0, whose target is the division guard's NaN, and no lane reads
+    # them, so they weigh 0 in the kernel sums and in the bounds
+    spec = TargetSpec(
+        kind="explicit", input_count=2, output_count=1,
+        input_ranges=(Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))),
+        fn=lambda X: evaluate_tree_batch(parse("1 / x0"), X)[:, None],
+    )
+    source = ResamplingSource(spec, 40, 3)
+    net = make_network(("ADD", "SUB", "MUL", "DIV"), input_count=2, constants=(1.0,), depth=2)
+    for epoch in range(1, 6):
+        batch = source.batch(epoch)
+        X, Y, lanes = batch.distinct
+        assert np.isnan(Y).any() and not np.isnan(Y[lanes]).any()
+        rng = np.random.default_rng(epoch)
+        for block in net.blocks():
+            block[...] = rng.normal(0.0, 1.0, size=block.shape)
+        dags = sample_many(net, rng, 100)
+        for count in (1, 3):
+            want = select_top(population_fitness(net, dags, *batch, 1, 0.1), count)
+            for block_rows in (1, scoring.SCORE_BLOCK_ROWS):
+                with mock.patch.object(scoring, "SCORE_BLOCK_ROWS", block_rows):
+                    got = population_select(PopulationPlan(net, dags), X, Y, 0.1, count, lanes)
+                assert [[c for c, _ in p] for p in got] == [[c for c, _ in p] for p in want]
+                assert all(same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, want))
 
 
 def test_population_select_counts_shared_columns():
@@ -318,23 +350,6 @@ def test_bound_table_bounds_every_lane(variance):
     assert np.all(table[[0, 1 << (63 - _BOUND_SHIFT)]] > 0.0)  # +-0.0
 
 
-@pytest.mark.parametrize("top", [1, 2, 16, 300, 2404])
-def test_repeats_of_codes(top):
-    # few and many codes, at and around the half-batch gate
-    rng = np.random.default_rng(top)
-    for n in (1, 2, 3, 40, 601):
-        for kinds in (1, n // 2, n // 2 + 1, n):
-            pool = rng.choice(top, size=max(1, min(kinds, top)), replace=False)
-            codes = pool[rng.integers(0, len(pool), n)]
-            _, want_first, want_lanes = np.unique(codes, return_index=True, return_inverse=True)
-            got = _repeats(codes)
-            if len(want_first) > n // 2:
-                assert got == (None, None)
-            else:
-                assert np.array_equal(got[0], want_first) and np.array_equal(got[1], want_lanes)
-    assert _repeats(np.empty(0, dtype=np.int64)) == (None, None)
-
-
 def _config_training(name, epochs):
     exp = parse_config(CONFIG_DIR / f"{name}.ini")
     training = replace(exp.training, max_epochs=epochs, patience=epochs + 1)
@@ -352,13 +367,13 @@ def test_select_bounds_run_on_the_distinct_rows_of_lfsr4():
         rows_scored.append(len(k))
         return kernel_sums(k, *args)
 
-    def checked_select(plan, X, Y, variance, count, rows, store):
-        assert rows[1] is not None
+    def checked_select(plan, X, Y, variance, count, lanes, store):
+        assert len(X) == 16 and lanes is not None
         with mock.patch.object(scoring, "_kernel_sums", counted_sums):
-            got = population_select(plan, X, Y, variance, count, rows, store)
-        columns.append(len(column_scores(plan, X, Y, variance, None, rows)[0]))
+            got = population_select(plan, X, Y, variance, count, lanes, store)
+        columns.append(len(column_scores(plan, X, Y, variance, None, lanes)[0]))
         net, dags, depth = plan.network, plan.population, plan.depth
-        want = select_top(population_fitness(net, dags, X, Y, depth, variance), count)
+        want = select_top(population_fitness(net, dags, X[lanes], Y[lanes], depth, variance), count)
         assert got == want
         return got
 
@@ -494,7 +509,7 @@ def _one_sample(store, buf):
 def test_forced_hash_collisions_match_evaluate(case):
     # every value row collides, so every merge rests on the full comparison;
     # NaN, +-inf and +-0 rows must stay apart
-    net, dags, X, Y, variance, depth, count, rows = case
+    net, dags, X, Y, variance, depth, count, (Xs, Ys, lanes) = case
     columns = [evaluate_recurrent(net, dag, X, depth) for dag in dags]
     want = np.array([
         [fitness(out[:, j], Y[:, j], variance) for j in range(Y.shape[1])]
@@ -502,8 +517,8 @@ def test_forced_hash_collisions_match_evaluate(case):
     ])
     every_row_collides = mock.patch.object(ValueStore, "_view", _one_sample)
     with every_row_collides:
-        assert same_bits(population_fitness(net, dags, X, Y, depth, variance, rows), want)
-        got = population_select(PopulationPlan(net, dags, depth), X, Y, variance, count, rows)
+        assert same_bits(population_fitness(net, dags, Xs, Ys, depth, variance, lanes), want)
+        got = population_select(PopulationPlan(net, dags, depth), Xs, Ys, variance, count, lanes)
         assert got == select_top(want, count)
         for dag, outs in list(zip(dags, columns))[:5]:
             assert all(same_bits(g, w) for g, w in zip(evaluate_recurrent(net, dag, X, depth), outs))
