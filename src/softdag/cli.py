@@ -643,9 +643,10 @@ def _write_report(out: Path | None, exp: ExperimentConfig, rows: list[dict]) -> 
     payload["trials_detail"] = rows
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     payload["environment"] = _environment()
+    # one line: ``json.dump`` and any ``indent`` run the pure-Python
+    # encoder, whose closures leave a reference cycle on every call
     with open(out / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _environment() -> dict:

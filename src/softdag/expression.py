@@ -262,40 +262,18 @@ def evaluate_tree(expr: Expr, x) -> float:
 
 
 def evaluate_tree_batch(expr: Expr, X) -> np.ndarray:
-    """Vectorized tree evaluation over a batch of input rows."""
-    return _evaluate_node(expr, np.asarray(X, dtype=np.float64), {})
-
-
-def _evaluate_node(node: Expr, X: np.ndarray, cache: dict[int, np.ndarray]) -> np.ndarray:
-    # a module-level recursion, not a closure: a closure that calls itself
-    # is a reference cycle, which would keep ``cache`` alive until the
-    # garbage collector runs
-    key = id(node)
-    found = cache.get(key)
-    if found is not None:
-        return found
-    if isinstance(node, Input):
-        out = X[:, node.index]
-    elif isinstance(node, Const):
-        out = np.full(X.shape[0], node.value)
-    else:
-        with np.errstate(all="ignore"):
-            out = np.asarray(
-                node.basis.fn(*(_evaluate_node(c, X, cache) for c in node.children)),
-                dtype=np.float64,
-            )
-    cache[key] = out
-    return out
+    """Vectorized tree evaluation over a batch of input rows: the program
+    of :func:`compile_trees` for this one tree."""
+    return compile_trees((expr,))(X)[0]
 
 
 def compile_trees(exprs):
     """``exprs`` compiled once into a flat program of basis calls: a
-    function of a batch ``X`` that returns each tree's values, each with
-    the bits of ``evaluate_tree_batch``.
+    function of a batch ``X`` that returns each tree's values.
 
-    The program makes the calls that ``evaluate_tree_batch`` makes, on the
-    same arrays: an input is a column view of ``X``, a constant a full
-    column, and a subtree shared as one object is computed once.
+    Each call reads whole columns: an input is a column view of ``X``, a
+    constant a full column, and a subtree shared as one object is computed
+    once.
     """
     steps: list[tuple] = []
     slots: dict[int, int] = {}
@@ -320,6 +298,9 @@ def compile_trees(exprs):
 def _compile_node(node: Expr, steps: list, slots: dict[int, int]) -> int:
     """Append the steps of ``node``'s subtree not in ``slots``, children
     first, to ``steps``; return the slot of ``node``'s value."""
+    # a module-level recursion, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep ``slots`` alive until the
+    # garbage collector runs
     key = id(node)
     if key not in slots:
         if isinstance(node, Input):
@@ -504,7 +485,7 @@ def dag_to_expression(network: Network, dag: SampledDAG, output_index: int) -> E
 
 
 def _tree_of_code(network: Network, codes: list, code: int, cache: dict[int, Expr]) -> Expr:
-    # module-level, as ``_evaluate_node`` is: a closure that calls itself is a reference cycle
+    # module-level, as ``_compile_node`` is: a closure that calls itself is a reference cycle
     inputs = network.config.input_count
     if code < inputs:
         return Input(code)

@@ -21,6 +21,8 @@ from softdag import cli
 from softdag.cli import build_parser, main, parse_config, run_experiment
 from softdag.network import ConfigError
 
+from conftest import cyclic_garbage
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FAST_CONFIG = """
@@ -145,6 +147,15 @@ def test_reports_reproduce_byte_identically(fast_config, tmp_path):
     sb = json.loads((out_b / "summary.json").read_text())
     sa.pop("generated_at"), sb.pop("generated_at")
     assert sa == sb
+
+
+def test_write_report_leaves_no_cyclic_garbage(fast_config, tmp_path):
+    report = run_experiment(fast_config, out_dir=tmp_path)
+    _assert_no_errors(report)
+    exp, rows = parse_config(fast_config), report["trial_rows"]
+    assert cyclic_garbage(lambda: cli._write_report(tmp_path, exp, rows)) == 0
+    # the summary is one line
+    assert (tmp_path / "summary.json").read_text().count("\n") == 1
 
 
 def test_forced_non_convergence(fast_config):

@@ -116,17 +116,23 @@ def test_round_trip_property(name, data):
     assert parse(to_string(expr)) == expr
 
 
+def _matches_scalar_oracle(batch, expr, X) -> bool:
+    """Whether ``batch`` holds ``evaluate_tree``'s value of ``expr`` on
+    every row of ``X``: NaN where it is NaN, else within 1e-12."""
+    for k in range(len(X)):
+        scalar = evaluate_tree(expr, X[k])
+        if math.isnan(scalar) != math.isnan(batch[k]):
+            return False
+        if not math.isnan(scalar) and scalar != pytest.approx(batch[k], rel=1e-12, abs=1e-12):
+            return False
+    return True
+
+
 def test_tree_eval_matches_batch_eval(rng):
     for _ in range(50):
         expr = _random_expr(rng, 2, 3)
         X = rng.uniform(-3, 3, (20, 2))
-        batch = evaluate_tree_batch(expr, X)
-        for k in range(20):
-            scalar = evaluate_tree(expr, X[k])
-            if math.isnan(scalar):
-                assert math.isnan(batch[k])
-            else:
-                assert scalar == pytest.approx(batch[k], rel=1e-12, abs=1e-12)
+        assert _matches_scalar_oracle(evaluate_tree_batch(expr, X), expr, X)
 
 
 def test_simplify_rules():
@@ -241,7 +247,9 @@ def test_compiled_trees_match_the_interpreter(trees, rows, seed):
     X.flat[rng.integers(0, X.size, size=rows)] = rng.choice(_specials, size=rows)
     got = compile_trees(trees)(X)
     assert len(got) == len(trees)
-    # the same ufuncs on the same arrays: every bit, NaN payloads included
+    assert all(_matches_scalar_oracle(g, t, X) for g, t in zip(got, trees))
+    # sharing a subtree across trees makes the calls of each tree alone:
+    # every bit, NaN payloads included
     assert all(same_bits(g, evaluate_tree_batch(t, X)) for g, t in zip(got, trees))
 
 

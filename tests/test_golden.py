@@ -10,9 +10,9 @@ Row digests pin what a run reports from those weights: trial 0's
 ``max_epochs``, so extraction, simplification and the equivalence checks
 are pinned too.
 
-The classification digest pins the image path: ``mnist_binary``'s network
-and training on a generated two-class IDX pair, split as ``softdag run``
-splits it.
+The classification digests pin the image path: ``mnist_binary``'s and
+``mnist_trinary``'s networks and training on generated IDX files of their
+classes, split as ``softdag run`` splits them.
 """
 
 import hashlib
@@ -90,6 +90,28 @@ ROWS = {
     "sort3": (100, "2acd4c56183a6a339bee56bac6cd41a55ac0762968ba185b2088dff9f58b42a5"),
     # ('max-epochs-exhausted', 100, '(x0 + x0)', False)
     "recurrent_step": (100, "bd217b3d6defbe9231e46780f3ebf0c0a178dfdb3eeb9955d86da2bdd224eed2"),
+    # the other non-image configs, recorded before basis calls on wide
+    # batches wrote into the value buffer in place
+    # ('max-epochs-exhausted', 200, '(x1 * x1)', False)
+    "half_squares": (200, "fb7f7f37dce6c5da08e672d3c94fd213f182e165df3b8bc1d1c4b08c0d9e3590"),
+    # ('converged', 51, '(x0 * x1)', True)
+    "hyperbola_implicit": (100, "95455796328cb2d0a25cb1bc7d2ac04e977a51452c92fc3bdc02a29d740e565e"),
+    # ('max-epochs-exhausted', 200, 'x1 | x0', False)
+    "pair_piecewise": (200, "8114841d95f76c70db6b00a66954ee665f2dd6ab617cda25042fedd1530142d5"),
+    # ('max-epochs-exhausted', 200, 'if_leq(1, (x0 + x0), x0, x0)', False)
+    "piecewise_3x": (200, "ab820d72e946ce1ad0ad8d5349ba14f51451e092b371cf88057a343e0432b283"),
+    # ('max-epochs-exhausted', 200, 'if_leq(x0, 1, x0, x0)', False)
+    "piecewise_sin": (200, "8e9218fe7a775362eaf6ddef11354f88957b6887f36141096ac0441097b578f6"),
+    # ('max-epochs-exhausted', 200, '(x0 * x0)', False)
+    "piecewise_square_neg": (200, "e3b0f91d9b669ef7a232e94c559d3097774cf7fe88279a10c6dd61ce49a3c40b"),
+    # ('max-epochs-exhausted', 200, '4', False)
+    "rational_poly": (200, "7474877cbbc8511cef8a770f8ec5717fcee9cfd6ccc37a7db9c1a892ce04bcbe"),
+    # ('max-epochs-exhausted', 200, '((x0 / ((x0 * x0) + (x0 + 1))) * (x0 * x0))', False)
+    "ratio_power": (200, "e067044bcde050a49eca395ef8a8bcb285ba5d97e4c7780ba2f6635ffd8e80c1"),
+    # ('max-epochs-exhausted', 200, '1', False)
+    "sin_3x_plus_2": (200, "7d5b57b08b1425539cdaaeae96ad7d55ea356cbf639d69faa98dc1d0254a56a9"),
+    # ('max-epochs-exhausted', 200, 'sin((x0 + x0))', False)
+    "sum_of_sines": (200, "69136b2bf222a1019dd50c405a770a15ec4ee111c03a561b53849649de36a9ab"),
 }
 
 
@@ -102,33 +124,50 @@ def test_golden_row(name):
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest, fields
 
 
-# SHA-256 of the final weights of 50 epochs of mnist_binary's network and
-# training on ``_ring_and_bar``'s images, recorded with the rows above
-CLASSIFICATION = "ecd7d34625ae2cd6214f308909b1db12849b86421c5f00a6b54fd7681f6184e2"
+# SHA-256 of the final weights of 50 epochs of a classification config's
+# network and training on ``_ring_and_bar``'s images of its classes;
+# mnist_binary's was recorded with the rows above, mnist_trinary's before
+# basis calls on wide batches wrote into the value buffer in place
+CLASSIFICATION = {
+    "mnist_binary": "ecd7d34625ae2cd6214f308909b1db12849b86421c5f00a6b54fd7681f6184e2",
+    "mnist_trinary": "e5630c1dc9641c4fe3458341dbb27ec25c78d717aed3aac4afe6f74e8f6af134",
+}
 
 
-def _ring_and_bar(tmp_path, n=1200):
-    """A seeded 28x28 IDX pair over uniform noise: class 0 is a ring, class
-    7 a vertical bar."""
+def _ring_and_bar(tmp_path, n=1200, classes=(0, 7)):
+    """A seeded 28x28 IDX pair over uniform noise whose rows take
+    ``classes`` in turn: the first class is a ring, the second a vertical
+    bar and a third, if given, a horizontal bar."""
     rng = np.random.default_rng(7)
-    labels = np.where(np.arange(n) % 2 == 0, 0, 7).astype(np.uint8)
+    labels = np.array(classes, dtype=np.uint8)[np.arange(n) % len(classes)]
     images = rng.integers(0, 100, size=(n, 28, 28), dtype=np.uint8)
     r = np.hypot(*np.mgrid[-13.5:14.5, -13.5:14.5])
-    images[labels == 0] |= np.where((r >= 7) & (r <= 10), 255, 0).astype(np.uint8)
-    images[labels == 7, :, 12:16] = 255
+    images[labels == classes[0]] |= np.where((r >= 7) & (r <= 10), 255, 0).astype(np.uint8)
+    images[labels == classes[1], :, 12:16] = 255
+    if len(classes) > 2:
+        images[labels == classes[2], 12:16, :] = 255
     img_path, lab_path = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
     img_path.write_bytes(struct.pack(">iiii", 2051, n, 28, 28) + images.tobytes())
     lab_path.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
     return img_path, lab_path
 
 
-def test_golden_classification(tmp_path):
-    exp = parse_config(CONFIG_DIR / "mnist_binary.ini")
-    img_path, lab_path = _ring_and_bar(tmp_path)
+def _classification_digest(tmp_path, name) -> str:
+    exp = parse_config(CONFIG_DIR / f"{name}.ini")
+    img_path, lab_path = _ring_and_bar(tmp_path, classes=exp.classes)
     train_set, _ = cli._load_classification(replace(exp, idx_images=str(img_path), idx_labels=str(lab_path)))
     seed = derive_seed(exp.training.seed, TRIAL_STREAM, 0)
     training = replace(exp.training, seed=seed, max_epochs=EPOCHS, patience=EPOCHS + 1)
     network = build_network(exp.network)
     run = train(network, train_set, training)
     assert run.epoch == EPOCHS
-    assert weights_digest(network) == CLASSIFICATION
+    return weights_digest(network)
+
+
+def test_golden_classification(tmp_path):
+    assert _classification_digest(tmp_path, "mnist_binary") == CLASSIFICATION["mnist_binary"]
+
+
+def test_golden_classification_trinary(tmp_path):
+    # its ADD, MIN and MAX nodes on 1000-lane batches write in place
+    assert _classification_digest(tmp_path, "mnist_trinary") == CLASSIFICATION["mnist_trinary"]

@@ -153,16 +153,25 @@ def test_evaluate_recurrent_matches_reference(case):
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
-def test_evaluate_recurrent_nan_payloads_match_reference():
+def _nan_payloads_match_reference(n) -> bool:
     # x0 * x0 * (x0 * x1) is inf * 0 at x0 = 1e200, x1 = 0; the graph's
     # outputs are that NaN negated and as is, so depth 2 multiplies two NaNs
     # of opposite sign, whose result's payload depends on the vector lane
     net = make_network(("MUL", "MUL", "NEG"), input_count=2, output_count=2, depth=2)
     dag = make_dag(net, [[0, 0, 0, 1], [2, 3], [0, 0, 0, 0, 5]], [10, 5])
-    X = np.tile([1e200, 0.0], (35, 1))
+    X = np.tile([1e200, 0.0], (n, 1))
     got = evaluate_recurrent(net, dag, X, 3)
     want = reference_evaluate_recurrent(net, dag, X, 3)
-    assert all(same_bits(g, w) for g, w in zip(got, want))
+    return all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_evaluate_recurrent_nan_payloads_match_reference():
+    assert _nan_payloads_match_reference(35)
+
+
+def test_in_place_nan_payloads_match_reference():
+    # MUL and NEG write in place, in rows that do not start on a 64-byte line
+    assert _nan_payloads_match_reference(plan_module.INPLACE_LANES + 3)
 
 
 def _reference_matrix(net, dags, X, Y, depth, variance):
@@ -208,6 +217,48 @@ def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
     Xd, Yd, lanes = distinct_rows(X, Y)
     got = population_fitness(net, dags, Xd, Yd, 3, variance, lanes)
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
+
+
+@st.composite
+def wide_populations(draw, recurrent=False):
+    """A random network, a sampled population and a batch with targets,
+    wide enough that ufunc bases write their values in place
+    (``INPLACE_LANES``): an odd lane count, so that no value row after the
+    first starts on a 64-byte line, and rows holding NaN, inf and 1e200."""
+    net, dags, rng, variance = _draw_population(draw, recurrent)
+    n = plan_module.INPLACE_LANES + 2 * draw(st.integers(0, 100)) + 1
+    X = rng.normal(0.0, 2.0, size=(n, net.config.input_count))
+    special = rng.random(n) < 0.2
+    X[special] = rng.choice(_ROW_VALUES, size=(np.count_nonzero(special), X.shape[1]))
+    Y = rng.normal(0.0, 2.0, size=(n, net.config.output_count))
+    return net, dags, X, Y, variance
+
+
+_wide_settings = settings(max_examples=25, deadline=None)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@_wide_settings
+@given(data=st.data())
+def test_population_fitness_on_wide_batches_matches_reference(depth, data):
+    net, dags, X, Y, variance = data.draw(wide_populations(recurrent=depth > 1))
+    want = _reference_matrix(net, dags, X, Y, depth, variance)
+    assert same_bits(population_fitness(net, dags, X, Y, depth, variance), want)
+    count = min(3, len(want))
+    got = population_select(PopulationPlan(net, dags, depth), X, Y, variance, count)
+    picks = select_top(want, count)
+    assert [[c for c, _ in p] for p in got] == [[c for c, _ in p] for p in picks]
+    assert all(same_bits([k for _, k in a], [k for _, k in b]) for a, b in zip(got, picks))
+
+
+@_wide_settings
+@given(wide_populations(recurrent=True))
+def test_evaluate_recurrent_on_wide_batches_matches_reference(case):
+    net, dags, X, _, _ = case
+    for dag in list(dags)[:5]:
+        got = evaluate_recurrent(net, dag, X, 3)
+        want = reference_evaluate_recurrent(net, dag, X, 3)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
 @st.composite
