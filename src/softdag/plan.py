@@ -28,16 +28,6 @@ __all__ = ["PopulationPlan", "ValueStore", "evaluate", "evaluate_recurrent"]
 CHUNK_ROWS = 32
 
 
-# The fewest lanes at which a basis that is a numpy ufunc runs one call per
-# node on the buffer's rows where they lie, not chunked calls on gathered
-# rows.  Per whole epoch (150 epochs of trial 0, 2-core x86), in place
-# against chunked: sort3, half_squares and recurrent_halfsquare (100-150
-# graphs) 1.002-1.012x at 512 lanes, 0.99-1.005x at 768, 0.98-0.99x at
-# 1000; poly_2x2_3x 0.965-0.984x from 512 on.  On lfsr4's 16-lane table
-# ``_evaluate`` took 1.34x as long.
-INPLACE_LANES = 768
-
-
 # Lanes of a value row that key its hash table: the first ones, whose bits
 # lie together.  Every hit is checked on all lanes, so the lanes decide only
 # how often a check fails and two equal values stay apart.
@@ -215,9 +205,8 @@ class PopulationPlan:
         multiplication makes from two NaNs: numpy takes it from either
         operand, by the lane's place in its vector loop.  With ``chunk=1``
         every node is its own call, payloads included, and so is every
-        node of a ufunc basis on ``INPLACE_LANES`` lanes or more
-        (``ValueStore``).  Values merge only when all their bits agree,
-        payloads included.
+        node of a ufunc basis (``ValueStore``).  Values merge only when all
+        their bits agree, payloads included.
 
         A run that starts from the values of the last run on the same rows
         computes only the keys never met before and those whose value's row
@@ -324,9 +313,9 @@ class ValueStore:
     ``canon``, ``rows`` and the keys.  So a batch that changes every epoch
     costs one copy and one compare of its bytes.
 
-    Each basis call takes as many nodes as fit in ``chunk`` argument rows,
-    gathered, and scatters their values; on ``INPLACE_LANES`` lanes or more
-    a numpy ufunc basis calls once per node on ``buf``'s rows in place.
+    A numpy ufunc basis calls once per node on ``buf``'s rows in place; any
+    other basis call takes as many nodes as fit in ``chunk`` argument rows,
+    gathered, and scatters their values.
     ``evaluated`` counts the nodes a run computed by a basis call and
     ``merged`` the computed nodes and leaves whose value repeats an earlier
     one.
@@ -512,10 +501,9 @@ class ValueStore:
         src = self.rows[keys[:, 1:]]
         basis = keys[:, 0].tolist()
         starts = [i for i in range(len(basis)) if not i or basis[i] != basis[i - 1]]
-        wide = buf.shape[1] >= INPLACE_LANES
         for lo, hi in zip(starts, [*starts[1:], len(basis)]):
             b = bases[basis[lo]]
-            if wide and isinstance(b.fn, np.ufunc):
+            if isinstance(b.fn, np.ufunc):
                 # one call per node on the rows where they lie: a node's
                 # row was free, so it is no child's
                 fn, out = b.fn, rows[lo:hi].tolist()

@@ -90,8 +90,8 @@ ROWS = {
     "sort3": (100, "2acd4c56183a6a339bee56bac6cd41a55ac0762968ba185b2088dff9f58b42a5"),
     # ('max-epochs-exhausted', 100, '(x0 + x0)', False)
     "recurrent_step": (100, "bd217b3d6defbe9231e46780f3ebf0c0a178dfdb3eeb9955d86da2bdd224eed2"),
-    # the other non-image configs, recorded before basis calls on wide
-    # batches wrote into the value buffer in place
+    # the other non-image configs, recorded before ufunc basis calls
+    # wrote into the value buffer in place
     # ('max-epochs-exhausted', 200, '(x1 * x1)', False)
     "half_squares": (200, "fb7f7f37dce6c5da08e672d3c94fd213f182e165df3b8bc1d1c4b08c0d9e3590"),
     # ('converged', 51, '(x0 * x1)', True)
@@ -127,7 +127,7 @@ def test_golden_row(name):
 # SHA-256 of the final weights of 50 epochs of a classification config's
 # network and training on ``_ring_and_bar``'s images of its classes;
 # mnist_binary's was recorded with the rows above, mnist_trinary's before
-# basis calls on wide batches wrote into the value buffer in place
+# ufunc basis calls wrote into the value buffer in place
 CLASSIFICATION = {
     "mnist_binary": "ecd7d34625ae2cd6214f308909b1db12849b86421c5f00a6b54fd7681f6184e2",
     "mnist_trinary": "e5630c1dc9641c4fe3458341dbb27ec25c78d717aed3aac4afe6f74e8f6af134",

@@ -171,7 +171,7 @@ def test_evaluate_recurrent_nan_payloads_match_reference():
 
 def test_in_place_nan_payloads_match_reference():
     # MUL and NEG write in place, in rows that do not start on a 64-byte line
-    assert _nan_payloads_match_reference(plan_module.INPLACE_LANES + 3)
+    assert _nan_payloads_match_reference(WIDE_LANES)
 
 
 def _reference_matrix(net, dags, X, Y, depth, variance):
@@ -219,14 +219,17 @@ def test_recurrent_population_fitness_on_repeated_rows_matches_reference(case):
     assert same_bits(got, _reference_matrix(net, dags, X, Y, 3, variance))
 
 
+# The shipped configs' batch width, made odd, so that no value row after the
+# first starts on a 64-byte line
+WIDE_LANES = 1001
+
+
 @st.composite
 def wide_populations(draw, recurrent=False):
-    """A random network, a sampled population and a batch with targets,
-    wide enough that ufunc bases write their values in place
-    (``INPLACE_LANES``): an odd lane count, so that no value row after the
-    first starts on a 64-byte line, and rows holding NaN, inf and 1e200."""
+    """A random network, a sampled population and a ``WIDE_LANES`` batch
+    with targets, with rows holding NaN, inf and 1e200."""
     net, dags, rng, variance = _draw_population(draw, recurrent)
-    n = plan_module.INPLACE_LANES + 2 * draw(st.integers(0, 100)) + 1
+    n = WIDE_LANES
     X = rng.normal(0.0, 2.0, size=(n, net.config.input_count))
     special = rng.random(n) < 0.2
     X[special] = rng.choice(_ROW_VALUES, size=(np.count_nonzero(special), X.shape[1]))
