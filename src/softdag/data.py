@@ -266,7 +266,9 @@ class ResamplingSource:
     source computes the inputs, the target and their finiteness once, on
     every combination in code order; a batch draws the codes, redraws
     those of non-finite combinations, and takes its rows from that table.
-    The rows, and the generator's numbers, are those of ``_generate``.
+    A table with no non-finite row has nothing to redraw, and its batches
+    skip the scan, which draws no number when it finds nothing.  The rows,
+    and the generator's numbers, are those of ``_generate``.
     """
 
     def __init__(self, spec: TargetSpec, batch_size: int, seed: int):
@@ -289,7 +291,8 @@ class ResamplingSource:
             X, Y = _complete(spec, _choose(self._values, picks))
             X.flags.writeable = Y.flags.writeable = False
             self._table = X, Y
-            self._finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
+            finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
+            self._finite = None if finite.all() else finite
             # a table of more than half a batch's rows costs more to score
             # than the batch
             self._distinct = len(X) <= batch_size // 2
@@ -299,13 +302,14 @@ class ResamplingSource:
         if not self._coded:
             return Batch(*_generate(self.spec, self.batch_size, rng))
         codes = self._radix @ _picks(self._values, self.batch_size, rng)
-        for _ in range(_MAX_RESAMPLE_ROUNDS):
-            bad = ~self._finite[codes]
-            if not bad.any():
-                break
-            codes[bad] = self._radix @ _picks(self._values, int(bad.sum()), rng)
-        else:
-            raise ConfigError(f"target {self.spec.name!r} keeps producing non-finite rows")
+        if self._finite is not None:
+            for _ in range(_MAX_RESAMPLE_ROUNDS):
+                bad = ~self._finite[codes]
+                if not bad.any():
+                    break
+                codes[bad] = self._radix @ _picks(self._values, int(bad.sum()), rng)
+            else:
+                raise ConfigError(f"target {self.spec.name!r} keeps producing non-finite rows")
         X, Y = self._table
         return Batch(X.take(codes, 0), Y.take(codes, 0), (X, Y, codes) if self._distinct else None)
 

@@ -167,6 +167,12 @@ class Network:
         ends = np.cumsum([0, *(rows * cols for rows, cols in shapes)]).tolist()
         # each block's ``(start, end, shape)`` in ``params``
         self.layout = list(zip(ends[:-1], ends[1:], shapes))
+        # per block, its first cell in ``params``, its row width and its
+        # softmax temperature, as the gradient's scatter reads them
+        self.block_start = np.array(ends[:-1])
+        self.block_width = np.array([cols for _, cols in shapes])
+        self.block_temperature = np.array([config.temperature] * self.levels
+                                          + [config.last_layer_temperature])
         self.params = np.ones(ends[-1])
         *self.weights, self.output_weights = self.blocks(self.params)
 

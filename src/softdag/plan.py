@@ -88,15 +88,14 @@ class PopulationPlan:
         # for padding and one cell per basis holding its name's first
         # occurrence; a node's key is a row of these cells
         width = u + levels * N + 1 + N
-        pad = width - N - 1
         id_of = np.empty((graphs, width), dtype=np.int64)
-        id_of[:, pad:] = tables.key_cells
+        id_of[:, -N - 1:] = tables.key_cells
         arg = [codes[c] for codes, c in zip(network.arg_codes, population.choices)]
         # per level and graph, the cell that each slot of ``key_slots``
         # reads: the chosen codes, then the padding and basis cells
         codes = np.empty((levels, graphs, M + 1 + N), dtype=np.int64)
         codes[:, :, :M] = arg
-        codes[:, :, M:] = np.arange(pad, width)
+        codes[:, :, M:] = tables.key_cells_at
         out_codes = network.output_codes[population.output_choices]
         self.population = population
         self.live = reachable_images(network, arg, out_codes)
@@ -269,8 +268,9 @@ class PopulationPlan:
         """Hand ``sink`` the columns of depth ``d``'s outputs not met before,
         and index every candidate of depth ``d``; ``column_of`` numbers the
         columns met, by node and output."""
-        v = self.network.config.output_count
-        key = id_of.take(self._out_cells) * v + np.arange(v)
+        outputs = self._tables.outputs
+        v = len(outputs)
+        key = id_of.take(self._out_cells) * v + outputs
         column = column_of[key]
         new = key[column < 0]
         if len(new):
@@ -349,12 +349,11 @@ class ValueStore:
         holds if the last run had the same network and rows, and make room
         for the run's new ids.  Rows whose own bytes exceed ``STORE_BYTES``
         can never be kept, so they are not remembered."""
-        network = plan.network
+        network, tables = plan.network, plan._tables
         cfg, u = network.config, network.u
-        constants = np.array(cfg.constants)
         last = None
         if X.nbytes <= STORE_BYTES:
-            last = (cfg, constants.tobytes(), X.shape, X.tobytes())
+            last = (cfg, tables.constant_bytes, X.shape, X.tobytes())
         self.repeated = last is not None and last == self._last
         # remembered when the run ends: a run cut short leaves nothing to reuse
         self._last, self._key = None, last
@@ -378,7 +377,7 @@ class ValueStore:
         if fresh:
             leaves = np.arange(u)
             self.buf[:cfg.input_count] = X.T
-            self.buf[cfg.input_count:u] = constants[:, None]
+            self.buf[cfg.input_count:u] = np.array(cfg.constants)[:, None]
             self._merge(leaves, leaves)
 
     def _end(self) -> None:
@@ -563,10 +562,11 @@ class _Tables:
     slots of a level's row of the plan's ``codes`` (its basis, slot
     ``M + 1 + image``, then its argument rows, padded with slot ``M``);
     the ``key_cells`` that end each graph's id table (-1 for padding, then
-    each basis's first occurrence of its name); the images ordered
-    ``by_basis`` name and each name's ``arities``; and the ``bounds`` of a
-    level's plain keys, sure aliases and NaN-checked ones, as the codes
-    ``3 * level + kind`` sort.
+    each basis's first occurrence of its name) and the cells that hold
+    them, ``key_cells_at``; the images ordered ``by_basis`` name and each
+    name's ``arities``; the ``bounds`` of a level's plain keys, sure
+    aliases and NaN-checked ones, as the codes ``3 * level + kind`` sort;
+    the ``outputs``' indices; and ``constant_bytes``, the constants' bytes.
 
     ``rule`` holds each image's rule code, or None when no rule can fire
     (``x * 1`` and ``x / 1`` need a constant 1.0); then ``table`` is the
@@ -584,16 +584,20 @@ class _Tables:
         first: dict[str, int] = {}
         basis_first = [first.setdefault(b.name, i) for i, b in enumerate(bases)]
         self.key_cells = np.array([-1, *basis_first])
+        width = network.u + network.levels * N + 1 + N
+        self.key_cells_at = np.arange(width - N - 1, width)
         self.by_basis = np.argsort(basis_first, kind="stable")
         self.arities = [bases[i].arity for i in first.values()]
         self.bounds = np.arange(1, 3 * network.levels + 1)
+        self.outputs = np.arange(cfg.output_count)
+        self.constant_bytes = np.array(cfg.constants).tobytes()
         one = 1.0 in cfg.constants
         rules = [_RULES.get(b.name, 0) if one or b.name == "IF_LEQ" else 0 for b in bases]
         self.rule = None
         if any(rules):
             self.rule = np.array(rules)
             self.table = _alias_table(cfg.constants)
-            self.constant = np.zeros(network.u + network.levels * N + 1 + N, dtype=np.int64)
+            self.constant = np.zeros(width, dtype=np.int64)
             self.constant[cfg.input_count:network.u] = np.arange(1, len(cfg.constants) + 1)
 
     def aliases(self, image: np.ndarray, keys: np.ndarray):

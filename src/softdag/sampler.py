@@ -89,15 +89,16 @@ class SampledPopulation:
             yield SampledDAG(tuple(choices), out)
 
 
-# The most compares per selection row, draws times sources, at which
-# ``_draw`` counts a block's draws in one compare; past it each row makes
-# one binary search, which costs about the same whatever the draw count.
-# Against the searches mapped over a block's rows, the compare took
-# 0.4-0.8x their time on blocks of 8-13 rows up to 400 compares per row,
-# about the same at 800 and 1.0-1.7x from 1200 on; on blocks of 1-4 rows
-# it was up to 3x slower at 800, a few us.  On MNIST's 791-source rows it
-# was 13x slower.
-DRAW_ROW_COMPARES = 1024
+# The widest rows, in sources, whose block ``_draw`` counts in one compare;
+# wider rows make one binary search each.  Timed inside lfsr4's
+# ``sample_many`` during training (120 epochs per cell, medians), on blocks
+# of 1-42 rows at 50-150 draws: the compare took 0.45-0.99x the searches'
+# time on blocks of 4 or more rows up to 40 sources, 0.86-1.05x at 48,
+# 0.96-1.09x at 56, 1.02-1.20x at 64, 1.4x at 96, 2.5-3.1x at 256 and
+# 5-7x at 800; on one-row blocks it was 0.93-1.21x up to 64 sources, a
+# microsecond or two.  The counts are bytes, so the gate must stay at most
+# 256.
+DRAW_COMPARE_SOURCES = 48
 
 
 def _draw(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -105,19 +106,22 @@ def _draw(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
     ``(count, rows)``.
 
     A draw is the number of its row's cumulative sums at or below its
-    uniform.  The sums never decrease, so this is ``searchsorted(...,
-    side="right")`` of each row, and it is one of two forms: a count over
-    one compare of the whole block, or, for wide rows or many draws
-    (``DRAW_ROW_COMPARES``), one binary search per row, which costs
+    uniform, capped at the last source, since rounding can leave the last
+    sum below a uniform.  The sums never decrease, so this is
+    ``searchsorted(..., side="right")`` of each row, clamped.  Rows of at
+    most ``DRAW_COMPARE_SOURCES`` sources count every draw in one compare
+    against all of their sums but the last, which caps each draw by
+    itself; wider rows make one binary search per row, which costs
     O(log sources) per choice however wide the rows are.
     """
     cum = probs.cumsum(axis=1)
-    if len(r) * probs.shape[1] <= DRAW_ROW_COMPARES:
-        # sources leading and contiguous: the sum runs over whole planes
-        idx = np.less_equal(np.ascontiguousarray(cum.T)[:, None, :], r).sum(axis=0)
-    else:
-        # one search per row, mapped over the rows without a Python loop
-        idx = np.array(list(map(np.ndarray.searchsorted, cum, r.T, repeat("right")))).T.copy()
+    if probs.shape[1] <= DRAW_COMPARE_SOURCES:
+        # row-major, then sum, then draw: each compare runs along a row's
+        # contiguous draws, and the count sums whole planes of bytes
+        hit = np.less_equal(cum[:, :-1, None], np.ascontiguousarray(r.T)[:, None, :])
+        return np.ascontiguousarray(hit.view(np.uint8).sum(axis=1, dtype=np.uint8).T, dtype=np.int64)
+    # one search per row, mapped over the rows without a Python loop
+    idx = np.array(list(map(np.ndarray.searchsorted, cum, r.T, repeat("right")))).T.copy()
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
 
 

@@ -161,17 +161,16 @@ def population_gradient(plan: PopulationPlan, probs, pairs) -> np.ndarray:
     levels.append((np.arange(len(pairs)), out, chosen))
     block = np.arange(len(levels)).repeat([len(row) for _, row, _ in levels])
     pair, row, chosen = (np.concatenate(column) for column in zip(*levels))
-    start, width = np.array([(a, shape[1]) for a, _, shape in network.layout]).T
-    temperature = np.array([cfg.temperature] * network.levels + [cfg.last_layer_temperature])
     # a reached row's weights are a run of ``width`` cells of ``params``,
     # and its terms start at ``offset``
-    width = width[block]
+    width = network.block_width[block]
     offset = width.cumsum() - width
-    cells = (start[block] + row * width - offset).repeat(width) + np.arange(offset[-1] + width[-1])
+    start = network.block_start[block] + row * width - offset
+    cells = start.repeat(width) + np.arange(offset[-1] + width[-1])
     # scale * (p - e_c) / T per cell, in one scatter for all blocks
     d = np.concatenate([p.ravel() for p in probs])[cells]
     d[offset + chosen] -= 1.0
-    d *= (scale[pair] / temperature[block]).repeat(width)
+    d *= (scale[pair] / network.block_temperature[block]).repeat(width)
     np.add.at(grad, cells, d)
     return grad
 

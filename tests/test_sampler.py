@@ -276,12 +276,21 @@ def _row_searches(probs, r):
 
 def _check_draw(probs, r):
     """Both forms of ``_draw``, and the one its gate picks, equal the
-    per-row searches on the uniforms ``r``."""
+    per-row searches on the uniforms ``r``.  The compare form counts in
+    bytes, so it is forced only on rows of at most 256 sources."""
     want = _row_searches(probs, r)
-    for gate in (sampler.DRAW_ROW_COMPARES, -1, len(r) * probs.shape[1]):
-        with mock.patch.object(sampler, "DRAW_ROW_COMPARES", gate):
+    width = probs.shape[1]
+    for gate in (sampler.DRAW_COMPARE_SOURCES, 0, width if width <= 256 else 0):
+        with mock.patch.object(sampler, "DRAW_COMPARE_SOURCES", gate):
             got = _draw(probs, r)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _form(probs, r):
+    """The form that ``_draw`` takes on ``probs``: "compare" or "search"."""
+    with mock.patch.object(np, "less_equal", wraps=np.less_equal) as compare:
+        _draw(probs, r)
+    return "compare" if compare.called else "search"
 
 
 def _ties(probs, rng, count):
@@ -315,14 +324,41 @@ def test_draw_equals_row_searches_on_adversarial_rows():
 
 
 def test_draw_gate_sits_between_its_forms():
-    # blocks just inside and just past the gate, drawn through sample_many
+    # blocks just inside and just past the gate: the row width picks the
+    # form, whatever the draw count
     rng = np.random.default_rng(4)
-    width = 8
-    edge = sampler.DRAW_ROW_COMPARES // width
-    for count in (edge - 1, edge, edge + 1):
-        probs = rng.dirichlet(np.full(width, 0.3), size=5)
-        _check_draw(probs, rng.random((count, 5)))
-        _check_draw(probs, _ties(probs, rng, count))
+    edge = sampler.DRAW_COMPARE_SOURCES
+    assert edge <= 256  # the compare's counts are bytes
+    for width in (edge - 1, edge, edge + 1):
+        for count in (1, 50, 150):
+            probs = rng.dirichlet(np.full(width, 0.3), size=5)
+            r = rng.random((count, 5))
+            assert _form(probs, r) == ("compare" if width <= edge else "search")
+            _check_draw(probs, r)
+            _check_draw(probs, _ties(probs, rng, count))
+
+
+def test_draw_caps_at_the_last_source():
+    # sums that end below 1.0: a uniform at or above the last sum draws the
+    # last source, in the compare form with no clamp
+    probs = np.full((2, 10), 0.1)
+    probs[1, 9] = 0.0
+    last = probs.cumsum(axis=1)[:, -1]
+    assert np.all(last < 1.0)
+    r = np.array([last, np.nextafter(last, 1.0), [0.5, 0.5]])
+    assert _form(probs, r) == "compare"
+    _check_draw(probs, r)
+    assert np.array_equal(_draw(probs, r)[:2], [[9, 9], [9, 9]])
+
+
+def test_draw_searches_image_rows():
+    # a block as wide as MNIST's first level, at its configs' 150 draws:
+    # there the compare is several times slower, and its byte counts wrap
+    rng = np.random.default_rng(8)
+    probs = rng.dirichlet(np.full(791, 0.5), size=42)
+    r = rng.random((150, 42))
+    assert _form(probs, r) == "search"
+    _check_draw(probs, r)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
