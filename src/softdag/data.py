@@ -305,9 +305,10 @@ class ResamplingSource:
         if self._finite is not None:
             for _ in range(_MAX_RESAMPLE_ROUNDS):
                 bad = ~self._finite[codes]
-                if not bad.any():
+                redraw = np.count_nonzero(bad)
+                if not redraw:
                     break
-                codes[bad] = self._radix @ _picks(self._values, int(bad.sum()), rng)
+                codes[bad] = self._radix @ _picks(self._values, redraw, rng)
             else:
                 raise ConfigError(f"target {self.spec.name!r} keeps producing non-finite rows")
         X, Y = self._table

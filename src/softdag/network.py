@@ -112,11 +112,13 @@ class NetworkConfig:
 def softmax_rows(matrix: np.ndarray, temperature: float) -> np.ndarray:
     """Row-wise temperature softmax of a weight matrix; stable under max
     subtraction."""
-    # the first division makes the copy; the rest works in it
+    # the first division makes the copy; the rest works in it.  The
+    # reductions are the ufuncs' own, as ``max`` and ``sum`` call them
+    # through Python wrappers
     z = np.asarray(matrix, dtype=np.float64) / float(temperature)
-    z -= z.max(axis=1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
     return z
 
 
@@ -161,6 +163,11 @@ class Network:
             if skip
             else self.u + (self.levels - 1) * self.N + np.arange(self.N)
         )
+        # with skip connections every source index is its own code
+        self.codes_are_indices = skip
+        # per level, the image each argument row feeds, as its code less
+        # ``u``: its column of ``sampler.reachable_images``
+        self.row_columns = self.N * np.arange(self.levels)[:, None] + self.row_image
         # one vector holds every block, so one Adam pass updates them all
         shapes = [(self.M, len(codes)) for codes in self.arg_codes]
         shapes.append((config.output_count, len(self.output_codes)))
@@ -181,6 +188,14 @@ class Network:
     def image_rows(self, image_index: int) -> range:
         """Argument-row indices feeding image ``image_index`` (any level)."""
         return range(self.slot_offset[image_index], self.slot_offset[image_index + 1])
+
+    def source_codes(self, choices):
+        """The global codes of per-level source indices ``choices``, as
+        ``arg_codes`` decodes them; with skip connections, ``choices``
+        itself."""
+        if self.codes_are_indices:
+            return choices
+        return [codes[c] for codes, c in zip(self.arg_codes, choices)]
 
     # -- probabilities -----------------------------------------------------
 

@@ -90,13 +90,15 @@ class PopulationPlan:
         width = u + levels * N + 1 + N
         id_of = np.empty((graphs, width), dtype=np.int64)
         id_of[:, -N - 1:] = tables.key_cells
-        arg = [codes[c] for codes, c in zip(network.arg_codes, population.choices)]
+        arg = network.source_codes(population.choices)
         # per level and graph, the cell that each slot of ``key_slots``
         # reads: the chosen codes, then the padding and basis cells
         codes = np.empty((levels, graphs, M + 1 + N), dtype=np.int64)
         codes[:, :, :M] = arg
         codes[:, :, M:] = tables.key_cells_at
-        out_codes = network.output_codes[population.output_choices]
+        out_codes = population.output_choices
+        if not network.codes_are_indices:
+            out_codes = network.output_codes[out_codes]
         self.population = population
         self.live = reachable_images(network, arg, out_codes)
         # every live image, level-major and then by basis, so that a
@@ -120,7 +122,7 @@ class PopulationPlan:
             kind, src = tables.aliases(image, keys)
             src += base
             code += kind
-            order = np.argsort(code, kind="stable")
+            order = code.argsort(kind="stable")
             code, keys, base, cells, src = code[order], keys[order], base[order], cells[order], src[order]
             # each key's graph, read when a later depth leaves graphs out
             graph = graph[order] if depth > 1 else None
@@ -130,7 +132,6 @@ class PopulationPlan:
         spans = list(zip(ends[:-1:3], ends[3::3]))
         out_cells = np.arange(graphs)[:, None] * width + out_codes
         self._id_of = id_of
-        self._key_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
         self._all = self._rounds(keys, cells, src, ends)
         # the cells whose values the next depth can read: the outputs, and
         # the cells that no input reaches, whose keys are the same at every
@@ -140,7 +141,7 @@ class PopulationPlan:
             varies = np.zeros(graphs * width, dtype=bool)
             varies[np.arange(graphs)[:, None] * width + np.arange(cfg.input_count)] = True
             for a, b in spans:
-                varies[cells[a:b]] = varies[keys[a:b, 1:]].any(axis=1)
+                varies[cells[a:b]] = np.logical_or.reduce(varies[keys[a:b, 1:]], axis=1)
             self._kept = np.concatenate([self._kept, cells[~varies[cells]]])
         # room for the leaves and the values of the widest round, or of a
         # whole depth if that needs less: a level has at most one distinct
@@ -231,7 +232,7 @@ class PopulationPlan:
                 if d:
                     store._sweep(id_of.take(self._kept))
                     fed = id_of.take(self._out_cells)
-                    same = (fed == id_of[:, :inputs]).all(axis=1)
+                    same = np.logical_and.reduce(fed == id_of[:, :inputs], axis=1)
                     id_of[:, :inputs] = fed
                     if np.count_nonzero(same) > fixed:
                         fixed = np.count_nonzero(same)
@@ -239,7 +240,7 @@ class PopulationPlan:
                 for keys, cells, aliases in rounds:
                     if len(keys):
                         # each plain key as bytes
-                        found = id_of.take(keys).view(self._key_bytes).ravel().tolist()
+                        found = id_of.take(keys).view(self._tables.key_bytes).ravel().tolist()
                         id_of.put(cells, store._intern(found))
                     if aliases is not None:
                         self._alias(id_of, store, *aliases)
@@ -255,11 +256,11 @@ class PopulationPlan:
             ids = id_of.take(args).ravel().tolist()
             nan = store._nan_facts(dict.fromkeys(ids))
             if any(map(nan.__getitem__, ids)):
-                fail = np.array([nan[k] for k in ids]).reshape(-1, 4).any(axis=1)
+                fail = np.logical_or.reduce(np.array([nan[k] for k in ids]).reshape(-1, 4), axis=1)
                 take = np.ones(len(src), dtype=bool)
                 take[len(src) - len(keys):] = ~fail
                 id_of.put(cells[take], id_of.take(src[take]))
-                found = id_of.take(keys[fail]).view(self._key_bytes).ravel().tolist()
+                found = id_of.take(keys[fail]).view(self._tables.key_bytes).ravel().tolist()
                 id_of.put(cells[~take], store._intern(found))
                 return
         id_of.put(cells, id_of.take(src))
@@ -367,7 +368,7 @@ class ValueStore:
             self._view(np.empty((plan._room, X.shape[0])))
             self.buffer_rows = u
             self.canon = self.rows = np.arange(u)
-            self._free, self._table, self._ids = [], {}, {}
+            self._free, self._table, self._ids = [], {}, _Ids(u)
             self._nodes = [np.empty((0, plan._keys.shape[1]), dtype=np.int64)]
             self._swept = False  # a sweep gave rows up
             self._nan = {}  # per id, whether its value holds a NaN
@@ -407,19 +408,13 @@ class ValueStore:
         gone."""
         u, canon, ids = self._u, self.canon, self._ids
         top = u + len(ids)
-        node = None
-        if self.repeated:
-            # on the last run's rows most rounds met all their keys before,
-            # and one pass numbers them
-            try:
-                node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
-            except KeyError:
-                pass
-        fresh = []
-        if node is None:
-            fresh = [k for k in dict.fromkeys(found) if k not in ids]
+        ids.fresh = fresh = []
+        if not self.repeated:
+            fresh += [k for k in dict.fromkeys(found) if k not in ids]
             ids.update(zip(fresh, range(top, top + len(fresh))))
-            node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
+        # on the last run's rows a round meets few keys not met before, and
+        # this one pass numbers them as it meets them (``_Ids``)
+        node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
         if self._swept:
             again = node[self.rows[canon[node]] < 0]
             again = again[again < top]
@@ -427,7 +422,7 @@ class ValueStore:
                 again = _distinct(again)[0]
                 canon[again] = again
                 keys = self.nodes[again - u]
-                order = np.argsort(keys[:, 0], kind="stable")
+                order = keys[:, 0].argsort(kind="stable")
                 again, keys = again[order], keys[order]
                 self._merge(again, self._evaluate(keys, again))
         if fresh:
@@ -550,6 +545,24 @@ class ValueStore:
         self.merged += len(freed)
 
 
+class _Ids(dict):
+    """A :class:`ValueStore`'s id of every key it met.  Looking up a key not
+    held numbers it next, from ``u`` on, and appends it to ``fresh``, so
+    one pass over a round's keys numbers the new ones in order of first
+    occurrence."""
+
+    __slots__ = ("u", "fresh")
+
+    def __init__(self, u: int) -> None:
+        super().__init__()
+        self.u, self.fresh = u, []
+
+    def __missing__(self, key) -> int:
+        self.fresh.append(key)
+        k = self[key] = self.u + len(self)
+        return k
+
+
 # Identity rule codes by basis name, as ``_alias_table`` indexes them.
 # Every network holds only builtin bases, so a name is its implementation.
 _MUL, _DIV, _IF_LEQ = 1, 2, 3
@@ -591,6 +604,8 @@ class _Tables:
         self.bounds = np.arange(1, 3 * network.levels + 1)
         self.outputs = np.arange(cfg.output_count)
         self.constant_bytes = np.array(cfg.constants).tobytes()
+        # a key, one row of ``key_slots``' cells, as one byte string
+        self.key_bytes = np.dtype((np.void, 8 * self.key_slots.shape[1]))
         one = 1.0 in cfg.constants
         rules = [_RULES.get(b.name, 0) if one or b.name == "IF_LEQ" else 0 for b in bases]
         self.rule = None
@@ -652,7 +667,8 @@ def _distinct(keys: np.ndarray):
     order, as ``np.unique`` gives them, and how often each occurs.  One
     sort and a compare of neighbours, which costs a fraction of
     ``np.unique`` on a few hundred keys and does not import ``numpy.ma``."""
-    keys = np.sort(keys)
+    keys = keys.copy()
+    keys.sort()
     # where each run of equal keys starts, and where the last one ends
     first = np.empty(len(keys) + 1, dtype=bool)
     first[0] = first[-1] = True

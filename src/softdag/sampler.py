@@ -119,7 +119,8 @@ def _draw(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
         # row-major, then sum, then draw: each compare runs along a row's
         # contiguous draws, and the count sums whole planes of bytes
         hit = np.less_equal(cum[:, :-1, None], np.ascontiguousarray(r.T)[:, None, :])
-        return np.ascontiguousarray(hit.view(np.uint8).sum(axis=1, dtype=np.uint8).T, dtype=np.int64)
+        count = np.add.reduce(hit.view(np.uint8), axis=1, dtype=np.uint8)
+        return np.ascontiguousarray(count.T, dtype=np.int64)
     # one search per row, mapped over the rows without a Python loop
     idx = np.array(list(map(np.ndarray.searchsorted, cum, r.T, repeat("right")))).T.copy()
     return np.minimum(idx, probs.shape[1] - 1, out=idx)
@@ -151,14 +152,15 @@ def sample(network: Network, rng: np.random.Generator) -> SampledDAG:
 
 def most_likely_dag(network: Network) -> SampledDAG:
     """Per-row argmax graph; ties resolve to the lowest source index."""
+    # argmax gives int64 (intp) already; ``copy=False`` keeps it uncopied
     choices = tuple(
-        np.argmax(w, axis=1).astype(np.int64) for w in network.weights
+        np.argmax(w, axis=1).astype(np.int64, copy=False) for w in network.weights
     )
-    out = np.argmax(network.output_weights, axis=1).astype(np.int64)
+    out = np.argmax(network.output_weights, axis=1).astype(np.int64, copy=False)
     return SampledDAG(choices=choices, output_choices=out)
 
 
-def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
+def reachable_images(network: Network, arg_codes, roots, hits=None) -> np.ndarray:
     """Which images each graph reaches backward from its roots.
 
     ``arg_codes[q]`` holds each graph's level-``q`` choices as global source
@@ -166,19 +168,24 @@ def reachable_images(network: Network, arg_codes, roots) -> np.ndarray:
     from, shape ``(graphs, k)``.  Returns a ``(graphs, levels * N)`` bool
     matrix whose column ``q * N + i`` is image ``(q, i)``.  Images read only
     lower levels, so one pass from the top level down is complete.
+    ``hits``, if given, is a dict that receives per level ``q`` the flat
+    index ``graph * M + row`` of each reached argument row, ascending.
     """
-    u, N, M = network.u, network.N, network.M
-    width = u + network.levels * N
+    u, M = network.u, network.M
+    width = u + network.levels * network.N
     live = np.zeros((len(roots), width), dtype=bool)
     # flat indices: a graph's cells start at ``graph * width``
     cells = live.reshape(-1)
     start = np.arange(0, live.size, width)
     cells[(start[:, None] + roots).ravel()] = True
+    images = live[:, u:]
     for q in reversed(range(network.levels)):
         # ``graph * M + row`` of each live argument row
-        hit = live[:, u + q * N + network.row_image].ravel().nonzero()[0]
+        hit = images[:, network.row_columns[q]].ravel().nonzero()[0]
         cells[start[hit // M] + arg_codes[q].ravel().take(hit)] = True
-    return live[:, u:]
+        if hits is not None:
+            hits[q] = hit
+    return images
 
 
 def reached_rows(network: Network, population: SampledPopulation, graph, roots, live=None):
@@ -188,10 +195,15 @@ def reached_rows(network: Network, population: SampledPopulation, graph, roots, 
     row chose.  ``live``, if given, is the ``reachable_images`` of the
     pairs, already known."""
     if live is None:
-        arg_codes = [codes[c[graph]] for codes, c in zip(network.arg_codes, population.choices)]
-        live = reachable_images(network, arg_codes, roots)
+        # the walk finds each level's reached rows as it goes
+        picked, hits = [c[graph] for c in population.choices], {}
+        reachable_images(network, network.source_codes(picked), roots, hits)
+        for q, choices in enumerate(picked):
+            pair, row = np.divmod(hits[q], network.M)
+            yield pair, row, choices.ravel().take(hits[q])
+        return
     for q, choices in enumerate(population.choices):
-        pair, row = live[:, q * network.N + network.row_image].nonzero()
+        pair, row = live[:, network.row_columns[q]].nonzero()
         yield pair, row, choices[graph[pair], row]
 
 

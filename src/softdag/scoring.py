@@ -76,16 +76,17 @@ def _kernel_sums(k: np.ndarray, variance: float, lanes=None) -> np.ndarray:
     """
     terms = _kernel_terms(k, variance)
     # summing along the contiguous axis keeps each row's sum bit-identical
-    # to the sum of that row on its own, gathered or not
+    # to the sum of that row on its own, gathered or not; ``np.add.reduce``
+    # is what ``sum`` calls, without its Python wrapper
     if lanes is None:
-        return terms.sum(axis=-1)
+        return np.add.reduce(terms, axis=-1)
     sums = np.empty(len(terms))
     gathered = np.empty((min(SCORE_BLOCK_ROWS, len(terms)), len(lanes)))
     for a in range(0, len(terms), SCORE_BLOCK_ROWS):
         rows = terms[a:a + SCORE_BLOCK_ROWS]
         part = gathered[:len(rows)]
         rows.take(lanes, 1, out=part, mode="clip")
-        sums[a:a + len(rows)] = part.sum(axis=-1)
+        np.add.reduce(part, axis=-1, out=sums[a:a + len(rows)])
     return sums
 
 
@@ -195,7 +196,7 @@ def _column_scores(plan: PopulationPlan, X, Y, variance: float, count=None, lane
             return
         np.right_shift(part.view(np.uint64), _BOUND_SHIFT, out=codes[:len(part)].view(np.uint64))
         lane_bounds = table.take(codes[:len(part)], out=terms[:len(part)], mode="clip")
-        bound = lane_bounds.sum(axis=1) if weights is None else lane_bounds @ weights
+        bound = np.add.reduce(lane_bounds, axis=1) if weights is None else lane_bounds @ weights
         bound *= 1.0 + _BOUND_REL
         todo = (-bound).argsort(kind="stable")
         while len(todo := todo[bound[todo] >= cut[output[a + todo]]]):

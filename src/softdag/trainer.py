@@ -146,10 +146,10 @@ def population_gradient(plan: PopulationPlan, probs, pairs) -> np.ndarray:
     """
     network = plan.network
     cfg = network.config
-    grad = np.zeros(network.params.size)
+    size = network.params.size
     pairs = [p for p in pairs if p[2] != 0.0]
     if not pairs:
-        return grad
+        return np.zeros(size)
     graph, out, scale = (np.array(column) for column in zip(*pairs))
     population = plan.population
     chosen = population.output_choices[graph, out]
@@ -171,8 +171,8 @@ def population_gradient(plan: PopulationPlan, probs, pairs) -> np.ndarray:
     d = np.concatenate([p.ravel() for p in probs])[cells]
     d[offset + chosen] -= 1.0
     d *= (scale[pair] / network.block_temperature[block]).repeat(width)
-    np.add.at(grad, cells, d)
-    return grad
+    # bincount adds each cell's terms in order, as ``np.add.at`` would
+    return np.bincount(cells, d, minlength=size)
 
 
 def loss_gradient(

@@ -152,10 +152,17 @@ def _ring_and_bar(tmp_path, n=1200, classes=(0, 7)):
     return img_path, lab_path
 
 
-def _classification_digest(tmp_path, name) -> str:
+def _on_ring_and_bar(tmp_path, name):
+    """The config ``name`` read with its IDX paths on ``_ring_and_bar``'s
+    images of its classes."""
     exp = parse_config(CONFIG_DIR / f"{name}.ini")
     img_path, lab_path = _ring_and_bar(tmp_path, classes=exp.classes)
-    train_set, _ = cli._load_classification(replace(exp, idx_images=str(img_path), idx_labels=str(lab_path)))
+    return replace(exp, idx_images=str(img_path), idx_labels=str(lab_path))
+
+
+def _classification_digest(tmp_path, name) -> str:
+    exp = _on_ring_and_bar(tmp_path, name)
+    train_set, _ = cli._load_classification(exp)
     seed = derive_seed(exp.training.seed, TRIAL_STREAM, 0)
     training = replace(exp.training, seed=seed, max_epochs=EPOCHS, patience=EPOCHS + 1)
     network = build_network(exp.network)
@@ -171,3 +178,25 @@ def test_golden_classification(tmp_path):
 def test_golden_classification_trinary(tmp_path):
     # its ADD, MIN and MAX nodes on 1000-lane batches write in place
     assert _classification_digest(tmp_path, "mnist_trinary") == CLASSIFICATION["mnist_trinary"]
+
+
+# config -> (max_epochs, SHA-256 of the row's repr) of trial 0's
+# ``run_trial`` row on ``_ring_and_bar``'s images, split as ``softdag run``
+# splits them.  The row reports the accuracy on the test split, 1.0 on these
+# images from epoch 5 on, so the digest mostly pins the chosen pixels.
+CLASSIFICATION_ROWS = {
+    # ('max-epochs-exhausted', 60, 'x206 | x320', 1.0)
+    "mnist_binary": (60, "8073e1458d47aa577b612c62e9861512a14ed34fe46a811cedeb3af442254e10"),
+    # ('max-epochs-exhausted', 60, 'x245 | x545 | x399', 1.0)
+    "mnist_trinary": (60, "64699c7ac389321af77679ab5d841e6e541a75324a01889383fab0bdef6073da"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFICATION_ROWS))
+def test_golden_classification_row(tmp_path, name):
+    exp = _on_ring_and_bar(tmp_path, name)
+    max_epochs, digest = CLASSIFICATION_ROWS[name]
+    exp = replace(exp, training=replace(exp.training, max_epochs=max_epochs))
+    row = run_trial(exp, 0, class_split=cli._load_classification(exp))
+    fields = (row["verdict"], row["epochs"], row["expression"], row["accuracy"])
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest, fields

@@ -289,3 +289,49 @@ def test_distinct_keys_equal_np_unique():
         want, want_counts = np.unique(keys, return_counts=True)
         assert values.tobytes() == want.tobytes() and values.dtype == want.dtype
         assert counts.tobytes() == want_counts.astype(counts.dtype).tobytes()
+
+
+def _store_at_third_run(net, p, X):
+    """A store that ran ``p`` on ``X`` twice, started on a third run: a
+    repeated store, as an epoch on the last epoch's rows finds it."""
+    store = ValueStore()
+    for _ in range(2):
+        p.run(X, lambda *columns: None, store)
+    store._start(p, X)
+    assert store.repeated
+    return store
+
+
+def test_a_repeated_store_numbers_new_keys_as_a_fresh_store_does():
+    # a repeated store numbers a round's keys not met before in one pass, as
+    # it meets them; the rounds below meet them first, twice within a
+    # round and last among known keys, and the second round's new key is
+    # numbered on from the first round's
+    net = make_network(("ADD", "MUL", "SUB"), input_count=1, constants=(2.0,), depth=2)
+    p = PopulationPlan(net, sample_many(net, np.random.default_rng(3), 20))
+    X = np.linspace(-1.0, 1.0, 40)[:, None]
+    one_pass, two_pass = (_store_at_third_run(net, p, X) for _ in range(2))
+    # the path of a store that starts fresh
+    two_pass.repeated = False
+    assert dict(one_pass._ids) == dict(two_pass._ids)
+    known = list(one_pass._ids)[:3]
+    top = net.u + len(one_pass._ids)
+    # keys (basis, child ids) on canonical ids with live rows, never met
+    live = [k for k in range(top) if one_pass.canon[k] == k and one_pass.rows[k] >= 0]
+    keys = (np.array([b, x, y], dtype=np.int64).tobytes() for b in range(3) for x in live for y in live)
+    new = [k for k in keys if k not in one_pass._ids][:4]
+    assert len(new) == 4
+    rounds = [
+        [new[0], known[0], new[1], new[0], known[1], new[2]],
+        [known[2], new[1], new[3], known[0], new[3]],
+    ]
+    for found in rounds:
+        got = one_pass._intern(found)
+        assert got.tolist() == two_pass._intern(found).tolist()
+    assert dict(one_pass._ids) == dict(two_pass._ids)
+    assert [one_pass._ids[k] for k in new] == list(range(top, top + 4))
+    # the second round's list holds its own new key alone
+    assert one_pass._ids.fresh == [new[3]]
+    assert one_pass.evaluated == two_pass.evaluated == 4
+    assert one_pass.canon.tolist() == two_pass.canon.tolist()
+    assert one_pass.rows.tolist() == two_pass.rows.tolist()
