@@ -141,8 +141,6 @@ class Network:
         for b in self.bases:
             offsets.append(offsets[-1] + b.arity)
         self.slot_offset = tuple(offsets)
-        # the image each argument row feeds
-        self.row_image = np.repeat(np.arange(len(self.bases)), [b.arity for b in self.bases])
         self.M = offsets[-1]
         self.N = len(self.bases)
         self.u = config.input_count + len(config.constants)
@@ -167,7 +165,8 @@ class Network:
         self.codes_are_indices = skip
         # per level, the image each argument row feeds, as its code less
         # ``u``: its column of ``sampler.reachable_images``
-        self.row_columns = self.N * np.arange(self.levels)[:, None] + self.row_image
+        row_image = np.repeat(np.arange(self.N), [b.arity for b in self.bases])
+        self.row_columns = self.N * np.arange(self.levels)[:, None] + row_image
         # one vector holds every block, so one Adam pass updates them all
         shapes = [(self.M, len(codes)) for codes in self.arg_codes]
         shapes.append((config.output_count, len(self.output_codes)))

@@ -291,7 +291,7 @@ def test_distinct_keys_equal_np_unique():
         assert counts.tobytes() == want_counts.astype(counts.dtype).tobytes()
 
 
-def _store_at_third_run(net, p, X):
+def _store_at_third_run(p, X):
     """A store that ran ``p`` on ``X`` twice, started on a third run: a
     repeated store, as an epoch on the last epoch's rows finds it."""
     store = ValueStore()
@@ -310,7 +310,7 @@ def test_a_repeated_store_numbers_new_keys_as_a_fresh_store_does():
     net = make_network(("ADD", "MUL", "SUB"), input_count=1, constants=(2.0,), depth=2)
     p = PopulationPlan(net, sample_many(net, np.random.default_rng(3), 20))
     X = np.linspace(-1.0, 1.0, 40)[:, None]
-    one_pass, two_pass = (_store_at_third_run(net, p, X) for _ in range(2))
+    one_pass, two_pass = (_store_at_third_run(p, X) for _ in range(2))
     # the path of a store that starts fresh
     two_pass.repeated = False
     assert dict(one_pass._ids) == dict(two_pass._ids)
