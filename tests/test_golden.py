@@ -12,7 +12,8 @@ are pinned too.
 
 The classification digests pin the image path: ``mnist_binary``'s and
 ``mnist_trinary``'s networks and training on generated IDX files of their
-classes, split as ``softdag run`` splits them.
+classes, split as ``softdag run`` splits them, and the accuracy that a row
+reports on images whose classes overlap.
 """
 
 import hashlib
@@ -134,29 +135,31 @@ CLASSIFICATION = {
 }
 
 
-def _ring_and_bar(tmp_path, n=1200, classes=(0, 7)):
+def _ring_and_bar(tmp_path, n=1200, classes=(0, 7), overlap=0.0):
     """A seeded 28x28 IDX pair over uniform noise whose rows take
     ``classes`` in turn: the first class is a ring, the second a vertical
-    bar and a third, if given, a horizontal bar."""
+    bar and a third, if given, a horizontal bar.  The first ``overlap``
+    share of rows carries every class's mark, whatever its label."""
     rng = np.random.default_rng(7)
     labels = np.array(classes, dtype=np.uint8)[np.arange(n) % len(classes)]
     images = rng.integers(0, 100, size=(n, 28, 28), dtype=np.uint8)
+    both = np.arange(n) < overlap * n
     r = np.hypot(*np.mgrid[-13.5:14.5, -13.5:14.5])
-    images[labels == classes[0]] |= np.where((r >= 7) & (r <= 10), 255, 0).astype(np.uint8)
-    images[labels == classes[1], :, 12:16] = 255
+    images[(labels == classes[0]) | both] |= np.where((r >= 7) & (r <= 10), 255, 0).astype(np.uint8)
+    images[(labels == classes[1]) | both, :, 12:16] = 255
     if len(classes) > 2:
-        images[labels == classes[2], 12:16, :] = 255
+        images[(labels == classes[2]) | both, 12:16, :] = 255
     img_path, lab_path = tmp_path / "images-idx3-ubyte", tmp_path / "labels-idx1-ubyte"
     img_path.write_bytes(struct.pack(">iiii", 2051, n, 28, 28) + images.tobytes())
     lab_path.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
     return img_path, lab_path
 
 
-def _on_ring_and_bar(tmp_path, name):
+def _on_ring_and_bar(tmp_path, name, overlap=0.0):
     """The config ``name`` read with its IDX paths on ``_ring_and_bar``'s
-    images of its classes."""
+    images of its classes, ``overlap`` of them with every class's mark."""
     exp = parse_config(CONFIG_DIR / f"{name}.ini")
-    img_path, lab_path = _ring_and_bar(tmp_path, classes=exp.classes)
+    img_path, lab_path = _ring_and_bar(tmp_path, classes=exp.classes, overlap=overlap)
     return replace(exp, idx_images=str(img_path), idx_labels=str(lab_path))
 
 
@@ -180,22 +183,27 @@ def test_golden_classification_trinary(tmp_path):
     assert _classification_digest(tmp_path, "mnist_trinary") == CLASSIFICATION["mnist_trinary"]
 
 
-# config -> (max_epochs, SHA-256 of the row's repr) of trial 0's
-# ``run_trial`` row on ``_ring_and_bar``'s images, split as ``softdag run``
-# splits them.  The row reports the accuracy on the test split, 1.0 on these
-# images from epoch 5 on, so the digest mostly pins the chosen pixels.
+# case -> (config, overlap, max_epochs, SHA-256 of the row's repr) of trial
+# 0's ``run_trial`` row on ``_ring_and_bar``'s images, ``overlap`` of them
+# with every class's mark, split as ``softdag run`` splits them.  The row
+# reports the accuracy on the test split.  On images of one mark each it is
+# 1.0 from epoch 5 on, so those digests mostly pin the chosen pixels; where
+# the classes overlap no pixel tells every row apart, the accuracy is below
+# 1.0, and the digest pins it too.
 CLASSIFICATION_ROWS = {
     # ('max-epochs-exhausted', 60, 'x206 | x320', 1.0)
-    "mnist_binary": (60, "8073e1458d47aa577b612c62e9861512a14ed34fe46a811cedeb3af442254e10"),
+    "mnist_binary": ("mnist_binary", 0.0, 60, "8073e1458d47aa577b612c62e9861512a14ed34fe46a811cedeb3af442254e10"),
+    # ('max-epochs-exhausted', 60, 'x206 | x404', 0.8)
+    "mnist_binary_overlapping": ("mnist_binary", 0.2, 60, "a5c0614ddc1c1ce856871a31a4656096cdd22442ab9f7cecf20e7f3a03462c40"),
     # ('max-epochs-exhausted', 60, 'x245 | x545 | x399', 1.0)
-    "mnist_trinary": (60, "64699c7ac389321af77679ab5d841e6e541a75324a01889383fab0bdef6073da"),
+    "mnist_trinary": ("mnist_trinary", 0.0, 60, "64699c7ac389321af77679ab5d841e6e541a75324a01889383fab0bdef6073da"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLASSIFICATION_ROWS))
-def test_golden_classification_row(tmp_path, name):
-    exp = _on_ring_and_bar(tmp_path, name)
-    max_epochs, digest = CLASSIFICATION_ROWS[name]
+@pytest.mark.parametrize("case", sorted(CLASSIFICATION_ROWS))
+def test_golden_classification_row(tmp_path, case):
+    name, overlap, max_epochs, digest = CLASSIFICATION_ROWS[case]
+    exp = _on_ring_and_bar(tmp_path, name, overlap)
     exp = replace(exp, training=replace(exp.training, max_epochs=max_epochs))
     row = run_trial(exp, 0, class_split=cli._load_classification(exp))
     fields = (row["verdict"], row["epochs"], row["expression"], row["accuracy"])
