@@ -378,13 +378,12 @@ def _check_explicit(exp: ExperimentConfig, exprs) -> bool:
     return True
 
 
-def _check_recurrent(exp: ExperimentConfig, network):
-    """Returns (correct, identified_depth)."""
+def _check_recurrent(exp: ExperimentConfig, network, dag):
+    """Returns (correct, identified_depth) of ``network``'s graph ``dag``."""
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
     target_vals = pts
     for _ in range(exp.target.target_depth):
         target_vals = exp.target.fn(target_vals)
-    dag = most_likely_dag(network)
     depth_outputs = evaluate_recurrent(
         network, dag, pts, exp.training.recurrence_depth
     )
@@ -463,7 +462,7 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     if kind == "classification":
         row["accuracy"] = classification_accuracy(network, dag, test_set)
     elif kind == "recurrent":
-        ok, depth = _check_recurrent(exp, network)
+        ok, depth = _check_recurrent(exp, network, dag)
         row["equivalent"] = ok
         row["depth"] = depth if depth is not None else ""
     elif kind == "implicit":

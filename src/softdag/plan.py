@@ -143,14 +143,9 @@ class PopulationPlan:
             for a, b in spans:
                 varies[cells[a:b]] = np.logical_or.reduce(varies[keys[a:b, 1:]], axis=1)
             self._kept = np.concatenate([self._kept, cells[~varies[cells]]])
-        # room for the leaves and the values of the widest round, or of a
-        # whole depth if that needs less: a level has at most one distinct
-        # key per live image, and at most one per choice of each basis's
-        # children among the ids before it
-        ids = u
-        for a, b in spans:
-            ids += min(b - a, sum(ids**k for k in tables.arities))
-        self._room = min(u + max((b - a for a, b in spans), default=0), ids)
+        # room for the leaves and the values of the widest round: a level
+        # has at most one distinct key per live image
+        self._room = u + max((b - a for a, b in spans), default=0)
         self._out_cells = out_cells
         # every key but the sure aliases'
         self.interned = (len(cells) - sum(ends[2::3]) + sum(ends[1::3])) * depth
@@ -403,17 +398,12 @@ class ValueStore:
 
     def _intern(self, found: list) -> np.ndarray:
         """The canonical ids of one round's keys ``found``, as bytes.  The
-        keys not met before are numbered in order of first occurrence and
-        computed, and so are the keys met before whose value's row is
-        gone."""
+        keys not met before are numbered in order of first occurrence, in
+        one pass as it meets them (``_Ids``), and computed, and so are the
+        keys met before whose value's row is gone."""
         u, canon, ids = self._u, self.canon, self._ids
         top = u + len(ids)
         ids.fresh = fresh = []
-        if not self.repeated:
-            fresh += [k for k in dict.fromkeys(found) if k not in ids]
-            ids.update(zip(fresh, range(top, top + len(fresh))))
-        # on the last run's rows a round meets few keys not met before, and
-        # this one pass numbers them as it meets them (``_Ids``)
         node = np.fromiter(map(ids.__getitem__, found), np.int64, len(found))
         if self._swept:
             again = node[self.rows[canon[node]] < 0]
@@ -576,10 +566,10 @@ class _Tables:
     ``M + 1 + image``, then its argument rows, padded with slot ``M``);
     the ``key_cells`` that end each graph's id table (-1 for padding, then
     each basis's first occurrence of its name) and the cells that hold
-    them, ``key_cells_at``; the images ordered ``by_basis`` name and each
-    name's ``arities``; the ``bounds`` of a level's plain keys, sure
-    aliases and NaN-checked ones, as the codes ``3 * level + kind`` sort;
-    the ``outputs``' indices; and ``constant_bytes``, the constants' bytes.
+    them, ``key_cells_at``; the images ordered ``by_basis`` name; the
+    ``bounds`` of a level's plain keys, sure aliases and NaN-checked ones,
+    as the codes ``3 * level + kind`` sort; the ``outputs``' indices; and
+    ``constant_bytes``, the constants' bytes.
 
     ``rule`` holds each image's rule code, or None when no rule can fire
     (``x * 1`` and ``x / 1`` need a constant 1.0); then ``table`` is the
@@ -600,7 +590,6 @@ class _Tables:
         width = network.u + network.levels * N + 1 + N
         self.key_cells_at = np.arange(width - N - 1, width)
         self.by_basis = np.argsort(basis_first, kind="stable")
-        self.arities = [bases[i].arity for i in first.values()]
         self.bounds = np.arange(1, 3 * network.levels + 1)
         self.outputs = np.arange(cfg.output_count)
         self.constant_bytes = np.array(cfg.constants).tobytes()

@@ -302,36 +302,66 @@ def _store_at_third_run(p, X):
     return store
 
 
-def test_a_repeated_store_numbers_new_keys_as_a_fresh_store_does():
-    # a repeated store numbers a round's keys not met before in one pass, as
-    # it meets them; the rounds below meet them first, twice within a
-    # round and last among known keys, and the second round's new key is
-    # numbered on from the first round's
+def _round_shapes_plan():
     net = make_network(("ADD", "MUL", "SUB"), input_count=1, constants=(2.0,), depth=2)
     p = PopulationPlan(net, sample_many(net, np.random.default_rng(3), 20))
-    X = np.linspace(-1.0, 1.0, 40)[:, None]
-    one_pass, two_pass = (_store_at_third_run(p, X) for _ in range(2))
-    # the path of a store that starts fresh
-    two_pass.repeated = False
-    assert dict(one_pass._ids) == dict(two_pass._ids)
-    known = list(one_pass._ids)[:3]
-    top = net.u + len(one_pass._ids)
+    return net, p, np.linspace(-1.0, 1.0, 40)[:, None]
+
+
+def _check_round_shapes(net, store, known):
+    """Intern two rounds on ``store`` whose keys not met before come first,
+    repeat within a round and come last among the held keys ``known``, the
+    second round's new key numbered on from the first round's.  Check them
+    against a reference numbering: a round's keys not held, in order of
+    first occurrence, numbered on from ``u + len(ids)``."""
+    top = net.u + len(store._ids)
     # keys (basis, child ids) on canonical ids with live rows, never met
-    live = [k for k in range(top) if one_pass.canon[k] == k and one_pass.rows[k] >= 0]
+    live = [k for k in range(top) if store.canon[k] == k and store.rows[k] >= 0]
     keys = (np.array([b, x, y], dtype=np.int64).tobytes() for b in range(3) for x in live for y in live)
-    new = [k for k in keys if k not in one_pass._ids][:4]
+    new = [k for k in keys if k not in store._ids][:4]
     assert len(new) == 4
     rounds = [
         [new[0], known[0], new[1], new[0], known[1], new[2]],
         [known[2], new[1], new[3], known[0], new[3]],
     ]
+    want, evaluated = dict(store._ids), store.evaluated
     for found in rounds:
-        got = one_pass._intern(found)
-        assert got.tolist() == two_pass._intern(found).tolist()
-    assert dict(one_pass._ids) == dict(two_pass._ids)
-    assert [one_pass._ids[k] for k in new] == list(range(top, top + 4))
+        fresh = [k for k in dict.fromkeys(found) if k not in want]
+        first = net.u + len(want)
+        want.update(zip(fresh, range(first, first + len(fresh))))
+        got = store._intern(found)
+        assert got.tolist() == store.canon[[want[k] for k in found]].tolist()
+    assert dict(store._ids) == want
+    assert [store._ids[k] for k in new] == list(range(top, top + 4))
     # the second round's list holds its own new key alone
-    assert one_pass._ids.fresh == [new[3]]
-    assert one_pass.evaluated == two_pass.evaluated == 4
-    assert one_pass.canon.tolist() == two_pass.canon.tolist()
-    assert one_pass.rows.tolist() == two_pass.rows.tolist()
+    assert store._ids.fresh == [new[3]]
+    assert store.evaluated - evaluated == 4
+    # each new id is its key's value, in its own row or as an alias whose
+    # row is given up
+    for k in new:
+        b, x, y = np.frombuffer(k, dtype=np.int64).tolist()
+        i = store._ids[k]
+        c = store.canon[i]
+        assert c == i or store.rows[i] < 0
+        value = net.bases[b].fn(store.buf[store.rows[x]], store.buf[store.rows[y]])
+        assert same_bits(store.buf[store.rows[c]], value)
+
+
+def test_a_repeated_store_numbers_new_keys_as_a_fresh_store_does():
+    # a repeated store numbers a round's keys not met before in one pass, as
+    # it meets them
+    net, p, X = _round_shapes_plan()
+    store = _store_at_third_run(p, X)
+    _check_round_shapes(net, store, list(store._ids)[:3])
+
+
+def test_a_fresh_store_numbers_new_keys_in_order_of_first_occurrence():
+    # a fresh store numbers them in the same one pass
+    net, p, X = _round_shapes_plan()
+    store = ValueStore()
+    store._start(p, X)
+    assert not store.repeated and not store._ids
+    # three keys on the leaves, held before the rounds
+    known = [np.array([b, 0, 1], dtype=np.int64).tobytes() for b in range(3)]
+    store._intern(known)
+    _check_round_shapes(net, store, known)
