@@ -33,7 +33,6 @@ import numpy as np
 
 from .bases import resolve_bases
 from .data import (
-    BUILTIN_TARGETS,
     IdxFormatError,
     TargetSpec,
     classification_accuracy,
@@ -91,6 +90,11 @@ class ExperimentConfig:
     idx_labels: str = ""
     classes: tuple[int, ...] = ()
     test_fraction: float = 0.1
+
+    def __post_init__(self) -> None:
+        # NaN or a negative tolerance would fail every numeric check
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be finite and >= 0, not {self.tolerance}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +160,6 @@ def _parse_targets(raw: str) -> tuple[Expr, ...]:
     return tuple(parse_expression(part.strip()) for part in raw.split("|"))
 
 
-def _parse_builtin(raw: str) -> TargetSpec:
-    if raw not in BUILTIN_TARGETS:
-        raise ValueError(f"unknown builtin target {raw!r}")
-    return BUILTIN_TARGETS[raw]()
-
-
 def _one_of(*choices: str):
     def cast(raw: str) -> str:
         if raw not in choices:
@@ -180,15 +178,15 @@ def _at_least_one(path, name: str, value) -> None:
 # target kinds, and the sets of them that read a key
 _KINDS = ("explicit", "implicit", "recurrent", "classification")
 _SAMPLED = ("explicit", "implicit", "recurrent")  # inputs drawn from [target] ranges
-_PROGRAM = ("explicit", "recurrent")  # given by an expression or a builtin
+_PROGRAM = ("explicit", "recurrent")  # given by '|'-separated expressions
 _IMPLICIT = ("implicit",)
 _CLASSIFY = ("classification",)
 
 # ``[section] key``: (field it sets, cast, kinds that read it, kinds that
 # require it).  parse_config passes each value to NetworkConfig,
 # TrainConfig, TargetSpec or ExperimentConfig by its field name, once it
-# has worked out the target function and the counts from builtin,
-# expression, derived, pixels, inputs and outputs.  A key the file leaves
+# has worked out the target function and the counts from expression,
+# derived, pixels, inputs and outputs.  A key the file leaves
 # out sets nothing, so the field's dataclass default applies.  Only
 # explicit targets read equivalence, and classification reads neither it
 # nor tolerance, but both are accepted on every kind.
@@ -212,8 +210,7 @@ SCHEMA = {
     ("target", "inputs"): ("input_count", int, _KINDS, _SAMPLED),
     ("target", "outputs"): ("output_count", int, _KINDS, ()),
     ("target", "ranges"): ("input_ranges", _parse_ranges, _SAMPLED, ()),
-    ("target", "builtin"): ("builtin", _parse_builtin, _PROGRAM, ()),
-    ("target", "expression"): ("expression", _parse_targets, _PROGRAM, ()),
+    ("target", "expression"): ("expression", _parse_targets, _PROGRAM, _PROGRAM),
     ("target", "derived"): ("derived", parse_expression, _IMPLICIT, _IMPLICIT),
     ("target", "constant"): ("constant_target", float, _IMPLICIT, ()),
     ("target", "target_depth"): ("target_depth", int, ("recurrent",), ()),
@@ -318,25 +315,15 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     inputs, outputs = given.get("input_count"), given.get("output_count")
     ranges = given.get("input_ranges", ())
-    builtin, exprs = given.get("builtin"), given.get("expression")
     fn = derived = None
-    if builtin is not None and exprs is not None:
-        raise ConfigError(f"{path}: [target] builtin and [target] expression both give the target;"
-                          " keep one")
-    if builtin is not None:
-        fn = builtin.fn
-        inputs = _derived(path, "inputs", inputs, builtin.input_count, f"builtin {builtin.name}")
-        outputs = _derived(path, "outputs", outputs, builtin.output_count, f"builtin {builtin.name}")
-        ranges = ranges or builtin.input_ranges
-    elif exprs is not None:
+    if kind in _PROGRAM:
+        exprs = given["expression"]
         outputs = _derived(path, "outputs", outputs, len(exprs), "the '|'-separated expressions")
         for e in exprs:
             used = input_indices(e)
             if used and max(used) >= inputs:
                 raise ConfigError(f"{path}: expression uses x{max(used)} but inputs = {inputs}")
         fn = _expression_fn(exprs)
-    elif kind in _PROGRAM:
-        raise ConfigError(f"{path}: [target] needs an expression or builtin")
 
     input_count = inputs
     if kind == "implicit":

@@ -29,8 +29,6 @@ __all__ = [
     "ResamplingSource",
     "DatasetSource",
     "as_batch_source",
-    "target_lfsr4",
-    "target_sort3",
 ]
 
 IDX_IMAGE_MAGIC = 2051
@@ -369,47 +367,3 @@ def as_batch_source(data, batch_size: int, seed: int):
         return data
     raise TypeError(f"cannot build a batch source from {type(data).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# built-in program targets
-
-
-def _lfsr4_step(X: np.ndarray) -> np.ndarray:
-    """Next state of a 4-bit linear feedback shift register.
-
-    State (b0, b1, b2, b3) shifts left and refills the last bit with
-    b0 XOR b1.  XOR is |a - b|, exact on {0, 1}.
-    """
-    b0, b1, b2, b3 = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-    feedback = np.abs(b0 - b1)
-    return np.stack([b1, b2, b3, feedback], axis=1)
-
-
-def target_lfsr4() -> TargetSpec:
-    bit = Choices((0.0, 1.0))
-    return TargetSpec(
-        kind="explicit",
-        input_count=4,
-        output_count=4,
-        input_ranges=(bit, bit, bit, bit),
-        fn=_lfsr4_step,
-        name="lfsr4",
-    )
-
-
-def target_sort3(lo: float = -50.0, hi: float = 50.0) -> TargetSpec:
-    box = Interval(lo, hi)
-    return TargetSpec(
-        kind="explicit",
-        input_count=3,
-        output_count=3,
-        input_ranges=(box, box, box),
-        fn=lambda X: np.sort(X, axis=1),
-        name="sort3",
-    )
-
-
-BUILTIN_TARGETS = {
-    "lfsr4": target_lfsr4,
-    "sort3": target_sort3,
-}

@@ -86,6 +86,9 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        # a draw needs a finite width as well as finite bounds
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is not finite")
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -100,6 +103,8 @@ class Choices:
         if not self.values:
             raise ValueError("empty choice set")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"choice values must be finite, not {self.values}")
 
 
 # ---------------------------------------------------------------------------

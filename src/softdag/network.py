@@ -18,6 +18,7 @@ outputs see only the last images.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -80,8 +81,10 @@ class NetworkConfig:
             raise ConfigError("output_count must be >= 1")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if not (self.temperature > 0 and self.last_layer_temperature > 0):
-            raise ConfigError("temperatures must be positive")
+        if not (0 < self.temperature < math.inf and 0 < self.last_layer_temperature < math.inf):
+            raise ConfigError("temperatures must be positive and finite")
+        if not all(map(math.isfinite, self.constants)):
+            raise ConfigError(f"constants must be finite, not {self.constants}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -67,10 +67,11 @@ class TrainConfig:
             raise ConfigError("sample_count and select_count must be >= 1")
         if self.select_count > self.sample_count * self.recurrence_depth:
             raise ConfigError("select_count exceeds the candidate pool")
-        if self.variance <= 0:
-            raise ConfigError("variance must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # written so that NaN fails them too
+        if not 0 < self.variance < math.inf:
+            raise ConfigError(f"variance must be positive and finite, not {self.variance}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, not {self.learning_rate}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
         if self.recurrence_depth < 1:

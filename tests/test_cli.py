@@ -273,7 +273,7 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "ranges = -10..10", "ranges = {}", ["run"]),
     ("poly_2x2_3x", "ranges = -10..10", "ranges = -10", ["run"]),
     ("poly_2x2_3x", "trials = 10", "trials = 0", ["run"]),
-    ("lfsr4", "builtin = lfsr4", "builtin = lfsr5", ["run"]),
+    ("lfsr4", "expression = x1 | x2 | x3 | xor(x0, x1)", "expression = x1 | x2 | x3 | xor(x0)", ["run"]),
     ("hyperbola_implicit", "reference_ranges = 0.5..2", "reference_ranges = 0.5..y", ["run"]),
     ("mnist_binary", "classes = 0, 7", "classes = 3, x", ["run"]),
     ("poly_2x2_3x", "", "", ["run", "--trials", "-1", "--max-epochs", "1"]),
@@ -287,8 +287,19 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "samples = 50", "samples = 50\nsamples = 60", ["run"]),
     ("poly_2x2_3x", "[target]", "[target]\n[target]", ["run"]),
     ("mnist_binary", "classes = 0, 7", "classes = 0, 7\nexpression = x0", ["run"]),
-    ("lfsr4", "builtin = lfsr4", "builtin = lfsr4\nexpression = x0", ["run"]),
+    ("lfsr4", "kind = explicit", "kind = explicit\nbuiltin = lfsr4", ["run"]),
     ("poly_2x2_3x", "", "", ["run", "--max-epochs", "0"]),
+    # NaN passes a check written as ``x <= 0``, and nothing else checks for
+    # an infinity
+    ("poly_2x2_3x", "variance = 0.01", "variance = nan", ["run"]),
+    ("poly_2x2_3x", "variance = 0.01", "variance = inf", ["run"]),
+    ("poly_2x2_3x", "learning_rate = 0.05", "learning_rate = inf", ["run"]),
+    ("poly_2x2_3x", "temperature = 1.0\nlast", "temperature = inf\nlast", ["run"]),
+    ("poly_2x2_3x", "constants =", "constants = nan", ["run"]),
+    ("poly_2x2_3x", "tolerance = 1e-6", "tolerance = nan", ["run"]),
+    ("poly_2x2_3x", "tolerance = 1e-6", "tolerance = -1", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = {nan, 1}", ["run"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -inf..5", ["run"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -305,14 +316,12 @@ def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new
 @pytest.mark.parametrize("config, old, key, bad, good", [
     ("poly_2x2_3x", "inputs = 1", "outputs", 3, 1),
     ("pair_piecewise", "inputs = 2", "outputs", 1, 2),
-    ("lfsr4", "inputs = 4", "inputs", 7, 4),
     ("lfsr4", "inputs = 4", "outputs", 1, 4),
     ("mnist_binary", "classes = 0, 7", "outputs", 3, 2),
     ("mnist_binary", "classes = 0, 7", "inputs", 7, 784),
 ])
 def test_target_counts_that_contradict_the_target_exit_1(tmp_path, capsys, config, old, key, bad, good):
-    # the builtin, the expressions, the classes or the pixels fix the
-    # counts; a config
+    # the expressions, the classes or the pixels fix the counts; a config
     # that says otherwise must not parse as something else in silence
     path = tmp_path / f"{config}.ini"
     text = (CONFIG_DIR / f"{config}.ini").read_text()
@@ -367,12 +376,12 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     ("poly_2x2_3x", "inputs = 1", "inputs = 1\nderived = x0", ["[target] derived"]),
     ("mnist_binary", "pixels = 784", "pixels = 784\nranges = 0..1", ["[target] ranges"]),
     ("poly_2x2_3x", "inputs = 1", "inputs = 1\ntarget_depth = 2", ["[target] target_depth"]),
-    ("lfsr4", "builtin = lfsr4", "builtin = lfsr4\nexpression = x0",
-     ["[target] builtin", "[target] expression"]),
+    ("lfsr4", "kind = explicit", "kind = explicit\nbuiltin = lfsr4", ["[target] builtin"]),
+    ("poly_2x2_3x", "expression = 2 * x0^2 + 3 * x0\n", "", ["missing [target] expression"]),
 ])
 def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
-    # a typo, or a key the target kind never reads, must not run the
-    # defaults in silence
+    # a typo, a key the target kind never reads, or a required key left
+    # out must not run the defaults in silence
     path = tmp_path / f"{config}.ini"
     text = (CONFIG_DIR / f"{config}.ini").read_text()
     assert text.count(old) == 1

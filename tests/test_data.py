@@ -28,15 +28,18 @@ from softdag.data import (
     _sample_inputs,
     as_batch_source,
     load_idx_images,
-    target_lfsr4,
 )
-from softdag.expression import Choices, Interval, evaluate_tree_batch
+from softdag.expression import Choices, Interval, evaluate_tree_batch, sample_domain
 from softdag.network import ConfigError
 from softdag.rng import DATA_STREAM, derive_rng
 
 from conftest import make_dag, make_network, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_target(name):
+    return parse_config(CONFIG_DIR / f"{name}.ini").target
 
 
 def _spec_from_expression(text, ranges, kind="explicit", **kw):
@@ -109,7 +112,7 @@ def test_generate_recurrent_composes(rng):
 
 
 def test_lfsr4_matches_integer_oracle(rng):
-    spec = target_lfsr4()
+    spec = _config_target("lfsr4")
     ds = generate(spec, 64, rng)
     assert set(np.unique(ds.inputs)) <= {0.0, 1.0}
     assert set(np.unique(ds.targets)) <= {0.0, 1.0}
@@ -117,6 +120,28 @@ def test_lfsr4_matches_integer_oracle(rng):
         bits = [int(b) for b in x]
         want = bits[1:] + [bits[0] ^ bits[1]]
         assert [int(v) for v in y] == want
+
+
+# the numpy functions that gave lfsr4's and sort3's targets before their
+# configs wrote them as expressions
+OLD_PROGRAMS = {
+    "lfsr4": lambda X: np.stack([X[:, 1], X[:, 2], X[:, 3], np.abs(X[:, 0] - X[:, 1])], axis=1),
+    "sort3": lambda X: np.sort(X, axis=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_PROGRAMS))
+def test_program_configs_equal_their_old_programs(name):
+    # min and max sort a row bit for bit when it holds no NaN and no
+    # -0.0/+0.0 pair; uniform draws from -50..50 hold neither
+    spec, old = _config_target(name), OLD_PROGRAMS[name]
+    for seed in (0, 3, 7, 2101):
+        source = ResamplingSource(spec, 1000, seed)
+        for epoch in (1, 2, 17, 300):
+            X, Y = source.batch(epoch)
+            assert same_bits(Y, old(X))
+    X = sample_domain(spec.input_ranges, 100_000, seed=0)
+    assert same_bits(spec.fn(X), old(X))
 
 
 def test_split_sizes_and_determinism(rng):
@@ -271,7 +296,7 @@ BATCH_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
 def test_resampled_batches_are_unchanged(name):
-    source = ResamplingSource(parse_config(CONFIG_DIR / f"{name}.ini").target, 1000, 5)
+    source = ResamplingSource(_config_target(name), 1000, 5)
     h = hashlib.sha256()
     for epoch in range(1, 21):
         X, Y = source.batch(epoch)
@@ -300,7 +325,7 @@ def _table_rows(batch):
 
 
 def test_batch_rows_follow_the_draw():
-    lfsr4 = target_lfsr4()
+    lfsr4 = _config_target("lfsr4")
     batch = ResamplingSource(lfsr4, 1000, 3).batch(7)
     X, Y, lanes = _table_rows(batch)
     # the table is every combination in code order, and the lanes are the
@@ -336,7 +361,7 @@ def test_coded_batches_equal_the_general_path():
     # a coded source draws and redraws codes with the numbers of the
     # general path, and takes its rows from its table without calling it
     specs = [
-        (target_lfsr4(), 1000),
+        (_config_target("lfsr4"), 1000),
         # choice columns of different sizes
         (_spec_from_expression("x0 * x1 - x2", (Choices((0.0, 1.0, 2.0)), Choices((3.0, -0.5)),
                                                  Choices((1.0, 2.0, 3.0, 4.0, 5.0)))), 200),
@@ -379,7 +404,7 @@ def test_a_coded_source_computes_its_target_once():
     # the table of every combination is built with the source; batches
     # take their rows from it
     calls = []
-    lfsr4 = target_lfsr4()
+    lfsr4 = _config_target("lfsr4")
 
     def counted(X):
         calls.append(len(X))
