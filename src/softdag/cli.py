@@ -36,11 +36,13 @@ from .data import (
     IdxFormatError,
     TargetSpec,
     classification_accuracy,
+    complete_rows,
     generate,
     load_idx,
     split,
 )
 from .expression import (
+    EQ_POINTS,
     Choices,
     Expr,
     Interval,
@@ -68,7 +70,6 @@ from .rng import DATA_STREAM, SPLIT_STREAM, TRIAL_STREAM, derive_rng, derive_see
 from .sampler import most_likely_dag
 from .trainer import CsvTrainLogger, TrainConfig, VERDICT_CONVERGED, train
 
-EQ_POINTS = 512  # samples for numeric equivalence checks
 VERDICT_ERROR = "error"  # the trial raised; the row's ``error`` column says why
 REPORT_COLUMNS = ("trial", "seed", "verdict", "epochs", "equivalent", "depth",
                   "accuracy", "trapped", "expression", "error")
@@ -185,11 +186,12 @@ _CLASSIFY = ("classification",)
 # ``[section] key``: (field it sets, cast, kinds that read it, kinds that
 # require it).  parse_config passes each value to NetworkConfig,
 # TrainConfig, TargetSpec or ExperimentConfig by its field name, once it
-# has worked out the target function and the counts from expression,
-# derived, pixels, inputs and outputs.  A key the file leaves
-# out sets nothing, so the field's dataclass default applies.  Only
-# explicit targets read equivalence, and classification reads neither it
-# nor tolerance, but both are accepted on every kind.
+# has worked out the target function and the counts: the '|'-separated
+# expressions, the classes or the implicit kind give the output count,
+# and inputs, or pixels on a classification target, the input count.  A
+# key the file leaves out sets nothing, so the field's dataclass default
+# applies.  Only explicit targets read equivalence, and classification
+# reads neither it nor tolerance, but both are accepted on every kind.
 SCHEMA = {
     ("network", "bases"): ("bases", _parse_bases, _KINDS, _KINDS),
     ("network", "constants"): ("constants", _parse_constants, _KINDS, ()),
@@ -207,8 +209,7 @@ SCHEMA = {
     ("training", "batch_size"): ("batch_size", int, _KINDS, ()),
     ("training", "seed"): ("seed", int, _KINDS, ()),
     ("target", "kind"): ("kind", _one_of(*_KINDS), _KINDS, ()),
-    ("target", "inputs"): ("input_count", int, _KINDS, _SAMPLED),
-    ("target", "outputs"): ("output_count", int, _KINDS, ()),
+    ("target", "inputs"): ("input_count", int, _SAMPLED, _SAMPLED),
     ("target", "ranges"): ("input_ranges", _parse_ranges, _SAMPLED, ()),
     ("target", "expression"): ("expression", _parse_targets, _PROGRAM, _PROGRAM),
     ("target", "derived"): ("derived", parse_expression, _IMPLICIT, _IMPLICIT),
@@ -241,14 +242,6 @@ def _unknown(path, section: str, key: str = "") -> ConfigError:
     near = [n for n in names if key and n.endswith(f"] {key}")]
     near = near or difflib.get_close_matches(name, names, n=1, cutoff=0.8)
     return ConfigError(f"{path}: unknown {name}" + (f"; did you mean {near[0]}?" if near else ""))
-
-
-def _derived(path, key, given, value, source: str):
-    """``value``, the ``[target] key`` that ``source`` fixes; a ``given``
-    value that contradicts it names the file and the key."""
-    if given is not None and given != value:
-        raise ConfigError(f"{path}: [target] {key} = {given} contradicts {source}, which fixes it at {value}")
-    return value
 
 
 def _build(path, cls, values: dict, **pinned):
@@ -313,12 +306,12 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     _at_least_one(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
     given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
 
-    inputs, outputs = given.get("input_count"), given.get("output_count")
+    inputs, outputs = given.get("input_count"), 1
     ranges = given.get("input_ranges", ())
     fn = derived = None
     if kind in _PROGRAM:
         exprs = given["expression"]
-        outputs = _derived(path, "outputs", outputs, len(exprs), "the '|'-separated expressions")
+        outputs = len(exprs)
         for e in exprs:
             used = input_indices(e)
             if used and max(used) >= inputs:
@@ -332,14 +325,13 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if len(ranges) != inputs - 1:
             raise ConfigError(f"{path}: implicit targets need ranges for the {inputs - 1} free dimensions")
     elif kind == "classification":
-        input_count = _derived(path, "inputs", inputs, given.get("pixels", 784), "[target] pixels")
-        outputs = _derived(path, "outputs", outputs, len(given["classes"]), "the classes list")
+        input_count = given.get("pixels", 784)
+        outputs = len(given["classes"])
         inputs = 0  # the target is loaded from the IDX pair, never generated
     elif len(ranges) != inputs:
         raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
 
     given.setdefault("name", path.stem)
-    outputs = 1 if outputs is None else outputs
     target = _build(path, TargetSpec, given, kind=kind, input_count=inputs, output_count=outputs,
                     input_ranges=ranges, fn=fn, derived=derived)
     network = _build(path, NetworkConfig, given, input_count=input_count, output_count=outputs)
@@ -353,7 +345,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 def _check_explicit(exp: ExperimentConfig, exprs) -> bool:
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
-    want = exp.target.fn(pts)
+    _, want = complete_rows(exp.target, pts)
     exact = exp.equivalence == "exact"
     for j, expr in enumerate(exprs):
         got = evaluate_tree_batch(expr, pts)
@@ -368,9 +360,7 @@ def _check_explicit(exp: ExperimentConfig, exprs) -> bool:
 def _check_recurrent(exp: ExperimentConfig, network, dag):
     """Returns (correct, identified_depth) of ``network``'s graph ``dag``."""
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
-    target_vals = pts
-    for _ in range(exp.target.target_depth):
-        target_vals = exp.target.fn(target_vals)
+    _, target_vals = complete_rows(exp.target, pts)
     depth_outputs = evaluate_recurrent(
         network, dag, pts, exp.training.recurrence_depth
     )

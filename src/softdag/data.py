@@ -26,6 +26,7 @@ __all__ = [
     "load_idx_images",
     "load_idx_labels",
     "classification_accuracy",
+    "complete_rows",
     "ResamplingSource",
     "DatasetSource",
     "as_batch_source",
@@ -87,6 +88,8 @@ class TargetSpec:
             raise ConfigError("recurrent targets need output_count == input_count")
         if self.kind == "implicit" and self.derived is None:
             raise ConfigError("implicit targets need a derived-coordinate rule")
+        if not math.isfinite(self.constant_target):
+            raise ConfigError(f"constant_target must be finite, not {self.constant_target}")
 
 
 def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,7 +118,7 @@ def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
     return Dataset(*_generate(spec, n, rng))
 
 
-def _complete(spec: TargetSpec, free: np.ndarray):
+def complete_rows(spec: TargetSpec, free: np.ndarray):
     """``(X, Y)`` of the rows whose free input columns are ``free``."""
     with np.errstate(all="ignore"):
         if spec.kind == "implicit":
@@ -134,14 +137,14 @@ def _generate(spec: TargetSpec, n: int, rng: np.random.Generator):
         raise ValueError("n must be >= 1")
     if spec.kind == "classification":
         raise ConfigError("classification datasets are loaded, not generated")
-    X, Y = _complete(spec, _sample_inputs(spec.input_ranges, n, rng))
+    X, Y = complete_rows(spec, _sample_inputs(spec.input_ranges, n, rng))
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         # one pass over each array settles a batch with nothing to redraw;
         # a per-row reduction along the short axis costs many times more
         if np.isfinite(X).all() and np.isfinite(Y).all():
             return X, Y
         bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
-        X[bad], Y[bad] = _complete(spec, _sample_inputs(spec.input_ranges, int(bad.sum()), rng))
+        X[bad], Y[bad] = complete_rows(spec, _sample_inputs(spec.input_ranges, int(bad.sum()), rng))
     raise ConfigError(f"target {spec.name!r} keeps producing non-finite rows")
 
 
@@ -286,7 +289,7 @@ class ResamplingSource:
             sizes = [len(column) for column in self._values]
             self._radix = np.array([math.prod(sizes[k + 1:]) for k in range(len(sizes))], dtype=np.int64)
             picks = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
-            X, Y = _complete(spec, _choose(self._values, picks))
+            X, Y = complete_rows(spec, _choose(self._values, picks))
             X.flags.writeable = Y.flags.writeable = False
             self._table = X, Y
             finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)

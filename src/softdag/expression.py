@@ -31,6 +31,7 @@ from .network import Network
 from .sampler import SampledDAG
 
 __all__ = [
+    "EQ_POINTS",
     "Input",
     "Const",
     "Apply",
@@ -50,6 +51,8 @@ __all__ = [
     "values_equivalent",
     "dag_to_expression",
 ]
+
+EQ_POINTS = 512  # samples for numeric equivalence checks
 
 
 @dataclass(frozen=True)
@@ -464,7 +467,7 @@ def values_equivalent(va, vb, tol: float) -> bool:
 
 
 def numeric_equivalent(
-    a: Expr, b: Expr, domain, tol: float = 1e-6, n: int = 512, seed: int = 0
+    a: Expr, b: Expr, domain, tol: float = 1e-6, n: int = EQ_POINTS, seed: int = 0
 ) -> bool:
     """Decide equivalence of two expressions on a sampled domain."""
     pts = sample_domain(domain, n, seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -85,31 +85,6 @@ class NetworkConfig:
             raise ConfigError("temperatures must be positive and finite")
         if not all(map(math.isfinite, self.constants)):
             raise ConfigError(f"constants must be finite, not {self.constants}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bases": list(self.bases),
-            "input_count": self.input_count,
-            "constants": list(self.constants),
-            "output_count": self.output_count,
-            "depth": self.depth,
-            "temperature": self.temperature,
-            "last_layer_temperature": self.last_layer_temperature,
-            "skip_connections": self.skip_connections,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            bases=tuple(d["bases"]),
-            input_count=int(d["input_count"]),
-            constants=tuple(d["constants"]),
-            output_count=int(d["output_count"]),
-            depth=int(d["depth"]),
-            temperature=float(d["temperature"]),
-            last_layer_temperature=float(d["last_layer_temperature"]),
-            skip_connections=bool(d["skip_connections"]),
-        )
 
 
 def softmax_rows(matrix: np.ndarray, temperature: float) -> np.ndarray:
@@ -249,7 +224,7 @@ def parameter_count(config: NetworkConfig) -> int:
 def save_network(network: Network, path: str | os.PathLike) -> None:
     """Write a versioned text file: header, config echo, one row per line."""
     lines = [f"{_WEIGHTS_MAGIC} {_WEIGHTS_VERSION}"]
-    lines.append(json.dumps(network.config.to_json_dict(), sort_keys=True))
+    lines.append(json.dumps(asdict(network.config), sort_keys=True))
     for block in network.blocks():
         for row in block:
             lines.append(" ".join(repr(float(x)) for x in row))
@@ -277,7 +252,8 @@ def load_network(path: str | os.PathLike) -> Network:
     if len(lines) < 2:
         raise WeightsFormatError(f"{path}: missing config header")
     try:
-        network = Network(NetworkConfig.from_json_dict(json.loads(lines[1])))
+        header = json.loads(lines[1])
+        network = Network(NetworkConfig(**{f.name: header[f.name] for f in fields(NetworkConfig)}))
     except (KeyError, ValueError, TypeError) as exc:
         raise WeightsFormatError(f"{path}: bad config header: {exc}") from exc
     rows = lines[2:]

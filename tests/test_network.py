@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,14 @@ from softdag import (
 from softdag.cli import parse_config
 
 from conftest import fig1_network, random_tiny_network
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the config line of configs/pair_piecewise.ini's weights file, as written
+PAIR_PIECEWISE_HEADER = (
+    '{"bases": ["IF_LEQ", "IF_LEQ", "NEG", "SQUARE"], "constants": [1.0, 2.0], "depth": 3,'
+    ' "input_count": 2, "last_layer_temperature": 3.0, "output_count": 2,'
+    ' "skip_connections": true, "temperature": 1.0}'
+)
 
 
 def test_config_validation():
@@ -166,6 +175,29 @@ def test_save_load_round_trip(tmp_path, rng):
         assert np.array_equal(a, b)
 
 
+def test_weights_header_round_trips_every_config(tmp_path):
+    path = tmp_path / "weights.txt"
+    for config in sorted(CONFIG_DIR.glob("*.ini")):
+        network = parse_config(config).network
+        for cfg in (network, replace(network, skip_connections=False)):
+            save_network(build_network(cfg), path)
+            assert load_network(path).config == cfg, config.name
+
+
+def test_weights_header_is_pinned_and_lists_every_field(tmp_path):
+    path = tmp_path / "weights.txt"
+    save_network(build_network(parse_config(CONFIG_DIR / "pair_piecewise.ini").network), path)
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["softdag-weights 1", PAIR_PIECEWISE_HEADER]
+    # every field is required, the defaulted ones too
+    for field in fields(NetworkConfig):
+        header = json.loads(PAIR_PIECEWISE_HEADER)
+        del header[field.name]
+        path.write_text("\n".join([lines[0], json.dumps(header), *lines[2:]]) + "\n")
+        with pytest.raises(WeightsFormatError, match="bad config header"):
+            load_network(path)
+
+
 def _blocks_view_params(net) -> bool:
     """Every block is a view of ``params``, laid end to end in order."""
     blocks = net.blocks()
@@ -177,7 +209,7 @@ def _blocks_view_params(net) -> bool:
 
 
 def test_blocks_are_views_of_one_vector(tmp_path, rng):
-    exp = parse_config(Path(__file__).resolve().parent.parent / "configs" / "poly_2x2_3x.ini")
+    exp = parse_config(CONFIG_DIR / "poly_2x2_3x.ini")
     net = build_network(exp.network)
     assert _blocks_view_params(net) and net.params.size == net.weight_count()
     train(net, exp.target, replace(exp.training, max_epochs=3, patience=4))
