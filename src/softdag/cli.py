@@ -43,6 +43,7 @@ from .data import (
 )
 from .expression import (
     EQ_POINTS,
+    EQ_TOLERANCE,
     Choices,
     Expr,
     Interval,
@@ -65,7 +66,6 @@ from .network import (
     load_network,
     save_network,
 )
-from .plan import evaluate_recurrent
 from .rng import DATA_STREAM, SPLIT_STREAM, TRIAL_STREAM, derive_rng, derive_seed
 from .sampler import most_likely_dag
 from .trainer import CsvTrainLogger, TrainConfig, VERDICT_CONVERGED, train
@@ -81,8 +81,6 @@ class ExperimentConfig:
     network: NetworkConfig
     training: TrainConfig
     target: TargetSpec
-    equivalence: str = "numeric"  # numeric | exact | none
-    tolerance: float = 1e-6
     trials: int = 10
     extended: bool = False
     reference_expression: Expr | None = None
@@ -93,9 +91,9 @@ class ExperimentConfig:
     test_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        # NaN or a negative tolerance would fail every numeric check
-        if not 0 <= self.tolerance < math.inf:
-            raise ConfigError(f"tolerance must be finite and >= 0, not {self.tolerance}")
+        # written so that NaN fails it too
+        if not 0 < self.test_fraction < 1:
+            raise ConfigError(f"test_fraction must be in (0, 1), not {self.test_fraction}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +186,9 @@ _CLASSIFY = ("classification",)
 # TrainConfig, TargetSpec or ExperimentConfig by its field name, once it
 # has worked out the target function and the counts: the '|'-separated
 # expressions, the classes or the implicit kind give the output count,
-# and inputs, or pixels on a classification target, the input count.  A
-# key the file leaves out sets nothing, so the field's dataclass default
-# applies.  Only explicit targets read equivalence, and classification
-# reads neither it nor tolerance, but both are accepted on every kind.
+# and inputs, or pixels on a classification target, the input count.
+# recurrence_depth also sets the target's depth.  A key the file leaves
+# out sets nothing, so the field's dataclass default applies.
 SCHEMA = {
     ("network", "bases"): ("bases", _parse_bases, _KINDS, _KINDS),
     ("network", "constants"): ("constants", _parse_constants, _KINDS, ()),
@@ -205,7 +202,7 @@ SCHEMA = {
     ("training", "learning_rate"): ("learning_rate", float, _KINDS, _KINDS),
     ("training", "max_epochs"): ("max_epochs", int, _KINDS, ()),
     ("training", "patience"): ("patience", int, _KINDS, ()),
-    ("training", "recurrence_depth"): ("recurrence_depth", int, _KINDS, ()),
+    ("training", "recurrence_depth"): ("recurrence_depth", int, ("recurrent",), ("recurrent",)),
     ("training", "batch_size"): ("batch_size", int, _KINDS, ()),
     ("training", "seed"): ("seed", int, _KINDS, ()),
     ("target", "kind"): ("kind", _one_of(*_KINDS), _KINDS, ()),
@@ -214,7 +211,6 @@ SCHEMA = {
     ("target", "expression"): ("expression", _parse_targets, _PROGRAM, _PROGRAM),
     ("target", "derived"): ("derived", parse_expression, _IMPLICIT, _IMPLICIT),
     ("target", "constant"): ("constant_target", float, _IMPLICIT, ()),
-    ("target", "target_depth"): ("target_depth", int, ("recurrent",), ()),
     ("target", "images"): ("idx_images", str, _CLASSIFY, _CLASSIFY),
     ("target", "labels"): ("idx_labels", str, _CLASSIFY, _CLASSIFY),
     ("target", "classes"): ("classes", _parse_classes, _CLASSIFY, _CLASSIFY),
@@ -222,11 +218,9 @@ SCHEMA = {
     ("target", "pixels"): ("pixels", int, _CLASSIFY, ()),
     ("experiment", "name"): ("name", str, _KINDS, ()),
     ("experiment", "trials"): ("trials", int, _KINDS, ()),
-    ("experiment", "equivalence"): ("equivalence", _one_of("numeric", "exact", "none"), _KINDS, ()),
-    ("experiment", "tolerance"): ("tolerance", float, _KINDS, ()),
     ("experiment", "extended"): ("extended", _parse_bool, _KINDS, ()),
-    ("experiment", "reference"): ("reference_expression", parse_expression, _IMPLICIT, ()),
-    ("experiment", "reference_ranges"): ("reference_ranges", _parse_ranges, _IMPLICIT, ()),
+    ("experiment", "reference"): ("reference_expression", parse_expression, _IMPLICIT, _IMPLICIT),
+    ("experiment", "reference_ranges"): ("reference_ranges", _parse_ranges, _IMPLICIT, _IMPLICIT),
 }
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in SCHEMA))
 
@@ -253,6 +247,13 @@ def _build(path, cls, values: dict, **pinned):
         return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_inputs(path, key: str, exprs, count: int) -> None:
+    """Reject ``key``'s ``exprs`` if one reads an input past the ``count`` given."""
+    used = max((i for e in exprs for i in input_indices(e)), default=-1)
+    if used >= count:
+        raise ConfigError(f"{path}: {key} uses x{used}, but only {count} inputs are given")
 
 
 def _expression_fn(exprs: tuple[Expr, ...]):
@@ -312,18 +313,18 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if kind in _PROGRAM:
         exprs = given["expression"]
         outputs = len(exprs)
-        for e in exprs:
-            used = input_indices(e)
-            if used and max(used) >= inputs:
-                raise ConfigError(f"{path}: expression uses x{max(used)} but inputs = {inputs}")
+        _check_inputs(path, "[target] expression", exprs, inputs)
         fn = _expression_fn(exprs)
 
     input_count = inputs
     if kind == "implicit":
+        if len(ranges) != inputs - 1 or len(given["reference_ranges"]) != inputs:
+            raise ConfigError(f"{path}: implicit targets need ranges for the {inputs - 1} free dimensions"
+                              f" and reference_ranges for all {inputs}")
+        _check_inputs(path, "[target] derived", (given["derived"],), inputs - 1)
+        _check_inputs(path, "[experiment] reference", (given["reference_expression"],), inputs)
         derived_program = compile_trees((given["derived"],))
         derived = lambda free: derived_program(free)[0]  # noqa: E731
-        if len(ranges) != inputs - 1:
-            raise ConfigError(f"{path}: implicit targets need ranges for the {inputs - 1} free dimensions")
     elif kind == "classification":
         input_count = given.get("pixels", 784)
         outputs = len(given["classes"])
@@ -333,7 +334,8 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     given.setdefault("name", path.stem)
     target = _build(path, TargetSpec, given, kind=kind, input_count=inputs, output_count=outputs,
-                    input_ranges=ranges, fn=fn, derived=derived)
+                    input_ranges=ranges, fn=fn, derived=derived,
+                    target_depth=given.get("recurrence_depth", 1))
     network = _build(path, NetworkConfig, given, input_count=input_count, output_count=outputs)
     training = _build(path, TrainConfig, given)
     return _build(path, ExperimentConfig, given, network=network, training=training, target=target)
@@ -343,47 +345,25 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # correctness checks
 
 
-def _check_explicit(exp: ExperimentConfig, exprs) -> bool:
+def _check_program(exp: ExperimentConfig, exprs):
+    """Returns (correct, depth): whether ``exprs``, composed with themselves
+    up to ``recurrence_depth`` times, give the target, and the first depth that does."""
     pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
     _, want = complete_rows(exp.target, pts)
-    exact = exp.equivalence == "exact"
-    for j, expr in enumerate(exprs):
-        got = evaluate_tree_batch(expr, pts)
-        if exact:
-            if not (np.isfinite(got).all() and np.array_equal(got, want[:, j])):
-                return False
-        elif not values_equivalent(got, want[:, j], exp.tolerance):
-            return False
-    return True
-
-
-def _check_recurrent(exp: ExperimentConfig, network, dag):
-    """Returns (correct, identified_depth) of ``network``'s graph ``dag``."""
-    pts = sample_domain(exp.target.input_ranges, EQ_POINTS, seed=0)
-    _, target_vals = complete_rows(exp.target, pts)
-    depth_outputs = evaluate_recurrent(
-        network, dag, pts, exp.training.recurrence_depth
-    )
-    for d, got in enumerate(depth_outputs, start=1):
-        if all(
-            values_equivalent(got[:, j], target_vals[:, j], exp.tolerance)
-            for j in range(got.shape[1])
-        ):
-            return True, d
+    got = pts
+    for depth in range(1, exp.training.recurrence_depth + 1):
+        got = np.column_stack([evaluate_tree_batch(e, got) for e in exprs])
+        if all(values_equivalent(got[:, j], want[:, j], EQ_TOLERANCE) for j in range(len(exprs))):
+            return True, depth
     return False, None
 
 
 def _check_implicit(exp: ExperimentConfig, exprs):
     """Returns (correct, trapped): trap = expression uses no inputs."""
     trapped = all(not input_indices(e) for e in exprs)
-    correct = False
-    if exp.reference_expression is not None and exp.reference_ranges:
-        pts = sample_domain(exp.reference_ranges, EQ_POINTS, seed=0)
-        want = evaluate_tree_batch(exp.reference_expression, pts)
-        correct = all(
-            values_equivalent(evaluate_tree_batch(e, pts), want, exp.tolerance)
-            for e in exprs
-        )
+    pts = sample_domain(exp.reference_ranges, EQ_POINTS, seed=0)
+    want = evaluate_tree_batch(exp.reference_expression, pts)
+    correct = all(values_equivalent(evaluate_tree_batch(e, pts), want, EQ_TOLERANCE) for e in exprs)
     return correct, trapped
 
 
@@ -438,16 +418,12 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
     kind = exp.target.kind
     if kind == "classification":
         row["accuracy"] = classification_accuracy(network, dag, test_set)
-    elif kind == "recurrent":
-        ok, depth = _check_recurrent(exp, network, dag)
-        row["equivalent"] = ok
-        row["depth"] = depth if depth is not None else ""
     elif kind == "implicit":
-        ok, trapped = _check_implicit(exp, exprs)
-        row["equivalent"] = ok
-        row["trapped"] = trapped
-    elif exp.equivalence != "none":
-        row["equivalent"] = _check_explicit(exp, exprs)
+        row["equivalent"], row["trapped"] = _check_implicit(exp, exprs)
+    else:
+        row["equivalent"], depth = _check_program(exp, exprs)
+        if kind == "recurrent":
+            row["depth"] = depth if depth is not None else ""
     if out_dir is not None:
         save_network(network, out_dir / f"trial_{trial}_weights.txt")
     return row

@@ -32,6 +32,7 @@ from .sampler import SampledDAG
 
 __all__ = [
     "EQ_POINTS",
+    "EQ_TOLERANCE",
     "Input",
     "Const",
     "Apply",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 EQ_POINTS = 512  # samples for numeric equivalence checks
+EQ_TOLERANCE = 1e-6  # relative tolerance of numeric equivalence checks
 
 
 @dataclass(frozen=True)
@@ -467,7 +469,7 @@ def values_equivalent(va, vb, tol: float) -> bool:
 
 
 def numeric_equivalent(
-    a: Expr, b: Expr, domain, tol: float = 1e-6, n: int = EQ_POINTS, seed: int = 0
+    a: Expr, b: Expr, domain, tol: float = EQ_TOLERANCE, n: int = EQ_POINTS, seed: int = 0
 ) -> bool:
     """Decide equivalence of two expressions on a sampled domain."""
     pts = sample_domain(domain, n, seed)

@@ -52,8 +52,6 @@ ranges = -3..3
 [experiment]
 name = fast_sine
 trials = 2
-equivalence = numeric
-tolerance = 1e-6
 """
 
 
@@ -256,10 +254,10 @@ def test_misspelt_boolean_is_rejected(tmp_path, capsys):
         assert parse_config(good).network.skip_connections is (word == "On")
 
 
-@pytest.mark.parametrize("line", ["equivalence = exactt", "reference = x0 +"])
+@pytest.mark.parametrize("line", ["reference = x0 +"])
 def test_bad_experiment_settings_are_rejected(tmp_path, line):
     bad = tmp_path / "bad.ini"
-    bad.write_text(FAST_CONFIG.replace("equivalence = numeric", line))
+    bad.write_text(FAST_CONFIG.replace("trials = 2", f"trials = 2\n{line}"))
     with pytest.raises(ConfigError) as info:
         parse_config(bad)
     assert str(bad) in str(info.value)
@@ -296,12 +294,18 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
     ("poly_2x2_3x", "learning_rate = 0.05", "learning_rate = inf", ["run"]),
     ("poly_2x2_3x", "temperature = 1.0\nlast", "temperature = inf\nlast", ["run"]),
     ("poly_2x2_3x", "constants =", "constants = nan", ["run"]),
-    ("poly_2x2_3x", "tolerance = 1e-6", "tolerance = nan", ["run"]),
-    ("poly_2x2_3x", "tolerance = 1e-6", "tolerance = -1", ["run"]),
+    ("mnist_binary", "test_fraction = 0.1", "test_fraction = 0", ["run"]),
+    ("mnist_binary", "test_fraction = 0.1", "test_fraction = 1.5", ["run"]),
     ("poly_2x2_3x", "ranges = -10..10", "ranges = {nan, 1}", ["run"]),
     ("poly_2x2_3x", "ranges = -10..10", "ranges = -inf..5", ["run"]),
     ("hyperbola_implicit", "constant = 1.0", "constant = nan", ["run"]),
     ("hyperbola_implicit", "constant = 1.0", "constant = inf", ["run"]),
+    ("mnist_binary", "test_fraction = 0.1", "test_fraction = nan", ["run"]),
+    # an implicit input that the ranges do not give
+    ("hyperbola_implicit", "derived = 1 / x0", "derived = 1 / x1",
+     ["run", "--trials", "1", "--max-epochs", "1"]),
+    ("hyperbola_implicit", "reference_ranges = 0.5..2; 0.5..2", "reference_ranges = 0.5..2",
+     ["run", "--trials", "1", "--max-epochs", "1"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -356,6 +360,14 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     ("lfsr4", "inputs = 4", "inputs = 4\noutputs = 4", ["[target] outputs"]),
     ("mnist_binary", "classes = 0, 7", "classes = 0, 7\noutputs = 2", ["[target] outputs"]),
     ("mnist_binary", "classes = 0, 7", "classes = 0, 7\ninputs = 784", ["[target] inputs"]),
+    # removed keys: every check is numeric at EQ_TOLERANCE, and a recurrent
+    # target composes itself recurrence_depth times
+    ("lfsr4", "name = lfsr4", "name = lfsr4\nequivalence = exact", ["[experiment] equivalence"]),
+    ("poly_2x2_3x", "name = poly_2x2_3x", "name = poly_2x2_3x\ntolerance = 1e-6", ["[experiment] tolerance"]),
+    ("recurrent_step", "inputs = 1", "inputs = 1\ntarget_depth = 2", ["[target] target_depth"]),
+    ("poly_2x2_3x", "patience = 30", "patience = 30\nrecurrence_depth = 2", ["[training] recurrence_depth"]),
+    ("hyperbola_implicit", "reference_ranges = 0.5..2; 0.5..2\n", "",
+     ["missing [experiment] reference_ranges"]),
 ])
 def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
     # a typo, a key the target kind never reads, or a required key left
@@ -383,6 +395,26 @@ def test_readme_names_every_config_key():
     in_block = {(s, k) for s in cp.sections() for k in cp[s]}
     in_list = set(re.findall(r"`\[(\w+)\] (\w+)`", section))
     assert in_block | in_list == set(cli.SCHEMA)
+
+
+PROGRAM_CONFIGS = [p.stem for p in sorted(CONFIG_DIR.glob("*.ini")) if "\nexpression = " in p.read_text()]
+
+
+@pytest.mark.parametrize("config", PROGRAM_CONFIGS)
+def test_program_check_accepts_the_targets_own_trees(config):
+    # the verdict of a trial that reports the target itself, and of one
+    # that reports it with one constant off (or one added, if it has none)
+    path = CONFIG_DIR / f"{config}.ini"
+    exp = parse_config(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(path)
+    raw = cp["target"]["expression"]
+    depth = exp.training.recurrence_depth
+    assert depth == (1 if exp.target.kind == "explicit" else exp.target.target_depth)
+    assert cli._check_program(exp, cli._parse_targets(raw)) == (True, depth)
+    off, n = re.subn(r"(?<![\w.^])\d+(\.\d+)?", lambda m: str(float(m.group()) + 0.5), raw, count=1)
+    off = off if n else f"0.5 + {raw}"
+    assert cli._check_program(exp, cli._parse_targets(off)) == (False, None), off
 
 
 def test_parallel_trials_option(capsys):
