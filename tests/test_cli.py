@@ -368,6 +368,10 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     ("poly_2x2_3x", "patience = 30", "patience = 30\nrecurrence_depth = 2", ["[training] recurrence_depth"]),
     ("hyperbola_implicit", "reference_ranges = 0.5..2; 0.5..2\n", "",
      ["missing [experiment] reference_ranges"]),
+    # the values the removed tolerance check used to refuse are refused as
+    # an unknown key too
+    ("poly_2x2_3x", "trials = 10", "tolerance = nan\ntrials = 10", ["[experiment] tolerance"]),
+    ("poly_2x2_3x", "[experiment]", "[experiment]\ntolerance = -1", ["[experiment] tolerance"]),
 ])
 def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
     # a typo, a key the target kind never reads, or a required key left
