@@ -48,7 +48,6 @@ from .expression import (
     Expr,
     Interval,
     ParseError,
-    compile_trees,
     evaluate_tree_batch,
     input_indices,
     parse as parse_expression,
@@ -168,10 +167,10 @@ def _one_of(*choices: str):
     return cast
 
 
-def _at_least_one(path, name: str, value) -> None:
-    """Reject a count below 1, naming the file it applies to."""
-    if value is not None and value < 1:
-        raise ConfigError(f"{path}: {name} must be >= 1, not {value}")
+def _at_least(path, name: str, value, least: int = 1) -> None:
+    """Reject a count below ``least``, naming the file it applies to."""
+    if value is not None and value < least:
+        raise ConfigError(f"{path}: {name} must be >= {least}, not {value}")
 
 
 # target kinds, and the sets of them that read a key
@@ -256,16 +255,6 @@ def _check_inputs(path, key: str, exprs, count: int) -> None:
         raise ConfigError(f"{path}: {key} uses x{used}, but only {count} inputs are given")
 
 
-def _expression_fn(exprs: tuple[Expr, ...]):
-    # compiled once: a batch runs the trees' basis calls with no tree walk
-    program = compile_trees(exprs)
-
-    def fn(X: np.ndarray) -> np.ndarray:
-        return np.stack(program(X), axis=1)
-
-    return fn
-
-
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """The experiment that the INI file at ``path`` describes, read through
     :data:`SCHEMA`.  The values of ``overrides`` (``seed``, ``max_epochs``,
@@ -304,17 +293,16 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{path}: [{section}] {key} is not read by {kind} targets")
         if field not in given and kind in needs:
             raise ConfigError(f"{path}: missing [{section}] {key}")
-    _at_least_one(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
+    _at_least(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
     given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
 
     inputs, outputs = given.get("input_count"), 1
+    # an implicit target derives its last input from the free ones
+    _at_least(path, "[target] inputs", inputs, 2 if kind == "implicit" else 1)
     ranges = given.get("input_ranges", ())
-    fn = derived = None
     if kind in _PROGRAM:
-        exprs = given["expression"]
-        outputs = len(exprs)
-        _check_inputs(path, "[target] expression", exprs, inputs)
-        fn = _expression_fn(exprs)
+        outputs = len(given["expression"])
+        _check_inputs(path, "[target] expression", given["expression"], inputs)
 
     input_count = inputs
     if kind == "implicit":
@@ -323,8 +311,6 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
                               f" and reference_ranges for all {inputs}")
         _check_inputs(path, "[target] derived", (given["derived"],), inputs - 1)
         _check_inputs(path, "[experiment] reference", (given["reference_expression"],), inputs)
-        derived_program = compile_trees((given["derived"],))
-        derived = lambda free: derived_program(free)[0]  # noqa: E731
     elif kind == "classification":
         input_count = given.get("pixels", 784)
         outputs = len(given["classes"])
@@ -334,8 +320,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     given.setdefault("name", path.stem)
     target = _build(path, TargetSpec, given, kind=kind, input_count=inputs, output_count=outputs,
-                    input_ranges=ranges, fn=fn, derived=derived,
-                    target_depth=given.get("recurrence_depth", 1))
+                    input_ranges=ranges, target_depth=given.get("recurrence_depth", 1))
     network = _build(path, NetworkConfig, given, input_count=input_count, output_count=outputs)
     training = _build(path, TrainConfig, given)
     return _build(path, ExperimentConfig, given, network=network, training=training, target=target)
@@ -417,7 +402,7 @@ def run_trial(exp: ExperimentConfig, trial: int, out_dir: Path | None = None,
                expression=" | ".join(to_string(e) for e in exprs))
     kind = exp.target.kind
     if kind == "classification":
-        row["accuracy"] = classification_accuracy(network, dag, test_set)
+        row["accuracy"] = classification_accuracy(exprs, test_set)
     elif kind == "implicit":
         row["equivalent"], row["trapped"] = _check_implicit(exp, exprs)
     else:
@@ -449,7 +434,7 @@ def _start_run(run: _Run | None) -> None:
 
 def _start_worker(config_path, overrides, out_dir, write_logs, class_split) -> None:
     """A pool's initializer: each worker parses the config once, because
-    its target closures cannot be sent to a worker process."""
+    its target's compiled program cannot be sent to a worker process."""
     exp = parse_config(config_path, overrides)
     _start_run(_Run(exp, out_dir, write_logs, class_split))
 
@@ -620,8 +605,8 @@ def _environment() -> dict:
 
 
 def _overrides(args, path) -> dict:
-    _at_least_one(path, "--trials", args.trials)
-    _at_least_one(path, "--parallel-trials", args.parallel_trials)
+    _at_least(path, "--trials", args.trials)
+    _at_least(path, "--parallel-trials", args.parallel_trials)
     return {"seed": args.seed, "trials": args.trials, "max_epochs": args.max_epochs}
 
 
@@ -696,7 +681,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    _at_least_one(args.config, "--count", args.count)
+    _at_least(args.config, "--count", args.count)
     exp = parse_config(args.config, {"seed": args.seed})
     if exp.target.kind == "classification":
         raise ConfigError("gen-data does not apply to classification targets")

@@ -5,15 +5,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .expression import Choices, Interval
-from .network import ConfigError, Network
-from .plan import evaluate
+from .expression import Choices, Expr, Interval, compile_trees
+from .network import ConfigError
 from .rng import DATA_STREAM, derive_rng
-from .sampler import SampledDAG
 
 __all__ = [
     "Batch",
@@ -61,22 +58,22 @@ class Dataset:
 class TargetSpec:
     """What to generate data from.
 
-    ``fn`` maps an input batch ``(n, input_count)`` to targets
-    ``(n, output_count)`` row by row: a row's targets depend on that row
-    alone, and equal rows get equal bits wherever they sit in the batch.
-    The redraw of non-finite rows and the distinct rows of a batch rely
-    on it.  For ``implicit`` targets, ``derived`` computes
-    the last input coordinate from the free ones and the target column is
-    the constant ``constant_target``.  For ``recurrent`` targets the data
-    generator self-composes ``fn`` ``target_depth`` times.
+    ``expression`` holds one tree per output: a row's targets are the
+    trees' values on that row, so they depend on that row alone, and equal
+    rows get equal bits wherever they sit in the batch.  For ``implicit``
+    targets, the tree ``derived`` computes the last input coordinate from
+    the free ones and the target column is the constant
+    ``constant_target``.  For ``recurrent`` targets the data generator
+    self-composes the trees ``target_depth`` times.  The trees are compiled
+    once, with the spec.
     """
 
     kind: str  # explicit | implicit | recurrent | classification
     input_count: int
     output_count: int
     input_ranges: tuple = ()
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    derived: Callable[[np.ndarray], np.ndarray] | None = None
+    expression: tuple[Expr, ...] = ()
+    derived: Expr | None = None
     constant_target: float = 1.0
     target_depth: int = 1
     name: str = ""
@@ -88,8 +85,14 @@ class TargetSpec:
             raise ConfigError("recurrent targets need output_count == input_count")
         if self.kind == "implicit" and self.derived is None:
             raise ConfigError("implicit targets need a derived-coordinate rule")
+        if self.kind in ("explicit", "recurrent") and len(self.expression) != self.output_count:
+            raise ConfigError(f"{self.kind} targets need one expression per output:"
+                              f" {len(self.expression)} for {self.output_count} outputs")
         if not math.isfinite(self.constant_target):
             raise ConfigError(f"constant_target must be finite, not {self.constant_target}")
+        # not a field, so equality and repr compare the trees
+        trees = (self.derived,) if self.kind == "implicit" else self.expression
+        object.__setattr__(self, "_program", compile_trees(trees))
 
 
 def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,13 +109,6 @@ def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _compose(fn, X: np.ndarray, depth: int) -> np.ndarray:
-    cur = X
-    for _ in range(depth):
-        cur = fn(cur)
-    return cur
-
-
 def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
     """Draw ``n`` rows for the target; rows with non-finite entries are redrawn."""
     return Dataset(*_generate(spec, n, rng))
@@ -120,14 +116,12 @@ def generate(spec: TargetSpec, n: int, rng: np.random.Generator) -> Dataset:
 
 def complete_rows(spec: TargetSpec, free: np.ndarray):
     """``(X, Y)`` of the rows whose free input columns are ``free``."""
-    with np.errstate(all="ignore"):
-        if spec.kind == "implicit":
-            last = np.asarray(spec.derived(free), dtype=np.float64)
-            return np.column_stack([free, last]), np.full((len(free), spec.output_count), spec.constant_target)
-        depth = spec.target_depth if spec.kind == "recurrent" else 1
-        Y = np.asarray(_compose(spec.fn, free, depth), dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    if spec.kind == "implicit":
+        last = spec._program(free)[0]
+        return np.column_stack([free, last]), np.full((len(free), spec.output_count), spec.constant_target)
+    Y = free
+    for _ in range(spec.target_depth if spec.kind == "recurrent" else 1):
+        Y = np.stack(spec._program(Y), axis=1)
     return free, Y
 
 
@@ -225,10 +219,10 @@ def load_idx(images_path, labels_path, class_filter) -> Dataset:
     return Dataset(images[mask], onehot)
 
 
-def classification_accuracy(network: Network, dag: SampledDAG, test: Dataset) -> float:
-    """Fraction of rows whose outputs, thresholded at 0.5, equal the one-hot
-    label exactly."""
-    preds = evaluate(network, dag, test.inputs)
+def classification_accuracy(exprs, test: Dataset) -> float:
+    """Fraction of rows whose outputs, one tree of ``exprs`` per column and
+    thresholded at 0.5, equal the one-hot label exactly."""
+    preds = np.stack(compile_trees(exprs)(test.inputs), axis=1)
     finite = np.isfinite(preds).all(axis=1)
     hot = preds > 0.5
     want = test.targets > 0.5

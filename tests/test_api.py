@@ -7,6 +7,7 @@ import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +61,13 @@ def test_modules_import_no_private_names(name):
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+def test_readme_library_use_runs(capsys):
+    # the README's first Python example, as a reader would paste it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["run"].verdict == "converged"
+    assert capsys.readouterr().out.startswith("converged ")

@@ -306,6 +306,16 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
      ["run", "--trials", "1", "--max-epochs", "1"]),
     ("hyperbola_implicit", "reference_ranges = 0.5..2; 0.5..2", "reference_ranges = 0.5..2",
      ["run", "--trials", "1", "--max-epochs", "1"]),
+    # no input to draw, or no free input for an implicit target to derive
+    # its last one from
+    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)\ninputs = 1\nranges = -20..20",
+     "expression = 3\ninputs = 0", ["run", "--trials", "1", "--max-epochs", "1"]),
+    ("hyperbola_implicit",
+     "inputs = 2\nranges = 0..1\nderived = 1 / x0\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
+     "\ntrials = 10\nreference = x0 * x1\nreference_ranges = 0.5..2; 0.5..2",
+     "inputs = 1\nderived = 1\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
+     "\ntrials = 10\nreference = x0\nreference_ranges = 0.5..2",
+     ["run", "--trials", "1", "--max-epochs", "1"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -372,6 +382,9 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     # an unknown key too
     ("poly_2x2_3x", "trials = 10", "tolerance = nan\ntrials = 10", ["[experiment] tolerance"]),
     ("poly_2x2_3x", "[experiment]", "[experiment]\ntolerance = -1", ["[experiment] tolerance"]),
+    # a count below the least the kind reads
+    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)\ninputs = 1\nranges = -20..20",
+     "expression = 3\ninputs = -1", ["[target] inputs"]),
 ])
 def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
     # a typo, a key the target kind never reads, or a required key left
@@ -386,6 +399,12 @@ def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, confi
     assert str(path) in err and "Traceback" not in err
     assert all(name in err for name in named), err
     assert not out.exists()
+
+
+def test_a_config_parses_to_a_value():
+    # a target is its trees, so two parses of one file are equal
+    for path in sorted(CONFIG_DIR.glob("*.ini")):
+        assert parse_config(path) == parse_config(path), path.name
 
 
 def test_readme_names_every_config_key():

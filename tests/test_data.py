@@ -1,7 +1,6 @@
 import hashlib
 import struct
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +11,7 @@ from softdag import (
     Dataset,
     IdxFormatError,
     classification_accuracy,
+    dag_to_expression,
     generate,
     load_idx,
     parse,
@@ -27,6 +27,7 @@ from softdag.data import (
     _generate,
     _sample_inputs,
     as_batch_source,
+    complete_rows,
     load_idx_images,
 )
 from softdag.expression import Choices, Interval, evaluate_tree_batch, sample_domain
@@ -43,13 +44,12 @@ def _config_target(name):
 
 
 def _spec_from_expression(text, ranges, kind="explicit", **kw):
-    expr = parse(text)
     return TargetSpec(
         kind=kind,
         input_count=len(ranges) + (1 if kind == "implicit" else 0),
         output_count=1,
         input_ranges=ranges,
-        fn=lambda X: evaluate_tree_batch(expr, X)[:, None],
+        expression=(parse(text),),
         **kw,
     )
 
@@ -71,13 +71,12 @@ def test_generate_reproducible():
 
 
 def test_generate_implicit_hyperbola(rng):
-    derived = parse("1 / x0")
     spec = TargetSpec(
         kind="implicit",
         input_count=2,
         output_count=1,
         input_ranges=(Interval(0.5, 2.0),),
-        derived=lambda F: evaluate_tree_batch(derived, F),
+        derived=parse("1 / x0"),
         constant_target=1.0,
     )
     ds = generate(spec, 200, rng)
@@ -102,13 +101,22 @@ def test_generate_recurrent_composes(rng):
         input_count=1,
         output_count=1,
         input_ranges=(Interval(-3, 6),),
-        fn=lambda X: evaluate_tree_batch(g, X)[:, None],
+        expression=(g,),
         target_depth=2,
     )
     ds = generate(spec, 100, rng)
     once = evaluate_tree_batch(g, ds.inputs)[:, None]
     twice = evaluate_tree_batch(g, once)[:, None]
     assert np.array_equal(ds.targets, twice)
+
+
+def test_a_program_target_has_one_tree_per_output():
+    # with no tree, or one tree for two outputs, some output column has no
+    # target
+    for count, trees in ((1, ()), (2, (parse("x0"),))):
+        with pytest.raises(ConfigError, match="one expression per output"):
+            TargetSpec(kind="explicit", input_count=1, output_count=count,
+                       input_ranges=(Interval(0, 1),), expression=trees)
 
 
 def test_lfsr4_matches_integer_oracle(rng):
@@ -141,7 +149,7 @@ def test_program_configs_equal_their_old_programs(name):
             X, Y = source.batch(epoch)
             assert same_bits(Y, old(X))
     X = sample_domain(spec.input_ranges, 100_000, seed=0)
-    assert same_bits(spec.fn(X), old(X))
+    assert same_bits(complete_rows(spec, X)[1], old(X))
 
 
 def test_split_sizes_and_determinism(rng):
@@ -248,7 +256,7 @@ def test_classification_accuracy_rules():
     )
     # row 0 matches; row 1 has a spurious second activation; row 2 matches;
     # row 3 carries a sentinel
-    acc = classification_accuracy(net, dag, test)
+    acc = classification_accuracy([dag_to_expression(net, dag, j) for j in range(2)], test)
     assert acc == pytest.approx(2 / 4)
 
 
@@ -331,7 +339,7 @@ def test_batch_rows_follow_the_draw():
     # the table is every combination in code order, and the lanes are the
     # batch's codes
     bits = np.indices((2, 2, 2, 2)).reshape(4, 16).T.astype(float)
-    assert same_bits(X, bits) and same_bits(Y, lfsr4.fn(bits))
+    assert same_bits(X, bits) and same_bits(Y, complete_rows(lfsr4, bits)[1])
     assert np.array_equal(lanes, batch.inputs @ [8.0, 4.0, 2.0, 1.0])
 
     # 1 / 0 is the division guard's sentinel: the table holds those rows,
@@ -339,7 +347,7 @@ def test_batch_rows_follow_the_draw():
     inverse = _spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))))
     implicit = TargetSpec(
         kind="implicit", input_count=2, output_count=1, input_ranges=(Choices((0.0, 2.0, 4.0)),),
-        derived=lambda F: evaluate_tree_batch(parse("1 / x0"), F),
+        derived=parse("1 / x0"),
     )
     for spec, rows in ((inverse, 6), (implicit, 3)):
         batch = ResamplingSource(spec, 40, 1).batch(2)
@@ -369,7 +377,7 @@ def test_coded_batches_equal_the_general_path():
         (_spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0)))), 40),
         (TargetSpec(kind="implicit", input_count=2, output_count=1,
                     input_ranges=(Choices((0.0, 2.0, 4.0)),),
-                    derived=lambda F: evaluate_tree_batch(parse("1 / x0"), F)), 40),
+                    derived=parse("1 / x0")), 40),
         # more distinct rows than half the batch
         (_spec_from_expression("x0", (Choices(tuple(np.arange(40.0))),)), 10),
     ]
@@ -406,16 +414,17 @@ def test_a_coded_source_computes_its_target_once():
     calls = []
     lfsr4 = _config_target("lfsr4")
 
-    def counted(X):
+    def counted(spec, X):
         calls.append(len(X))
-        return lfsr4.fn(X)
+        return complete_rows(spec, X)
 
-    source = ResamplingSource(replace(lfsr4, fn=counted), 1000, 3)
-    assert calls == [16]
-    for epoch in range(1, 11):
-        X, Y = source.batch(epoch)
-        assert same_bits(Y, lfsr4.fn(X))
-    assert calls == [16]
+    with mock.patch.object(data, "complete_rows", counted):
+        source = ResamplingSource(lfsr4, 1000, 3)
+        assert calls == [16]
+        for epoch in range(1, 11):
+            X, Y = source.batch(epoch)
+            assert same_bits(Y, complete_rows(lfsr4, X)[1])
+        assert calls == [16]
 
 
 def test_a_classification_target_is_not_generated():

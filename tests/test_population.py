@@ -346,7 +346,7 @@ def test_population_select_on_a_table_with_rows_no_lane_reads():
     spec = TargetSpec(
         kind="explicit", input_count=2, output_count=1,
         input_ranges=(Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))),
-        fn=lambda X: evaluate_tree_batch(parse("1 / x0"), X)[:, None],
+        expression=(parse("1 / x0"),),
     )
     source = ResamplingSource(spec, 40, 3)
     net = make_network(("ADD", "SUB", "MUL", "DIV"), input_count=2, constants=(1.0,), depth=2)

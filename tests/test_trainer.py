@@ -33,7 +33,7 @@ from softdag import (
 )
 from softdag import cli, data, plan, sampler, trainer
 from softdag.data import ResamplingSource, TargetSpec
-from softdag.expression import Interval, evaluate_tree_batch
+from softdag.expression import Interval
 from softdag.cli import parse_config, run_trial, summarize
 from softdag.rng import EPOCH_STREAM, derive_rng
 from softdag.trainer import TrainRun, VERDICT_CONVERGED, VERDICT_ZERO_FITNESS
@@ -214,7 +214,7 @@ def _sin_target_spec():
         input_count=1,
         output_count=1,
         input_ranges=(Interval(-3.0, 3.0),),
-        fn=lambda X: evaluate_tree_batch(target, X)[:, None],
+        expression=(target,),
         name="sin",
     )
 
