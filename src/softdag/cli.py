@@ -35,6 +35,7 @@ from .bases import resolve_bases
 from .data import (
     IdxFormatError,
     TargetSpec,
+    check_inputs,
     classification_accuracy,
     complete_rows,
     generate,
@@ -93,6 +94,12 @@ class ExperimentConfig:
         # written so that NaN fails it too
         if not 0 < self.test_fraction < 1:
             raise ConfigError(f"test_fraction must be in (0, 1), not {self.test_fraction}")
+        self.training.validate_for(self.network)
+        if self.target.kind == "implicit":
+            count = self.target.input_count
+            if self.reference_expression is None or len(self.reference_ranges) != count:
+                raise ConfigError(f"implicit targets need a reference and reference_ranges for all {count} inputs")
+            check_inputs("reference", (self.reference_expression,), count)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +133,6 @@ def _parse_ranges(raw: str) -> tuple:
             dims.append(Interval(float(lo), float(hi)))
         else:
             raise ConfigError(f"bad range {part!r} (use lo..hi or {{a,b}})")
-    if not dims:
-        raise ConfigError("empty ranges")
     return tuple(dims)
 
 
@@ -167,10 +172,10 @@ def _one_of(*choices: str):
     return cast
 
 
-def _at_least(path, name: str, value, least: int = 1) -> None:
-    """Reject a count below ``least``, naming the file it applies to."""
-    if value is not None and value < least:
-        raise ConfigError(f"{path}: {name} must be >= {least}, not {value}")
+def _at_least_one(path, name: str, value) -> None:
+    """Reject a count below 1, naming the file it applies to."""
+    if value is not None and value < 1:
+        raise ConfigError(f"{path}: {name} must be >= 1, not {value}")
 
 
 # target kinds, and the sets of them that read a key
@@ -182,12 +187,11 @@ _CLASSIFY = ("classification",)
 
 # ``[section] key``: (field it sets, cast, kinds that read it, kinds that
 # require it).  parse_config passes each value to NetworkConfig,
-# TrainConfig, TargetSpec or ExperimentConfig by its field name, once it
-# has worked out the target function and the counts: the '|'-separated
-# expressions, the classes or the implicit kind give the output count,
-# and inputs, or pixels on a classification target, the input count.
-# recurrence_depth also sets the target's depth.  A key the file leaves
-# out sets nothing, so the field's dataclass default applies.
+# TrainConfig, TargetSpec or ExperimentConfig by its field name.  The
+# network takes its counts from the target, or from pixels and classes on
+# a classification target.  recurrence_depth also sets the target's depth.
+# A key the file leaves out sets nothing, so the field's dataclass default
+# applies.
 SCHEMA = {
     ("network", "bases"): ("bases", _parse_bases, _KINDS, _KINDS),
     ("network", "constants"): ("constants", _parse_constants, _KINDS, ()),
@@ -205,8 +209,7 @@ SCHEMA = {
     ("training", "batch_size"): ("batch_size", int, _KINDS, ()),
     ("training", "seed"): ("seed", int, _KINDS, ()),
     ("target", "kind"): ("kind", _one_of(*_KINDS), _KINDS, ()),
-    ("target", "inputs"): ("input_count", int, _SAMPLED, _SAMPLED),
-    ("target", "ranges"): ("input_ranges", _parse_ranges, _SAMPLED, ()),
+    ("target", "ranges"): ("input_ranges", _parse_ranges, _SAMPLED, _SAMPLED),
     ("target", "expression"): ("expression", _parse_targets, _PROGRAM, _PROGRAM),
     ("target", "derived"): ("derived", parse_expression, _IMPLICIT, _IMPLICIT),
     ("target", "constant"): ("constant_target", float, _IMPLICIT, ()),
@@ -248,13 +251,6 @@ def _build(path, cls, values: dict, **pinned):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_inputs(path, key: str, exprs, count: int) -> None:
-    """Reject ``key``'s ``exprs`` if one reads an input past the ``count`` given."""
-    used = max((i for e in exprs for i in input_indices(e)), default=-1)
-    if used >= count:
-        raise ConfigError(f"{path}: {key} uses x{used}, but only {count} inputs are given")
-
-
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """The experiment that the INI file at ``path`` describes, read through
     :data:`SCHEMA`.  The values of ``overrides`` (``seed``, ``max_epochs``,
@@ -293,35 +289,15 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{path}: [{section}] {key} is not read by {kind} targets")
         if field not in given and kind in needs:
             raise ConfigError(f"{path}: missing [{section}] {key}")
-    _at_least(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
+    _at_least_one(path, "[experiment] trials", given.get("trials"))  # an API override may ask for 0
     given.update((name, value) for name, value in (overrides or {}).items() if value is not None)
-
-    inputs, outputs = given.get("input_count"), 1
-    # an implicit target derives its last input from the free ones
-    _at_least(path, "[target] inputs", inputs, 2 if kind == "implicit" else 1)
-    ranges = given.get("input_ranges", ())
-    if kind in _PROGRAM:
-        outputs = len(given["expression"])
-        _check_inputs(path, "[target] expression", given["expression"], inputs)
-
-    input_count = inputs
-    if kind == "implicit":
-        if len(ranges) != inputs - 1 or len(given["reference_ranges"]) != inputs:
-            raise ConfigError(f"{path}: implicit targets need ranges for the {inputs - 1} free dimensions"
-                              f" and reference_ranges for all {inputs}")
-        _check_inputs(path, "[target] derived", (given["derived"],), inputs - 1)
-        _check_inputs(path, "[experiment] reference", (given["reference_expression"],), inputs)
-    elif kind == "classification":
-        input_count = given.get("pixels", 784)
-        outputs = len(given["classes"])
-        inputs = 0  # the target is loaded from the IDX pair, never generated
-    elif len(ranges) != inputs:
-        raise ConfigError(f"{path}: expected {inputs} ranges, found {len(ranges)}")
-
     given.setdefault("name", path.stem)
-    target = _build(path, TargetSpec, given, kind=kind, input_count=inputs, output_count=outputs,
-                    input_ranges=ranges, target_depth=given.get("recurrence_depth", 1))
-    network = _build(path, NetworkConfig, given, input_count=input_count, output_count=outputs)
+    target = _build(path, TargetSpec, given, kind=kind, target_depth=given.get("recurrence_depth", 1))
+    if kind == "classification":
+        inputs, outputs = given.get("pixels", 784), len(given["classes"])
+    else:
+        inputs, outputs = target.input_count, target.output_count
+    network = _build(path, NetworkConfig, given, input_count=inputs, output_count=outputs)
     training = _build(path, TrainConfig, given)
     return _build(path, ExperimentConfig, given, network=network, training=training, target=target)
 
@@ -605,8 +581,8 @@ def _environment() -> dict:
 
 
 def _overrides(args, path) -> dict:
-    _at_least(path, "--trials", args.trials)
-    _at_least(path, "--parallel-trials", args.parallel_trials)
+    _at_least_one(path, "--trials", args.trials)
+    _at_least_one(path, "--parallel-trials", args.parallel_trials)
     return {"seed": args.seed, "trials": args.trials, "max_epochs": args.max_epochs}
 
 
@@ -681,10 +657,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    _at_least(args.config, "--count", args.count)
+    _at_least_one(args.config, "--count", args.count)
     exp = parse_config(args.config, {"seed": args.seed})
     if exp.target.kind == "classification":
-        raise ConfigError("gen-data does not apply to classification targets")
+        raise ConfigError(f"{args.config}: gen-data does not apply to classification targets")
     rng = derive_rng(exp.training.seed, DATA_STREAM, 0)
     ds = generate(exp.target, args.count, rng)
     out = Path(args.out) if args.out else Path(f"{exp.name}_data.csv")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expression import Choices, Expr, Interval, compile_trees
+from .expression import Choices, Expr, Interval, compile_trees, input_indices
 from .network import ConfigError
 from .rng import DATA_STREAM, derive_rng
 
@@ -16,6 +16,7 @@ __all__ = [
     "Batch",
     "Dataset",
     "TargetSpec",
+    "check_inputs",
     "IdxFormatError",
     "generate",
     "split",
@@ -64,13 +65,12 @@ class TargetSpec:
     targets, the tree ``derived`` computes the last input coordinate from
     the free ones and the target column is the constant
     ``constant_target``.  For ``recurrent`` targets the data generator
-    self-composes the trees ``target_depth`` times.  The trees are compiled
-    once, with the spec.
+    self-composes the trees ``target_depth`` times.  The ranges and the
+    trees give the counts.  The trees are compiled once, with the spec.  A
+    classification target is loaded, so it has no ranges and no trees.
     """
 
     kind: str  # explicit | implicit | recurrent | classification
-    input_count: int
-    output_count: int
     input_ranges: tuple = ()
     expression: tuple[Expr, ...] = ()
     derived: Expr | None = None
@@ -79,20 +79,43 @@ class TargetSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("explicit", "implicit", "recurrent", "classification"):
-            raise ConfigError(f"unknown target kind {self.kind!r}")
-        if self.kind == "recurrent" and self.output_count != self.input_count:
-            raise ConfigError("recurrent targets need output_count == input_count")
-        if self.kind == "implicit" and self.derived is None:
+        kind, ranges = self.kind, self.input_ranges
+        if kind not in ("explicit", "implicit", "recurrent", "classification"):
+            raise ConfigError(f"unknown target kind {kind!r}")
+        if kind == "classification" and (ranges or self.expression or self.derived is not None):
+            raise ConfigError("classification targets are loaded, so they take no ranges and no trees")
+        if kind != "classification" and not ranges:
+            raise ConfigError(f"{kind} targets need at least one input range")
+        if kind == "implicit" and self.derived is None:
             raise ConfigError("implicit targets need a derived-coordinate rule")
-        if self.kind in ("explicit", "recurrent") and len(self.expression) != self.output_count:
-            raise ConfigError(f"{self.kind} targets need one expression per output:"
-                              f" {len(self.expression)} for {self.output_count} outputs")
+        trees = (self.derived,) if kind == "implicit" else self.expression
+        if kind == "explicit" and not trees:
+            raise ConfigError("explicit targets need one expression per output, and at least one output")
+        if kind == "recurrent" and len(trees) != len(ranges):
+            raise ConfigError(f"recurrent targets need one expression per range:"
+                              f" {len(trees)} for {len(ranges)} ranges")
+        check_inputs("derived" if kind == "implicit" else "expression", trees, len(ranges))
         if not math.isfinite(self.constant_target):
             raise ConfigError(f"constant_target must be finite, not {self.constant_target}")
         # not a field, so equality and repr compare the trees
-        trees = (self.derived,) if self.kind == "implicit" else self.expression
         object.__setattr__(self, "_program", compile_trees(trees))
+
+    @property
+    def input_count(self) -> int:
+        """One input per range, and the derived one on an implicit target."""
+        return len(self.input_ranges) + (self.kind == "implicit")
+
+    @property
+    def output_count(self) -> int:
+        """One output per tree, and the constant one on an implicit target."""
+        return 1 if self.kind == "implicit" else len(self.expression)
+
+
+def check_inputs(name: str, exprs, count: int) -> None:
+    """Reject the trees ``exprs`` if one reads an input past the ``count`` given."""
+    used = max((i for e in exprs for i in input_indices(e)), default=-1)
+    if used >= count:
+        raise ConfigError(f"{name} uses x{used}, but only {count} inputs are given")
 
 
 def _sample_inputs(ranges, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Batch, as_batch_source
 from .expression import dag_to_expression, simplify, to_string
-from .network import ConfigError, Network
+from .network import ConfigError, Network, NetworkConfig
 from .plan import PopulationPlan, ValueStore
 from .rng import EPOCH_STREAM, derive_rng
 from .sampler import SampledDAG, most_likely_dag, reached_rows, sample_many
@@ -79,13 +79,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
-    def validate_for(self, network: Network) -> None:
-        if self.recurrence_depth > 1:
-            cfg = network.config
-            if cfg.output_count != cfg.input_count:
-                raise ConfigError("recurrent training needs output_count == input_count")
-            if cfg.output_count > 1:
-                raise ConfigError("multi-output recurrent training is unsupported")
+    def validate_for(self, cfg: NetworkConfig) -> None:
+        if self.recurrence_depth > 1 and not cfg.input_count == cfg.output_count == 1:
+            raise ConfigError("recurrent training needs one input and one output")
 
 
 @dataclass
@@ -284,7 +280,7 @@ def train(
     Identical (config, seed, data) always reproduce the same trajectory
     bit for bit.
     """
-    config.validate_for(network)
+    config.validate_for(network.config)
     source = as_batch_source(data, config.batch_size, config.seed)
     run = TrainRun(network=network, adam=AdamState.from_blocks([network.params]))
     streak = 0

@@ -46,7 +46,6 @@ seed = 5
 [target]
 kind = explicit
 expression = sin(x0)
-inputs = 1
 ranges = -3..3
 
 [experiment]
@@ -308,14 +307,19 @@ def test_bad_experiment_settings_are_rejected(tmp_path, line):
      ["run", "--trials", "1", "--max-epochs", "1"]),
     # no input to draw, or no free input for an implicit target to derive
     # its last one from
-    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)\ninputs = 1\nranges = -20..20",
-     "expression = 3\ninputs = 0", ["run", "--trials", "1", "--max-epochs", "1"]),
+    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)\nranges = -20..20",
+     "expression = 3\nranges =", ["run", "--trials", "1", "--max-epochs", "1"]),
     ("hyperbola_implicit",
-     "inputs = 2\nranges = 0..1\nderived = 1 / x0\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
+     "ranges = 0..1\nderived = 1 / x0\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
      "\ntrials = 10\nreference = x0 * x1\nreference_ranges = 0.5..2; 0.5..2",
-     "inputs = 1\nderived = 1\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
+     "ranges =\nderived = 1\nconstant = 1.0\n\n[experiment]\nname = hyperbola_implicit"
      "\ntrials = 10\nreference = x0\nreference_ranges = 0.5..2",
      ["run", "--trials", "1", "--max-epochs", "1"]),
+    # a recurrent target of two outputs, which training cannot compose
+    ("recurrent_halfsquare", "expression = if_leq(2, x0, x0 / 2, x0^2)\nranges = -8..8",
+     "expression = if_leq(2, x0, x0 / 2, x0^2) | x1\nranges = -8..8; -8..8",
+     ["run", "--trials", "1", "--max-epochs", "1"]),
+    ("mnist_binary", "", "", ["gen-data"]),
 ])
 def test_bad_input_exits_1_and_names_the_file(tmp_path, capsys, config, old, new, argv):
     path = tmp_path / f"{config}.ini"
@@ -360,21 +364,22 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     ("poly_2x2_3x", "trials = 10", "trails = 3", ["[experiment] trails"]),
     ("poly_2x2_3x", "[experiment]", "[trainng]\nlearning_rate = 5\n[experiment]",
      ["[trainng] learning_rate"]),
-    ("poly_2x2_3x", "inputs = 1", "inputs = 1\nderived = x0", ["[target] derived"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -10..10\nderived = x0", ["[target] derived"]),
     ("mnist_binary", "pixels = 784", "pixels = 784\nranges = 0..1", ["[target] ranges"]),
-    ("poly_2x2_3x", "inputs = 1", "inputs = 1\ntarget_depth = 2", ["[target] target_depth"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -10..10\ntarget_depth = 2", ["[target] target_depth"]),
     ("lfsr4", "kind = explicit", "kind = explicit\nbuiltin = lfsr4", ["[target] builtin"]),
     ("poly_2x2_3x", "expression = 2 * x0^2 + 3 * x0\n", "", ["missing [target] expression"]),
-    # the expressions, the classes or the pixels give the counts
-    ("poly_2x2_3x", "inputs = 1", "inputs = 1\noutputs = 1", ["[target] outputs"]),
-    ("lfsr4", "inputs = 4", "inputs = 4\noutputs = 4", ["[target] outputs"]),
+    # the ranges, the expressions, the classes or the pixels give the counts
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -10..10\noutputs = 1", ["[target] outputs"]),
+    ("lfsr4", "ranges = {0,1}; {0,1}; {0,1}; {0,1}", "ranges = {0,1}; {0,1}; {0,1}; {0,1}\noutputs = 4",
+     ["[target] outputs"]),
     ("mnist_binary", "classes = 0, 7", "classes = 0, 7\noutputs = 2", ["[target] outputs"]),
     ("mnist_binary", "classes = 0, 7", "classes = 0, 7\ninputs = 784", ["[target] inputs"]),
     # removed keys: every check is numeric at EQ_TOLERANCE, and a recurrent
     # target composes itself recurrence_depth times
     ("lfsr4", "name = lfsr4", "name = lfsr4\nequivalence = exact", ["[experiment] equivalence"]),
     ("poly_2x2_3x", "name = poly_2x2_3x", "name = poly_2x2_3x\ntolerance = 1e-6", ["[experiment] tolerance"]),
-    ("recurrent_step", "inputs = 1", "inputs = 1\ntarget_depth = 2", ["[target] target_depth"]),
+    ("recurrent_step", "ranges = -3..6", "ranges = -3..6\ntarget_depth = 2", ["[target] target_depth"]),
     ("poly_2x2_3x", "patience = 30", "patience = 30\nrecurrence_depth = 2", ["[training] recurrence_depth"]),
     ("hyperbola_implicit", "reference_ranges = 0.5..2; 0.5..2\n", "",
      ["missing [experiment] reference_ranges"]),
@@ -382,9 +387,11 @@ def test_removed_training_keys_are_rejected(tmp_path, capsys, key):
     # an unknown key too
     ("poly_2x2_3x", "trials = 10", "tolerance = nan\ntrials = 10", ["[experiment] tolerance"]),
     ("poly_2x2_3x", "[experiment]", "[experiment]\ntolerance = -1", ["[experiment] tolerance"]),
-    # a count below the least the kind reads
-    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)\ninputs = 1\nranges = -20..20",
-     "expression = 3\ninputs = -1", ["[target] inputs"]),
+    # the ranges give the input count, whatever value an inputs key holds
+    ("piecewise_3x", "expression = if_leq(x0, 0, x0, 3 * x0)",
+     "expression = if_leq(x0, 0, x0, 3 * x0)\ninputs = -1", ["[target] inputs"]),
+    ("poly_2x2_3x", "ranges = -10..10", "ranges = -10..10\ninputs = 1", ["[target] inputs"]),
+    ("poly_2x2_3x", "ranges = -10..10\n", "", ["missing [target] ranges"]),
 ])
 def test_unknown_and_unread_keys_exit_1_and_name_the_key(tmp_path, capsys, config, old, new, named):
     # a typo, a key the target kind never reads, or a required key left

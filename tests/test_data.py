@@ -46,8 +46,6 @@ def _config_target(name):
 def _spec_from_expression(text, ranges, kind="explicit", **kw):
     return TargetSpec(
         kind=kind,
-        input_count=len(ranges) + (1 if kind == "implicit" else 0),
-        output_count=1,
         input_ranges=ranges,
         expression=(parse(text),),
         **kw,
@@ -73,8 +71,6 @@ def test_generate_reproducible():
 def test_generate_implicit_hyperbola(rng):
     spec = TargetSpec(
         kind="implicit",
-        input_count=2,
-        output_count=1,
         input_ranges=(Interval(0.5, 2.0),),
         derived=parse("1 / x0"),
         constant_target=1.0,
@@ -98,8 +94,6 @@ def test_generate_recurrent_composes(rng):
     g = parse("if_leq(2, x0, x0 - 1, x0 + 2)")
     spec = TargetSpec(
         kind="recurrent",
-        input_count=1,
-        output_count=1,
         input_ranges=(Interval(-3, 6),),
         expression=(g,),
         target_depth=2,
@@ -111,12 +105,44 @@ def test_generate_recurrent_composes(rng):
 
 
 def test_a_program_target_has_one_tree_per_output():
-    # with no tree, or one tree for two outputs, some output column has no
-    # target
-    for count, trees in ((1, ()), (2, (parse("x0"),))):
-        with pytest.raises(ConfigError, match="one expression per output"):
-            TargetSpec(kind="explicit", input_count=1, output_count=count,
-                       input_ranges=(Interval(0, 1),), expression=trees)
+    # with no tree there is no output column
+    with pytest.raises(ConfigError, match="one expression per output"):
+        TargetSpec(kind="explicit", input_ranges=(Interval(0, 1),), expression=())
+
+
+def test_a_target_is_checked_against_its_ranges():
+    one = (Interval(0, 1),)
+    for kind in ("explicit", "implicit", "recurrent"):
+        with pytest.raises(ConfigError, match="at least one input range"):
+            TargetSpec(kind=kind, expression=(parse("1"),), derived=parse("1"))
+    # a tree that reads an input its ranges do not give
+    with pytest.raises(ConfigError, match="expression uses x1, but only 1 inputs"):
+        TargetSpec(kind="explicit", input_ranges=one, expression=(parse("x1"),))
+    with pytest.raises(ConfigError, match="derived uses x1, but only 1 inputs"):
+        TargetSpec(kind="implicit", input_ranges=one, derived=parse("1 / x1"))
+    # a recurrent target feeds its outputs back in as its inputs
+    with pytest.raises(ConfigError, match="one expression per range: 2 for 1 ranges"):
+        TargetSpec(kind="recurrent", input_ranges=one, expression=(parse("x0"),) * 2)
+    # a classification target is loaded, so nothing would read its ranges
+    # or trees
+    for given in ({"input_ranges": one}, {"expression": (parse("x0"),)}, {"derived": parse("x0")}):
+        with pytest.raises(ConfigError, match="no ranges and no trees"):
+            TargetSpec(kind="classification", **given)
+
+
+@pytest.mark.parametrize("spec", [
+    TargetSpec(kind="explicit", input_ranges=(Interval(0, 1), Choices((2.0, 3.0))),
+               expression=(parse("x0 * x1"), parse("x1"), parse("1"))),
+    TargetSpec(kind="implicit", input_ranges=(Interval(1, 2),) * 3, derived=parse("x0 + x2")),
+    TargetSpec(kind="recurrent", input_ranges=(Interval(0, 1),) * 2,
+               expression=(parse("x1"), parse("x0 / 2")), target_depth=3),
+], ids=["explicit", "implicit", "recurrent"])
+def test_the_ranges_and_trees_give_the_counts(spec, rng):
+    ds = generate(spec, 20, rng)
+    assert ds.inputs.shape == (20, spec.input_count)
+    assert ds.targets.shape == (20, spec.output_count)
+    assert (spec.input_count, spec.output_count) == {
+        "explicit": (2, 3), "implicit": (4, 1), "recurrent": (2, 2)}[spec.kind]
 
 
 def test_lfsr4_matches_integer_oracle(rng):
@@ -346,7 +372,7 @@ def test_batch_rows_follow_the_draw():
     # and no lane reads them; an implicit target's table is its free columns'
     inverse = _spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))))
     implicit = TargetSpec(
-        kind="implicit", input_count=2, output_count=1, input_ranges=(Choices((0.0, 2.0, 4.0)),),
+        kind="implicit", input_ranges=(Choices((0.0, 2.0, 4.0)),),
         derived=parse("1 / x0"),
     )
     for spec, rows in ((inverse, 6), (implicit, 3)):
@@ -375,8 +401,7 @@ def test_coded_batches_equal_the_general_path():
                                                  Choices((1.0, 2.0, 3.0, 4.0, 5.0)))), 200),
         # 1 / 0 is the division guard's NaN, so some batches redraw rows
         (_spec_from_expression("1 / x0", (Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0)))), 40),
-        (TargetSpec(kind="implicit", input_count=2, output_count=1,
-                    input_ranges=(Choices((0.0, 2.0, 4.0)),),
+        (TargetSpec(kind="implicit", input_ranges=(Choices((0.0, 2.0, 4.0)),),
                     derived=parse("1 / x0")), 40),
         # more distinct rows than half the batch
         (_spec_from_expression("x0", (Choices(tuple(np.arange(40.0))),)), 10),
@@ -428,7 +453,7 @@ def test_a_coded_source_computes_its_target_once():
 
 
 def test_a_classification_target_is_not_generated():
-    source = ResamplingSource(TargetSpec(kind="classification", input_count=4, output_count=2), 10, 1)
+    source = ResamplingSource(TargetSpec(kind="classification"), 10, 1)
     with pytest.raises(ConfigError, match="loaded, not generated"):
         source.batch(1)
 

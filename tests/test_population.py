@@ -344,7 +344,7 @@ def test_population_select_on_a_table_with_rows_no_lane_reads():
     # x0 = 0, whose target is the division guard's NaN, and no lane reads
     # them, so they weigh 0 in the kernel sums and in the bounds
     spec = TargetSpec(
-        kind="explicit", input_count=2, output_count=1,
+        kind="explicit",
         input_ranges=(Choices((0.0, 1.0, 2.0)), Choices((3.0, 4.0))),
         expression=(parse("1 / x0"),),
     )

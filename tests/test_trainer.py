@@ -211,8 +211,6 @@ def _sin_target_spec():
     target = parse("sin(x0)")
     return TargetSpec(
         kind="explicit",
-        input_count=1,
-        output_count=1,
         input_ranges=(Interval(-3.0, 3.0),),
         expression=(target,),
         name="sin",
@@ -342,14 +340,12 @@ def test_config_validation():
         TrainConfig(sample_count=5, select_count=6)
     with pytest.raises(ConfigError):
         TrainConfig(variance=-1.0)
-    net = build_network(NetworkConfig(bases=("SIN",), input_count=2, output_count=1))
     with pytest.raises(ConfigError):
-        TrainConfig(recurrence_depth=2).validate_for(net)
-    square = build_network(
-        NetworkConfig(bases=("SIN",), input_count=2, output_count=2)
-    )
+        TrainConfig(recurrence_depth=2).validate_for(NetworkConfig(bases=("SIN",), input_count=2))
     with pytest.raises(ConfigError):
-        TrainConfig(recurrence_depth=2).validate_for(square)
+        TrainConfig(recurrence_depth=2).validate_for(
+            NetworkConfig(bases=("SIN",), input_count=2, output_count=2))
+    TrainConfig(recurrence_depth=2).validate_for(NetworkConfig(bases=("SIN",), input_count=1))
 
 
 def test_csv_logger_matches_extracting_every_epoch(tmp_path):
