@@ -98,7 +98,7 @@ class ExperimentConfig:
         if self.target.kind == "implicit":
             count = self.target.input_count
             if self.reference_expression is None or len(self.reference_ranges) != count:
-                raise ConfigError(f"implicit targets need a reference and reference_ranges for all {count} inputs")
+                raise ConfigError(f"implicit targets need a reference and {count} reference_ranges")
             check_inputs("reference", (self.reference_expression,), count)
 
 
